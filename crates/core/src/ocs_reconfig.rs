@@ -13,6 +13,7 @@
 //! (Appendix F).
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use topoopt_graph::{Graph, TrafficMatrix};
 
 /// Discount schedule applied to a pair's demand after each allocated
@@ -157,36 +158,20 @@ fn two_edge_replacement(g: &mut Graph, cfg: &OcsReconfigConfig) {
     }
 }
 
-/// Remove one outgoing edge of `v`, preferring a parallel (redundant) edge.
+/// Remove one outgoing edge of `v`, preferring a parallel (redundant) edge:
+/// the oldest (lowest-id) edge to a neighbour of maximal multiplicity.
 fn remove_one_redundant_out_edge(g: &mut Graph, v: usize) {
-    let mut candidate: Option<usize> = None;
-    let mut best_mult = 0usize;
-    let edges: Vec<(usize, usize)> = g.out_edges(v).map(|(id, e)| (id, e.dst)).collect();
-    for (id, dst) in &edges {
-        let mult = g.multiplicity(v, *dst);
-        if mult > best_mult {
-            best_mult = mult;
-            candidate = Some(*id);
-        }
-    }
-    if let Some(id) = candidate {
+    let candidate = g.out_edges(v).map(|(id, e)| (g.multiplicity(v, e.dst), Reverse(id))).max();
+    if let Some((_, Reverse(id))) = candidate {
         g.remove_edge(id);
     }
 }
 
-/// Remove one incoming edge of `v`, preferring a parallel (redundant) edge.
+/// Remove one incoming edge of `v`, preferring a parallel (redundant) edge:
+/// the oldest edge from a neighbour of maximal multiplicity.
 fn remove_one_redundant_in_edge(g: &mut Graph, v: usize) {
-    let mut candidate: Option<usize> = None;
-    let mut best_mult = 0usize;
-    let edges: Vec<(usize, usize)> = g.in_edges(v).map(|(id, e)| (id, e.src)).collect();
-    for (id, src) in &edges {
-        let mult = g.multiplicity(*src, v);
-        if mult > best_mult {
-            best_mult = mult;
-            candidate = Some(*id);
-        }
-    }
-    if let Some(id) = candidate {
+    let candidate = g.in_edges(v).map(|(id, e)| (g.multiplicity(e.src, v), Reverse(id))).max();
+    if let Some((_, Reverse(id))) = candidate {
         g.remove_edge(id);
     }
 }

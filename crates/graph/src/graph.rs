@@ -31,14 +31,32 @@ pub struct Edge {
 /// A directed multigraph with per-edge capacities.
 ///
 /// Edges are never physically deleted (so `EdgeId`s stay stable); they are
-/// tombstoned instead. Adjacency is maintained incrementally for O(deg)
-/// neighbour iteration.
+/// tombstoned instead. Adjacency is maintained incrementally, each node's
+/// list sorted by neighbour then edge id, so sorted neighbour iteration
+/// needs no allocation or sort and pair lookups are a binary search.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Graph {
     n: usize,
     edges: Vec<Edge>,
+    /// Per node, its out-edges (tombstoned included) sorted by `dst`, then id.
     out_adj: Vec<Vec<EdgeId>>,
+    /// Per node, its in-edges sorted by `src`, then id.
     in_adj: Vec<Vec<EdgeId>>,
+}
+
+/// Insert edge `id` into an adjacency list sorted by the neighbour `key`
+/// reads off each edge, then by id. Ids grow with every insertion, so the
+/// new edge goes after every earlier edge to the same neighbour.
+fn insert_sorted(list: &mut Vec<EdgeId>, edges: &[Edge], id: EdgeId, key: fn(&Edge) -> NodeId) {
+    let v = key(&edges[id]);
+    let at = list.partition_point(|&e| key(&edges[e]) <= v);
+    list.insert(at, id);
+}
+
+/// The distinct values of an ascending sequence.
+fn distinct(ascending: impl Iterator<Item = NodeId>) -> impl Iterator<Item = NodeId> {
+    let mut last = None;
+    ascending.filter(move |&v| last.replace(v) != Some(v))
 }
 
 impl Graph {
@@ -66,8 +84,8 @@ impl Graph {
         assert!(capacity_bps > 0.0, "capacity must be positive");
         let id = self.edges.len();
         self.edges.push(Edge { src, dst, capacity_bps, removed: false });
-        self.out_adj[src].push(id);
-        self.in_adj[dst].push(id);
+        insert_sorted(&mut self.out_adj[src], &self.edges, id, |e| e.dst);
+        insert_sorted(&mut self.in_adj[dst], &self.edges, id, |e| e.src);
         id
     }
 
@@ -87,7 +105,8 @@ impl Graph {
         &self.edges[id]
     }
 
-    /// Mutable access to an edge by id.
+    /// Mutable access to an edge by id. Its endpoints must not change: the
+    /// adjacency lists are sorted by them.
     pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
         &mut self.edges[id]
     }
@@ -97,12 +116,12 @@ impl Graph {
         self.edges.iter().enumerate().filter(|(_, e)| !e.removed)
     }
 
-    /// Live out-edges of `node`.
+    /// Live out-edges of `node`, by destination, then id.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> {
         self.out_adj[node].iter().map(move |&id| (id, &self.edges[id])).filter(|(_, e)| !e.removed)
     }
 
-    /// Live in-edges of `node`.
+    /// Live in-edges of `node`, by source, then id.
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> {
         self.in_adj[node].iter().map(move |&id| (id, &self.edges[id])).filter(|(_, e)| !e.removed)
     }
@@ -117,38 +136,47 @@ impl Graph {
         self.in_edges(node).count()
     }
 
-    /// Distinct out-neighbours of `node`.
-    pub fn out_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.out_edges(node).map(|(_, e)| e.dst).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Distinct out-neighbours of `node`, ascending: a walk of its sorted
+    /// adjacency, with no allocation and no sort.
+    pub fn out_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        distinct(self.out_edges(node).map(|(_, e)| e.dst))
     }
 
-    /// Distinct in-neighbours of `node`.
-    pub fn in_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.in_edges(node).map(|(_, e)| e.src).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Distinct in-neighbours of `node`, ascending.
+    pub fn in_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        distinct(self.in_edges(node).map(|(_, e)| e.src))
+    }
+
+    /// Live parallel edges from `src` to `dst`, in id order: a binary search
+    /// of `src`'s sorted adjacency instead of a scan.
+    fn edges_between(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = &Edge> + '_ {
+        let list = &self.out_adj[src];
+        let from = list.partition_point(|&id| self.edges[id].dst < dst);
+        list[from..]
+            .iter()
+            .map(|&id| &self.edges[id])
+            .take_while(move |e| e.dst == dst)
+            .filter(|e| !e.removed)
     }
 
     /// Number of parallel live edges from `src` to `dst`.
     pub fn multiplicity(&self, src: NodeId, dst: NodeId) -> usize {
-        self.out_edges(src).filter(|(_, e)| e.dst == dst).count()
+        self.edges_between(src, dst).count()
     }
 
-    /// Total capacity (bps) of all parallel live edges from `src` to `dst`.
+    /// Total capacity (bps) of all parallel live edges from `src` to `dst`,
+    /// summed in edge id order.
     pub fn capacity_between(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.out_edges(src).filter(|(_, e)| e.dst == dst).map(|(_, e)| e.capacity_bps).sum()
+        self.edges_between(src, dst).map(|e| e.capacity_bps).sum()
     }
 
     /// True if there is at least one live edge from `src` to `dst`.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.out_edges(src).any(|(_, e)| e.dst == dst)
+        self.edges_between(src, dst).next().is_some()
     }
 
-    /// Total live capacity leaving `node`, in bps.
+    /// Total live capacity leaving `node`, in bps, summed in
+    /// [`out_edges`](Self::out_edges) order.
     pub fn total_out_capacity(&self, node: NodeId) -> f64 {
         self.out_edges(node).map(|(_, e)| e.capacity_bps).sum()
     }
@@ -250,7 +278,7 @@ mod tests {
         g.add_edge(0, 2, 100.0);
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.in_degree(1), 1);
-        assert_eq!(g.out_neighbors(0), vec![1, 2]);
+        assert_eq!(g.out_neighbors(0).collect::<Vec<_>>(), vec![1, 2]);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
     }

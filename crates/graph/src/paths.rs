@@ -6,6 +6,7 @@
 //! with [`path_length_cdf`].
 
 use crate::graph::{Graph, NodeId};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -13,30 +14,89 @@ use std::collections::{BinaryHeap, VecDeque};
 /// the destination.
 pub type NodePath = Vec<NodeId>;
 
+/// Reusable BFS state. A node counts as seen in the current search iff its
+/// stamp equals `epoch`, so starting a search clears nothing and a search
+/// costs O(nodes visited) rather than O(graph).
+#[derive(Default)]
+struct BfsScratch {
+    epoch: u32,
+    stamp: Vec<u32>,
+    prev: Vec<NodeId>,
+    /// FIFO of discovered nodes; the search pops by advancing an index.
+    queue: Vec<NodeId>,
+}
+
+impl BfsScratch {
+    /// Start a search over a graph of `n` nodes.
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.prev.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2^32 searches ago would alias the new epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.queue.clear();
+    }
+
+    /// Mark `v` seen via `from` and queue it, unless it already was seen.
+    fn discover(&mut self, v: NodeId, from: NodeId) {
+        if self.stamp[v] != self.epoch {
+            self.stamp[v] = self.epoch;
+            self.prev[v] = from;
+            self.queue.push(v);
+        }
+    }
+
+    /// The discovered path from `src` to `dst`.
+    fn path(&self, src: NodeId, dst: NodeId) -> NodePath {
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = self.prev[cur];
+            path.push(cur);
+        }
+        path.reverse();
+        path
+    }
+}
+
+thread_local! {
+    /// One scratch per thread, grown to the largest graph searched on it.
+    static BFS_SCRATCH: RefCell<BfsScratch> = RefCell::new(BfsScratch::default());
+}
+
 /// BFS shortest path by hop count. Returns `None` if `dst` is unreachable.
+/// Each node's neighbours are discovered in ascending id order, which fixes
+/// the tie-break among equal-length paths.
 pub fn bfs_shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<NodePath> {
     if src == dst {
         return Some(vec![src]);
     }
-    let n = g.num_nodes();
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut q = VecDeque::new();
-    seen[src] = true;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        for v in g.out_neighbors(u) {
-            if !seen[v] {
-                seen[v] = true;
-                prev[v] = Some(u);
-                if v == dst {
-                    return Some(reconstruct(&prev, src, dst));
-                }
-                q.push_back(v);
+    BFS_SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        s.begin(g.num_nodes());
+        s.discover(src, src);
+        let mut head = 0;
+        while let Some(&u) = s.queue.get(head) {
+            head += 1;
+            // `dst` is unseen until found, so the first expanded node with an
+            // edge to it is its BFS parent: test that edge by binary search
+            // instead of scanning up to `dst` in `u`'s neighbour list (the
+            // whole cluster when `u` is a switch hub).
+            if g.has_edge(u, dst) {
+                s.discover(dst, u);
+                return Some(s.path(src, dst));
+            }
+            for v in g.out_neighbors(u) {
+                s.discover(v, u);
             }
         }
-    }
-    None
+        None
+    })
 }
 
 fn reconstruct(prev: &[Option<NodeId>], src: NodeId, dst: NodeId) -> NodePath {
@@ -271,6 +331,17 @@ mod tests {
         let p = bfs_shortest_path(&g, 0, 3).unwrap();
         assert_eq!(p, vec![0, 1, 2, 3]);
         assert_eq!(bfs_shortest_path(&g, 2, 2).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn stale_stamps_do_not_survive_the_epoch_wrapping() {
+        let g = ring(6);
+        let expected = Some(vec![0, 1, 2, 3]);
+        BFS_SCRATCH.with(|s| s.borrow_mut().epoch = 0);
+        assert_eq!(bfs_shortest_path(&g, 0, 3), expected); // stamps nodes with epoch 1
+        BFS_SCRATCH.with(|s| s.borrow_mut().epoch = u32::MAX);
+        // The next search wraps back to epoch 1.
+        assert_eq!(bfs_shortest_path(&g, 0, 3), expected);
     }
 
     #[test]

@@ -96,6 +96,33 @@ impl TrafficMatrix {
         v
     }
 
+    /// [`entries_desc`](Self::entries_desc) of this matrix relabelled onto a
+    /// larger node set (node `i` becomes `map[i]`), computed from this
+    /// matrix's own entries: the cost is O(n² + e log e) in this matrix's
+    /// `n` and non-zero count `e`, whatever the size of the target set.
+    ///
+    /// The result equals adding every entry into an all-zero matrix over the
+    /// target set and listing it: entries `map` folds onto one pair are
+    /// summed in this matrix's `entries_desc` order, and equal demands keep
+    /// row-major order of the relabelled pairs.
+    pub fn remapped_entries_desc(&self, map: &[usize]) -> Vec<(usize, usize, f64)> {
+        assert_eq!(map.len(), self.n, "one target node per node");
+        let mut v: Vec<(usize, usize, f64)> =
+            self.entries_desc().into_iter().map(|(s, d, bytes)| (map[s], map[d], bytes)).collect();
+        // Row-major order of the target pairs; the sort is stable, so entries
+        // folding onto one pair stay in the order the dense sum adds them.
+        v.sort_by_key(|&(s, d, _)| (s, d));
+        v.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+        v.sort_by(|a, b| b.2.total_cmp(&a.2));
+        v
+    }
+
     /// ASCII heatmap rendering: rows are sources, columns destinations; each
     /// cell is scaled to a 0–9 digit relative to the maximum entry. Useful
     /// for the figure-regeneration binaries.

@@ -25,6 +25,17 @@ impl AllReducePlan {
     }
 }
 
+/// One flow of `bytes` from `src` to `dst`, routed over `net`. A pair the
+/// fabric cannot route (e.g. forwarding disabled and no direct circuit)
+/// keeps the two-node virtual path `[src, dst]` with no relay penalty:
+/// callers detect it via the missing route.
+fn routed_flow(net: &SimNetwork, src: usize, dst: usize, bytes: f64) -> FlowSpec {
+    match net.path(src, dst) {
+        Some(path) => FlowSpec::new(path, bytes).with_relay_factor(net.relay_factor(src, dst)),
+        None => FlowSpec { src, dst, bytes, path: vec![src, dst], start_s: 0.0, relay_factor: 1.0 },
+    }
+}
+
 /// Build the flows of one AllReduce plan on `net`: the bytes are split
 /// evenly across the plan's permutations; every ring edge becomes one flow
 /// of `2·share·(k-1)/k` bytes routed over the network.
@@ -41,24 +52,7 @@ pub fn allreduce_flows(net: &SimNetwork, plan: &AllReducePlan) -> Vec<FlowSpec> 
         }
         let per_node = ring_bytes_per_node(share, k);
         for (src, dst) in perm.edges() {
-            if let Some(path) = net.path(src, dst) {
-                flows.push(
-                    FlowSpec::new(path, per_node).with_relay_factor(net.relay_factor(src, dst)),
-                );
-            } else {
-                // Unroutable on this fabric (e.g. forwarding disabled and no
-                // direct circuit): represented as an infinite-cost flow by
-                // giving it an empty-capacity single-hop virtual path through
-                // itself — callers detect it via the missing route instead.
-                flows.push(FlowSpec {
-                    src,
-                    dst,
-                    bytes: per_node,
-                    path: vec![src, dst],
-                    start_s: 0.0,
-                    relay_factor: 1.0,
-                });
-            }
+            flows.push(routed_flow(net, src, dst, per_node));
         }
     }
     flows
@@ -67,22 +61,12 @@ pub fn allreduce_flows(net: &SimNetwork, plan: &AllReducePlan) -> Vec<FlowSpec> 
 /// Build one flow per non-zero entry of the model-parallel demand matrix,
 /// routed over the network.
 pub fn mp_flows(net: &SimNetwork, mp: &TrafficMatrix) -> Vec<FlowSpec> {
-    let mut flows = Vec::new();
-    for (src, dst, bytes) in mp.entries_desc() {
-        if let Some(path) = net.path(src, dst) {
-            flows.push(FlowSpec::new(path, bytes).with_relay_factor(net.relay_factor(src, dst)));
-        } else {
-            flows.push(FlowSpec {
-                src,
-                dst,
-                bytes,
-                path: vec![src, dst],
-                start_s: 0.0,
-                relay_factor: 1.0,
-            });
-        }
-    }
-    flows
+    demand_flows(net, mp.entries_desc())
+}
+
+/// One routed flow per `(src, dst, bytes)` demand, in the given order.
+pub(crate) fn demand_flows(net: &SimNetwork, demands: Vec<(usize, usize, f64)>) -> Vec<FlowSpec> {
+    demands.into_iter().map(|(src, dst, bytes)| routed_flow(net, src, dst, bytes)).collect()
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 
 use crate::arena::{dense_u32, LinkId};
 use crate::engine::{EngineStats, FaultEvent, FlowId, FluidEngine};
-use crate::flows::{allreduce_flows, mp_flows, AllReducePlan};
+use crate::flows::{allreduce_flows, demand_flows, mp_flows, AllReducePlan};
 use crate::fluid::{simulate_flows, FlowSpec, LinkKey};
 use crate::network::SimNetwork;
 use rayon::prelude::*;
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use topoopt_cluster::{ClusterShards, LookaheadProvisioner, TransitionRecord, TransitionSchedule};
 use topoopt_collectives::ring::RingPermutation;
-use topoopt_graph::{Graph, TrafficMatrix};
+use topoopt_graph::Graph;
 use topoopt_strategy::TrafficDemands;
 
 /// Typed dense job index: position of a job in the slice handed to the
@@ -100,6 +100,12 @@ pub struct SharedClusterResult {
 /// Remap a job's local traffic demands onto global server ids and build its
 /// flows on the shared network. `server_map[i]` is the global id of the
 /// job's local server `i`.
+///
+/// The cost is set by the job, not the cluster: the MP demands are
+/// remapped entry by entry
+/// ([`topoopt_graph::TrafficMatrix::remapped_entries_desc`]) in the order
+/// a cluster-sized matrix would list them, and each route's BFS touches
+/// only the nodes it visits.
 pub fn build_job_flows(
     net: &SimNetwork,
     demands: &TrafficDemands,
@@ -107,11 +113,6 @@ pub fn build_job_flows(
     server_map: &[usize],
 ) -> Vec<FlowSpec> {
     assert_eq!(demands.num_servers, server_map.len());
-    // Remap the MP matrix.
-    let mut mp = TrafficMatrix::new(net.num_servers);
-    for (src, dst, bytes) in demands.mp.entries_desc() {
-        mp.add(server_map[src], server_map[dst], bytes);
-    }
     // Remap the AllReduce plans.
     let global_plans: Vec<AllReducePlan> = plans
         .iter()
@@ -133,7 +134,7 @@ pub fn build_job_flows(
     for p in &global_plans {
         flows.extend(allreduce_flows(net, p));
     }
-    flows.extend(mp_flows(net, &mp));
+    flows.extend(demand_flows(net, demands.mp.remapped_entries_desc(server_map)));
     flows
 }
 
@@ -1369,7 +1370,7 @@ fn refresh_shared_rates_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topoopt_graph::topologies;
+    use topoopt_graph::{topologies, TrafficMatrix};
 
     fn small_demands(n: usize, bytes: f64) -> TrafficDemands {
         TrafficDemands {

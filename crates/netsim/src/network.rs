@@ -94,12 +94,9 @@ impl SimNetwork {
     /// switches (ids `>= num_servers`) are allowed.
     pub fn path(&self, src: usize, dst: usize) -> Option<Vec<usize>> {
         let p = self.routing.path_or_shortest(&self.graph, src, dst)?;
-        if !self.host_forwarding {
-            let relayed_through_host =
-                p[1..p.len().saturating_sub(1)].iter().any(|&v| v < self.num_servers);
-            if relayed_through_host {
-                return None;
-            }
+        let relays = p.get(1..p.len().saturating_sub(1)).unwrap_or_default();
+        if !self.host_forwarding && relays.iter().any(|&v| v < self.num_servers) {
+            return None;
         }
         Some(p)
     }
@@ -162,6 +159,8 @@ mod tests {
         assert!(net.path(0, 3).is_none());
         // Direct neighbours are fine.
         assert!(net.path(0, 1).is_some());
+        // A self-pair's one-node path relays through nobody.
+        assert_eq!(net.path(2, 2), Some(vec![2]));
     }
 
     #[test]
