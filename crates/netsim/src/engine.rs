@@ -80,7 +80,7 @@
 //! clock and re-arms exactly the flows whose component an event window
 //! touched — untouched components keep their cached results, which is
 //! sound because disjoint components produce bit-identical results whether
-//! or not they are re-simulated (see `multijob::SharedFabricEngine`).
+//! or not they are re-simulated (see `shared_engine::SharedFabricEngine`).
 //!
 //! Rates between events are constant, so flow progress is settled lazily:
 //! each flow remembers the last instant its remaining bytes were reconciled

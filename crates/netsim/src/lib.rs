@@ -70,6 +70,7 @@ pub mod iteration;
 pub mod multijob;
 pub mod network;
 pub mod reconfig;
+pub(crate) mod shared_engine;
 
 pub use engine::{EngineStats, FaultEvent, FluidEngine};
 pub use flows::{allreduce_flows, mp_flows, AllReducePlan};
