@@ -7,7 +7,6 @@
 //! of servers are meaningful (they add capacity).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Index of a node (server / ToR switch) in a [`Graph`].
 pub type NodeId = usize;
@@ -226,16 +225,6 @@ impl Graph {
             g.add_edge(e.dst, e.src, e.capacity_bps);
         }
         g
-    }
-
-    /// Degree histogram: map from out-degree to number of nodes with that
-    /// degree.
-    pub fn out_degree_histogram(&self) -> BTreeMap<usize, usize> {
-        let mut h = BTreeMap::new();
-        for v in 0..self.n {
-            *h.entry(self.out_degree(v)).or_insert(0) += 1;
-        }
-        h
     }
 
     /// Maximum out-degree over all nodes.

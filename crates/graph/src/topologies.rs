@@ -16,7 +16,7 @@
 //!   a set of ring permutations.
 //! * [`torus_2d`] — classic accelerator interconnect, used in ablations.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -48,11 +48,6 @@ pub fn ideal_switch(n: usize, per_server_bps: f64) -> Graph {
         g.add_edge(hub, s, per_server_bps);
     }
     g
-}
-
-/// Node id of the hub created by [`ideal_switch`] for an `n`-server cluster.
-pub fn ideal_switch_hub(n: usize) -> NodeId {
-    n
 }
 
 /// Build a k-ary fat-tree with `k^3 / 4` hosts and full bisection bandwidth.

@@ -1,7 +1,7 @@
 //! Event-driven incremental fluid engine on flat index-based storage.
 //!
 //! The engine advances the simulation from event to event over an explicit
-//! priority queue of three event kinds:
+//! priority queue of four event kinds:
 //!
 //! * **flow arrival** — a flow's `start_s` is reached and it joins the
 //!   active set;
@@ -65,8 +65,8 @@
 //! taken globally in key order, stats summed in component order) is
 //! bit-identical to the single-loop run regardless of thread count;
 //! `RAYON_NUM_THREADS=1` and the default produce byte-identical results.
-//! [`FluidEngine::run_monolithic`] keeps the single-loop path callable as
-//! the equivalence oracle.
+//! The private single-loop `run_monolithic` is the unit tests' equivalence
+//! oracle.
 //!
 //! # Window-level reuse
 //!
@@ -556,21 +556,6 @@ impl FluidEngine {
         self.push_event(t, EventKind::Fault(idx));
     }
 
-    /// Apply a fault immediately, bypassing the event queue, and re-rate
-    /// the flows it touched. Used to transplant an accumulated health
-    /// state onto a fresh engine (the rebuild oracle pre-applies the fault
-    /// history its persistent counterpart absorbed event by event); on a
-    /// quiescent engine this is pure state, no recomputation.
-    pub fn apply_fault_now(&mut self, fault: FaultEvent) {
-        let mut seeds: Vec<FlowId> = Vec::new();
-        self.apply_fault_state(fault, &mut seeds);
-        if !seeds.is_empty() {
-            seeds.sort_unstable();
-            seeds.dedup();
-            self.recompute_components(&seeds);
-        }
-    }
-
     /// Mutate the health state for one fault, pushing every active flow
     /// whose effective rate can change into `seeds`.
     fn apply_fault_state(&mut self, fault: FaultEvent, seeds: &mut Vec<FlowId>) {
@@ -696,8 +681,7 @@ impl FluidEngine {
     /// mid-run, with in-flight progress and pending events transplanted per
     /// component: each shard gets its own event loop, heap, and clock on a
     /// rayon thread, and the results are merged deterministically — see the
-    /// module docs for why the merge is bit-identical to
-    /// [`Self::run_monolithic`].
+    /// module docs for why the merge is bit-identical to the single loop.
     pub fn run(&mut self) {
         if self.shardable() {
             let shards = self.shard_partition();
@@ -710,9 +694,9 @@ impl FluidEngine {
     }
 
     /// [`Self::run`] without shard fan-out: one event loop over all
-    /// components. Kept public as the oracle for the shard-merge
-    /// equivalence tests and benches; prefer [`Self::run`].
-    pub fn run_monolithic(&mut self) {
+    /// components. Each shard runs this loop, and the unit tests hold
+    /// sharded runs to it as the equivalence oracle.
+    fn run_monolithic(&mut self) {
         self.run_until(f64::INFINITY);
         for flow in &mut self.flows {
             if flow.state != FlowState::Done {
@@ -1401,6 +1385,23 @@ fn waterfill_live(
 mod tests {
     use super::*;
 
+    impl FluidEngine {
+        /// Apply a fault immediately, bypassing the event queue, and re-rate
+        /// the flows it touched. Test support: the fresh-engine reference in
+        /// `shared_engine`'s tests pre-applies the fault history the
+        /// persistent engine absorbed event by event; on an engine with no
+        /// active flow this is pure state, no recomputation.
+        pub(crate) fn apply_fault_now(&mut self, fault: FaultEvent) {
+            let mut seeds: Vec<FlowId> = Vec::new();
+            self.apply_fault_state(fault, &mut seeds);
+            if !seeds.is_empty() {
+                seeds.sort_unstable();
+                seeds.dedup();
+                self.recompute_components(&seeds);
+            }
+        }
+    }
+
     fn ring(n: usize, cap: f64) -> Graph {
         let mut g = Graph::new(n);
         for i in 0..n {
@@ -1413,13 +1414,7 @@ mod tests {
     fn disjoint_components_are_not_rerated_together() {
         // Two disjoint 4-rings with one flow per edge: every waterfill must
         // stay inside one ring (4 flows), never touch all 8.
-        let mut g = Graph::new(8);
-        for base in [0usize, 4] {
-            for i in 0..4 {
-                g.add_edge(base + i, base + (i + 1) % 4, 100.0);
-            }
-        }
-        let mut engine = FluidEngine::new(&g, 0.0);
+        let mut engine = FluidEngine::new(&disjoint_rings(2, 4), 0.0);
         for base in [0usize, 4] {
             for i in 0..4 {
                 engine.add_flow(FlowSpec::new(
@@ -1435,29 +1430,10 @@ mod tests {
         assert!(r.completion_s.iter().all(|c| c.is_finite()));
     }
 
-    #[test]
-    fn sharded_run_matches_the_monolithic_loop_bit_for_bit() {
-        // Three disjoint rings with staggered second-wave arrivals: run()
-        // takes the sharded path, run_monolithic() the single loop; every
-        // observable — completions, bytes, carried sum, stats — must agree
-        // exactly.
-        let mut g = Graph::new(12);
-        for base in [0usize, 4, 8] {
-            for i in 0..4 {
-                g.add_edge(base + i, base + (i + 1) % 4, 100.0);
-            }
-        }
-        let mut sharded = FluidEngine::new(&g, 1.0e-6);
-        for base in [0usize, 4, 8] {
-            for i in 0..4 {
-                let first =
-                    FlowSpec::new(vec![base + i, base + (i + 1) % 4], 50.0 * (1.0 + i as f64));
-                let mut second = first.clone();
-                second.start_s = 2.0 + base as f64;
-                sharded.add_flow(first);
-                sharded.add_flow(second);
-            }
-        }
+    /// Finish `sharded` with `run()` and a clone with the single loop; every
+    /// observable — completions, bytes, carried sum, stats, clock — must
+    /// agree exactly.
+    fn assert_sharded_matches_monolithic(mut sharded: FluidEngine) {
         let mut monolithic = sharded.clone();
         sharded.run();
         monolithic.run_monolithic();
@@ -1470,6 +1446,83 @@ mod tests {
         assert_eq!(a.link_bytes, b.link_bytes);
         assert_eq!(sharded.stats(), monolithic.stats());
         assert_eq!(sharded.now_s().to_bits(), monolithic.now_s().to_bits());
+    }
+
+    /// `rings` disjoint rings of `size` nodes on one graph.
+    fn disjoint_rings(rings: usize, size: usize) -> Graph {
+        let mut g = Graph::new(rings * size);
+        for base in (0..rings).map(|r| r * size) {
+            for i in 0..size {
+                g.add_edge(base + i, base + (i + 1) % size, 100.0);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn sharded_run_matches_the_monolithic_loop_bit_for_bit() {
+        // Three disjoint rings with staggered second-wave arrivals.
+        let mut engine = FluidEngine::new(&disjoint_rings(3, 4), 1.0e-6);
+        for base in [0usize, 4, 8] {
+            for i in 0..4 {
+                let first =
+                    FlowSpec::new(vec![base + i, base + (i + 1) % 4], 50.0 * (1.0 + i as f64));
+                let mut second = first.clone();
+                second.start_s = 2.0 + base as f64;
+                engine.add_flow(first);
+                engine.add_flow(second);
+            }
+        }
+        assert_sharded_matches_monolithic(engine);
+
+        // Twelve rings of two-hop flows, staggered inside each ring, so
+        // every shard runs a real multi-event loop.
+        let mut engine = FluidEngine::new(&disjoint_rings(12, 6), 1.0e-4);
+        for r in 0..12 {
+            let base = r * 6;
+            for i in 0..6 {
+                let mut f = FlowSpec::new(
+                    vec![base + i, base + (i + 1) % 6, base + (i + 2) % 6],
+                    30.0 * (1.0 + ((r * 13 + i) % 9) as f64),
+                );
+                f.start_s = 0.25 * ((r + i) % 3) as f64;
+                engine.add_flow(f);
+            }
+        }
+        assert_sharded_matches_monolithic(engine);
+    }
+
+    #[test]
+    fn mid_run_sharding_matches_monolithic_oracle() {
+        // Partial single-loop progress, then a wave of new arrivals, then
+        // run(): live flows with in-flight progress and pending events are
+        // transplanted into per-component event loops, and the merged
+        // outcome must be bit-identical to never sharding at all.
+        let mut engine = FluidEngine::new(&disjoint_rings(10, 5), 1.0e-4);
+        for r in 0..10 {
+            let base = r * 5;
+            for i in 0..5 {
+                let mut f = FlowSpec::new(
+                    vec![base + i, base + (i + 1) % 5, base + (i + 2) % 5],
+                    35.0 * (1.0 + ((r * 11 + i) % 8) as f64),
+                );
+                f.start_s = 0.2 * ((r + 2 * i) % 4) as f64;
+                engine.add_flow(f);
+            }
+        }
+        engine.run_until(1.0); // in-flight progress and pending completions
+        for r in 0..10 {
+            let base = r * 5;
+            for i in 0..5 {
+                let mut f = FlowSpec::new(
+                    vec![base + i, base + (i + 1) % 5],
+                    20.0 * (1.0 + ((r * 3 + i) % 5) as f64),
+                );
+                f.start_s = 2.0 + 0.1 * ((r + i) % 3) as f64;
+                engine.add_flow(f);
+            }
+        }
+        assert_sharded_matches_monolithic(engine);
     }
 
     #[test]
@@ -1668,36 +1721,20 @@ mod tests {
         // state. The sharded continuation must match the monolithic one
         // bit for bit — effective capacities and straggler factors are
         // part of the transplanted state.
-        let mut g = Graph::new(8);
+        let mut engine = FluidEngine::new(&disjoint_rings(2, 4), 1.0e-6);
         for base in [0usize, 4] {
             for i in 0..4 {
-                g.add_edge(base + i, base + (i + 1) % 4, 100.0);
-            }
-        }
-        let mut sharded = FluidEngine::new(&g, 1.0e-6);
-        for base in [0usize, 4] {
-            for i in 0..4 {
-                sharded.add_flow(FlowSpec::new(
+                engine.add_flow(FlowSpec::new(
                     vec![base + i, base + (i + 1) % 4],
                     80.0 * (1.0 + i as f64),
                 ));
             }
         }
-        sharded.schedule_fault(1.0, FaultEvent::LinkDown((0, 1)));
-        sharded.schedule_fault(2.5, FaultEvent::LinkUp((0, 1)));
-        sharded.schedule_fault(1.5, FaultEvent::Straggler { server: 5, egress_factor: 0.3 });
-        let mut monolithic = sharded.clone();
-        sharded.run_until(3.0);
-        sharded.run();
-        monolithic.run_until(3.0);
-        monolithic.run_monolithic();
-        let a = sharded.result();
-        let b = monolithic.result();
-        for (x, y) in a.completion_s.iter().zip(&b.completion_s) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.carried_bytes.to_bits(), b.carried_bytes.to_bits());
-        assert_eq!(sharded.stats(), monolithic.stats());
+        engine.schedule_fault(1.0, FaultEvent::LinkDown((0, 1)));
+        engine.schedule_fault(2.5, FaultEvent::LinkUp((0, 1)));
+        engine.schedule_fault(1.5, FaultEvent::Straggler { server: 5, egress_factor: 0.3 });
+        engine.run_until(3.0);
+        assert_sharded_matches_monolithic(engine);
     }
 
     #[test]

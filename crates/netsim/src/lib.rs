@@ -13,8 +13,10 @@
 //! # Engine design
 //!
 //! The core is [`engine::FluidEngine`], an event-driven simulator with an
-//! explicit priority queue of *flow arrival*, *flow completion*, and
-//! *fabric reconfiguration* events. Between events every rate is constant,
+//! explicit priority queue of *flow arrival*, *flow completion*, *fabric
+//! reconfiguration*, and *fault* events (a link, transceiver or OCS port
+//! failing or recovering, or a straggling server; flows on a dead link
+//! stall at rate 0). Between events every rate is constant,
 //! so flow progress is settled lazily. The crucial property exploited for
 //! scale is locality of max-min fairness: an event can only change the
 //! rates of flows in the connected component of the flow/link sharing
@@ -37,11 +39,11 @@
 //! tree/hash lookups on the hot path. `BTreeMap`-ordered semantics are
 //! kept only at the API boundary and as the arena's key-sorted id list,
 //! which pins the order of every order-sensitive float reduction — the
-//! flat core is bit-identical to the map-keyed one. On top, a fresh
-//! engine whose flows split into disjoint connected components shards
-//! into parallel per-component event loops (own heap, own clock) with a
-//! deterministic, bit-identical merge. See the [`engine`] and
-//! `arena` module docs for the determinism contracts.
+//! flat core is bit-identical to the map-keyed one. On top, an engine
+//! whose live flows split into disjoint connected components shards into
+//! parallel per-component event loops (own heap, own clock) with a
+//! deterministic, bit-identical merge, mid-run included. See the
+//! [`engine`] and `arena` module docs for the determinism contracts.
 //!
 //! # Modules
 //!
@@ -61,6 +63,9 @@
 //!   layer: job arrivals/departures over [`topoopt_cluster::ClusterShards`]
 //!   with the Active/Look-ahead provisioner rewiring the fabric between
 //!   jobs (`fig16_dynamic`).
+//! * `shared_engine` — the persistent shared-fabric engine the dynamic
+//!   layer keeps across arrival/departure windows, re-rating only the
+//!   components a window touched.
 
 pub(crate) mod arena;
 pub mod engine;

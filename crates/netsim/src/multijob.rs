@@ -20,7 +20,7 @@
 //!   the `switch_over_delay` that pre-provisioning could not hide.
 
 use crate::arena::dense_u32;
-use crate::engine::{EngineStats, FaultEvent, FluidEngine};
+use crate::engine::{EngineStats, FaultEvent};
 use crate::flows::{allreduce_flows, demand_flows, mp_flows, AllReducePlan};
 use crate::fluid::{simulate_flows, FlowSpec};
 use crate::network::SimNetwork;
@@ -184,35 +184,15 @@ pub fn simulate_shared_cluster_stats(
 /// measured from its arrival.
 ///
 /// Routes through a one-window [`SharedFabricEngine`]: every job is
-/// admitted and the whole window re-rated, which is bit-identical to the
-/// historical rebuild core ([`shared_round_times_rebuild`], kept as the
-/// equivalence oracle and bench baseline) — same arena, same flow order,
-/// same event sequence — while exercising the exact admit/restart/run
-/// machinery the dynamic layer reuses across windows.
+/// admitted and the whole window re-rated, exercising the exact
+/// admit/restart/run machinery the dynamic layer reuses across windows.
 pub(crate) fn shared_round_times(
     net: &SimNetwork,
     flows_by_job: Vec<Vec<FlowSpec>>,
     arrivals: &[f64],
     computes: &[f64],
 ) -> (SharedClusterResult, EngineStats) {
-    shared_round_times_with_faults(net, flows_by_job, arrivals, computes, &[])
-}
-
-/// [`shared_round_times`] on a degraded fabric: `faults` is the health
-/// history in effect when the round starts (dead links, stragglers),
-/// entering the window through the engine's event queue at offset 0 —
-/// exactly how the persistent dynamic engine absorbed them.
-pub(crate) fn shared_round_times_with_faults(
-    net: &SimNetwork,
-    flows_by_job: Vec<Vec<FlowSpec>>,
-    arrivals: &[f64],
-    computes: &[f64],
-    faults: &[FaultEvent],
-) -> (SharedClusterResult, EngineStats) {
     let mut sim = SharedFabricEngine::new(net);
-    for &fault in faults {
-        sim.inject_fault(fault);
-    }
     let handles: Vec<usize> = flows_by_job
         .into_iter()
         .zip(computes)
@@ -222,49 +202,6 @@ pub(crate) fn shared_round_times_with_faults(
     let per_job: Vec<f64> =
         handles.iter().zip(arrivals).map(|(&h, &a)| sim.round_total_from(h, a)).collect();
     (summarize_round(per_job), sim.engine_stats())
-}
-
-/// The historical rebuild-per-call round core: a fresh engine, every link
-/// re-interned, every job's flows re-added, one monolithic-or-sharded run.
-/// [`shared_round_times`] (and the dynamic loop's persistent window path)
-/// must stay bit-identical to this; proptests in `tests/dynamic.rs` replay
-/// random traces through both, and `benches/scale.rs` uses it as the
-/// baseline the persistent engine is gated ≥5x against.
-pub(crate) fn shared_round_times_rebuild(
-    net: &SimNetwork,
-    flows_by_job: Vec<Vec<FlowSpec>>,
-    arrivals: &[f64],
-    computes: &[f64],
-    faults: &[FaultEvent],
-) -> (SharedClusterResult, EngineStats) {
-    let counts: Vec<usize> = flows_by_job.iter().map(|f| f.len()).collect();
-    let mut engine = FluidEngine::new(&net.graph, net.per_hop_latency_s);
-    for flows in flows_by_job {
-        for f in flows {
-            engine.add_flow(f);
-        }
-    }
-    // Replay the cumulative health history (in injection order) as direct
-    // state before the run: every flow is still pending, so this sets
-    // effective capacities and straggler factors without any recompute —
-    // the same degraded fabric the persistent engine carries across
-    // windows, rebuilt from scratch.
-    for &fault in faults {
-        engine.apply_fault_now(fault);
-    }
-    engine.run();
-
-    let mut per_job = Vec::with_capacity(counts.len());
-    let mut idx = 0usize;
-    for jid in 0..counts.len() {
-        let mut comm = 0.0f64;
-        for _ in 0..counts[jid] {
-            comm = comm.max(engine.completion_s(idx) - arrivals[jid]);
-            idx += 1;
-        }
-        per_job.push(computes[jid] + comm.max(0.0));
-    }
-    (summarize_round(per_job), engine.stats())
 }
 
 /// Mean / p99 summary over per-job round times.
@@ -389,19 +326,19 @@ impl std::fmt::Debug for MigrationMode {
     }
 }
 
-/// How the shared-fabric rates are maintained across event windows.
+/// How the shared-fabric rates are maintained across event windows. The
+/// persistent engine is the only path; this one-variant enum and
+/// [`DynamicClusterParams::shared_engine`] remain because the repo
+/// benchmark (`perfbench/`) names them, and the next change to the
+/// benchmark drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SharedEngineMode {
-    /// One long-lived [`FluidEngine`] across the run: admission parks the
-    /// new job's flows, departure retires them, and each window re-rates
-    /// only the link-sharing components the event touched. Bit-identical
-    /// to [`SharedEngineMode::Rebuild`] (and the default).
+    /// One long-lived [`FluidEngine`](crate::FluidEngine) across the run:
+    /// admission parks the new job's flows, departure retires them, and
+    /// each window re-rates only the link-sharing components the event
+    /// touched.
     #[default]
     Persistent,
-    /// Rebuild the engine from scratch every arrival/departure window —
-    /// the historical behavior, kept as the equivalence reference and the
-    /// bench baseline.
-    Rebuild,
 }
 
 /// Parameters of the dynamic shared-cluster simulation.
@@ -420,8 +357,8 @@ pub struct DynamicClusterParams {
     /// How partitioned-fabric transitions rewire the patch panel
     /// ([`MigrationMode::Atomic`] reproduces the historical opaque swap).
     pub migration: MigrationMode,
-    /// Shared-fabric rate maintenance: persistent incremental engine
-    /// (default) or the rebuild-per-window reference.
+    /// Unread: the persistent engine is the only shared-fabric path (see
+    /// [`SharedEngineMode`]; the next change to the benchmark drops it).
     pub shared_engine: SharedEngineMode,
     /// Override for the event-loop guard (`4 * jobs + faults + 16` when
     /// `None`). Only tests cap it; a run cut off by the cap reports
@@ -522,7 +459,7 @@ struct RunningJob {
     iter_s: f64,
     settled_s: f64,
     /// Resident handle in the persistent [`SharedFabricEngine`] (`None` on
-    /// a partitioned fabric or in rebuild mode).
+    /// a partitioned fabric).
     slot: Option<usize>,
 }
 
@@ -544,21 +481,17 @@ pub fn simulate_dynamic_cluster(
     jobs: &[DynamicJobSpec],
     params: &DynamicClusterParams,
 ) -> DynamicClusterResult {
-    let shared_net = match &params.fabric {
+    // The shared fabric and its long-lived engine: links intern once here,
+    // and every event window re-rates only what it touched.
+    let mut shared: Option<(SimNetwork, SharedFabricEngine)> = match &params.fabric {
         DynamicFabric::Shared(g) => {
             let mut net = SimNetwork::without_rules(g.clone(), params.total_servers);
             net.per_hop_latency_s = params.per_hop_latency_s;
-            Some(net)
+            let sim = SharedFabricEngine::new(&net);
+            Some((net, sim))
         }
         DynamicFabric::Partitioned => None,
     };
-    // The long-lived shared-fabric engine (tentpole): links intern once
-    // here, and every event window re-rates only what it touched.
-    let mut persist: Option<SharedFabricEngine> = match (&shared_net, params.shared_engine) {
-        (Some(net), SharedEngineMode::Persistent) => Some(SharedFabricEngine::new(net)),
-        _ => None,
-    };
-    let mut ref_stats = DynamicEngineStats::default();
 
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| jobs[a].arrival_s.total_cmp(&jobs[b].arrival_s).then_with(|| a.cmp(&b)));
@@ -568,10 +501,6 @@ pub fn simulate_dynamic_cluster(
         params.faults[a].time_s.total_cmp(&params.faults[b].time_s).then_with(|| a.cmp(&b))
     });
     let mut next_fault = 0usize;
-    // Rebuild mode has no persistent engine to carry fabric health across
-    // windows, so the cumulative injection history is replayed onto every
-    // fresh engine instead.
-    let mut fault_log: Vec<FaultEvent> = Vec::new();
 
     let mut outcomes: Vec<DynamicJobOutcome> = jobs
         .iter()
@@ -632,25 +561,12 @@ pub fn simulate_dynamic_cluster(
                 if params.faults[i].time_s.total_cmp(&ft) != std::cmp::Ordering::Equal {
                     break;
                 }
-                match persist.as_mut() {
-                    Some(sim) => sim.inject_fault(params.faults[i].event),
-                    None => fault_log.push(params.faults[i].event),
+                if let Some((_, sim)) = shared.as_mut() {
+                    sim.inject_fault(params.faults[i].event);
                 }
                 next_fault += 1;
             }
-            if let Some(net) = shared_net.as_ref() {
-                match persist.as_mut() {
-                    Some(sim) => refresh_shared_rates_persistent(sim, &mut running, now),
-                    None => refresh_shared_rates_reference(
-                        jobs,
-                        net,
-                        &mut running,
-                        now,
-                        &mut ref_stats,
-                        &fault_log,
-                    ),
-                }
-            }
+            refresh_shared_rates(&mut shared, &mut running, now);
             continue;
         }
 
@@ -675,7 +591,7 @@ pub fn simulate_dynamic_cluster(
                     0.0
                 };
                 shards.release(done.shard);
-                if let (Some(sim), Some(slot)) = (persist.as_mut(), done.slot) {
+                if let (Some((_, sim)), Some(slot)) = (shared.as_mut(), done.slot) {
                     sim.retire(slot);
                 }
                 if planned_mode {
@@ -694,8 +610,7 @@ pub fn simulate_dynamic_cluster(
                 admit_queued(
                     jobs,
                     params,
-                    shared_net.as_ref(),
-                    &mut persist,
+                    &mut shared,
                     &mut shards,
                     &mut provisioner,
                     &mut stale_links,
@@ -703,21 +618,8 @@ pub fn simulate_dynamic_cluster(
                     &mut running,
                     &mut outcomes,
                     now,
-                    &fault_log,
                 );
-                if let Some(net) = shared_net.as_ref() {
-                    match persist.as_mut() {
-                        Some(sim) => refresh_shared_rates_persistent(sim, &mut running, now),
-                        None => refresh_shared_rates_reference(
-                            jobs,
-                            net,
-                            &mut running,
-                            now,
-                            &mut ref_stats,
-                            &fault_log,
-                        ),
-                    }
-                }
+                refresh_shared_rates(&mut shared, &mut running, now);
             }
             (Some(arr_t), _) => {
                 now = now.max(arr_t);
@@ -726,8 +628,7 @@ pub fn simulate_dynamic_cluster(
                 let admitted = admit_queued(
                     jobs,
                     params,
-                    shared_net.as_ref(),
-                    &mut persist,
+                    &mut shared,
                     &mut shards,
                     &mut provisioner,
                     &mut stale_links,
@@ -735,22 +636,9 @@ pub fn simulate_dynamic_cluster(
                     &mut running,
                     &mut outcomes,
                     now,
-                    &fault_log,
                 );
                 if admitted {
-                    if let Some(net) = shared_net.as_ref() {
-                        match persist.as_mut() {
-                            Some(sim) => refresh_shared_rates_persistent(sim, &mut running, now),
-                            None => refresh_shared_rates_reference(
-                                jobs,
-                                net,
-                                &mut running,
-                                now,
-                                &mut ref_stats,
-                                &fault_log,
-                            ),
-                        }
-                    }
+                    refresh_shared_rates(&mut shared, &mut running, now);
                 }
             }
             (None, Some(_)) => unreachable!("departure arm above covers this"),
@@ -762,9 +650,10 @@ pub fn simulate_dynamic_cluster(
     debug_assert!(
         !truncated || params.window_cap.is_some(),
         "default event guard exhausted with work pending: each loop iteration \
-         processes exactly one arrival or departure, so 4*jobs+16 cannot run out"
+         processes one arrival, one departure or one fault batch, so \
+         4*jobs + faults + 16 cannot run out"
     );
-    let engine_stats = persist.as_ref().map(|sim| sim.stats()).unwrap_or(ref_stats);
+    let engine_stats = shared.as_ref().map(|(_, sim)| sim.stats()).unwrap_or_default();
 
     let completed: Vec<&DynamicJobOutcome> = outcomes.iter().filter(|o| o.completed).collect();
     let mean = |f: &dyn Fn(&DynamicJobOutcome) -> f64| {
@@ -815,8 +704,7 @@ fn settle_running(running: &mut [RunningJob], now: f64) {
 fn admit_queued(
     jobs: &[DynamicJobSpec],
     params: &DynamicClusterParams,
-    shared_net: Option<&SimNetwork>,
-    persist: &mut Option<SharedFabricEngine>,
+    shared: &mut Option<(SimNetwork, SharedFabricEngine)>,
     shards: &mut ClusterShards,
     provisioner: &mut LookaheadProvisioner,
     stale_links: &mut Graph,
@@ -824,7 +712,6 @@ fn admit_queued(
     running: &mut Vec<RunningJob>,
     outcomes: &mut [DynamicJobOutcome],
     now: f64,
-    fault_log: &[FaultEvent],
 ) -> bool {
     let mut admitted_any = false;
     while let Some(&j) = queue.front() {
@@ -867,21 +754,16 @@ fn admit_queued(
         outcomes[j].start_s = start;
 
         let mut shared_flows: Option<Vec<FlowSpec>> = None;
-        let iter_s = match shared_net {
+        let iter_s = match shared.as_ref() {
             // Contended fabrics are re-rated for the whole co-resident set
-            // right after admission (see the refresh functions); seed with
-            // the solo estimate. The persistent engine probes feasibility
-            // on the job's own links instead of rebuilding the full
-            // fabric — bit-identical, rates only see span links.
-            Some(net) => match persist.as_mut() {
-                Some(sim) => {
-                    let flows = build_job_flows(net, &jobs[j].demands, &jobs[j].plans, &servers);
-                    let total = sim.solo_total_s(&flows, jobs[j].compute_s);
-                    shared_flows = Some(flows);
-                    total
-                }
-                None => shared_iteration_s(net, &jobs[j], &servers, fault_log),
-            },
+            // right after admission (see `refresh_shared_rates`); seed with
+            // the solo estimate, probed on the job's own links.
+            Some((net, sim)) => {
+                let flows = build_job_flows(net, &jobs[j].demands, &jobs[j].plans, &servers);
+                let total = sim.solo_total_s(&flows, jobs[j].compute_s);
+                shared_flows = Some(flows);
+                total
+            }
             None => solo_iteration_s(&jobs[j], params.per_hop_latency_s),
         };
         if !iter_s.is_finite() {
@@ -900,8 +782,8 @@ fn admit_queued(
             continue;
         }
         // Only jobs that will actually train become engine residents.
-        let slot = match (persist.as_mut(), shared_flows) {
-            (Some(sim), Some(flows)) => Some(sim.admit(flows, jobs[j].compute_s)),
+        let slot = match (shared.as_mut(), shared_flows) {
+            (Some((_, sim)), Some(flows)) => Some(sim.admit(flows, jobs[j].compute_s)),
             _ => None,
         };
         running.push(RunningJob {
@@ -973,30 +855,17 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     job.compute_s + sim.makespan_s
 }
 
-/// Iteration time of a job alone on the shared fabric (used as the seed
-/// before the co-resident set is re-rated). Goes through the name-free
-/// [`shared_round_times`] core: no `JobSpec` (and no job-name clone) is
-/// materialised per admission event.
-fn shared_iteration_s(
-    net: &SimNetwork,
-    job: &DynamicJobSpec,
-    servers: &[usize],
-    faults: &[FaultEvent],
-) -> f64 {
-    let flows = build_job_flows(net, &job.demands, &job.plans, servers);
-    let (r, _) = shared_round_times_with_faults(net, vec![flows], &[0.0], &[job.compute_s], faults);
-    r.per_job_total_s[0]
-}
-
 /// Window refresh on the persistent engine: settle progress, run one event
 /// window (only the components the arrival/departure touched re-rate), and
 /// read every resident's round time — cached or freshly simulated, the
-/// values are bit-identical to a full rebuild.
-fn refresh_shared_rates_persistent(
-    sim: &mut SharedFabricEngine,
+/// values are bit-identical to a fresh engine over the same residents. A
+/// partitioned fabric (`None`) has no shared rates to refresh.
+fn refresh_shared_rates(
+    shared: &mut Option<(SimNetwork, SharedFabricEngine)>,
     running: &mut [RunningJob],
     now: f64,
 ) {
+    let Some((_, sim)) = shared else { return };
     if running.is_empty() && !sim.has_pending_faults() {
         // With pending faults the window still runs: the engine must
         // absorb the new health state before the next admission probe.
@@ -1006,46 +875,6 @@ fn refresh_shared_rates_persistent(
     sim.run_window();
     for r in running.iter_mut() {
         r.iter_s = sim.round_total_s(r.slot.expect("shared-fabric resident without a slot"));
-    }
-}
-
-/// Rebuild-per-window reference: re-simulate the whole co-resident set on a
-/// fresh engine and refresh every running job's iteration time (progress
-/// must already be settled to `now`). Jobs are handled purely as [`JobId`]
-/// indices; kept as the equivalence oracle for the persistent path and as
-/// the bench baseline.
-fn refresh_shared_rates_reference(
-    jobs: &[DynamicJobSpec],
-    net: &SimNetwork,
-    running: &mut [RunningJob],
-    now: f64,
-    stats: &mut DynamicEngineStats,
-    faults: &[FaultEvent],
-) {
-    if running.is_empty() {
-        return;
-    }
-    settle_running(running, now);
-    let flows_by_job: Vec<Vec<FlowSpec>> = running
-        .iter()
-        .map(|r| {
-            let job = &jobs[r.job.index()];
-            build_job_flows(net, &job.demands, &job.plans, &r.servers)
-        })
-        .collect();
-    let arrivals = vec![0.0; running.len()];
-    let computes: Vec<f64> = running.iter().map(|r| jobs[r.job.index()].compute_s).collect();
-    let (result, engine) =
-        shared_round_times_rebuild(net, flows_by_job, &arrivals, &computes, faults);
-    stats.windows += 1;
-    stats.windows_rebuilt += 1;
-    stats.jobs_rerated += running.len();
-    stats.events += engine.events;
-    stats.waterfills += engine.waterfills;
-    stats.flows_rerated += engine.flows_rerated;
-    stats.max_component = stats.max_component.max(engine.max_component);
-    for (r, &iter_s) in running.iter_mut().zip(result.per_job_total_s.iter()) {
-        r.iter_s = iter_s;
     }
 }
 

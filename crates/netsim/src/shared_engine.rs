@@ -1,5 +1,12 @@
 //! Persistent shared-fabric engine: one [`FluidEngine`] kept alive across
 //! the dynamic cluster's event windows (see [`SharedFabricEngine`]).
+//!
+//! Its contract is checked here, at the seam where the cache lives: after
+//! every window, each resident's round time and each admission probe must
+//! equal, to the bit, what a fresh engine computes over the current
+//! residents (in admission order) and the cumulative fault history. The
+//! tests below drive random admit/retire/fault/window sequences against
+//! that fresh-engine reference.
 
 use crate::arena::{dense_u32, LinkId};
 use crate::engine::{EngineStats, FaultEvent, FlowId, FluidEngine};
@@ -39,16 +46,16 @@ struct SharedSlot {
 /// # Why the cache is exact
 ///
 /// Each window simulates one round with every resident's flows starting at
-/// their intra-round offsets on a clock rewound to zero, exactly like the
-/// rebuild core. Disjoint components share no links, hence no float
+/// their intra-round offsets on a clock rewound to zero, exactly like a
+/// fresh engine. Disjoint components share no links, hence no float
 /// operations: a component's completion times are a pure function of its
 /// own flows and link capacities, so re-simulating an untouched component
 /// would reproduce its cached values bit for bit. Job-level components
 /// (over each job's distinct link set) are coarser than flow-level ones,
 /// which keeps the dirty-propagation sound: any job sharing a link —
-/// transitively — with a dirty job is re-rated too. The proptests in
-/// `tests/dynamic.rs` hold this to `to_bits` equality against
-/// [`crate::multijob::shared_round_times_rebuild`].
+/// transitively — with a dirty job is re-rated too. The seam proptests in
+/// this module hold this to `to_bits` equality against a fresh engine
+/// after every window.
 pub(crate) struct SharedFabricEngine {
     engine: FluidEngine,
     per_hop_latency_s: f64,
@@ -222,7 +229,7 @@ impl SharedFabricEngine {
             slot.component = cid;
         }
         // Collect the dirty components' flows, ascending (admission order),
-        // reproducing the rebuild core's flow ordering per component.
+        // reproducing a fresh engine's flow ordering per component.
         let mut dirty_flows: Vec<FlowId> = Vec::new();
         let mut dirty_jobs = 0usize;
         for slot in self.slots.iter_mut().flatten() {
@@ -247,8 +254,9 @@ impl SharedFabricEngine {
         self.engine.restart_flows(&dirty_flows);
         // Faults enter through the queue at the window origin. Restarted
         // arrivals carry lower sequence numbers, so the t=0 batch orders
-        // arrivals before faults — exactly like the rebuild oracle, which
-        // adds every flow before scheduling the window's faults.
+        // arrivals before faults, and the batch re-rates once: every flow
+        // starts on the degraded fabric, as on a fresh engine carrying the
+        // same fault history.
         for fault in std::mem::take(&mut self.pending_faults) {
             self.engine.schedule_fault(0.0, fault);
         }
@@ -324,5 +332,165 @@ impl SharedFabricEngine {
             max_component: e.max_component,
             ..self.windows
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flows::{allreduce_flows, AllReducePlan};
+    use proptest::prelude::*;
+    use topoopt_graph::{topologies, Graph};
+
+    /// The fresh-engine reference: one new engine over `jobs` (flows and
+    /// compute time, in admission order) with the cumulative fault history
+    /// applied as state before the run. Returns each job's round time from
+    /// the window origin.
+    fn shared_round_times_rebuild(
+        net: &SimNetwork,
+        jobs: &[(&[FlowSpec], f64)],
+        faults: &[FaultEvent],
+    ) -> Vec<f64> {
+        let mut engine = FluidEngine::new(&net.graph, net.per_hop_latency_s);
+        let ids: Vec<Vec<FlowId>> = jobs
+            .iter()
+            .map(|(flows, _)| flows.iter().map(|f| engine.add_flow(f.clone())).collect())
+            .collect();
+        for &fault in faults {
+            engine.apply_fault_now(fault);
+        }
+        engine.run();
+        jobs.iter()
+            .zip(&ids)
+            .map(|(&(_, compute_s), ids)| {
+                compute_s + ids.iter().fold(0.0f64, |c, &id| c.max(engine.completion_s(id)))
+            })
+            .collect()
+    }
+
+    /// One step of a seam trace: `(kind, pick, pick, gigabytes, compute_s)`.
+    /// Kind 0 admits a ring job, 1 retires a resident, 2 injects a fault,
+    /// 3 runs a window.
+    type Op = (usize, usize, usize, f64, f64);
+
+    /// A resident as the test tracks it: handle, flows, compute time.
+    type Resident = (usize, Vec<FlowSpec>, f64);
+
+    /// Run one window, then hold each resident's round time and its solo
+    /// probe to the fresh-engine reference, bit for bit.
+    fn window(
+        net: &SimNetwork,
+        sim: &mut SharedFabricEngine,
+        residents: &[Resident],
+        faults: &[FaultEvent],
+    ) {
+        sim.run_window();
+        let jobs: Vec<(&[FlowSpec], f64)> =
+            residents.iter().map(|(_, f, c)| (&f[..], *c)).collect();
+        let fresh = shared_round_times_rebuild(net, &jobs, faults);
+        for ((handle, flows, compute), want) in residents.iter().zip(fresh) {
+            assert_eq!(sim.round_total_s(*handle).to_bits(), want.to_bits(), "resident {handle}");
+            let solo = shared_round_times_rebuild(net, &[(&flows[..], *compute)], faults)[0];
+            assert_eq!(sim.solo_total_s(flows, *compute).to_bits(), solo.to_bits(), "probe");
+        }
+    }
+
+    /// Drive a [`SharedFabricEngine`] through `ops` plus a closing window,
+    /// checking the seam after every window.
+    fn check_seam(graph: Graph, total: usize, ops: &[Op]) {
+        let mut net = SimNetwork::without_rules(graph, total);
+        net.per_hop_latency_s = 1.0e-6;
+        let edges: Vec<(usize, usize)> = net.graph.edges().map(|(_, e)| (e.src, e.dst)).collect();
+        let mut sim = SharedFabricEngine::new(&net);
+        let mut residents: Vec<Resident> = Vec::new(); // admission order
+        let mut faults: Vec<FaultEvent> = Vec::new();
+        for &(kind, a, b, gb, compute_s) in ops {
+            match kind {
+                0 => {
+                    let n = 2 + a % 4;
+                    let servers: Vec<usize> = (0..n).map(|k| (b + k) % total).collect();
+                    let flows =
+                        allreduce_flows(&net, &AllReducePlan::natural_ring(servers, gb * 1.0e9));
+                    residents.push((sim.admit(flows.clone(), compute_s), flows, compute_s));
+                }
+                1 if !residents.is_empty() => {
+                    let (handle, _, _) = residents.remove(a % residents.len());
+                    sim.retire(handle);
+                }
+                2 => {
+                    let (s, link) = (a % total, edges[a % edges.len()]);
+                    let fault = match b % 5 {
+                        0 => FaultEvent::LinkDown(link),
+                        1 => FaultEvent::LinkUp(link),
+                        2 => FaultEvent::OcsPortDown(s),
+                        3 => FaultEvent::OcsPortUp(s),
+                        _ => FaultEvent::Straggler { server: s, egress_factor: gb / 2.0 },
+                    };
+                    sim.inject_fault(fault);
+                    faults.push(fault);
+                }
+                3 => window(&net, &mut sim, &residents, &faults),
+                _ => {}
+            }
+        }
+        window(&net, &mut sim, &residents, &faults);
+    }
+
+    fn shared_ring(total: usize, cap: f64) -> Graph {
+        let mut g = Graph::new(total);
+        for i in 0..total {
+            g.add_edge(i, (i + 1) % total, cap);
+            g.add_edge((i + 1) % total, i, cap);
+        }
+        g
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (0usize..4, 0usize..64, 0usize..64, 0.2f64..3.0, 0.0f64..0.2),
+            1usize..28,
+        )
+    }
+
+    proptest! {
+        // Jobs on an ideal switch share a component only when their
+        // server sets overlap, so most windows serve some residents from
+        // the cache.
+        #[test]
+        fn persistent_engine_matches_a_fresh_engine_on_ideal_switch_traces(
+            total in 6usize..16,
+            trace in ops(),
+        ) {
+            check_seam(topologies::ideal_switch(total, 100.0e9), total, &trace);
+        }
+
+        // On a shared ring the wrap-around flow of each job crosses other
+        // jobs' links, so components span several residents and a
+        // retirement must re-rate its component mates.
+        #[test]
+        fn persistent_engine_matches_a_fresh_engine_on_shared_ring_traces(
+            total in 6usize..14,
+            trace in ops(),
+        ) {
+            check_seam(shared_ring(total, 60.0e9), total, &trace);
+        }
+    }
+
+    #[test]
+    fn seam_holds_for_retire_before_first_window_and_fault_only_windows() {
+        // Two overlapping jobs; one retires before the engine's first
+        // window. Then two fault-only windows: link (2, 1), which the
+        // survivor's wrap-around flow crosses, dies and recovers.
+        let trace: [Op; 8] = [
+            (0, 2, 0, 1.0, 0.05),
+            (0, 2, 1, 2.0, 0.0),
+            (1, 0, 0, 0.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+            (2, 3, 0, 0.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+            (2, 3, 1, 0.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+        ];
+        check_seam(shared_ring(8, 60.0e9), 8, &trace);
     }
 }

@@ -1,12 +1,14 @@
-//! Dynamic-cluster equivalence: the persistent incremental shared-fabric
-//! engine must be bit-identical to the rebuild-per-window reference on
-//! random Poisson arrival traces, and the event-loop guard must surface
-//! truncation instead of silently dropping jobs.
+//! Dynamic shared-cluster runs: random Poisson arrival traces (with and
+//! without faults) run to the end under the default event-loop guard,
+//! faults stall and slow jobs as documented, and the guard surfaces
+//! truncation instead of silently dropping jobs. Bit-exactness of the
+//! persistent engine's cached round times is checked at its seam, in
+//! `src/shared_engine.rs`.
 
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::{
-    simulate_dynamic_cluster, AllReducePlan, DynamicClusterParams, DynamicEngineStats,
+    simulate_dynamic_cluster, AllReducePlan, DynamicClusterParams, DynamicClusterResult,
     DynamicFabric, DynamicJobSpec, FaultEvent, FaultInjection, MigrationMode, SharedEngineMode,
 };
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
@@ -45,63 +47,44 @@ fn shared_ring(total: usize, cap: f64) -> Graph {
     g
 }
 
-/// Run the same trace through both engine modes and demand bit-identical
-/// outcomes (the engine work counters differ by design and are zeroed).
-fn assert_modes_agree(jobs: &[DynamicJobSpec], fabric: Graph, total: usize) {
-    assert_modes_agree_under_faults(jobs, fabric, total, vec![]);
-}
-
-/// [`assert_modes_agree`] with a fault-injection schedule: the persistent
-/// engine absorbs faults incrementally, the rebuild reference replays the
-/// cumulative health history onto every fresh engine — the outcomes must
-/// still match to the bit.
-fn assert_modes_agree_under_faults(
+/// One run of `jobs` on a shared `fabric` under the default guard.
+fn run_shared(
     jobs: &[DynamicJobSpec],
-    fabric: Graph,
+    fabric: &Graph,
     total: usize,
     faults: Vec<FaultInjection>,
-) {
-    let params = |mode: SharedEngineMode| DynamicClusterParams {
-        total_servers: total,
-        fabric: DynamicFabric::Shared(fabric.clone()),
-        provisioning_time_s: 0.0,
-        per_hop_latency_s: 1.0e-6,
-        migration: MigrationMode::Atomic,
-        shared_engine: mode,
-        window_cap: None,
-        faults: faults.clone(),
-    };
-    let mut persistent = simulate_dynamic_cluster(jobs, &params(SharedEngineMode::Persistent));
-    let mut rebuild = simulate_dynamic_cluster(jobs, &params(SharedEngineMode::Rebuild));
-    for (p, r) in persistent.jobs.iter().zip(&rebuild.jobs) {
-        assert_eq!(
-            p.iteration_s.to_bits(),
-            r.iteration_s.to_bits(),
-            "iteration time diverged for {}: {} vs {}",
-            p.name,
-            p.iteration_s,
-            r.iteration_s
-        );
-        assert_eq!(
-            p.finish_s.to_bits(),
-            r.finish_s.to_bits(),
-            "finish time diverged for {}: {} vs {}",
-            p.name,
-            p.finish_s,
-            r.finish_s
-        );
+) -> DynamicClusterResult {
+    simulate_dynamic_cluster(
+        jobs,
+        &DynamicClusterParams {
+            total_servers: total,
+            fabric: DynamicFabric::Shared(fabric.clone()),
+            provisioning_time_s: 0.0,
+            per_hop_latency_s: 1.0e-6,
+            migration: MigrationMode::Atomic,
+            shared_engine: SharedEngineMode::Persistent,
+            window_cap: None,
+            faults,
+        },
+    )
+}
+
+/// A fault-free trace never exhausts the default guard, and every job,
+/// queued or not, trains to completion.
+fn assert_runs_to_completion(jobs: &[DynamicJobSpec], fabric: &Graph, total: usize) {
+    let r = run_shared(jobs, fabric, total, vec![]);
+    assert!(!r.truncated, "the default guard cut a fault-free trace short");
+    for o in &r.jobs {
+        assert!(o.completed && o.finish_s.is_finite(), "{} did not complete: {o:?}", o.name);
     }
-    persistent.engine = DynamicEngineStats::default();
-    rebuild.engine = DynamicEngineStats::default();
-    assert_eq!(persistent, rebuild, "dynamic results diverged between engine modes");
 }
 
 proptest! {
     // Random Poisson arrival traces on an ideal switch: jobs are
     // server-disjoint (per-job components), so most windows reuse every
-    // other resident's cached rate — the cache must still be exact.
+    // other resident's cached rate.
     #[test]
-    fn persistent_engine_matches_rebuild_on_ideal_switch_traces(
+    fn ideal_switch_traces_run_to_completion(
         total in 8usize..20,
         trace in proptest::collection::vec(
             // (servers, iterations, exponential quantile, GB, compute)
@@ -119,15 +102,13 @@ proptest! {
                 ring_job(format!("j{i}"), n, gb * 1.0e9, compute, t, iters)
             })
             .collect();
-        let fabric = topologies::ideal_switch(total, 100.0e9);
-        assert_modes_agree(&jobs, fabric, total);
+        assert_runs_to_completion(&jobs, &topologies::ideal_switch(total, 100.0e9), total);
     }
 
     // The same traces on a shared ring fabric: BFS routes cross other
-    // jobs' server ranges, so components span multiple jobs and dirty
-    // propagation (retirement re-rating component mates) is exercised.
+    // jobs' server ranges, so components span multiple jobs.
     #[test]
-    fn persistent_engine_matches_rebuild_on_shared_ring_traces(
+    fn shared_ring_traces_run_to_completion(
         total in 6usize..14,
         trace in proptest::collection::vec(
             (2usize..5, 1usize..4, 0.0f64..0.95, 0.2f64..3.0, 0.0f64..0.2),
@@ -143,16 +124,16 @@ proptest! {
                 ring_job(format!("j{i}"), n, gb * 1.0e9, compute, t, iters)
             })
             .collect();
-        assert_modes_agree(&jobs, shared_ring(total, 60.0e9), total);
+        assert_runs_to_completion(&jobs, &shared_ring(total, 60.0e9), total);
     }
 
     // Poisson traces with injected fault/recovery events: link and OCS-port
     // failures (some never recovered), stragglers, all firing between
-    // arrival/departure windows. Persistent absorption of the fault events
-    // must stay bit-identical to replaying the cumulative health history on
-    // a fresh engine every window.
+    // arrival/departure windows. Each fault batch costs one loop iteration,
+    // so the default guard still covers the run, and stalled jobs end
+    // incomplete rather than with a NaN.
     #[test]
-    fn persistent_engine_matches_rebuild_under_fault_traces(
+    fn fault_traces_never_exhaust_the_default_guard(
         total in 6usize..12,
         trace in proptest::collection::vec(
             (2usize..5, 1usize..4, 0.0f64..0.95, 0.2f64..3.0, 0.0f64..0.2),
@@ -201,31 +182,19 @@ proptest! {
                 _ => faults.push(FaultInjection { time_s: at, event: FaultEvent::LinkDown(link) }),
             }
         }
-        assert_modes_agree_under_faults(&jobs, shared_ring(total, 60.0e9), total, faults);
+        let r = run_shared(&jobs, &shared_ring(total, 60.0e9), total, faults);
+        assert!(!r.truncated, "fault batches exhausted the default guard");
+        assert!(r.jobs.iter().all(|o| !o.iteration_s.is_nan() && !o.finish_s.is_nan()));
     }
 }
 
 #[test]
-fn link_failure_stalls_job_until_recovery_in_both_modes() {
+fn link_failure_stalls_job_until_recovery() {
     // One ring job on a 4-ring fabric. Killing a directed link its AllReduce
     // crosses stalls the job (rate 0, not dropped); recovery revives it.
     let jobs = vec![ring_job("j0".into(), 4, 1.0e9, 0.0, 0.0, 2)];
     let fabric = shared_ring(4, 100.0e9);
-    let run = |faults: Vec<FaultInjection>| {
-        simulate_dynamic_cluster(
-            &jobs,
-            &DynamicClusterParams {
-                total_servers: 4,
-                fabric: DynamicFabric::Shared(fabric.clone()),
-                provisioning_time_s: 0.0,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults,
-            },
-        )
-    };
+    let run = |faults| run_shared(&jobs, &fabric, 4, faults);
     let healthy = run(vec![]);
     assert!(healthy.jobs[0].completed);
     let finish = healthy.jobs[0].finish_s;
@@ -245,36 +214,13 @@ fn link_failure_stalls_job_until_recovery_in_both_modes() {
     ]);
     assert!(revived.jobs[0].completed, "recovery must revive a stalled job");
     assert!(revived.jobs[0].finish_s > finish, "the outage must cost time");
-    assert_modes_agree_under_faults(
-        &jobs,
-        fabric.clone(),
-        4,
-        vec![
-            FaultInjection { time_s: mid, event: FaultEvent::LinkDown((0, 1)) },
-            FaultInjection { time_s: mid + finish, event: FaultEvent::LinkUp((0, 1)) },
-        ],
-    );
 }
 
 #[test]
-fn straggler_slows_shared_jobs_and_modes_agree() {
+fn straggler_slows_shared_jobs() {
     let jobs = vec![ring_job("j0".into(), 4, 1.0e9, 0.0, 0.0, 2)];
     let fabric = topologies::ideal_switch(4, 100.0e9);
-    let run = |faults: Vec<FaultInjection>| {
-        simulate_dynamic_cluster(
-            &jobs,
-            &DynamicClusterParams {
-                total_servers: 4,
-                fabric: DynamicFabric::Shared(fabric.clone()),
-                provisioning_time_s: 0.0,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults,
-            },
-        )
-    };
+    let run = |faults| run_shared(&jobs, &fabric, 4, faults);
     let healthy = run(vec![]);
     let slowed = run(vec![FaultInjection {
         time_s: 0.0,
@@ -286,15 +232,6 @@ fn straggler_slows_shared_jobs_and_modes_agree() {
         "a straggling server must slow the ring: {} vs {}",
         slowed.jobs[0].finish_s,
         healthy.jobs[0].finish_s
-    );
-    assert_modes_agree_under_faults(
-        &jobs,
-        fabric,
-        4,
-        vec![FaultInjection {
-            time_s: 0.0,
-            event: FaultEvent::Straggler { server: 0, egress_factor: 0.25 },
-        }],
     );
 }
 
@@ -333,19 +270,7 @@ fn persistent_engine_reports_window_reuse() {
     // stats must show cache reuse and a max component of one job's flows.
     let jobs: Vec<DynamicJobSpec> =
         (0..4).map(|i| ring_job(format!("j{i}"), 4, 1.0e9, 0.0, i as f64 * 0.01, 3)).collect();
-    let r = simulate_dynamic_cluster(
-        &jobs,
-        &DynamicClusterParams {
-            total_servers: 16,
-            fabric: DynamicFabric::Shared(topologies::ideal_switch(16, 100.0e9)),
-            provisioning_time_s: 0.0,
-            per_hop_latency_s: 1.0e-6,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
-        },
-    );
+    let r = run_shared(&jobs, &topologies::ideal_switch(16, 100.0e9), 16, vec![]);
     assert!(r.jobs.iter().all(|o| o.completed));
     assert!(r.engine.windows > 0);
     assert!(r.engine.jobs_reused > 0, "disjoint residents must reuse cached rates: {:?}", r.engine);

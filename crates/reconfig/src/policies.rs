@@ -85,20 +85,6 @@ impl PairReachability {
     pub fn new(pairs: Vec<(usize, usize)>) -> Self {
         PairReachability { pairs }
     }
-
-    /// Protect every ordered pair with non-zero demand in the matrix.
-    pub fn from_demand(demand: &TrafficMatrix) -> Self {
-        let n = demand.num_nodes();
-        let mut pairs = Vec::new();
-        for s in 0..n {
-            for d in 0..n {
-                if s != d && demand.get(s, d) > 0.0 {
-                    pairs.push((s, d));
-                }
-            }
-        }
-        PairReachability { pairs }
-    }
 }
 
 impl HardPolicy for PairReachability {

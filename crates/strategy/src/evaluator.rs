@@ -127,11 +127,6 @@ impl<'a> CostEvaluator<'a> {
         &self.strategy
     }
 
-    /// Consume the evaluator, returning its strategy.
-    pub fn into_strategy(self) -> ParallelizationStrategy {
-        self.strategy
-    }
-
     /// Change one operator's placement, re-evaluating only the contributions
     /// that operator touches, and return the previous placement (pass it
     /// back in to revert a rejected proposal).
