@@ -1,5 +1,5 @@
-//! Datacenter-scale netsim benchmark: the flat index-based engine with
-//! sharded event loops against the map-keyed from-scratch reference.
+//! Datacenter-scale netsim benchmark: the flat index-based incremental
+//! engine against the map-keyed from-scratch reference.
 //!
 //! The workload is the Figure-16 dynamic shape at cluster scale: disjoint
 //! 8-server rings covering every server, one flow per ring edge plus a
@@ -15,10 +15,9 @@
 //!   loop re-rates every active flow on every event and would take minutes
 //!   per sample); these points are the committed scaling curve, compared
 //!   PR-over-PR via `BENCH_fig16_dynamic_scale.json`.
-//! * A 2048-server, 60%-load dynamic trace benches the persistent
-//!   shared-fabric engine and gates its window-level reuse with a
-//!   deterministic counter: at most one in five job-windows may be
-//!   re-rated.
+//! * A 2048-server, 60%-load dynamic trace benches the shared-fabric
+//!   windows and gates their reuse with a deterministic counter: at most
+//!   one in five job-windows may be re-rated.
 //!
 //! Run with `cargo bench -p topoopt-bench --bench scale`.
 
@@ -102,11 +101,11 @@ fn bench_scale(c: &mut Criterion) {
     }
 
     // Mid-run-arrival shared-fabric workload: 2048 servers at 60% offered
-    // load, Poisson arrivals on an ideal switch. The persistent engine
-    // keeps one FluidEngine alive across every arrival/departure window
-    // and re-rates only the components a window touched, so the gate is a
-    // work counter, not wall time: re-rating every resident every window
-    // (what an engine rebuilt per window does) would fail it.
+    // load, Poisson arrivals on an ideal switch. Each arrival/departure
+    // window re-simulates only the job-level components it touched, each
+    // on a fresh engine, and serves every other resident from its cached
+    // round time, so the gate is a work counter, not wall time:
+    // re-rating every resident every window would fail it.
     let jobs = mid_run_arrival_trace(2048, 0.6);
     let params = DynamicClusterParams {
         total_servers: 2048,
@@ -129,7 +128,7 @@ fn bench_scale(c: &mut Criterion) {
     );
     assert!(
         e.jobs_rerated * 5 <= job_windows,
-        "the persistent engine must serve at least 4 of 5 job-windows from its cache on the \
+        "the shared-fabric windows must serve at least 4 of 5 job-windows from the cache on the \
          2048-server 60%-load mid-run-arrival workload: re-rated {} of {job_windows}",
         e.jobs_rerated
     );

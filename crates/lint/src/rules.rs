@@ -24,8 +24,12 @@ pub const RULES: &[&str] =
     &[NONDET_FLOAT_REDUCTION, NAN_UNSAFE_SORT, TRUNCATING_CAST, PANIC_IN_ENGINE];
 
 /// The netsim hot-path files rule `panic-in-engine` applies to.
-const HOT_PATH_SUFFIXES: &[&str] =
-    &["netsim/src/engine.rs", "netsim/src/arena.rs", "netsim/src/fluid.rs"];
+const HOT_PATH_SUFFIXES: &[&str] = &[
+    "netsim/src/engine.rs",
+    "netsim/src/arena.rs",
+    "netsim/src/fluid.rs",
+    "netsim/src/shared_engine.rs",
+];
 
 /// Iterator sources on a hash container whose order is randomized per
 /// process (`RandomState`).

@@ -88,18 +88,27 @@ fn truncating_cast_known_good() {
 #[test]
 fn panic_in_engine_known_bad_on_hot_path() {
     let rule = "panic-in-engine";
-    expect(
-        "netsim/src/engine.rs",
+    // Every hot-path file gets the rule, not just the one the fixture is
+    // named after.
+    for hot_path in [
         "crates/netsim/src/engine.rs",
-        &[
-            (rule, 13), // .unwrap()
-            (rule, 14), // .expect(..)
-            (rule, 16), // panic!
-            (rule, 22), // map indexing
-            (rule, 28), // unreachable!
-        ],
-        &[(rule, 47)], // audited allow keeps the expect visible but green
-    );
+        "crates/netsim/src/arena.rs",
+        "crates/netsim/src/fluid.rs",
+        "crates/netsim/src/shared_engine.rs",
+    ] {
+        expect(
+            "netsim/src/engine.rs",
+            hot_path,
+            &[
+                (rule, 13), // .unwrap()
+                (rule, 14), // .expect(..)
+                (rule, 16), // panic!
+                (rule, 22), // map indexing
+                (rule, 28), // unreachable!
+            ],
+            &[(rule, 47)], // audited allow keeps the expect visible but green
+        );
+    }
 }
 
 #[test]

@@ -25,8 +25,8 @@
 //!   in) and freezes flows in the same position order, so the flat and
 //!   map-keyed water-fillers produce bit-identical rates;
 //! * results must not depend on thread count: the water-filler is a pure
-//!   function of the arena and the spans, safe to run concurrently per
-//!   component with rates applied in deterministic component order.
+//!   function of the arena and the spans, and the shared fabric's
+//!   per-component engines merge in deterministic component order.
 
 use crate::fluid::LinkKey;
 use std::collections::HashMap;
@@ -35,15 +35,15 @@ use std::collections::HashMap;
 pub(crate) type LinkId = u32;
 
 /// Checked narrowing for every dense `u32` index the engine constructs
-/// (link ids, union-find slots, CSR positions, shard numbers). `usize as
+/// (link ids, union-find slots, CSR positions, component ids). `usize as
 /// u32` truncates silently past 4 billion; this is the one audited place
 /// where the bound is actually enforced, so `topoopt-lint`'s
 /// `truncating-cast` rule can require all id construction to funnel here.
 #[inline]
 pub(crate) fn dense_u32(i: usize) -> u32 {
     // lint:allow(panic-in-engine): the single audited bounds check for id
-    // narrowing — a fabric with more than u32::MAX links/flows/shards is a
-    // caller bug, not an event-path condition.
+    // narrowing — a fabric with more than u32::MAX links/flows/components
+    // is a caller bug, not an event-path condition.
     u32::try_from(i).expect("dense index exceeds u32::MAX")
 }
 
@@ -143,9 +143,9 @@ impl LinkArena {
 
 /// Pooled per-call buffers for [`waterfill_ids_with`]: a water-filling pass
 /// allocates nothing when driven through a scratch that has warmed up to the
-/// workload's component size. The engine keeps one for its sequential
-/// recompute path so steady-state event handling (and the dynamic cluster's
-/// per-window re-rating) reuses the same heap blocks window after window.
+/// workload's component size. The engine keeps one for its recompute path,
+/// so steady-state event handling reuses the same heap blocks event after
+/// event.
 /// Every buffer is fully rewritten per call, so reuse cannot change results.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaterfillScratch {

@@ -42,45 +42,11 @@
 //! shared cluster (Figure 16), where each job's flows live on a disjoint
 //! slice of the fabric, this turns every event from an O(all flows)
 //! recomputation into an O(one job) one; [`EngineStats::max_component`]
-//! makes the effect observable. When one event batch touches *several*
-//! disjoint components, their water-filling passes additionally run on
-//! separate rayon threads, with rates applied in deterministic component
-//! order afterwards.
-//!
-//! # Sharded event loops
-//!
-//! [`FluidEngine::run`] goes one step further: when the live (not-yet-done)
-//! flows partition into several connected components (and no
-//! reconfiguration is outstanding — a capacity swap couples everything),
-//! each component becomes its own *shard* with its own event heap and
-//! clock, run as an independent event loop on a rayon thread and merged
-//! deterministically afterwards. This works **mid-run**, not just on a
-//! fresh engine: each shard is seeded with a full state transplant — flow
-//! progress (`remaining_bytes`, `settled_s`, rates, versions), link byte
-//! counters, and the pending events of its member flows copied verbatim
-//! (times *and* tie-breaking sequence numbers) from the parent heap.
-//! Components never interact — no shared links means no shared rates, no
-//! shared events, and no shared byte counters — so the merge (flow
-//! outcomes and per-link bytes copied per shard, the carried-bytes sum
-//! taken globally in key order, stats summed in component order) is
-//! bit-identical to the single-loop run regardless of thread count;
-//! `RAYON_NUM_THREADS=1` and the default produce byte-identical results.
-//! The private single-loop `run_monolithic` is the unit tests' equivalence
-//! oracle.
-//!
-//! # Window-level reuse
-//!
-//! The dynamic shared cluster re-rates co-resident jobs after every
-//! arrival/departure. Instead of rebuilding an engine per window, one
-//! engine now lives as long as the cluster: links intern once,
-//! [`FluidEngine::add_flow_parked`] registers a job's flows without
-//! scheduling them, [`FluidEngine::remove_flows`] retires a departing
-//! job's flows (deregistering them from the adjacency and invalidating
-//! their pending events), and [`FluidEngine::restart_flows`] rewinds the
-//! clock and re-arms exactly the flows whose component an event window
-//! touched — untouched components keep their cached results, which is
-//! sound because disjoint components produce bit-identical results whether
-//! or not they are re-simulated (see `shared_engine::SharedFabricEngine`).
+//! makes the effect observable. Disjoint components share no links, hence
+//! no float operations, so a component's results do not depend on which
+//! other components ride in the same engine: the dynamic shared cluster
+//! relies on this to simulate each job-level component on an engine of its
+//! own (see `shared_engine::SharedFabricEngine`).
 //!
 //! Rates between events are constant, so flow progress is settled lazily:
 //! each flow remembers the last instant its remaining bytes were reconciled
@@ -90,7 +56,6 @@
 
 use crate::arena::{dense_u32, waterfill_ids_with, LinkArena, LinkId, WaterfillScratch};
 use crate::fluid::{link_capacities, FlowSpec, FluidResult, LinkKey, COMPLETION_EPS_BYTES};
-use rayon::prelude::*;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use topoopt_graph::Graph;
@@ -211,9 +176,10 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Fold another run's counters in (shard merge: sums, except the
-    /// component high-water mark which takes the max).
-    fn absorb(&mut self, other: &EngineStats) {
+    /// Fold another run's counters in: sums, except the component
+    /// high-water mark, which takes the max. The shared fabric merges its
+    /// per-component engines' counters this way.
+    pub(crate) fn absorb(&mut self, other: &EngineStats) {
         self.events += other.events;
         self.waterfills += other.waterfills;
         self.flows_rerated += other.flows_rerated;
@@ -246,13 +212,6 @@ pub struct FluidEngine {
     /// Scheduled fault events, link keys interned at schedule time.
     pending_faults: Vec<FaultEvent>,
     stats: EngineStats,
-    /// Reconfigurations scheduled but not yet applied; sharding is off
-    /// while any is outstanding (a capacity swap couples every component).
-    outstanding_reconfigs: usize,
-    /// Fault events scheduled but not yet applied; sharding is off while
-    /// any is outstanding (a port fault or straggler can touch several
-    /// components at once).
-    outstanding_faults: usize,
     /// Per-link failure count, indexed by `LinkId`: a link is dead while
     /// its count is positive (overlapping link- and port-level faults
     /// stack, so recoveries pair with their failures).
@@ -270,14 +229,7 @@ pub struct FluidEngine {
     flow_mark: Vec<u64>,
     link_mark: Vec<u64>,
     epoch: u64,
-    /// Epoch-stamped union-find scratch for [`Self::shard_partition`]:
-    /// `link_owner[l]` is the first live flow seen on link `l` this epoch
-    /// (valid iff `link_mark[l] == epoch`), `uf_parent` the per-flow
-    /// union-find forest — pooled so mid-run repartitioning at each window
-    /// boundary allocates nothing.
-    link_owner: Vec<u32>,
-    uf_parent: Vec<u32>,
-    /// Pooled water-filling buffers for the sequential recompute path.
+    /// Pooled water-filling buffers.
     wf_scratch: WaterfillScratch,
 }
 
@@ -308,16 +260,12 @@ impl FluidEngine {
             pending_reconfigs: Vec::new(),
             pending_faults: Vec::new(),
             stats: EngineStats::default(),
-            outstanding_reconfigs: 0,
-            outstanding_faults: 0,
             down: vec![0; n],
             healthy_caps,
             stragglers: BTreeMap::new(),
             flow_mark: Vec::new(),
             link_mark: vec![0; n],
             epoch: 0,
-            link_owner: vec![u32::MAX; n],
-            uf_parent: Vec::new(),
             wf_scratch: WaterfillScratch::default(),
         }
     }
@@ -340,24 +288,17 @@ impl FluidEngine {
 
     /// Intern a link id, growing every `LinkId`-indexed side array in step
     /// with the arena.
-    fn intern_link(&mut self, key: LinkKey) -> LinkId {
+    pub(crate) fn intern_link(&mut self, key: LinkKey) -> LinkId {
         let id = self.links.intern(key);
         let n = self.links.len();
         if n > self.link_bytes.len() {
             self.link_bytes.resize(n, 0.0);
             self.active_on_link.resize_with(n, Vec::new);
             self.link_mark.resize(n, 0);
-            self.link_owner.resize(n, u32::MAX);
             self.down.resize(n, 0);
             self.healthy_caps.resize(n, 0.0); // fresh interns start at cap 0
         }
         id
-    }
-
-    /// The link-id slice of a flow's path.
-    pub(crate) fn span(&self, id: FlowId) -> &[LinkId] {
-        let f = &self.flows[id];
-        &self.flow_links[f.links_start..f.links_start + f.spec.hops()]
     }
 
     /// Current capacity of a directed link, 0.0 when the pair was never
@@ -402,124 +343,6 @@ impl FluidEngine {
         id
     }
 
-    /// Add a flow without scheduling it: links are interned and the CSR
-    /// span is built, but the flow is parked `Done` with an infinite
-    /// completion until [`Self::restart_flows`] arms it for a window. This
-    /// is the admission half of window-level reuse — a long-lived engine
-    /// interns a job's paths once, and each event window restarts only the
-    /// flows it touches.
-    pub fn add_flow_parked(&mut self, spec: FlowSpec) -> FlowId {
-        let id = self.flows.len();
-        let links_start = self.flow_links.len();
-        for w in spec.path.windows(2) {
-            let lid = self.intern_link((w[0], w[1]));
-            self.flow_links.push(lid);
-        }
-        self.flows.push(EngineFlow {
-            state: FlowState::Done,
-            remaining_bytes: spec.bytes.max(0.0),
-            rate_bps: 0.0,
-            settled_s: spec.start_s,
-            version: 0,
-            completion_s: f64::INFINITY,
-            links_start,
-            spec,
-        });
-        self.flow_mark.push(0);
-        id
-    }
-
-    /// Retire a flow set (a departing job): unhook each flow from the
-    /// per-link adjacency, cancel its pending completion/arrival events
-    /// (lazily, via the version counter and the `Pending` state check in
-    /// the event loop), and mark it `Done`. Flows that had not finished
-    /// report an infinite completion; already-finished flows keep theirs.
-    /// Retired flows stay in the arena — ids remain stable and the CSR
-    /// buffer is append-only — but they are invisible to partitioning,
-    /// recomputation, and future windows.
-    pub fn remove_flows(&mut self, ids: &[FlowId]) {
-        for &id in ids {
-            match self.flows[id].state {
-                FlowState::Done => {}
-                FlowState::Active => {
-                    self.settle(id);
-                    let start = self.flows[id].links_start;
-                    let end = start + self.flows[id].spec.hops();
-                    for k in start..end {
-                        let lid = self.flow_links[k] as usize;
-                        self.active_on_link[lid].retain(|&f| f != id);
-                    }
-                    let flow = &mut self.flows[id];
-                    flow.state = FlowState::Done;
-                    flow.rate_bps = 0.0;
-                    flow.version += 1;
-                    flow.completion_s = f64::INFINITY;
-                }
-                FlowState::Pending => {
-                    let flow = &mut self.flows[id];
-                    flow.state = FlowState::Done;
-                    flow.version += 1;
-                    flow.completion_s = f64::INFINITY;
-                }
-            }
-        }
-    }
-
-    /// Rewind the clock to 0 and re-arm exactly `ids` for a fresh window:
-    /// each flow gets its full byte demand back, a bumped version (stale
-    /// predictions die), zeroed window-local byte counters on its links,
-    /// and a new arrival event at `spec.start_s` — scheduled in `ids`
-    /// order, so passing ascending ids reproduces [`Self::add_flow`]'s
-    /// event-sequence assignment on a fresh engine exactly. Flows *not* in
-    /// `ids` are untouched: a finished flow in a disjoint component keeps
-    /// its cached completion, which is bit-identical to what re-simulating
-    /// it would produce (disjoint components share no float operations).
-    ///
-    /// Requires a quiescent engine: the previous window must have run to
-    /// completion (empty event heap).
-    pub fn restart_flows(&mut self, ids: &[FlowId]) {
-        assert!(
-            self.events.is_empty(),
-            "restart_flows needs a quiescent engine (run the previous window to completion)"
-        );
-        self.now_s = 0.0;
-        for &id in ids {
-            let start = self.flows[id].links_start;
-            let end = start + self.flows[id].spec.hops();
-            if self.flows[id].state == FlowState::Active {
-                // Defensive: a zero-rate flow can be live with an empty
-                // heap; deregister it before resetting.
-                for k in start..end {
-                    let lid = self.flow_links[k] as usize;
-                    self.active_on_link[lid].retain(|&f| f != id);
-                }
-            }
-            // Zero the window-local byte counters of this flow's links
-            // (idempotent across flows sharing a link).
-            for k in start..end {
-                self.link_bytes[self.flow_links[k] as usize] = 0.0;
-            }
-            let flow = &mut self.flows[id];
-            flow.version += 1;
-            flow.rate_bps = 0.0;
-            let remaining = flow.spec.bytes.max(0.0);
-            flow.remaining_bytes = remaining;
-            flow.settled_s = flow.spec.start_s;
-            if flow.spec.hops() == 0 {
-                flow.state = FlowState::Done;
-                flow.completion_s = flow.spec.start_s;
-            } else if remaining <= 0.0 {
-                flow.state = FlowState::Done;
-                flow.completion_s = 0.0;
-            } else {
-                flow.state = FlowState::Pending;
-                flow.completion_s = 0.0;
-                let t = flow.spec.start_s.max(0.0);
-                self.push_event(t, EventKind::Arrival(id));
-            }
-        }
-    }
-
     /// Schedule a fabric reconfiguration: at `time_s` the link capacities
     /// are replaced by `graph`'s and every active flow is re-rated.
     pub fn schedule_reconfig(&mut self, time_s: f64, graph: &Graph) {
@@ -534,7 +357,6 @@ impl FluidEngine {
             capacity.into_iter().map(|(key, cap)| (self.intern_link(key), cap)).collect();
         let idx = self.pending_reconfigs.len();
         self.pending_reconfigs.push(entries);
-        self.outstanding_reconfigs += 1;
         let t = time_s.max(self.now_s);
         self.push_event(t, EventKind::Reconfigure(idx));
     }
@@ -551,7 +373,6 @@ impl FluidEngine {
         }
         let idx = self.pending_faults.len();
         self.pending_faults.push(fault);
-        self.outstanding_faults += 1;
         let t = time_s.max(self.now_s);
         self.push_event(t, EventKind::Fault(idx));
     }
@@ -646,9 +467,9 @@ impl FluidEngine {
         &self.stragglers
     }
 
-    /// Transplant straggler factors onto this engine (solo-probe and shard
-    /// construction; the probe must rate flows exactly as the source
-    /// engine would).
+    /// Inherit straggler factors from another engine: the shared fabric's
+    /// per-component engines and admission probes must rate flows exactly
+    /// as the fabric's health state says.
     pub(crate) fn set_straggler_factors(&mut self, factors: BTreeMap<usize, f64>) {
         self.stragglers = factors;
     }
@@ -668,263 +489,15 @@ impl FluidEngine {
         }
     }
 
-    /// Source server of a flow (window-level straggler dirtying).
-    pub(crate) fn flow_src(&self, id: FlowId) -> usize {
-        self.flows[id].spec.src
-    }
-
     /// Process every event; flows still active afterwards (zero-rate on a
     /// zero-capacity link) are declared unroutable with infinite completion.
-    ///
-    /// When the live flows split into several disjoint connected components
-    /// (and no reconfiguration is outstanding), the run is sharded — even
-    /// mid-run, with in-flight progress and pending events transplanted per
-    /// component: each shard gets its own event loop, heap, and clock on a
-    /// rayon thread, and the results are merged deterministically — see the
-    /// module docs for why the merge is bit-identical to the single loop.
     pub fn run(&mut self) {
-        if self.shardable() {
-            let shards = self.shard_partition();
-            if shards.len() > 1 {
-                self.run_sharded(shards);
-                return;
-            }
-        }
-        self.run_monolithic();
-    }
-
-    /// [`Self::run`] without shard fan-out: one event loop over all
-    /// components. Each shard runs this loop, and the unit tests hold
-    /// sharded runs to it as the equivalence oracle.
-    fn run_monolithic(&mut self) {
         self.run_until(f64::INFINITY);
         for flow in &mut self.flows {
             if flow.state != FlowState::Done {
                 flow.state = FlowState::Done;
                 flow.completion_s = f64::INFINITY;
             }
-        }
-        for v in &mut self.active_on_link {
-            v.clear();
-        }
-    }
-
-    /// True when [`Self::run`] may shard: an outstanding (scheduled but
-    /// not yet applied) reconfiguration or fault blocks it — a capacity
-    /// swap couples every component through the shared fabric, and a port
-    /// fault or straggler can touch several components at once. Already
-    /// *applied* fault state (dead links, stragglers) is fine: effective
-    /// capacities and straggler factors transplant into the shards.
-    fn shardable(&self) -> bool {
-        self.outstanding_reconfigs == 0 && self.outstanding_faults == 0
-    }
-
-    /// Partition the not-yet-done flows into connected components over
-    /// shared link ids (epoch-stamped union-find with path halving over
-    /// pooled scratch — no per-call allocation beyond the shard lists),
-    /// each component's flow list ascending; components ordered by their
-    /// smallest flow id.
-    fn shard_partition(&mut self) -> Vec<Vec<FlowId>> {
-        let n = self.flows.len();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize]; // path halving
-                x = parent[x as usize];
-            }
-            x
-        }
-        let flows = &self.flows;
-        let flow_links = &self.flow_links;
-        let link_mark = &mut self.link_mark;
-        let link_owner = &mut self.link_owner;
-        let parent = &mut self.uf_parent;
-        parent.clear();
-        parent.extend(0..dense_u32(n));
-        for (id, flow) in flows.iter().enumerate() {
-            if flow.state == FlowState::Done {
-                continue;
-            }
-            for &lid in &flow_links[flow.links_start..flow.links_start + flow.spec.hops()] {
-                let lid = lid as usize;
-                if link_mark[lid] != epoch {
-                    link_mark[lid] = epoch;
-                    link_owner[lid] = dense_u32(id);
-                } else {
-                    let a = find(parent, dense_u32(id));
-                    let b = find(parent, link_owner[lid]);
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-            }
-        }
-        let mut component_of_root: Vec<u32> = vec![u32::MAX; n];
-        let mut shards: Vec<Vec<FlowId>> = Vec::new();
-        for (id, flow) in flows.iter().enumerate() {
-            if flow.state == FlowState::Done {
-                continue;
-            }
-            let root = find(parent, dense_u32(id)) as usize;
-            if component_of_root[root] == u32::MAX {
-                component_of_root[root] = dense_u32(shards.len());
-                shards.push(Vec::new());
-            }
-            shards[component_of_root[root] as usize].push(id);
-        }
-        shards
-    }
-
-    /// Run each shard as an independent event loop (parallel over rayon,
-    /// collected in input order) and merge: per-flow outcomes and per-link
-    /// bytes are copied shard by shard (link sets are disjoint), stats are
-    /// folded in component order, and the clock advances to the latest
-    /// shard clock — all bit-identical to the single-loop run.
-    ///
-    /// Shards are seeded with a full state transplant, which is what makes
-    /// mid-run sharding exact rather than fresh-engine-only:
-    ///
-    /// * flow records are copied verbatim (progress, rate, version,
-    ///   settle instant), with the CSR span remapped to shard link ids and
-    ///   active flows re-registered on their links (registration order
-    ///   differs from the parent's activation order, which is harmless —
-    ///   every consumer of the adjacency sorts or deduplicates);
-    /// * per-link byte counters start from the parent's current values, so
-    ///   each shard's additions retrace the monolithic accumulation order
-    ///   exactly (live components own disjoint link sets);
-    /// * pending arrival/completion events move to their owner's shard
-    ///   with time **and** sequence number preserved — relative heap order
-    ///   inside a shard matches the monolithic heap, and fresh events get
-    ///   sequence numbers starting at the parent's `next_seq`, above every
-    ///   transplanted one, exactly as they would in the single loop.
-    ///   Events for already-done flows (a retired job's stale arrivals or
-    ///   completions) are dropped; the monolithic loop skips them without
-    ///   counting.
-    fn run_sharded(&mut self, shards: Vec<Vec<FlowId>>) {
-        // Route the parent's pending events to their owning shard.
-        let mut shard_of: Vec<u32> = vec![u32::MAX; self.flows.len()];
-        for (s, ids) in shards.iter().enumerate() {
-            for &f in ids {
-                shard_of[f] = dense_u32(s);
-            }
-        }
-        let mut routed: Vec<Vec<Event>> = vec![Vec::new(); shards.len()];
-        for Reverse(ev) in std::mem::take(&mut self.events).into_iter() {
-            let target = match ev.kind {
-                EventKind::Arrival(id) | EventKind::Completion { flow: id, .. } => shard_of[id],
-                EventKind::Reconfigure(_) => {
-                    // lint:allow(panic-in-engine): run() only shards when
-                    // shardable() saw no queued reconfiguration events.
-                    unreachable!("shardable() excludes outstanding reconfigurations")
-                }
-                EventKind::Fault(_) => {
-                    // lint:allow(panic-in-engine): run() only shards when
-                    // shardable() saw no queued fault events.
-                    unreachable!("shardable() excludes outstanding faults")
-                }
-            };
-            if target != u32::MAX {
-                routed[target as usize].push(ev);
-            }
-        }
-        let base_seq = self.next_seq;
-        let subs: Vec<FluidEngine> = shards
-            .iter()
-            .zip(routed)
-            .map(|(ids, events)| {
-                let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
-                for &f in ids {
-                    for &lid in self.span(f) {
-                        caps.insert(self.links.key(lid), self.links.cap(lid));
-                    }
-                }
-                let mut sub = FluidEngine::from_capacities(caps, self.per_hop_latency_s);
-                sub.now_s = self.now_s;
-                sub.next_seq = base_seq;
-                // Applied fault state rides along: the caps above are the
-                // *effective* (post-fault) capacities, and straggler
-                // factors scale water-filling in the shard exactly as in
-                // the parent (no fault *events* are outstanding here).
-                sub.stragglers = self.stragglers.clone();
-                for &f in ids {
-                    let mut flow = self.flows[f].clone();
-                    flow.links_start = sub.flow_links.len();
-                    for &lid in self.span(f) {
-                        let sid = sub
-                            .links
-                            .lookup(self.links.key(lid))
-                            // lint:allow(panic-in-engine): the shard arena was interned
-                            // from these members' spans just above.
-                            .expect("shard caps cover every member span link");
-                        sub.flow_links.push(sid);
-                    }
-                    let local = sub.flows.len();
-                    if flow.state == FlowState::Active {
-                        let start = flow.links_start;
-                        for k in start..start + flow.spec.hops() {
-                            sub.active_on_link[sub.flow_links[k] as usize].push(local);
-                        }
-                    }
-                    sub.flows.push(flow);
-                    sub.flow_mark.push(0);
-                }
-                for sid in 0..sub.links.len() {
-                    let gid = self
-                        .links
-                        .lookup(sub.links.key(dense_u32(sid)))
-                        // lint:allow(panic-in-engine): every shard link was copied
-                        // out of the parent arena at shard build.
-                        .expect("shard links are interned in the parent");
-                    sub.link_bytes[sid] = self.link_bytes[gid as usize];
-                }
-                for ev in events {
-                    let kind = match ev.kind {
-                        EventKind::Arrival(id) => EventKind::Arrival(local_id(ids, id)),
-                        EventKind::Completion { flow, version } => {
-                            EventKind::Completion { flow: local_id(ids, flow), version }
-                        }
-                        EventKind::Reconfigure(_) | EventKind::Fault(_) => {
-                            // lint:allow(panic-in-engine): routed events were filtered to
-                            // arrivals/completions above.
-                            unreachable!("filtered above")
-                        }
-                    };
-                    sub.events.push(Reverse(Event { time_s: ev.time_s, seq: ev.seq, kind }));
-                }
-                sub
-            })
-            .collect();
-        let subs: Vec<FluidEngine> = subs
-            .into_par_iter()
-            .map(|mut sub| {
-                sub.run_monolithic();
-                sub
-            })
-            .collect();
-        for (ids, sub) in shards.iter().zip(&subs) {
-            for (k, &f) in ids.iter().enumerate() {
-                let done = &sub.flows[k];
-                let flow = &mut self.flows[f];
-                flow.state = done.state;
-                flow.remaining_bytes = done.remaining_bytes;
-                flow.rate_bps = 0.0;
-                flow.settled_s = done.settled_s;
-                flow.version = flow.version.max(done.version) + 1;
-                flow.completion_s = done.completion_s;
-            }
-            for (sid, &bytes) in sub.link_bytes.iter().enumerate() {
-                let gid = self
-                    .links
-                    .lookup(sub.links.key(dense_u32(sid)))
-                    // lint:allow(panic-in-engine): every shard link was copied
-                    // out of the parent arena at shard build.
-                    .expect("shard links are interned in the parent");
-                self.link_bytes[gid as usize] = bytes;
-            }
-            self.stats.absorb(&sub.stats);
-            self.now_s = self.now_s.max(sub.now_s);
-            self.next_seq = self.next_seq.max(sub.next_seq);
         }
         for v in &mut self.active_on_link {
             v.clear();
@@ -984,7 +557,6 @@ impl FluidEngine {
                     EventKind::Fault(idx) => {
                         self.stats.events += 1;
                         self.stats.faults += 1;
-                        self.outstanding_faults -= 1;
                         let fault = self.pending_faults[idx];
                         self.apply_fault_state(fault, &mut seeds);
                     }
@@ -1101,7 +673,6 @@ impl FluidEngine {
     /// link whose transceiver (or OCS port) is still dead, so links with a
     /// positive failure count keep an effective capacity of zero.
     fn apply_reconfig(&mut self, idx: usize) {
-        self.outstanding_reconfigs -= 1;
         self.links.zero_caps();
         for h in &mut self.healthy_caps {
             *h = 0.0;
@@ -1183,12 +754,8 @@ impl FluidEngine {
     /// Re-waterfill every connected component (over link sharing) that
     /// contains a seed flow. Disjoint components — e.g. two jobs whose
     /// rounds end at the same instant on separate shards, or a wave of
-    /// t = 0 arrivals across all shards — are re-rated independently, and
-    /// their water-filling passes run on separate rayon threads when the
-    /// batch is large enough to pay for the fan-out (see
-    /// [`PARALLEL_WATERFILL_MIN_FLOWS`]). Rates are collected in component
-    /// order and applied sequentially, so results and event ordering are
-    /// identical to the serial path regardless of thread count.
+    /// t = 0 arrivals across all shards — are re-rated independently, one
+    /// after another in gather order.
     fn recompute_components(&mut self, seeds: &[FlowId]) {
         // Phase 1: gather the touched components by BFS over the flow/link
         // sharing graph (components are disjoint by construction), using
@@ -1234,11 +801,13 @@ impl FluidEngine {
             }
         }
 
-        // Phase 2 (sequential, mutates shared state): settle each member,
-        // finish any that already ran dry (exact ties with the event that
-        // triggered this recompute, like the reference loop completing
-        // several flows in one step), and keep the rest for re-rating.
-        let mut live_sets: Vec<Vec<FlowId>> = Vec::with_capacity(components.len());
+        // Then, per component: settle each member, finish any that already
+        // ran dry (exact ties with the event that triggered this recompute,
+        // like the reference loop completing several flows in one step),
+        // water-fill the rest and reschedule their completion predictions.
+        // Every scratch buffer is fully rewritten per pass, so pooling
+        // cannot change results.
+        let mut scratch = std::mem::take(&mut self.wf_scratch);
         for ids in &components {
             let mut live: Vec<FlowId> = Vec::with_capacity(ids.len());
             for &f in ids {
@@ -1258,91 +827,31 @@ impl FluidEngine {
             self.stats.waterfills += 1;
             self.stats.flows_rerated += live.len();
             self.stats.max_component = self.stats.max_component.max(live.len());
-            live_sets.push(live);
-        }
-
-        // Phase 3 (read-only): water-fill each component. Parallel when the
-        // batch spans several components with enough total work; the
-        // sequential path reuses the engine's pooled scratch buffers, the
-        // parallel one gives each rayon task its own (every buffer is
-        // fully rewritten per pass, so pooling cannot change results).
-        let populated = live_sets.iter().filter(|l| !l.is_empty()).count();
-        let total_live: usize = live_sets.iter().map(|l| l.len()).sum();
-        let rate_sets: Vec<Vec<f64>> =
-            if populated > 1 && total_live >= PARALLEL_WATERFILL_MIN_FLOWS {
-                let links = &self.links;
-                let flows = &self.flows;
-                let flow_links = &self.flow_links;
-                let stragglers = &self.stragglers;
-                live_sets
-                    .par_iter()
-                    .map(|live| {
-                        waterfill_live(
-                            links,
-                            flow_links,
-                            flows,
-                            stragglers,
-                            live,
-                            &mut Default::default(),
-                        )
-                    })
-                    .collect()
-            } else {
-                let mut scratch = std::mem::take(&mut self.wf_scratch);
-                let rates = live_sets
-                    .iter()
-                    .map(|live| {
-                        waterfill_live(
-                            &self.links,
-                            &self.flow_links,
-                            &self.flows,
-                            &self.stragglers,
-                            live,
-                            &mut scratch,
-                        )
-                    })
-                    .collect();
-                self.wf_scratch = scratch;
-                rates
-            };
-
-        // Phase 4 (sequential, deterministic order): apply the new rates
-        // and reschedule completion predictions.
-        for (live, rates) in live_sets.iter().zip(rate_sets) {
-            let mut to_schedule: Vec<(f64, EventKind)> = Vec::new();
-            for (pos, &f) in live.iter().enumerate() {
-                let rate = rates[pos];
+            let rates = waterfill_live(
+                &self.links,
+                &self.flow_links,
+                &self.flows,
+                &self.stragglers,
+                &live,
+                &mut scratch,
+            );
+            for (&f, rate) in live.iter().zip(rates) {
                 let flow = &mut self.flows[f];
                 flow.rate_bps = rate;
                 flow.version += 1;
                 if rate > 0.0 {
                     let t = self.now_s + flow.remaining_bytes * 8.0 / rate;
-                    to_schedule.push((t, EventKind::Completion { flow: f, version: flow.version }));
+                    let version = flow.version;
+                    self.push_event(t, EventKind::Completion { flow: f, version });
                 }
             }
-            for (t, kind) in to_schedule {
-                self.push_event(t, kind);
-            }
         }
+        self.wf_scratch = scratch;
     }
 }
 
-/// Smallest total live-flow count for which a multi-component event batch
-/// fans its water-filling passes out to rayon threads; below this the
-/// thread-team spawn costs more than the waterfills.
-const PARALLEL_WATERFILL_MIN_FLOWS: usize = 64;
-
-/// Local (shard-relative) index of a global flow id within a shard's
-/// ascending member list.
-fn local_id(ids: &[FlowId], global: FlowId) -> FlowId {
-    // lint:allow(panic-in-engine): run_sharded routes each event by
-    // shard_of before translating, so the owner list holds the id.
-    ids.binary_search(&global).expect("event routed to the shard owning its flow")
-}
-
 /// Max-min rates of one component's live flows, aligned with `live`
-/// positions (pure function of the arena and the flat spans, safe to run
-/// concurrently per component — each caller passes its own scratch).
+/// positions (a pure function of the arena and the flat spans).
 /// Straggler factors compose multiplicatively with each flow's relay
 /// factor; with no stragglers the factors are passed through untouched
 /// (not even a `* 1.0`), so healthy runs stay bit-identical to the
@@ -1388,9 +897,9 @@ mod tests {
     impl FluidEngine {
         /// Apply a fault immediately, bypassing the event queue, and re-rate
         /// the flows it touched. Test support: the fresh-engine reference in
-        /// `shared_engine`'s tests pre-applies the fault history the
-        /// persistent engine absorbed event by event; on an engine with no
-        /// active flow this is pure state, no recomputation.
+        /// `shared_engine`'s tests pre-applies the fault history the window
+        /// engine absorbed fault by fault; on an engine with no active flow
+        /// this is pure state, no recomputation.
         pub(crate) fn apply_fault_now(&mut self, fault: FaultEvent) {
             let mut seeds: Vec<FlowId> = Vec::new();
             self.apply_fault_state(fault, &mut seeds);
@@ -1430,24 +939,6 @@ mod tests {
         assert!(r.completion_s.iter().all(|c| c.is_finite()));
     }
 
-    /// Finish `sharded` with `run()` and a clone with the single loop; every
-    /// observable — completions, bytes, carried sum, stats, clock — must
-    /// agree exactly.
-    fn assert_sharded_matches_monolithic(mut sharded: FluidEngine) {
-        let mut monolithic = sharded.clone();
-        sharded.run();
-        monolithic.run_monolithic();
-        let a = sharded.result();
-        let b = monolithic.result();
-        for (x, y) in a.completion_s.iter().zip(&b.completion_s) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.carried_bytes.to_bits(), b.carried_bytes.to_bits());
-        assert_eq!(a.link_bytes, b.link_bytes);
-        assert_eq!(sharded.stats(), monolithic.stats());
-        assert_eq!(sharded.now_s().to_bits(), monolithic.now_s().to_bits());
-    }
-
     /// `rings` disjoint rings of `size` nodes on one graph.
     fn disjoint_rings(rings: usize, size: usize) -> Graph {
         let mut g = Graph::new(rings * size);
@@ -1460,75 +951,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_the_monolithic_loop_bit_for_bit() {
-        // Three disjoint rings with staggered second-wave arrivals.
-        let mut engine = FluidEngine::new(&disjoint_rings(3, 4), 1.0e-6);
-        for base in [0usize, 4, 8] {
-            for i in 0..4 {
-                let first =
-                    FlowSpec::new(vec![base + i, base + (i + 1) % 4], 50.0 * (1.0 + i as f64));
-                let mut second = first.clone();
-                second.start_s = 2.0 + base as f64;
-                engine.add_flow(first);
-                engine.add_flow(second);
-            }
-        }
-        assert_sharded_matches_monolithic(engine);
-
-        // Twelve rings of two-hop flows, staggered inside each ring, so
-        // every shard runs a real multi-event loop.
-        let mut engine = FluidEngine::new(&disjoint_rings(12, 6), 1.0e-4);
-        for r in 0..12 {
-            let base = r * 6;
-            for i in 0..6 {
-                let mut f = FlowSpec::new(
-                    vec![base + i, base + (i + 1) % 6, base + (i + 2) % 6],
-                    30.0 * (1.0 + ((r * 13 + i) % 9) as f64),
-                );
-                f.start_s = 0.25 * ((r + i) % 3) as f64;
-                engine.add_flow(f);
-            }
-        }
-        assert_sharded_matches_monolithic(engine);
-    }
-
-    #[test]
-    fn mid_run_sharding_matches_monolithic_oracle() {
-        // Partial single-loop progress, then a wave of new arrivals, then
-        // run(): live flows with in-flight progress and pending events are
-        // transplanted into per-component event loops, and the merged
-        // outcome must be bit-identical to never sharding at all.
-        let mut engine = FluidEngine::new(&disjoint_rings(10, 5), 1.0e-4);
-        for r in 0..10 {
-            let base = r * 5;
-            for i in 0..5 {
-                let mut f = FlowSpec::new(
-                    vec![base + i, base + (i + 1) % 5, base + (i + 2) % 5],
-                    35.0 * (1.0 + ((r * 11 + i) % 8) as f64),
-                );
-                f.start_s = 0.2 * ((r + 2 * i) % 4) as f64;
-                engine.add_flow(f);
-            }
-        }
-        engine.run_until(1.0); // in-flight progress and pending completions
-        for r in 0..10 {
-            let base = r * 5;
-            for i in 0..5 {
-                let mut f = FlowSpec::new(
-                    vec![base + i, base + (i + 1) % 5],
-                    20.0 * (1.0 + ((r * 3 + i) % 5) as f64),
-                );
-                f.start_s = 2.0 + 0.1 * ((r + i) % 3) as f64;
-                engine.add_flow(f);
-            }
-        }
-        assert_sharded_matches_monolithic(engine);
-    }
-
-    #[test]
     fn coupled_flows_do_not_shard() {
-        // One shared hub link couples everything into a single component:
-        // run() must fall back to the monolithic loop and still be exact.
+        // One shared link couples both flows into a single component: they
+        // split it evenly and finish together.
         let g = ring(2, 100.0);
         let mut engine = FluidEngine::new(&g, 0.0);
         let a = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
@@ -1712,29 +1137,6 @@ mod tests {
         engine.run();
         // 2 s at 100 bps (75 bytes left), dark 2-4, then 75*8/200 = 3 s.
         assert!((engine.completion_s(id) - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sharded_run_stays_bit_identical_after_faults_are_applied() {
-        // Two disjoint rings take a fault each (a dead link, a straggler);
-        // run_until applies them, then run() shards over the degraded
-        // state. The sharded continuation must match the monolithic one
-        // bit for bit — effective capacities and straggler factors are
-        // part of the transplanted state.
-        let mut engine = FluidEngine::new(&disjoint_rings(2, 4), 1.0e-6);
-        for base in [0usize, 4] {
-            for i in 0..4 {
-                engine.add_flow(FlowSpec::new(
-                    vec![base + i, base + (i + 1) % 4],
-                    80.0 * (1.0 + i as f64),
-                ));
-            }
-        }
-        engine.schedule_fault(1.0, FaultEvent::LinkDown((0, 1)));
-        engine.schedule_fault(2.5, FaultEvent::LinkUp((0, 1)));
-        engine.schedule_fault(1.5, FaultEvent::Straggler { server: 5, egress_factor: 0.3 });
-        engine.run_until(3.0);
-        assert_sharded_matches_monolithic(engine);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! proptests (`tests/engine.rs`) and the baseline of the `fluid` Criterion
 //! bench; both allocators implement one water-filling algorithm.
 //!
-//! # Flat storage and sharded event loops
+//! # Flat storage
 //!
 //! Internally the engine runs on arena/index-based flat storage: links are
 //! interned once into a dense `LinkId(u32)` arena (`Vec`-backed
@@ -39,11 +39,8 @@
 //! tree/hash lookups on the hot path. `BTreeMap`-ordered semantics are
 //! kept only at the API boundary and as the arena's key-sorted id list,
 //! which pins the order of every order-sensitive float reduction — the
-//! flat core is bit-identical to the map-keyed one. On top, an engine
-//! whose live flows split into disjoint connected components shards into
-//! parallel per-component event loops (own heap, own clock) with a
-//! deterministic, bit-identical merge, mid-run included. See the
-//! [`engine`] and `arena` module docs for the determinism contracts.
+//! flat core is bit-identical to the map-keyed one. See the [`engine`]
+//! and `arena` module docs for the determinism contracts.
 //!
 //! # Modules
 //!
@@ -63,9 +60,10 @@
 //!   layer: job arrivals/departures over [`topoopt_cluster::ClusterShards`]
 //!   with the Active/Look-ahead provisioner rewiring the fabric between
 //!   jobs (`fig16_dynamic`).
-//! * `shared_engine` — the persistent shared-fabric engine the dynamic
-//!   layer keeps across arrival/departure windows, re-rating only the
-//!   components a window touched.
+//! * `shared_engine` — the shared-fabric round simulator the dynamic layer
+//!   keeps across arrival/departure windows: each window re-simulates only
+//!   the job-level components it touched, each on a fresh engine, in
+//!   parallel.
 
 pub(crate) mod arena;
 pub mod engine;

@@ -144,17 +144,17 @@ pub fn build_job_flows(
 /// of the last of its own flows (measured from the job's arrival).
 ///
 /// The independent per-job flow sets are constructed in parallel with
-/// rayon; the engine then simulates them together, re-rating only the
-/// connected component each completion touches — disjoint TopoOpt shards
-/// never pay for each other's events.
+/// rayon; each job-level component (jobs linked by shared links) is then
+/// simulated on an engine of its own, in parallel — disjoint TopoOpt
+/// shards never pay for each other's events.
 pub fn simulate_shared_cluster(net: &SimNetwork, jobs: &[JobSpec]) -> SharedClusterResult {
     simulate_shared_cluster_stats(net, jobs).0
 }
 
 /// [`simulate_shared_cluster`] returning the fluid engine's work counters
 /// alongside the result, so scale experiments can report how much
-/// incremental/sharded recomputation the round actually cost (events,
-/// waterfills, largest re-rated component).
+/// incremental recomputation the round actually cost (events, waterfills,
+/// largest re-rated component), summed over the component engines.
 pub fn simulate_shared_cluster_stats(
     net: &SimNetwork,
     jobs: &[JobSpec],
@@ -184,8 +184,8 @@ pub fn simulate_shared_cluster_stats(
 /// measured from its arrival.
 ///
 /// Routes through a one-window [`SharedFabricEngine`]: every job is
-/// admitted and the whole window re-rated, exercising the exact
-/// admit/restart/run machinery the dynamic layer reuses across windows.
+/// admitted and the whole window simulated, one fresh engine per job-level
+/// component, exactly as the dynamic layer's windows are.
 pub(crate) fn shared_round_times(
     net: &SimNetwork,
     flows_by_job: Vec<Vec<FlowSpec>>,
@@ -224,7 +224,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Window counters of the persistent shared-fabric engine (`shared_engine`).
+// Window counters of the shared-fabric engine (`shared_engine`).
 // ---------------------------------------------------------------------------
 
 /// Work counters for the dynamic layer's shared-fabric windows — the
@@ -326,17 +326,17 @@ impl std::fmt::Debug for MigrationMode {
     }
 }
 
-/// How the shared-fabric rates are maintained across event windows. The
-/// persistent engine is the only path; this one-variant enum and
+/// How the shared-fabric rates are maintained across event windows.
+/// There is one path; this one-variant enum and
 /// [`DynamicClusterParams::shared_engine`] remain because the repo
 /// benchmark (`perfbench/`) names them, and the next change to the
 /// benchmark drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SharedEngineMode {
-    /// One long-lived [`FluidEngine`](crate::FluidEngine) across the run:
-    /// admission parks the new job's flows, departure retires them, and
-    /// each window re-rates only the link-sharing components the event
-    /// touched.
+    /// Window-level reuse across the run: each window re-simulates only
+    /// the job-level link-sharing components the event touched, each on a
+    /// fresh [`FluidEngine`](crate::FluidEngine), and every other resident
+    /// keeps its cached round time.
     #[default]
     Persistent,
 }
@@ -357,8 +357,8 @@ pub struct DynamicClusterParams {
     /// How partitioned-fabric transitions rewire the patch panel
     /// ([`MigrationMode::Atomic`] reproduces the historical opaque swap).
     pub migration: MigrationMode,
-    /// Unread: the persistent engine is the only shared-fabric path (see
-    /// [`SharedEngineMode`]; the next change to the benchmark drops it).
+    /// Unread: there is one shared-fabric path (see [`SharedEngineMode`];
+    /// the next change to the benchmark drops it).
     pub shared_engine: SharedEngineMode,
     /// Override for the event-loop guard (`4 * jobs + faults + 16` when
     /// `None`). Only tests cap it; a run cut off by the cap reports
@@ -458,8 +458,8 @@ struct RunningJob {
     remaining_iters: f64,
     iter_s: f64,
     settled_s: f64,
-    /// Resident handle in the persistent [`SharedFabricEngine`] (`None` on
-    /// a partitioned fabric).
+    /// Resident handle in the [`SharedFabricEngine`] (`None` on a
+    /// partitioned fabric).
     slot: Option<usize>,
 }
 
@@ -481,7 +481,7 @@ pub fn simulate_dynamic_cluster(
     jobs: &[DynamicJobSpec],
     params: &DynamicClusterParams,
 ) -> DynamicClusterResult {
-    // The shared fabric and its long-lived engine: links intern once here,
+    // The shared fabric and its window simulator: links intern once here,
     // and every event window re-rates only what it touched.
     let mut shared: Option<(SimNetwork, SharedFabricEngine)> = match &params.fabric {
         DynamicFabric::Shared(g) => {
@@ -855,20 +855,19 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     job.compute_s + sim.makespan_s
 }
 
-/// Window refresh on the persistent engine: settle progress, run one event
-/// window (only the components the arrival/departure touched re-rate), and
-/// read every resident's round time — cached or freshly simulated, the
-/// values are bit-identical to a fresh engine over the same residents. A
-/// partitioned fabric (`None`) has no shared rates to refresh.
+/// Window refresh on the shared-fabric engine: settle progress, run one
+/// event window (only the components the event touched re-rate), and read
+/// every resident's round time — cached or freshly simulated, the values
+/// are bit-identical to a fresh engine over the same residents. A
+/// partitioned fabric (`None`) or an empty cluster has no shared rates to
+/// refresh.
 fn refresh_shared_rates(
     shared: &mut Option<(SimNetwork, SharedFabricEngine)>,
     running: &mut [RunningJob],
     now: f64,
 ) {
     let Some((_, sim)) = shared else { return };
-    if running.is_empty() && !sim.has_pending_faults() {
-        // With pending faults the window still runs: the engine must
-        // absorb the new health state before the next admission probe.
+    if running.is_empty() {
         return;
     }
     settle_running(running, now);

@@ -1,5 +1,5 @@
-//! Persistent shared-fabric engine: one [`FluidEngine`] kept alive across
-//! the dynamic cluster's event windows (see [`SharedFabricEngine`]).
+//! Shared-fabric round simulator that lives as long as the dynamic
+//! cluster (see [`SharedFabricEngine`]).
 //!
 //! Its contract is checked here, at the seam where the cache lives: after
 //! every window, each resident's round time and each admission probe must
@@ -9,17 +9,22 @@
 //! that fresh-engine reference.
 
 use crate::arena::{dense_u32, LinkId};
-use crate::engine::{EngineStats, FaultEvent, FlowId, FluidEngine};
+use crate::engine::{EngineStats, FaultEvent, FluidEngine};
 use crate::fluid::{FlowSpec, LinkKey};
 use crate::multijob::DynamicEngineStats;
 use crate::network::SimNetwork;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// One resident job inside a [`SharedFabricEngine`].
 struct SharedSlot {
-    /// The job's engine flow ids, ascending (admission order).
-    flow_ids: Vec<FlowId>,
-    /// Distinct links the job's flows touch, sorted — the job-level
+    /// The job's flows, simulated afresh whenever its component is dirty.
+    flows: Vec<FlowSpec>,
+    /// Admission counter: a component's engine takes its members' flows in
+    /// admission order. Slot indices cannot tell that order, because freed
+    /// slots are reused.
+    admitted: u64,
+    /// Distinct fabric links the job's flows touch, sorted — the job-level
     /// component index used to decide which residents an event window
     /// actually perturbs.
     links: Vec<LinkId>,
@@ -30,117 +35,115 @@ struct SharedSlot {
     /// Component id assigned by the last window (`u32::MAX` before the
     /// first).
     component: u32,
-    /// Must be re-simulated next window (new arrival, or a component mate
-    /// departed).
+    /// Must be re-simulated next window (new arrival, a component mate
+    /// departed, or a fault touched it).
     dirty: bool,
 }
 
-/// Long-lived shared-fabric round simulator: one [`FluidEngine`] survives
-/// across the dynamic cluster's event windows, so links intern once per
-/// cluster lifetime, admission adds only the new job's flows
-/// ([`FluidEngine::add_flow_parked`]), departure retires them
-/// ([`FluidEngine::remove_flows`]), and each window restarts and re-rates
-/// only the connected components the arrival/departure touched — every
-/// other resident keeps its cached round time.
+/// Shared-fabric round simulator for the dynamic cluster's event windows.
+/// Each window partitions the residents into job-level components over
+/// shared links and re-simulates only the dirty components — those an
+/// arrival, departure or fault touched — each on a fresh [`FluidEngine`]
+/// built like the admission probe ([`Self::solo_total_s`]). Every other
+/// resident keeps its cached round time. A departing job takes its flows
+/// with it, so the state is bounded by the residents, not by history.
 ///
 /// # Why the cache is exact
 ///
 /// Each window simulates one round with every resident's flows starting at
-/// their intra-round offsets on a clock rewound to zero, exactly like a
-/// fresh engine. Disjoint components share no links, hence no float
-/// operations: a component's completion times are a pure function of its
-/// own flows and link capacities, so re-simulating an untouched component
-/// would reproduce its cached values bit for bit. Job-level components
-/// (over each job's distinct link set) are coarser than flow-level ones,
-/// which keeps the dirty-propagation sound: any job sharing a link —
-/// transitively — with a dirty job is re-rated too. The seam proptests in
-/// this module hold this to `to_bits` equality against a fresh engine
-/// after every window.
+/// their intra-round offsets from time zero. Disjoint components share no
+/// links, hence no float operations: a component's completion times are a
+/// pure function of its own flows (in admission order), their links'
+/// capacities and the straggler factors. Re-simulating an untouched
+/// component would reproduce its cached values bit for bit, and simulating
+/// a dirty one on an engine of its own gives what a whole-fabric engine
+/// would. Job-level components (over each job's distinct link set) are
+/// coarser than flow-level ones, which keeps the dirty-propagation sound:
+/// any job sharing a link — transitively — with a dirty job is re-rated
+/// too. The seam proptests in this module hold this to `to_bits` equality
+/// against a fresh whole-fabric engine after every window.
 pub(crate) struct SharedFabricEngine {
-    engine: FluidEngine,
+    /// Flowless engine over the fabric: it interns every path link once,
+    /// so job link sets and fault targets share one id space, and it holds
+    /// the health state faults leave behind.
+    fabric: FluidEngine,
     per_hop_latency_s: f64,
     /// Resident jobs; handles are stable indices (freed slots are reused).
     slots: Vec<Option<SharedSlot>>,
     free: Vec<usize>,
-    /// Cumulative window counters (engine counters live in `engine`).
+    /// Jobs admitted so far.
+    admissions: u64,
+    /// Cumulative counters of every component engine run so far.
+    engine: EngineStats,
+    /// Cumulative window counters.
     windows: DynamicEngineStats,
     /// Epoch-stamped scratch for the per-window job-component union-find.
     link_slot: Vec<u32>,
     link_stamp: Vec<u64>,
     epoch: u64,
     uf: Vec<u32>,
-    /// Fault events injected since the last window; drained into the
-    /// engine's event queue (offset 0) when the next window runs.
-    pending_faults: Vec<FaultEvent>,
 }
 
 impl SharedFabricEngine {
-    /// A persistent engine over the shared fabric; links intern here, once.
+    /// An engine over the shared fabric; its links intern here, once.
     pub fn new(net: &SimNetwork) -> Self {
         SharedFabricEngine {
-            engine: FluidEngine::new(&net.graph, net.per_hop_latency_s),
+            fabric: FluidEngine::new(&net.graph, net.per_hop_latency_s),
             per_hop_latency_s: net.per_hop_latency_s,
             slots: Vec::new(),
             free: Vec::new(),
+            admissions: 0,
+            engine: EngineStats::default(),
             windows: DynamicEngineStats::default(),
             link_slot: Vec::new(),
             link_stamp: Vec::new(),
             epoch: 0,
             uf: Vec::new(),
-            pending_faults: Vec::new(),
         }
     }
 
-    /// Inject a fabric fault (or recovery): every resident the fault can
-    /// touch — a job crossing an affected link, or sourcing flows at a
-    /// straggling server — is marked dirty, and the event itself enters the
-    /// engine's queue at the start of the next window. Residents in other
-    /// components keep their cached round times: their rates are a pure
-    /// function of links the fault did not change.
+    /// Inject a fabric fault (or recovery): it applies to the fabric's
+    /// health state at once, so the next admission probe already sees it,
+    /// and every resident it can touch — a job crossing an affected link,
+    /// or sourcing flows at a straggling server — is marked dirty for the
+    /// next window. Residents in other components keep their cached round
+    /// times: their rates are a pure function of links the fault did not
+    /// change.
     pub fn inject_fault(&mut self, fault: FaultEvent) {
-        let lids = self.engine.fault_link_ids(&fault);
-        let engine = &self.engine;
+        let lids = self.fabric.fault_link_ids(&fault);
         for slot in self.slots.iter_mut().flatten() {
             let hit = match fault {
-                FaultEvent::Straggler { server, .. } => {
-                    slot.flow_ids.iter().any(|&f| engine.flow_src(f) == server)
-                }
+                FaultEvent::Straggler { server, .. } => slot.flows.iter().any(|f| f.src == server),
                 _ => lids.iter().any(|lid| slot.links.binary_search(lid).is_ok()),
             };
             if hit {
                 slot.dirty = true;
             }
         }
-        self.pending_faults.push(fault);
+        self.fabric.schedule_fault(0.0, fault);
+        self.fabric.run();
     }
 
-    /// Whether injected faults are still waiting for a window to absorb
-    /// them (the dynamic loop forces a window even with no dirty resident,
-    /// so admission probes never read stale health state).
-    pub fn has_pending_faults(&self) -> bool {
-        !self.pending_faults.is_empty()
-    }
-
-    /// Admit a job: park its flows in the engine (paths intern now, no
-    /// events yet) and mark it dirty for the next window. Returns a stable
-    /// slot handle.
+    /// Admit a job: intern its path links and mark it dirty for the next
+    /// window. Returns a stable slot handle.
     pub fn admit(&mut self, flows: Vec<FlowSpec>, compute_s: f64) -> usize {
-        let mut flow_ids = Vec::with_capacity(flows.len());
-        for f in flows {
-            flow_ids.push(self.engine.add_flow_parked(f));
-        }
-        let mut links: Vec<LinkId> =
-            flow_ids.iter().flat_map(|&f| self.engine.span(f).iter().copied()).collect();
+        let mut links: Vec<LinkId> = flows
+            .iter()
+            .flat_map(|f| f.path.windows(2))
+            .map(|w| self.fabric.intern_link((w[0], w[1])))
+            .collect();
         links.sort_unstable();
         links.dedup();
         let slot = SharedSlot {
-            flow_ids,
+            flows,
+            admitted: self.admissions,
             links,
             compute_s,
             comm_s: f64::NEG_INFINITY,
             component: u32::MAX,
             dirty: true,
         };
+        self.admissions += 1;
         match self.free.pop() {
             Some(i) => {
                 self.slots[i] = Some(slot);
@@ -154,9 +157,10 @@ impl SharedFabricEngine {
     }
 
     /// Retire a departing job: its component mates lose a contender (they
-    /// re-rate next window), its flows leave the engine.
+    /// re-rate next window) and its slot is freed. Retiring a handle that
+    /// is not resident does nothing.
     pub fn retire(&mut self, handle: usize) {
-        let slot = self.slots[handle].take().expect("retire of a live slot");
+        let Some(slot) = self.slots[handle].take() else { return };
         if slot.component != u32::MAX {
             for s in self.slots.iter_mut().flatten() {
                 if s.component == slot.component {
@@ -164,22 +168,21 @@ impl SharedFabricEngine {
                 }
             }
         }
-        self.engine.remove_flows(&slot.flow_ids);
         self.free.push(handle);
     }
 
     /// Simulate one event window: partition residents into job-level
     /// components over shared links, propagate dirtiness within each
-    /// component, restart and re-rate exactly the dirty components'
-    /// flows, and refresh their cached round times. Untouched components
-    /// cost nothing — not even a restarted arrival event.
+    /// component, simulate each dirty component on a fresh engine (fanned
+    /// out over rayon, merged in component order), and refresh their
+    /// cached round times. Untouched components cost nothing.
     pub fn run_window(&mut self) {
         // Job-level union-find over each slot's distinct link list,
         // epoch-stamped so the link→slot map never refills.
         let n = self.slots.len();
         self.epoch += 1;
         let epoch = self.epoch;
-        let links_total = self.engine.link_count();
+        let links_total = self.fabric.link_count();
         if self.link_stamp.len() < links_total {
             self.link_stamp.resize(links_total, 0);
             self.link_slot.resize(links_total, 0);
@@ -210,68 +213,98 @@ impl SharedFabricEngine {
                 }
             }
         }
-        // Dense component ids in ascending first-member order, then
-        // propagate dirtiness to whole components.
+        // Dense component ids in ascending first-member order. Each
+        // component lists its members as (admission, slot) pairs; it is
+        // dirty when any member is.
         let mut component_of_root: Vec<u32> = vec![u32::MAX; n];
+        let mut members: Vec<Vec<(u64, usize)>> = Vec::new();
         let mut comp_dirty: Vec<bool> = Vec::new();
-        let mut total_jobs = 0usize;
-        for i in 0..n {
-            let Some(slot) = &self.slots[i] else { continue };
-            total_jobs += 1;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(slot) = slot else { continue };
             let root = find(uf, dense_u32(i)) as usize;
             if component_of_root[root] == u32::MAX {
-                component_of_root[root] = dense_u32(comp_dirty.len());
+                component_of_root[root] = dense_u32(members.len());
+                members.push(Vec::new());
                 comp_dirty.push(false);
             }
             let cid = component_of_root[root];
-            comp_dirty[cid as usize] = comp_dirty[cid as usize] || slot.dirty;
-            let slot = self.slots[i].as_mut().expect("checked above");
+            members[cid as usize].push((slot.admitted, i));
+            comp_dirty[cid as usize] |= slot.dirty;
             slot.component = cid;
         }
-        // Collect the dirty components' flows, ascending (admission order),
-        // reproducing a fresh engine's flow ordering per component.
-        let mut dirty_flows: Vec<FlowId> = Vec::new();
-        let mut dirty_jobs = 0usize;
-        for slot in self.slots.iter_mut().flatten() {
-            if comp_dirty[slot.component as usize] {
-                slot.dirty = true;
-                dirty_jobs += 1;
-                dirty_flows.extend(slot.flow_ids.iter().copied());
-            }
+        let total_jobs: usize = members.iter().map(Vec::len).sum();
+        // The dirty components, members in admission order: a fresh
+        // engine's flow order.
+        let mut dirty: Vec<Vec<(u64, usize)>> =
+            members.into_iter().zip(comp_dirty).filter_map(|(m, d)| d.then_some(m)).collect();
+        for m in &mut dirty {
+            m.sort_unstable();
         }
+        let slots = &self.slots;
+        let components: Vec<Vec<&[FlowSpec]>> = dirty
+            .iter()
+            .map(|m| {
+                m.iter().filter_map(|&(_, i)| slots[i].as_ref()).map(|s| &s.flows[..]).collect()
+            })
+            .collect();
+        let dirty_jobs: usize = dirty.iter().map(Vec::len).sum();
+        let dirty_flows: usize = components.iter().flatten().map(|flows| flows.len()).sum();
         self.windows.windows += 1;
         self.windows.jobs_rerated += dirty_jobs;
         self.windows.jobs_reused += total_jobs - dirty_jobs;
-        if dirty_jobs < total_jobs || dirty_flows.is_empty() {
+        if dirty_jobs < total_jobs || dirty_flows == 0 {
             self.windows.windows_incremental += 1;
         } else {
             self.windows.windows_rebuilt += 1;
         }
-        if dirty_flows.is_empty() && self.pending_faults.is_empty() {
+        if dirty_flows == 0 {
             return; // the whole window served from cache
         }
-        dirty_flows.sort_unstable();
-        self.engine.restart_flows(&dirty_flows);
-        // Faults enter through the queue at the window origin. Restarted
-        // arrivals carry lower sequence numbers, so the t=0 batch orders
-        // arrivals before faults, and the batch re-rates once: every flow
-        // starts on the degraded fabric, as on a fresh engine carrying the
-        // same fault history.
-        for fault in std::mem::take(&mut self.pending_faults) {
-            self.engine.schedule_fault(0.0, fault);
-        }
-        self.engine.run();
-        for slot in self.slots.iter_mut().flatten() {
-            if !slot.dirty {
-                continue;
+        let runs: Vec<(Vec<f64>, EngineStats)> =
+            components.par_iter().map(|jobs| self.simulate(jobs)).collect();
+        for (m, (comms, stats)) in dirty.iter().zip(runs) {
+            for (&(_, i), comm) in m.iter().zip(comms) {
+                if let Some(slot) = self.slots[i].as_mut() {
+                    slot.comm_s = comm;
+                    slot.dirty = false;
+                }
             }
-            let mut comm = f64::NEG_INFINITY;
-            for &f in &slot.flow_ids {
-                comm = comm.max(self.engine.completion_s(f));
-            }
-            slot.comm_s = comm;
-            slot.dirty = false;
+            self.engine.absorb(&stats);
         }
+    }
+
+    /// Simulate `jobs` together for one round on a fresh engine whose
+    /// capacities are read back from the fabric (post-fault effective
+    /// values) but restricted to the jobs' own path links, with the
+    /// fabric's straggler factors inherited and flows added in the order
+    /// given. Rates depend only on span links, so this is bit-identical to
+    /// the same round on the full fabric without paying a full-fabric
+    /// build. Returns each job's last completion (−∞ for a job without
+    /// flows) and the run's counters.
+    fn simulate(&self, jobs: &[&[FlowSpec]]) -> (Vec<f64>, EngineStats) {
+        let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
+        for f in jobs.iter().copied().flatten() {
+            for w in f.path.windows(2) {
+                let key = (w[0], w[1]);
+                caps.entry(key).or_insert_with(|| self.fabric.capacity_of(key));
+            }
+        }
+        let mut engine = FluidEngine::from_capacities(caps, self.per_hop_latency_s);
+        engine.set_straggler_factors(self.fabric.straggler_factors().clone());
+        for f in jobs.iter().copied().flatten() {
+            engine.add_flow(f.clone());
+        }
+        engine.run();
+        let mut next = 0;
+        let comms = jobs
+            .iter()
+            .map(|flows| {
+                let ids = next..next + flows.len();
+                next = ids.end;
+                ids.map(|id| engine.completion_s(id)).fold(f64::NEG_INFINITY, f64::max)
+            })
+            .collect();
+        (comms, engine.stats())
     }
 
     /// Round time of a resident job: compute plus its cached communication
@@ -281,50 +314,31 @@ impl SharedFabricEngine {
     }
 
     /// Round time measured from `arrival_s` inside the window (static
-    /// shared rounds stagger jobs; the dynamic loop always passes 0).
+    /// shared rounds stagger jobs; the dynamic loop always passes 0). A
+    /// handle that is not resident never finishes a round: +∞.
     pub fn round_total_from(&self, handle: usize, arrival_s: f64) -> f64 {
-        let slot = self.slots[handle].as_ref().expect("round time of a live slot");
+        let Some(slot) = &self.slots[handle] else { return f64::INFINITY };
         slot.compute_s + (slot.comm_s - arrival_s).max(0.0)
     }
 
     /// Round time the job would see alone on the fabric — the admission
-    /// feasibility probe. Simulated on a throwaway engine whose capacities
-    /// are read back from the persistent arena but restricted to the
-    /// job's own links: rates depend only on span links, so this is
-    /// bit-identical to a solo round on the full fabric without paying a
-    /// full-fabric rebuild per admission.
+    /// feasibility probe, simulated the way a dirty component is.
     pub fn solo_total_s(&self, flows: &[FlowSpec], compute_s: f64) -> f64 {
-        let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
-        for f in flows {
-            for w in f.path.windows(2) {
-                let key = (w[0], w[1]);
-                caps.entry(key).or_insert_with(|| self.engine.capacity_of(key));
-            }
-        }
-        let mut probe = FluidEngine::from_capacities(caps, self.per_hop_latency_s);
-        // Capacities read back above are post-fault effective values; the
-        // probe also inherits straggler factors so a degraded fabric prices
-        // admissions at what the job would really get.
-        probe.set_straggler_factors(self.engine.straggler_factors().clone());
-        for f in flows {
-            probe.add_flow(f.clone());
-        }
-        probe.run();
-        let mut comm = 0.0f64;
-        for id in 0..flows.len() {
-            comm = comm.max(probe.completion_s(id));
-        }
-        compute_s + comm.max(0.0)
+        let (comms, _) = self.simulate(&[flows]);
+        compute_s + comms[0].max(0.0)
     }
 
-    /// Cumulative engine counters (events, waterfills, …) across windows.
+    /// Cumulative engine counters (events, waterfills, …) across windows,
+    /// fault events included.
     pub fn engine_stats(&self) -> EngineStats {
-        self.engine.stats()
+        let mut stats = self.engine;
+        stats.absorb(&self.fabric.stats());
+        stats
     }
 
     /// Combined window + engine counters for the run so far.
     pub fn stats(&self) -> DynamicEngineStats {
-        let e = self.engine.stats();
+        let e = self.engine_stats();
         DynamicEngineStats {
             events: e.events,
             waterfills: e.waterfills,
@@ -338,6 +352,7 @@ impl SharedFabricEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::FlowId;
     use crate::flows::{allreduce_flows, AllReducePlan};
     use proptest::prelude::*;
     use topoopt_graph::{topologies, Graph};
@@ -492,5 +507,30 @@ mod tests {
             (3, 0, 0, 0.0, 0.0),
         ];
         check_seam(shared_ring(8, 60.0e9), 8, &trace);
+    }
+
+    #[test]
+    fn no_flow_outlives_its_job_under_long_churn() {
+        // 10^4 admit → window → retire cycles at a residency of at most 4:
+        // the four resident jobs sit on disjoint servers of an ideal switch,
+        // so each window re-rates only the newcomer, freed slots are reused,
+        // and the fabric engine never holds a flow.
+        let total = 16;
+        let net = SimNetwork::without_rules(topologies::ideal_switch(total, 100.0e9), total);
+        let mut sim = SharedFabricEngine::new(&net);
+        let mut residents = std::collections::VecDeque::new();
+        let cycles = 10_000;
+        for k in 0..cycles {
+            let servers: Vec<usize> = (0..4).map(|j| 4 * (k % 4) + j).collect();
+            let flows = allreduce_flows(&net, &AllReducePlan::natural_ring(servers, 1.0e6));
+            residents.push_back(sim.admit(flows, 0.0));
+            sim.run_window();
+            if residents.len() == 4 {
+                sim.retire(residents.pop_front().expect("four residents"));
+            }
+            assert!(sim.slots.len() <= 4, "slot vector outgrew the peak residency");
+        }
+        assert!(sim.fabric.result().completion_s.is_empty(), "the fabric engine holds flows");
+        assert_eq!(sim.stats().jobs_rerated, cycles, "a window re-rated more than the newcomer");
     }
 }

@@ -1,11 +1,17 @@
 //! Equivalence of the incremental event-driven engine and the from-scratch
 //! reference loop: random flow sets on random graphs must produce the same
-//! completion times, byte accounting, and makespan.
+//! completion times, byte accounting, and makespan. The shared fabric's
+//! per-component fan-out must not depend on the thread count.
 
 use proptest::prelude::*;
-use topoopt_graph::Graph;
+use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
-use topoopt_netsim::FluidEngine;
+use topoopt_netsim::{
+    allreduce_flows, simulate_dynamic_cluster, simulate_shared_cluster_stats, AllReducePlan,
+    DynamicClusterParams, DynamicFabric, DynamicJobSpec, FluidEngine, JobSpec, MigrationMode,
+    SharedEngineMode, SimNetwork,
+};
+use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
 /// Mixed absolute/relative closeness at the 1e-9 level (the two simulators
 /// settle float progress in different orders).
@@ -111,9 +117,8 @@ proptest! {
 
 proptest! {
     // Random *sharded* workloads: several disjoint rings, each with its own
-    // random flow mix (neighbour flows, chords, staggered arrivals). A fresh
-    // engine splits this into one event-loop shard per ring, so this drives
-    // the sharded `run()` path against the from-scratch oracle.
+    // random flow mix (neighbour flows, chords, staggered arrivals), so
+    // event batches touch several disjoint components at once.
     #[test]
     fn flat_engine_matches_reference_on_random_sharded_workloads(
         rings in 2usize..6,
@@ -143,9 +148,9 @@ proptest! {
     }
 
     // Random *fully-coupled* workloads: every flow crosses one shared hub
-    // link, so the whole flow set is a single connected component, the
-    // engine cannot shard, and every event re-rates everything — the
-    // worst case for incremental recomputation must still match the oracle.
+    // link, so the whole flow set is a single connected component and
+    // every event re-rates everything — the worst case for incremental
+    // recomputation must still match the oracle.
     #[test]
     fn flat_engine_matches_reference_on_fully_coupled_workloads(
         n in 3usize..8,
@@ -174,11 +179,8 @@ proptest! {
 
 #[test]
 fn sharded_event_loops_are_deterministic_across_thread_counts() {
-    // The sharded `run()` path: a fresh engine over disjoint rings (with
-    // staggered arrivals inside each ring, so every shard runs a real
-    // multi-event loop) must be byte-identical between a serial run
-    // (RAYON_NUM_THREADS=1) and the default parallel one. Its bit-equality
-    // with the single-heap loop is a unit test in `src/engine.rs`.
+    // Disjoint rings with staggered arrivals inside each ring, so every
+    // component sees a real multi-event sequence inside the one loop.
     let rings = 12usize;
     let size = 6usize;
     let mut g = Graph::new(rings * size);
@@ -195,16 +197,6 @@ fn sharded_event_loops_are_deterministic_across_thread_counts() {
             flows.push(f);
         }
     }
-    // See the env-mutation note in
-    // parallel_component_waterfilling_is_deterministic_across_thread_counts.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = simulate_flows(&g, &flows, 1.0e-4);
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = simulate_flows(&g, &flows, 1.0e-4);
-    assert_eq!(serial.completion_s, parallel.completion_s);
-    assert_eq!(serial.makespan_s, parallel.makespan_s);
-    assert_eq!(serial.carried_bytes, parallel.carried_bytes);
-    assert_eq!(serial.link_bytes, parallel.link_bytes);
     assert_equivalent(&g, &flows, 1.0e-4);
 }
 
@@ -256,10 +248,8 @@ fn reconfig_pauses_and_resumes_consistently() {
 #[test]
 fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
     // A t = 0 arrival wave across 24 disjoint rings (each with all
-    // intra-ring neighbour+chord flows) exceeds the engine's parallel
-    // fan-out threshold; a serial run (RAYON_NUM_THREADS=1) and a parallel
-    // run must produce byte-identical results, since per-component rates
-    // are collected in component order and applied sequentially.
+    // intra-ring neighbour+chord flows): one event batch re-rates 24
+    // components, which must still agree with the from-scratch oracle.
     let rings = 24usize;
     let size = 6usize;
     let mut g = Graph::new(rings * size);
@@ -280,19 +270,6 @@ fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
             ));
         }
     }
-    // Env mutation is safe here: reads go through std::env (internally
-    // serialized; no C-level getenv in this process), and a concurrently
-    // running test that transiently sees the capped value only loses
-    // parallelism, never determinism — the property this test asserts.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = simulate_flows(&g, &flows, 1.0e-4);
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = simulate_flows(&g, &flows, 1.0e-4);
-    assert_eq!(serial.completion_s, parallel.completion_s);
-    assert_eq!(serial.makespan_s, parallel.makespan_s);
-    assert_eq!(serial.carried_bytes, parallel.carried_bytes);
-    assert_eq!(serial.link_bytes, parallel.link_bytes);
-    // And both agree with the from-scratch oracle.
     assert_equivalent(&g, &flows, 1.0e-4);
 }
 
@@ -330,54 +307,88 @@ fn incremental_engine_does_less_work_on_disjoint_shards() {
     assert_equivalent(&g, &engine_flows, 0.0);
 }
 
-/// Disjoint rings with staggered early flows plus a wave of late arrivals:
-/// the fixture for the mid-run sharding test below.
-fn mid_run_workload() -> (Graph, Vec<FlowSpec>, Vec<FlowSpec>) {
-    let rings = 10usize;
-    let size = 5usize;
-    let mut g = Graph::new(rings * size);
-    let mut early = Vec::new();
-    let mut late = Vec::new();
-    for r in 0..rings {
-        let base = r * size;
-        for i in 0..size {
-            g.add_edge(base + i, base + (i + 1) % size, 100.0);
-            let mut f = FlowSpec::new(
-                vec![base + i, base + (i + 1) % size, base + (i + 2) % size],
-                35.0 * (1.0 + ((r * 11 + i) % 8) as f64),
-            );
-            f.start_s = 0.2 * ((r + 2 * i) % 4) as f64;
-            early.push(f);
-            let mut f = FlowSpec::new(
-                vec![base + i, base + (i + 1) % size],
-                20.0 * (1.0 + ((r * 3 + i) % 5) as f64),
-            );
-            f.start_s = 2.0 + 0.1 * ((r + i) % 3) as f64;
-            late.push(f);
-        }
+/// A ring-allreduce job of `n` servers for the dynamic cluster.
+fn ring_job(i: usize, n: usize, bytes: f64, arrival_s: f64, iterations: usize) -> DynamicJobSpec {
+    DynamicJobSpec {
+        name: format!("d{i}"),
+        servers: n,
+        demands: TrafficDemands {
+            num_servers: n,
+            allreduce_groups: vec![AllReduceGroup { members: (0..n).collect(), bytes }],
+            mp: TrafficMatrix::new(n),
+            samples_per_server: 1.0,
+        },
+        plans: vec![AllReducePlan::natural_ring((0..n).collect(), bytes)],
+        topology: None,
+        compute_s: 0.01,
+        arrival_s,
+        iterations,
     }
-    (g, early, late)
 }
 
 #[test]
-fn mid_run_sharding_is_deterministic_across_thread_counts() {
-    // The transplanted shards run on rayon threads; a serial run
-    // (RAYON_NUM_THREADS=1) and the default parallel one must be
-    // byte-identical. See the env-mutation note in
-    // parallel_component_waterfilling_is_deterministic_across_thread_counts.
-    let (g, early, late) = mid_run_workload();
-    let run_once = || {
-        let mut e = FluidEngine::new(&g, 1.0e-4);
-        let mut ids: Vec<_> = early.iter().map(|f| e.add_flow(f.clone())).collect();
-        e.run_until(1.0);
-        ids.extend(late.iter().map(|f| e.add_flow(f.clone())));
-        e.run();
-        let done: Vec<u64> = ids.iter().map(|&id| e.completion_s(id).to_bits()).collect();
-        (done, e.carried_bytes().to_bits())
+fn shared_fabric_fan_out_is_deterministic_across_thread_counts() {
+    // A shared-fabric window simulates each dirty job-level component on
+    // an engine of its own, fanned out over rayon and merged in component
+    // order, so one thread and two must agree to the bit: round times,
+    // `EngineStats` and `DynamicEngineStats` (the Debug rendering prints
+    // every f64 in its shortest round-trip form, so equal strings mean
+    // equal bits).
+    //
+    // Env mutation is safe here: reads go through std::env (internally
+    // serialized; no C-level getenv in this process), and a concurrently
+    // running test that transiently sees the capped value only loses
+    // parallelism, never determinism — the property this test asserts.
+    let (jobs, servers) = (12usize, 4usize);
+    let total = jobs * servers;
+    let mut net = SimNetwork::without_rules(topologies::ideal_switch(total, 100.0e9), total);
+    net.per_hop_latency_s = 1.0e-6;
+    // Twelve server-disjoint jobs: one window, twelve components.
+    let round: Vec<JobSpec> = (0..jobs)
+        .map(|j| {
+            let members: Vec<usize> = (j * servers..(j + 1) * servers).collect();
+            let bytes = 1.0e8 * (1 + j % 5) as f64;
+            let flows = allreduce_flows(&net, &AllReducePlan::natural_ring(members, bytes));
+            JobSpec::new(format!("j{j}"), flows, 0.01).with_arrival(0.001 * (j % 3) as f64)
+        })
+        .collect();
+    // A two-level tree: four leaf switches (nodes 16..20) of four servers
+    // under one root (node 20). Jobs straddling leaves share uplinks, which
+    // chains them into multi-job components.
+    let mut tree = Graph::new(21);
+    for s in 0..16 {
+        tree.add_edge(s, 16 + s / 4, 100.0e9);
+        tree.add_edge(16 + s / 4, s, 100.0e9);
+    }
+    for leaf in 16..20 {
+        tree.add_edge(leaf, 20, 100.0e9);
+        tree.add_edge(20, leaf, 100.0e9);
+    }
+    // Servers are granted lowest-first, so jobs 1, 2 and 3 straddle leaves
+    // 0–1, 1–2 and 2–3; job 2 departs first and splits their component.
+    let trace: Vec<DynamicJobSpec> = (0..10)
+        .map(|i| {
+            let (servers, iterations) = [(3, 6), (2, 6), (4, 1), (4, 6), (3, 6)][i % 5];
+            ring_job(i, servers, 5.0e8 * (1 + i % 3) as f64, 0.02 * i as f64, iterations)
+        })
+        .collect();
+    let params = DynamicClusterParams {
+        total_servers: 16,
+        fabric: DynamicFabric::Shared(tree),
+        provisioning_time_s: 0.0,
+        per_hop_latency_s: 1.0e-6,
+        migration: MigrationMode::Atomic,
+        shared_engine: SharedEngineMode::Persistent,
+        window_cap: None,
+        faults: vec![],
     };
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_once();
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = run_once();
-    assert_eq!(serial, parallel, "mid-run sharding must not depend on thread count");
+    let run = |threads: &str| {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        let (result, stats) = simulate_shared_cluster_stats(&net, &round);
+        let dynamic = simulate_dynamic_cluster(&trace, &params);
+        std::env::remove_var("RAYON_NUM_THREADS");
+        assert!(dynamic.jobs.iter().all(|o| o.completed), "{dynamic:?}");
+        format!("{result:?}\n{stats:?}\n{dynamic:?}")
+    };
+    assert_eq!(run("1"), run("2"));
 }
