@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 /// The PR-5 *fix*: collect, sort, then sum — order pinned.
-pub fn sum_link_bytes(link_bytes: &HashMap<(usize, usize), f64>) -> f64 {
+pub fn sorted_sum(link_bytes: &HashMap<(usize, usize), f64>) -> f64 {
     let mut entries: Vec<((usize, usize), f64)> =
         link_bytes.iter().map(|(k, v)| (*k, *v)).collect();
     entries.sort_by_key(|(k, _)| *k);

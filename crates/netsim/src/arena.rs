@@ -99,19 +99,6 @@ impl LinkArena {
         self.caps[id as usize]
     }
 
-    /// Overwrite one link's capacity (fabric reconfiguration).
-    pub fn set_cap(&mut self, id: LinkId, cap: f64) {
-        self.caps[id as usize] = cap;
-    }
-
-    /// Zero every capacity (links absent from a reconfigured fabric carry
-    /// nothing, matching the map-keyed `unwrap_or(0.0)` semantics).
-    pub fn zero_caps(&mut self) {
-        for c in &mut self.caps {
-            *c = 0.0;
-        }
-    }
-
     /// Id of an already-interned link.
     pub fn lookup(&self, key: LinkKey) -> Option<LinkId> {
         self.index.get(&key).copied()

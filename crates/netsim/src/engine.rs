@@ -1,19 +1,21 @@
 //! Event-driven incremental fluid engine on flat index-based storage.
 //!
-//! The engine advances the simulation from event to event over an explicit
-//! priority queue of four event kinds:
+//! The engine is a max-min simulator over link capacities and per-server
+//! straggler factors that are fixed when it is built. It advances from
+//! event to event over an explicit priority queue of two event kinds:
 //!
 //! * **flow arrival** — a flow's `start_s` is reached and it joins the
 //!   active set;
 //! * **flow completion** — a flow's predicted finish time fires (stale
-//!   predictions are lazily invalidated by a per-flow version counter);
-//! * **fabric reconfiguration** — the link capacities are swapped at a
-//!   scheduled instant (OCS/patch-panel rewiring between jobs);
-//! * **fault** — a [`FaultEvent`]: a link/transceiver dies or recovers, an
-//!   OCS port takes every matched link on it down, or a server straggles
-//!   (its egress flows are rate-scaled). Flows crossing a dead link stall
-//!   at rate 0 — they are *not* dropped, and resume if the link recovers
-//!   before the run drains.
+//!   predictions are lazily invalidated by a per-flow version counter).
+//!
+//! The fabric changes only between simulated rounds: the OCS-reconfig
+//! baseline builds an engine per window ([`crate::reconfig`]), and the
+//! shared fabric builds one per dirty component from the health state
+//! faults leave behind (`shared_engine`). A flow crossing a zero-capacity
+//! link stalls at rate 0 — it is *not* dropped — and only a run that
+//! drains with it still stalled declares it unroutable (infinite
+//! completion).
 //!
 //! # Flat storage
 //!
@@ -54,10 +56,10 @@
 //! completes, or when [`FluidEngine::run_until`] settles the world at a
 //! window boundary.
 
-use crate::arena::{dense_u32, waterfill_ids_with, LinkArena, LinkId, WaterfillScratch};
+use crate::arena::{waterfill_ids_with, LinkArena, LinkId, WaterfillScratch};
 use crate::fluid::{link_capacities, FlowSpec, FluidResult, LinkKey, COMPLETION_EPS_BYTES};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use topoopt_graph::Graph;
 
 /// Index of a flow inside a [`FluidEngine`], in insertion order. Flows are
@@ -97,38 +99,6 @@ struct EngineFlow {
 enum EventKind {
     Arrival(FlowId),
     Completion { flow: FlowId, version: u64 },
-    Reconfigure(usize),
-    Fault(usize),
-}
-
-/// A fabric fault (or recovery) injected into the event queue via
-/// [`FluidEngine::schedule_fault`]. Link keys are directed `(src, dst)`
-/// pairs; an OCS port is identified by the server whose interface is
-/// matched through it, so a port failure kills every directed link
-/// incident to that server. Failures stack: a link taken down twice (say,
-/// by a transceiver fault *and* its OCS port) needs both recoveries before
-/// it carries traffic again, and a reconfiguration cannot revive a link
-/// whose transceiver is still dead. Stragglers scale the egress rate of
-/// every flow sourced at the server: an `egress_factor` below 1.0 caps the
-/// flow at that fraction of its path bottleneck capacity (composed with
-/// the flow's relay factor); a factor of 1.0 (or more) marks the server
-/// healthy again.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// A link (transceiver) fails: capacity drops to zero, flows on it
-    /// stall at rate 0 until recovery.
-    LinkDown(LinkKey),
-    /// The matching link recovery: the link returns at the capacity it
-    /// would otherwise have (current fabric capacity, not a snapshot).
-    LinkUp(LinkKey),
-    /// An OCS port fails: every directed link incident to the server wired
-    /// through that port goes down.
-    OcsPortDown(usize),
-    /// The matching port recovery.
-    OcsPortUp(usize),
-    /// A server straggles: flows sourced there are capped at
-    /// `egress_factor` × their path bottleneck capacity. 1.0 = healthy.
-    Straggler { server: usize, egress_factor: f64 },
 }
 
 #[derive(Debug, Clone)]
@@ -169,10 +139,6 @@ pub struct EngineStats {
     pub flows_rerated: usize,
     /// Largest connected component ever re-waterfilled at once.
     pub max_component: usize,
-    /// Fabric reconfigurations applied.
-    pub reconfigurations: usize,
-    /// Fault/recovery events applied.
-    pub faults: usize,
 }
 
 impl EngineStats {
@@ -184,8 +150,6 @@ impl EngineStats {
         self.waterfills += other.waterfills;
         self.flows_rerated += other.flows_rerated;
         self.max_component = self.max_component.max(other.max_component);
-        self.reconfigurations += other.reconfigurations;
-        self.faults += other.faults;
     }
 }
 
@@ -207,18 +171,7 @@ pub struct FluidEngine {
     events: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
     now_s: f64,
-    /// Scheduled capacity swaps, interned at schedule time.
-    pending_reconfigs: Vec<Vec<(LinkId, f64)>>,
-    /// Scheduled fault events, link keys interned at schedule time.
-    pending_faults: Vec<FaultEvent>,
     stats: EngineStats,
-    /// Per-link failure count, indexed by `LinkId`: a link is dead while
-    /// its count is positive (overlapping link- and port-level faults
-    /// stack, so recoveries pair with their failures).
-    down: Vec<u32>,
-    /// The capacity each link would have if healthy, indexed by `LinkId`;
-    /// the arena always holds the *effective* capacity (0 while down).
-    healthy_caps: Vec<f64>,
     /// Per-server egress scale factors for straggling servers; only
     /// entries below 1.0 are stored, so an empty map is the healthy fast
     /// path (and `x * 1.0 == x` bitwise keeps factor composition exact).
@@ -246,7 +199,6 @@ impl FluidEngine {
     pub fn from_capacities(capacity: BTreeMap<LinkKey, f64>, per_hop_latency_s: f64) -> Self {
         let links = LinkArena::from_sorted_capacities(capacity);
         let n = links.len();
-        let healthy_caps: Vec<f64> = (0..n).map(|i| links.cap(dense_u32(i))).collect();
         FluidEngine {
             links,
             per_hop_latency_s,
@@ -257,17 +209,22 @@ impl FluidEngine {
             events: BinaryHeap::new(),
             next_seq: 0,
             now_s: 0.0,
-            pending_reconfigs: Vec::new(),
-            pending_faults: Vec::new(),
             stats: EngineStats::default(),
-            down: vec![0; n],
-            healthy_caps,
             stragglers: BTreeMap::new(),
             flow_mark: Vec::new(),
             link_mark: vec![0; n],
             epoch: 0,
             wf_scratch: WaterfillScratch::default(),
         }
+    }
+
+    /// The same engine with every flow sourced at a listed server capped at
+    /// that server's egress factor × the flow's path bottleneck capacity
+    /// (composed with its relay factor). The shared fabric passes the
+    /// straggler factors its health state holds, all below 1.0.
+    pub(crate) fn with_straggler_factors(mut self, factors: BTreeMap<usize, f64>) -> Self {
+        self.stragglers = factors;
+        self
     }
 
     /// Current simulation clock.
@@ -280,31 +237,18 @@ impl FluidEngine {
         self.stats
     }
 
-    /// Number of distinct directed links interned so far (fabric links plus
-    /// any virtual links appearing only on flow paths).
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Intern a link id, growing every `LinkId`-indexed side array in step
-    /// with the arena.
-    pub(crate) fn intern_link(&mut self, key: LinkKey) -> LinkId {
+    /// Intern a link id (a path link absent from the fabric starts at
+    /// capacity 0), growing every `LinkId`-indexed side array in step with
+    /// the arena.
+    fn intern_link(&mut self, key: LinkKey) -> LinkId {
         let id = self.links.intern(key);
         let n = self.links.len();
         if n > self.link_bytes.len() {
             self.link_bytes.resize(n, 0.0);
             self.active_on_link.resize_with(n, Vec::new);
             self.link_mark.resize(n, 0);
-            self.down.resize(n, 0);
-            self.healthy_caps.resize(n, 0.0); // fresh interns start at cap 0
         }
         id
-    }
-
-    /// Current capacity of a directed link, 0.0 when the pair was never
-    /// interned (links absent from the fabric carry nothing).
-    pub(crate) fn capacity_of(&self, key: LinkKey) -> f64 {
-        self.links.lookup(key).map(|id| self.links.cap(id)).unwrap_or(0.0)
     }
 
     /// Add a flow; its arrival event fires at `spec.start_s` (clamped to the
@@ -343,152 +287,6 @@ impl FluidEngine {
         id
     }
 
-    /// Schedule a fabric reconfiguration: at `time_s` the link capacities
-    /// are replaced by `graph`'s and every active flow is re-rated.
-    pub fn schedule_reconfig(&mut self, time_s: f64, graph: &Graph) {
-        self.schedule_reconfig_capacities(time_s, link_capacities(graph));
-    }
-
-    /// [`Self::schedule_reconfig`] with an explicit capacity map. Keys are
-    /// interned immediately, so the swap itself is a flat pass at event
-    /// time.
-    pub fn schedule_reconfig_capacities(&mut self, time_s: f64, capacity: BTreeMap<LinkKey, f64>) {
-        let entries: Vec<(LinkId, f64)> =
-            capacity.into_iter().map(|(key, cap)| (self.intern_link(key), cap)).collect();
-        let idx = self.pending_reconfigs.len();
-        self.pending_reconfigs.push(entries);
-        let t = time_s.max(self.now_s);
-        self.push_event(t, EventKind::Reconfigure(idx));
-    }
-
-    /// Schedule a [`FaultEvent`] at `time_s` (clamped to the current
-    /// clock). The fault enters through the ordinary event queue: when it
-    /// fires, exactly the flows whose effective rates it can change are
-    /// re-rated. Flows stalled on a dead link stay active at rate 0 — a
-    /// later recovery revives them; only a run that drains with the link
-    /// still down declares them unroutable (infinite completion).
-    pub fn schedule_fault(&mut self, time_s: f64, fault: FaultEvent) {
-        if let FaultEvent::LinkDown(key) | FaultEvent::LinkUp(key) = fault {
-            self.intern_link(key);
-        }
-        let idx = self.pending_faults.len();
-        self.pending_faults.push(fault);
-        let t = time_s.max(self.now_s);
-        self.push_event(t, EventKind::Fault(idx));
-    }
-
-    /// Mutate the health state for one fault, pushing every active flow
-    /// whose effective rate can change into `seeds`.
-    fn apply_fault_state(&mut self, fault: FaultEvent, seeds: &mut Vec<FlowId>) {
-        match fault {
-            FaultEvent::LinkDown(key) => {
-                let lid = self.intern_link(key);
-                self.fail_link(lid, seeds);
-            }
-            FaultEvent::LinkUp(key) => {
-                let lid = self.intern_link(key);
-                self.recover_link(lid, seeds);
-            }
-            FaultEvent::OcsPortDown(server) => {
-                for lid in self.port_links(server) {
-                    self.fail_link(lid, seeds);
-                }
-            }
-            FaultEvent::OcsPortUp(server) => {
-                for lid in self.port_links(server) {
-                    self.recover_link(lid, seeds);
-                }
-            }
-            FaultEvent::Straggler { server, egress_factor } => {
-                if egress_factor >= 1.0 {
-                    self.stragglers.remove(&server);
-                } else {
-                    self.stragglers.insert(server, egress_factor.max(0.0));
-                }
-                for (id, flow) in self.flows.iter().enumerate() {
-                    if flow.state == FlowState::Active && flow.spec.src == server {
-                        seeds.push(id);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One more failure on a link; the first takes its capacity to zero.
-    /// Seeding is skipped when the healthy capacity is already zero (a
-    /// virtual path link): the effective capacity does not change, so
-    /// which zero-capacity links happen to be interned cannot influence
-    /// the recomputation.
-    fn fail_link(&mut self, lid: LinkId, seeds: &mut Vec<FlowId>) {
-        let l = lid as usize;
-        self.down[l] += 1;
-        if self.down[l] == 1 {
-            self.links.set_cap(lid, 0.0);
-            if self.healthy_caps[l] != 0.0 {
-                seeds.extend(self.active_on_link[l].iter().copied());
-            }
-        }
-    }
-
-    /// One failure recovered; the last restores the healthy capacity.
-    /// Recoveries without a matching failure are ignored.
-    fn recover_link(&mut self, lid: LinkId, seeds: &mut Vec<FlowId>) {
-        let l = lid as usize;
-        if self.down[l] == 0 {
-            return; // spurious recovery
-        }
-        self.down[l] -= 1;
-        if self.down[l] == 0 {
-            let cap = self.healthy_caps[l];
-            self.links.set_cap(lid, cap);
-            if cap != 0.0 {
-                seeds.extend(self.active_on_link[l].iter().copied());
-            }
-        }
-    }
-
-    /// Every interned directed link incident to `server`, in ascending
-    /// `LinkKey` order (the determinism contract: the same fault applies
-    /// its per-link updates in the same order on every engine).
-    fn port_links(&self, server: usize) -> Vec<LinkId> {
-        self.links
-            .ids_by_key()
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let (src, dst) = self.links.key(id);
-                src == server || dst == server
-            })
-            .collect()
-    }
-
-    /// The current per-server straggler factors (empty = all healthy).
-    pub(crate) fn straggler_factors(&self) -> &BTreeMap<usize, f64> {
-        &self.stragglers
-    }
-
-    /// Inherit straggler factors from another engine: the shared fabric's
-    /// per-component engines and admission probes must rate flows exactly
-    /// as the fabric's health state says.
-    pub(crate) fn set_straggler_factors(&mut self, factors: BTreeMap<usize, f64>) {
-        self.stragglers = factors;
-    }
-
-    /// Ids of the links a fault would touch right now — the dirty set the
-    /// window-level cache uses to decide which residents to re-rate.
-    /// Straggler faults touch no links (they dirty by flow source instead).
-    pub(crate) fn fault_link_ids(&self, fault: &FaultEvent) -> Vec<LinkId> {
-        match *fault {
-            FaultEvent::LinkDown(key) | FaultEvent::LinkUp(key) => {
-                self.links.lookup(key).into_iter().collect()
-            }
-            FaultEvent::OcsPortDown(server) | FaultEvent::OcsPortUp(server) => {
-                self.port_links(server)
-            }
-            FaultEvent::Straggler { .. } => Vec::new(),
-        }
-    }
-
     /// Process every event; flows still active afterwards (zero-rate on a
     /// zero-capacity link) are declared unroutable with infinite completion.
     pub fn run(&mut self) {
@@ -506,8 +304,8 @@ impl FluidEngine {
 
     /// Process events up to and including `t_end`, then settle every active
     /// flow's progress to `t_end` so remaining bytes can be read exactly.
-    /// The engine can continue afterwards (add flows, schedule reconfigs,
-    /// call `run_until` again with a later deadline).
+    /// The engine can continue afterwards (add flows, call `run_until`
+    /// again with a later deadline).
     ///
     /// Events scheduled for the *same instant* are drained as one batch and
     /// followed by a single recomputation pass, so a wave of simultaneous
@@ -521,7 +319,6 @@ impl FluidEngine {
             let batch_time = head.time_s;
             self.now_s = self.now_s.max(batch_time);
             let mut seeds: Vec<FlowId> = Vec::new();
-            let mut reconfigured = false;
             while let Some(Reverse(ev)) = self.events.peek() {
                 if ev.time_s.total_cmp(&batch_time) != Ordering::Equal {
                     break;
@@ -531,9 +328,7 @@ impl FluidEngine {
                 let Reverse(ev) = self.events.pop().expect("peeked event vanished");
                 match ev.kind {
                     EventKind::Arrival(id) => {
-                        if self.flows[id].state != FlowState::Pending {
-                            continue; // flow retired (or restarted) since scheduling
-                        }
+                        debug_assert_eq!(self.flows[id].state, FlowState::Pending);
                         self.stats.events += 1;
                         self.activate(id);
                         seeds.push(id);
@@ -548,29 +343,10 @@ impl FluidEngine {
                         self.settle(flow);
                         seeds.extend(self.finish_now(flow));
                     }
-                    EventKind::Reconfigure(idx) => {
-                        self.stats.events += 1;
-                        self.stats.reconfigurations += 1;
-                        self.apply_reconfig(idx);
-                        reconfigured = true;
-                    }
-                    EventKind::Fault(idx) => {
-                        self.stats.events += 1;
-                        self.stats.faults += 1;
-                        let fault = self.pending_faults[idx];
-                        self.apply_fault_state(fault, &mut seeds);
-                    }
                 }
             }
-            if reconfigured {
-                // New capacities can re-rate every active flow.
-                seeds = (0..self.flows.len())
-                    .filter(|&i| self.flows[i].state == FlowState::Active)
-                    .collect();
-            } else {
-                seeds.sort_unstable();
-                seeds.dedup();
-            }
+            seeds.sort_unstable();
+            seeds.dedup();
             self.recompute_components(&seeds);
         }
         // `>=`, not `>`: when the last processed event lands exactly on
@@ -642,12 +418,13 @@ impl FluidEngine {
         // Only links that actually carried bytes get a map entry, matching
         // the map-keyed engine which created entries on first positive
         // addition.
-        let mut link_bytes: HashMap<LinkKey, f64> = HashMap::new();
-        for (id, &bytes) in self.link_bytes.iter().enumerate() {
-            if bytes > 0.0 {
-                link_bytes.insert(self.links.key(dense_u32(id)), bytes);
-            }
-        }
+        let link_bytes: BTreeMap<LinkKey, f64> = self
+            .links
+            .ids_by_key()
+            .iter()
+            .map(|&id| (self.links.key(id), self.link_bytes[id as usize]))
+            .filter(|&(_, bytes)| bytes > 0.0)
+            .collect();
         let carried = self.carried_bytes();
         let demand: f64 =
             self.flows.iter().map(|f| if f.spec.hops() > 0 { f.spec.bytes } else { 0.0 }).sum();
@@ -665,23 +442,6 @@ impl FluidEngine {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(Reverse(Event { time_s, seq, kind }));
-    }
-
-    /// Swap in a scheduled capacity set: zero everything, then write the
-    /// new fabric's capacities (links absent from it carry nothing). The
-    /// new capacities are the *healthy* ones — a rewiring cannot revive a
-    /// link whose transceiver (or OCS port) is still dead, so links with a
-    /// positive failure count keep an effective capacity of zero.
-    fn apply_reconfig(&mut self, idx: usize) {
-        self.links.zero_caps();
-        for h in &mut self.healthy_caps {
-            *h = 0.0;
-        }
-        for k in 0..self.pending_reconfigs[idx].len() {
-            let (lid, cap) = self.pending_reconfigs[idx][k];
-            self.healthy_caps[lid as usize] = cap;
-            self.links.set_cap(lid, if self.down[lid as usize] > 0 { 0.0 } else { cap });
-        }
     }
 
     /// Reconcile a flow's remaining bytes (and the per-link byte counters)
@@ -853,9 +613,8 @@ impl FluidEngine {
 /// Max-min rates of one component's live flows, aligned with `live`
 /// positions (a pure function of the arena and the flat spans).
 /// Straggler factors compose multiplicatively with each flow's relay
-/// factor; with no stragglers the factors are passed through untouched
-/// (not even a `* 1.0`), so healthy runs stay bit-identical to the
-/// pre-fault engine.
+/// factor; with no stragglers the relay factors are passed through
+/// untouched.
 fn waterfill_live(
     links: &LinkArena,
     flow_links: &[LinkId],
@@ -893,23 +652,6 @@ fn waterfill_live(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl FluidEngine {
-        /// Apply a fault immediately, bypassing the event queue, and re-rate
-        /// the flows it touched. Test support: the fresh-engine reference in
-        /// `shared_engine`'s tests pre-applies the fault history the window
-        /// engine absorbed fault by fault; on an engine with no active flow
-        /// this is pure state, no recomputation.
-        pub(crate) fn apply_fault_now(&mut self, fault: FaultEvent) {
-            let mut seeds: Vec<FlowId> = Vec::new();
-            self.apply_fault_state(fault, &mut seeds);
-            if !seeds.is_empty() {
-                seeds.sort_unstable();
-                seeds.dedup();
-                self.recompute_components(&seeds);
-            }
-        }
-    }
 
     fn ring(n: usize, cap: f64) -> Graph {
         let mut g = Graph::new(n);
@@ -964,37 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfig_event_changes_rates_mid_flow() {
-        // 100 bytes over a 100 bps link; at t = 4 s the link drops to 50
-        // bps: 400 bits sent, 400 left at 50 bps -> completes at 12 s.
-        let g = ring(2, 100.0);
-        let mut slow = Graph::new(2);
-        slow.add_edge(0, 1, 50.0);
-        slow.add_edge(1, 0, 50.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let id = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.schedule_reconfig(4.0, &slow);
-        engine.run();
-        assert!((engine.completion_s(id) - 12.0).abs() < 1e-9);
-        assert_eq!(engine.stats().reconfigurations, 1);
-    }
-
-    #[test]
-    fn reconfig_can_rescue_an_unroutable_flow() {
-        // The 1 -> 0 link does not exist until the reconfiguration at t = 2.
-        let mut g = Graph::new(2);
-        g.add_edge(0, 1, 80.0);
-        let mut full = Graph::new(2);
-        full.add_edge(0, 1, 80.0);
-        full.add_edge(1, 0, 80.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let id = engine.add_flow(FlowSpec::new(vec![1, 0], 10.0)); // 80 bits
-        engine.schedule_reconfig(2.0, &full);
-        engine.run();
-        assert!((engine.completion_s(id) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn run_until_reports_exact_partial_progress() {
         let g = ring(2, 100.0);
         let mut engine = FluidEngine::new(&g, 0.0);
@@ -1026,138 +737,37 @@ mod tests {
     }
 
     #[test]
-    fn link_failure_stalls_and_recovery_revives_a_flow() {
-        // 100 bytes at 100 bps; the link dies at t = 2 (200 bits sent, 75
-        // bytes left) and recovers at t = 5: 75*8/100 = 6 s more -> 11 s.
-        let g = ring(2, 100.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let id = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.schedule_fault(2.0, FaultEvent::LinkDown((0, 1)));
-        engine.schedule_fault(5.0, FaultEvent::LinkUp((0, 1)));
-        engine.run();
-        assert!((engine.completion_s(id) - 11.0).abs() < 1e-9);
-        assert_eq!(engine.stats().faults, 2);
-    }
-
-    #[test]
-    fn flow_on_a_dead_link_is_stalled_not_dropped() {
-        // While the run is in flight the flow stays active at rate 0 with
-        // its remaining bytes intact; only a drained run declares it
-        // unroutable (infinite completion).
-        let g = ring(2, 100.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let id = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.schedule_fault(2.0, FaultEvent::LinkDown((0, 1)));
-        engine.run_until(6.0);
-        assert!(!engine.is_done(id), "a stalled flow must stay in flight");
-        assert!((engine.remaining_bytes(id) - 75.0).abs() < 1e-9);
-        // A recovery scheduled after the checkpoint still rescues it.
-        engine.schedule_fault(7.0, FaultEvent::LinkUp((0, 1)));
-        engine.run();
-        assert!((engine.completion_s(id) - 13.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ocs_port_failure_kills_every_matched_link() {
-        // Port 1 carries both directions of (0, 1) and (1, 2): flows on
-        // either stall, the disjoint (2, 3)... flow 2->3 is unaffected.
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 100.0);
-        g.add_edge(1, 2, 100.0);
-        g.add_edge(2, 3, 100.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let a = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        let b = engine.add_flow(FlowSpec::new(vec![1, 2], 100.0));
-        let c = engine.add_flow(FlowSpec::new(vec![2, 3], 100.0));
-        engine.schedule_fault(2.0, FaultEvent::OcsPortDown(1));
-        engine.schedule_fault(4.0, FaultEvent::OcsPortUp(1));
-        engine.run();
-        // a and b: 2 s at 100 bps, 2 s dark, 6 s to drain the rest.
-        assert!((engine.completion_s(a) - 10.0).abs() < 1e-9);
-        assert!((engine.completion_s(b) - 10.0).abs() < 1e-9);
-        // c never noticed.
-        assert!((engine.completion_s(c) - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlapping_link_and_port_faults_stack() {
-        // The link dies twice (transceiver + port): one recovery is not
-        // enough, the second brings it back.
-        let g = ring(2, 100.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let id = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.schedule_fault(1.0, FaultEvent::LinkDown((0, 1)));
-        engine.schedule_fault(1.0, FaultEvent::OcsPortDown(0));
-        engine.schedule_fault(2.0, FaultEvent::LinkUp((0, 1)));
-        engine.schedule_fault(5.0, FaultEvent::OcsPortUp(0));
-        engine.run();
-        // 1 s at 100 bps (87.5 bytes left), dark until t = 5, 7 s more.
-        assert!((engine.completion_s(id) - 12.0).abs() < 1e-9);
-        assert_eq!(engine.stats().faults, 4);
-    }
-
-    #[test]
-    fn straggler_scales_egress_and_recovery_restores_it() {
-        // At t = 4 server 0 straggles at half speed: 50 bytes left at 50
-        // bps -> 8 s more (12 s total). A second flow *into* the server is
-        // untouched by the egress cap.
-        let g = ring(2, 100.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
+    fn straggler_factors_cap_egress_not_ingress() {
+        // Server 0 straggles at half speed for the whole run: its outbound
+        // flow needs 800 bits at 50 bps (16 s); the flow *into* it keeps
+        // the full 100 bps (8 s).
+        let mut engine = FluidEngine::new(&ring(2, 100.0), 0.0)
+            .with_straggler_factors(BTreeMap::from([(0, 0.5)]));
         let out = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
         let inbound = engine.add_flow(FlowSpec::new(vec![1, 0], 100.0));
-        engine.schedule_fault(4.0, FaultEvent::Straggler { server: 0, egress_factor: 0.5 });
         engine.run();
-        assert!((engine.completion_s(out) - 12.0).abs() < 1e-9);
+        assert!((engine.completion_s(out) - 16.0).abs() < 1e-9);
         assert!((engine.completion_s(inbound) - 8.0).abs() < 1e-9);
-
-        // With a recovery at t = 6 the tail runs at full rate again:
-        // 4 s at 100, 2 s at 50 (37.5 bytes left), 3 s at 100 -> 9 s.
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let out = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.schedule_fault(4.0, FaultEvent::Straggler { server: 0, egress_factor: 0.5 });
-        engine.schedule_fault(6.0, FaultEvent::Straggler { server: 0, egress_factor: 1.0 });
-        engine.run();
-        assert!((engine.completion_s(out) - 9.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reconfig_cannot_revive_a_dead_transceiver() {
-        // The link dies at t = 2; a rewiring at t = 3 doubles its healthy
-        // capacity but the transceiver is still dead, so nothing moves
-        // until the recovery at t = 4 — which restores the *new* capacity.
-        let g = ring(2, 100.0);
-        let mut fat = Graph::new(2);
-        fat.add_edge(0, 1, 200.0);
-        fat.add_edge(1, 0, 200.0);
-        let mut engine = FluidEngine::new(&g, 0.0);
-        let id = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        engine.schedule_fault(2.0, FaultEvent::LinkDown((0, 1)));
-        engine.schedule_reconfig(3.0, &fat);
-        engine.schedule_fault(4.0, FaultEvent::LinkUp((0, 1)));
-        engine.run();
-        // 2 s at 100 bps (75 bytes left), dark 2-4, then 75*8/200 = 3 s.
-        assert!((engine.completion_s(id) - 7.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_capacity_links_never_produce_nan_rates() {
-        // A fabric where every link a flow crosses is dead (explicit zero
-        // capacity or killed by a fault): rates must be exactly 0, with no
-        // NaN/inf leaking out of the water-filler and no division panic.
+        // A flow whose only link has zero capacity stalls at rate 0 with no
+        // NaN/inf leaking out of the water-filler: it stays in flight with
+        // its bytes intact at a checkpoint, and only the drained run
+        // declares it unroutable.
         let mut caps = BTreeMap::new();
         caps.insert((0usize, 1usize), 0.0f64);
         caps.insert((1, 2), 100.0);
         let mut engine = FluidEngine::from_capacities(caps, 0.0);
         let dead = engine.add_flow(FlowSpec::new(vec![0, 1], 10.0));
         let live = engine.add_flow(FlowSpec::new(vec![1, 2], 10.0));
-        engine.schedule_fault(0.5, FaultEvent::LinkDown((1, 2)));
         engine.run_until(1.0);
-        assert!(!engine.is_done(dead));
+        assert!(!engine.is_done(dead), "a stalled flow must stay in flight");
         assert!(engine.remaining_bytes(dead) == 10.0);
-        assert!(engine.remaining_bytes(live).is_finite());
+        assert!((engine.completion_s(live) - 0.8).abs() < 1e-9);
         engine.run();
         assert!(engine.completion_s(dead).is_infinite());
-        assert!(engine.completion_s(live).is_infinite());
         assert!(engine.drained());
     }
 

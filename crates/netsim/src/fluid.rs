@@ -6,13 +6,12 @@
 //!
 //! Since the event-driven refactor, [`simulate_flows`] is a thin wrapper
 //! over [`crate::engine::FluidEngine`], which advances from event to event
-//! (flow arrival, flow completion, fabric reconfiguration) and re-waterfills
-//! only the connected component of links/flows an event touches. The
-//! original from-scratch event loop is kept as
-//! [`simulate_flows_reference`]: it is the oracle for the engine's
-//! equivalence proptests and the baseline of the `fluid` Criterion bench.
-//! Both allocators share [`waterfill_slices`], so any fix to the rate
-//! allocation applies to both.
+//! (flow arrival, flow completion) and re-waterfills only the connected
+//! component of links/flows an event touches. The original from-scratch
+//! event loop is kept as [`simulate_flows_reference`]: it is the oracle
+//! for the engine's equivalence proptests and the baseline of the `fluid`
+//! Criterion bench. Both allocators share [`waterfill_slices`], so any fix
+//! to the rate allocation applies to both.
 
 use crate::engine::FluidEngine;
 use serde::{Deserialize, Serialize};
@@ -84,7 +83,7 @@ pub struct FluidResult {
     pub makespan_s: f64,
     /// Bytes carried by each directed link, keyed by `(src, dst)` node pair
     /// (aggregated over parallel links).
-    pub link_bytes: HashMap<(usize, usize), f64>,
+    pub link_bytes: BTreeMap<(usize, usize), f64>,
     /// Total bytes traversing the network (sum over links) — the numerator
     /// of the bandwidth tax.
     pub carried_bytes: f64,
@@ -116,8 +115,8 @@ impl FluidResult {
 /// completion time).
 ///
 /// This is a compatibility wrapper over the incremental
-/// [`FluidEngine`]; construct the engine directly to schedule
-/// mid-simulation reconfigurations or to inspect per-event statistics.
+/// [`FluidEngine`]; construct the engine directly to stop at `run_until`
+/// checkpoints or to inspect per-event statistics.
 pub fn simulate_flows(graph: &Graph, flows: &[FlowSpec], per_hop_latency_s: f64) -> FluidResult {
     let mut engine = FluidEngine::new(graph, per_hop_latency_s);
     for flow in flows {
@@ -125,22 +124,6 @@ pub fn simulate_flows(graph: &Graph, flows: &[FlowSpec], per_hop_latency_s: f64)
     }
     engine.run();
     engine.result()
-}
-
-/// Sum per-link byte counters in sorted link order, so the total (and the
-/// bandwidth tax derived from it) is bit-stable run-over-run — HashMap
-/// iteration order is randomized per instance and float addition does not
-/// commute at the last ulp.
-///
-/// This allocating collect-and-sort version serves the map-keyed reference
-/// loop only. The engine's hot path sums through the link arena's
-/// key-sorted id list instead ([`FluidEngine::carried_bytes`]): same order,
-/// O(links), no allocation — see `crate::arena` for the determinism
-/// contract.
-pub(crate) fn sum_link_bytes(link_bytes: &HashMap<LinkKey, f64>) -> f64 {
-    let mut entries: Vec<(LinkKey, f64)> = link_bytes.iter().map(|(k, v)| (*k, *v)).collect();
-    entries.sort_by_key(|(k, _)| *k);
-    entries.iter().map(|(_, v)| v).sum()
 }
 
 /// Aggregate directed-link capacities of the graph, keyed by node pair.
@@ -323,7 +306,7 @@ pub fn simulate_flows_reference(
     let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes.max(0.0)).collect();
     let mut completion = vec![0.0f64; n_flows];
     let mut done: Vec<bool> = remaining.iter().map(|&b| b <= 0.0).collect();
-    let mut link_bytes: HashMap<(usize, usize), f64> = HashMap::new();
+    let mut link_bytes: BTreeMap<(usize, usize), f64> = BTreeMap::new();
 
     // Flows with zero hops complete immediately (local transfers).
     for (i, f) in flows.iter().enumerate() {
@@ -416,7 +399,8 @@ pub fn simulate_flows_reference(
         }
     }
 
-    let carried = sum_link_bytes(&link_bytes);
+    // Summed in ascending link order, like the engine (see `crate::arena`).
+    let carried = link_bytes.values().sum();
     let demand: f64 = flows.iter().map(|f| if f.hops() > 0 { f.bytes } else { 0.0 }).sum();
     let makespan = completion.iter().cloned().filter(|c| c.is_finite()).fold(0.0, f64::max);
     FluidResult {
@@ -589,7 +573,7 @@ mod tests {
         let mut r = FluidResult {
             completion_s: vec![],
             makespan_s: 0.0,
-            link_bytes: HashMap::new(),
+            link_bytes: BTreeMap::new(),
             carried_bytes: 0.0,
             demand_bytes: 0.0,
         };

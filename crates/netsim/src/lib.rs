@@ -13,11 +13,14 @@
 //! # Engine design
 //!
 //! The core is [`engine::FluidEngine`], an event-driven simulator with an
-//! explicit priority queue of *flow arrival*, *flow completion*, *fabric
-//! reconfiguration*, and *fault* events (a link, transceiver or OCS port
-//! failing or recovering, or a straggling server; flows on a dead link
-//! stall at rate 0). Between events every rate is constant,
-//! so flow progress is settled lazily. The crucial property exploited for
+//! explicit priority queue of two event kinds, *flow arrival* and *flow
+//! completion*, over link capacities and straggler factors fixed when the
+//! engine is built. The fabric changes only between simulated rounds — OCS
+//! reconfiguration windows, and faults (a link, transceiver or OCS port
+//! failing or recovering, or a straggling server) injected between
+//! shared-fabric windows — and each round runs on a fresh engine; flows on
+//! a dead link stall at rate 0. Between events every rate is constant, so
+//! flow progress is settled lazily. The crucial property exploited for
 //! scale is locality of max-min fairness: an event can only change the
 //! rates of flows in the connected component of the flow/link sharing
 //! graph it touches, so the engine re-waterfills exactly that component
@@ -63,7 +66,8 @@
 //! * `shared_engine` — the shared-fabric round simulator the dynamic layer
 //!   keeps across arrival/departure windows: each window re-simulates only
 //!   the job-level components it touched, each on a fresh engine, in
-//!   parallel.
+//!   parallel. It also holds the fabric's health state, which
+//!   [`FaultEvent`]s update between windows.
 
 pub(crate) mod arena;
 pub mod engine;
@@ -75,7 +79,7 @@ pub mod network;
 pub mod reconfig;
 pub(crate) mod shared_engine;
 
-pub use engine::{EngineStats, FaultEvent, FluidEngine};
+pub use engine::{EngineStats, FluidEngine};
 pub use flows::{allreduce_flows, mp_flows, AllReducePlan};
 pub use fluid::{simulate_flows, simulate_flows_reference, FlowSpec, FluidResult};
 pub use iteration::{simulate_iteration, IterationParams, IterationResult};
@@ -87,3 +91,4 @@ pub use multijob::{
 };
 pub use network::{RelayOverhead, SimNetwork};
 pub use reconfig::{simulate_reconfigurable_iteration, ReconfigParams, ReconfigResult};
+pub use shared_engine::FaultEvent;

@@ -20,12 +20,12 @@
 //!   the `switch_over_delay` that pre-provisioning could not hide.
 
 use crate::arena::dense_u32;
-use crate::engine::{EngineStats, FaultEvent};
-use crate::flows::{allreduce_flows, demand_flows, mp_flows, AllReducePlan};
-use crate::fluid::{simulate_flows, FlowSpec};
+use crate::engine::EngineStats;
+use crate::flows::{allreduce_flows, demand_flows, AllReducePlan};
+use crate::fluid::FlowSpec;
+use crate::iteration::{simulate_iteration, IterationParams};
 use crate::network::SimNetwork;
-use crate::shared_engine::SharedFabricEngine;
-use rayon::prelude::*;
+use crate::shared_engine::{FaultEvent, SharedFabricEngine};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,10 +35,10 @@ use topoopt_graph::Graph;
 use topoopt_strategy::TrafficDemands;
 
 /// Typed dense job index: position of a job in the slice handed to the
-/// simulator. All internal bookkeeping — running-job records, the shared
-/// round core, per-job completion scans — is keyed by `JobId`; job *names*
-/// live only in the report-side tables ([`DynamicJobOutcome::name`]), so
-/// the hot loops never hash or clone a string per event.
+/// simulator. All internal bookkeeping — running-job records, per-job
+/// completion scans — is keyed by `JobId`; job *names* live only in the
+/// report-side tables ([`DynamicJobOutcome::name`]), so the hot loops
+/// never hash or clone a string per event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
@@ -143,10 +143,9 @@ pub fn build_job_flows(
 /// fabric; each job's iteration time is its compute time plus the completion
 /// of the last of its own flows (measured from the job's arrival).
 ///
-/// The independent per-job flow sets are constructed in parallel with
-/// rayon; each job-level component (jobs linked by shared links) is then
-/// simulated on an engine of its own, in parallel — disjoint TopoOpt
-/// shards never pay for each other's events.
+/// Each job-level component (jobs linked by shared links) is simulated on
+/// an engine of its own, in parallel — disjoint TopoOpt shards never pay
+/// for each other's events.
 pub fn simulate_shared_cluster(net: &SimNetwork, jobs: &[JobSpec]) -> SharedClusterResult {
     simulate_shared_cluster_stats(net, jobs).0
 }
@@ -159,48 +158,24 @@ pub fn simulate_shared_cluster_stats(
     net: &SimNetwork,
     jobs: &[JobSpec],
 ) -> (SharedClusterResult, EngineStats) {
-    let per_job_flows: Vec<Vec<FlowSpec>> = jobs
-        .par_iter()
-        .map(|job| {
-            job.flows
-                .iter()
-                .map(|f| {
-                    let mut f = f.clone();
-                    f.start_s += job.arrival_s;
-                    f
-                })
-                .collect()
-        })
-        .collect();
-    let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival_s).collect();
-    let computes: Vec<f64> = jobs.iter().map(|j| j.compute_s).collect();
-    shared_round_times(net, per_job_flows, &arrivals, &computes)
-}
-
-/// Name-free shared-round core: each job is purely its [`JobId`] position
-/// in the three parallel arrays (`flows_by_job[jid]` already offset by the
-/// job's arrival, `arrivals[jid]`, `computes[jid]`), and each job's round
-/// time is its compute plus the completion of the last of its own flows,
-/// measured from its arrival.
-///
-/// Routes through a one-window [`SharedFabricEngine`]: every job is
-/// admitted and the whole window simulated, one fresh engine per job-level
-/// component, exactly as the dynamic layer's windows are.
-pub(crate) fn shared_round_times(
-    net: &SimNetwork,
-    flows_by_job: Vec<Vec<FlowSpec>>,
-    arrivals: &[f64],
-    computes: &[f64],
-) -> (SharedClusterResult, EngineStats) {
+    // A one-window shared fabric: every job is admitted with its flows
+    // offset by its arrival, and the whole window simulated exactly as the
+    // dynamic layer's windows are.
     let mut sim = SharedFabricEngine::new(net);
-    let handles: Vec<usize> = flows_by_job
-        .into_iter()
-        .zip(computes)
-        .map(|(flows, &compute_s)| sim.admit(flows, compute_s))
+    let handles: Vec<usize> = jobs
+        .iter()
+        .map(|job| {
+            let flows = job
+                .flows
+                .iter()
+                .map(|f| FlowSpec { start_s: f.start_s + job.arrival_s, ..f.clone() })
+                .collect();
+            sim.admit(flows, job.compute_s)
+        })
         .collect();
     sim.run_window();
     let per_job: Vec<f64> =
-        handles.iter().zip(arrivals).map(|(&h, &a)| sim.round_total_from(h, a)).collect();
+        jobs.iter().zip(&handles).map(|(job, &h)| sim.round_total_from(h, job.arrival_s)).collect();
     (summarize_round(per_job), sim.engine_stats())
 }
 
@@ -365,9 +340,11 @@ pub struct DynamicClusterParams {
     /// [`DynamicClusterResult::truncated`].
     pub window_cap: Option<usize>,
     /// Fabric fault schedule: each injection fires at its `time_s`,
-    /// between (never splitting) arrival/departure windows, and re-rates
-    /// the co-resident jobs it touches. Applies to the shared fabric;
-    /// a partitioned cluster's per-job shards ignore it.
+    /// between (never splitting) arrival/departure windows. It updates the
+    /// shared fabric's health state (failed links, straggler factors), and
+    /// a window at the same instant re-rates the co-resident jobs it
+    /// touches on the fabric as it now stands. Applies to the shared
+    /// fabric; a partitioned cluster's per-job shards ignore it.
     pub faults: Vec<FaultInjection>,
 }
 
@@ -843,16 +820,8 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     };
     let mut net = SimNetwork::without_rules(topo.clone(), job.servers);
     net.per_hop_latency_s = per_hop_latency_s;
-    let mut flows = Vec::new();
-    for p in &job.plans {
-        flows.extend(allreduce_flows(&net, p));
-    }
-    flows.extend(mp_flows(&net, &job.demands.mp));
-    let sim = simulate_flows(&net.graph, &flows, net.per_hop_latency_s);
-    if sim.completion_s.iter().any(|c| c.is_infinite()) {
-        return f64::INFINITY;
-    }
-    job.compute_s + sim.makespan_s
+    let params = IterationParams { compute_s: job.compute_s };
+    simulate_iteration(&net, &job.demands, &job.plans, &params).total_s
 }
 
 /// Window refresh on the shared-fabric engine: settle progress, run one

@@ -1,5 +1,6 @@
 //! Shared-fabric round simulator that lives as long as the dynamic
-//! cluster (see [`SharedFabricEngine`]).
+//! cluster (see [`SharedFabricEngine`]), and the fabric health state
+//! faults leave behind between its windows ([`FaultEvent`]).
 //!
 //! Its contract is checked here, at the seam where the cache lives: after
 //! every window, each resident's round time and each admission probe must
@@ -8,13 +9,141 @@
 //! tests below drive random admit/retire/fault/window sequences against
 //! that fresh-engine reference.
 
-use crate::arena::{dense_u32, LinkId};
-use crate::engine::{EngineStats, FaultEvent, FluidEngine};
-use crate::fluid::{FlowSpec, LinkKey};
+use crate::arena::{dense_u32, LinkArena, LinkId};
+use crate::engine::{EngineStats, FluidEngine};
+use crate::fluid::{link_capacities, FlowSpec, LinkKey};
 use crate::multijob::DynamicEngineStats;
 use crate::network::SimNetwork;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use topoopt_graph::Graph;
+
+/// A fabric fault (or recovery), applied between simulated rounds. Link
+/// keys are directed `(src, dst)` pairs; an OCS port is identified by the
+/// server whose interface is matched through it, so a port failure kills
+/// every directed link incident to that server. Failures stack: a link
+/// taken down twice (say, by a transceiver fault *and* its OCS port) needs
+/// both recoveries before it carries traffic again, and a recovery without
+/// a matching failure is ignored. Stragglers scale the egress rate of
+/// every flow sourced at the server: an `egress_factor` below 1.0 caps the
+/// flow at that fraction of its path bottleneck capacity (composed with
+/// the flow's relay factor); a factor of 1.0 (or more) marks the server
+/// healthy again. Flows crossing a dead link stall at rate 0 until the
+/// link recovers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultEvent {
+    /// A link (transceiver) fails: capacity drops to zero, flows on it
+    /// stall at rate 0 until recovery.
+    LinkDown(LinkKey),
+    /// The matching link recovery: the link returns at its fabric capacity.
+    LinkUp(LinkKey),
+    /// An OCS port fails: every directed link incident to the server wired
+    /// through that port goes down.
+    OcsPortDown(usize),
+    /// The matching port recovery.
+    OcsPortUp(usize),
+    /// A server straggles: flows sourced there are capped at
+    /// `egress_factor` × their path bottleneck capacity. 1.0 = healthy.
+    Straggler { server: usize, egress_factor: f64 },
+}
+
+/// The shared fabric's links and the health state faults leave behind. Its
+/// arena is the id space job link sets and fault targets share: the
+/// fabric's links at their healthy capacities, plus every path link an
+/// admission interns (capacity 0: links absent from the fabric carry
+/// nothing).
+struct FabricHealth {
+    links: LinkArena,
+    /// Per-link failure count, indexed by `LinkId`: a link is dead while
+    /// its count is positive (overlapping link- and port-level faults
+    /// stack, so recoveries pair with their failures).
+    down: Vec<u32>,
+    /// Per-server egress factors of straggling servers; only factors below
+    /// 1.0 are stored, so an empty map is the healthy case.
+    stragglers: BTreeMap<usize, f64>,
+}
+
+impl FabricHealth {
+    /// A healthy fabric over `graph`'s aggregated directed-link capacities.
+    fn new(graph: &Graph) -> Self {
+        let links = LinkArena::from_sorted_capacities(link_capacities(graph));
+        FabricHealth { down: vec![0; links.len()], links, stragglers: BTreeMap::new() }
+    }
+
+    /// Id of a link, interning it (at capacity 0) when the fabric lacks it.
+    fn intern(&mut self, key: LinkKey) -> LinkId {
+        let id = self.links.intern(key);
+        self.down.resize(self.links.len(), 0);
+        id
+    }
+
+    /// Effective capacity of a link: 0.0 while it is down or when the
+    /// fabric lacks it.
+    fn capacity(&self, key: LinkKey) -> f64 {
+        match self.links.lookup(key) {
+            Some(id) if self.down[id as usize] == 0 => self.links.cap(id),
+            _ => 0.0,
+        }
+    }
+
+    /// Apply one fault and return the interned links it targets, in
+    /// ascending `LinkKey` order (none for a straggler, which targets the
+    /// flows sourced at its server instead).
+    fn apply(&mut self, fault: FaultEvent) -> Vec<LinkId> {
+        let links: Vec<LinkId> = match fault {
+            FaultEvent::LinkDown(key) | FaultEvent::LinkUp(key) => {
+                self.links.lookup(key).into_iter().collect()
+            }
+            FaultEvent::OcsPortDown(server) | FaultEvent::OcsPortUp(server) => {
+                self.port_links(server)
+            }
+            FaultEvent::Straggler { server, egress_factor } => {
+                if egress_factor >= 1.0 {
+                    self.stragglers.remove(&server);
+                } else {
+                    self.stragglers.insert(server, egress_factor.max(0.0));
+                }
+                return Vec::new();
+            }
+        };
+        let recover = matches!(fault, FaultEvent::LinkUp(_) | FaultEvent::OcsPortUp(_));
+        for &id in &links {
+            let count = &mut self.down[id as usize];
+            // A recovery without a matching failure is ignored.
+            *count = if recover { count.saturating_sub(1) } else { *count + 1 };
+        }
+        links
+    }
+
+    /// Every interned directed link incident to `server`, in ascending
+    /// `LinkKey` order.
+    fn port_links(&self, server: usize) -> Vec<LinkId> {
+        self.links
+            .ids_by_key()
+            .iter()
+            .copied()
+            .filter(|&id| {
+                let (src, dst) = self.links.key(id);
+                src == server || dst == server
+            })
+            .collect()
+    }
+
+    /// A fresh engine over the links `keys` names, at their effective
+    /// capacities, with the straggler factors inherited.
+    fn engine(
+        &self,
+        keys: impl IntoIterator<Item = LinkKey>,
+        per_hop_latency_s: f64,
+    ) -> FluidEngine {
+        let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
+        for key in keys {
+            caps.entry(key).or_insert_with(|| self.capacity(key));
+        }
+        FluidEngine::from_capacities(caps, per_hop_latency_s)
+            .with_straggler_factors(self.stragglers.clone())
+    }
+}
 
 /// One resident job inside a [`SharedFabricEngine`].
 struct SharedSlot {
@@ -63,10 +192,9 @@ struct SharedSlot {
 /// too. The seam proptests in this module hold this to `to_bits` equality
 /// against a fresh whole-fabric engine after every window.
 pub(crate) struct SharedFabricEngine {
-    /// Flowless engine over the fabric: it interns every path link once,
-    /// so job link sets and fault targets share one id space, and it holds
-    /// the health state faults leave behind.
-    fabric: FluidEngine,
+    /// Link ids, capacities and fault state every window's engines are
+    /// built from.
+    health: FabricHealth,
     per_hop_latency_s: f64,
     /// Resident jobs; handles are stable indices (freed slots are reused).
     slots: Vec<Option<SharedSlot>>,
@@ -75,6 +203,8 @@ pub(crate) struct SharedFabricEngine {
     admissions: u64,
     /// Cumulative counters of every component engine run so far.
     engine: EngineStats,
+    /// Faults injected so far; each counts as one engine event.
+    faults: usize,
     /// Cumulative window counters.
     windows: DynamicEngineStats,
     /// Epoch-stamped scratch for the per-window job-component union-find.
@@ -88,12 +218,13 @@ impl SharedFabricEngine {
     /// An engine over the shared fabric; its links intern here, once.
     pub fn new(net: &SimNetwork) -> Self {
         SharedFabricEngine {
-            fabric: FluidEngine::new(&net.graph, net.per_hop_latency_s),
+            health: FabricHealth::new(&net.graph),
             per_hop_latency_s: net.per_hop_latency_s,
             slots: Vec::new(),
             free: Vec::new(),
             admissions: 0,
             engine: EngineStats::default(),
+            faults: 0,
             windows: DynamicEngineStats::default(),
             link_slot: Vec::new(),
             link_stamp: Vec::new(),
@@ -110,7 +241,7 @@ impl SharedFabricEngine {
     /// times: their rates are a pure function of links the fault did not
     /// change.
     pub fn inject_fault(&mut self, fault: FaultEvent) {
-        let lids = self.fabric.fault_link_ids(&fault);
+        let lids = self.health.apply(fault);
         for slot in self.slots.iter_mut().flatten() {
             let hit = match fault {
                 FaultEvent::Straggler { server, .. } => slot.flows.iter().any(|f| f.src == server),
@@ -120,8 +251,7 @@ impl SharedFabricEngine {
                 slot.dirty = true;
             }
         }
-        self.fabric.schedule_fault(0.0, fault);
-        self.fabric.run();
+        self.faults += 1;
     }
 
     /// Admit a job: intern its path links and mark it dirty for the next
@@ -130,7 +260,7 @@ impl SharedFabricEngine {
         let mut links: Vec<LinkId> = flows
             .iter()
             .flat_map(|f| f.path.windows(2))
-            .map(|w| self.fabric.intern_link((w[0], w[1])))
+            .map(|w| self.health.intern((w[0], w[1])))
             .collect();
         links.sort_unstable();
         links.dedup();
@@ -182,7 +312,7 @@ impl SharedFabricEngine {
         let n = self.slots.len();
         self.epoch += 1;
         let epoch = self.epoch;
-        let links_total = self.fabric.link_count();
+        let links_total = self.health.links.len();
         if self.link_stamp.len() < links_total {
             self.link_stamp.resize(links_total, 0);
             self.link_slot.resize(links_total, 0);
@@ -273,24 +403,17 @@ impl SharedFabricEngine {
         }
     }
 
-    /// Simulate `jobs` together for one round on a fresh engine whose
-    /// capacities are read back from the fabric (post-fault effective
-    /// values) but restricted to the jobs' own path links, with the
-    /// fabric's straggler factors inherited and flows added in the order
-    /// given. Rates depend only on span links, so this is bit-identical to
-    /// the same round on the full fabric without paying a full-fabric
-    /// build. Returns each job's last completion (−∞ for a job without
-    /// flows) and the run's counters.
+    /// Simulate `jobs` together for one round on a fresh engine built from
+    /// the fabric's health state (post-fault effective capacities and
+    /// straggler factors) but restricted to the jobs' own path links, with
+    /// flows added in the order given. Rates depend only on span links, so
+    /// this is bit-identical to the same round on the full fabric without
+    /// paying a full-fabric build. Returns each job's last completion (−∞
+    /// for a job without flows) and the run's counters.
     fn simulate(&self, jobs: &[&[FlowSpec]]) -> (Vec<f64>, EngineStats) {
-        let mut caps: BTreeMap<LinkKey, f64> = BTreeMap::new();
-        for f in jobs.iter().copied().flatten() {
-            for w in f.path.windows(2) {
-                let key = (w[0], w[1]);
-                caps.entry(key).or_insert_with(|| self.fabric.capacity_of(key));
-            }
-        }
-        let mut engine = FluidEngine::from_capacities(caps, self.per_hop_latency_s);
-        engine.set_straggler_factors(self.fabric.straggler_factors().clone());
+        let keys =
+            jobs.iter().copied().flatten().flat_map(|f| f.path.windows(2)).map(|w| (w[0], w[1]));
+        let mut engine = self.health.engine(keys, self.per_hop_latency_s);
         for f in jobs.iter().copied().flatten() {
             engine.add_flow(f.clone());
         }
@@ -329,11 +452,9 @@ impl SharedFabricEngine {
     }
 
     /// Cumulative engine counters (events, waterfills, …) across windows,
-    /// fault events included.
+    /// with one event per injected fault.
     pub fn engine_stats(&self) -> EngineStats {
-        let mut stats = self.engine;
-        stats.absorb(&self.fabric.stats());
-        stats
+        EngineStats { events: self.engine.events + self.faults, ..self.engine }
     }
 
     /// Combined window + engine counters for the run so far.
@@ -357,23 +478,25 @@ mod tests {
     use proptest::prelude::*;
     use topoopt_graph::{topologies, Graph};
 
-    /// The fresh-engine reference: one new engine over `jobs` (flows and
-    /// compute time, in admission order) with the cumulative fault history
-    /// applied as state before the run. Returns each job's round time from
-    /// the window origin.
-    fn shared_round_times_rebuild(
+    /// The fresh-engine reference: the cumulative fault history applied to
+    /// a fresh [`FabricHealth`], then one full-fabric engine over `jobs`
+    /// (flows and compute time, in admission order) built from its
+    /// capacities. Returns each job's round time from the window origin.
+    fn fresh_round_times(
         net: &SimNetwork,
         jobs: &[(&[FlowSpec], f64)],
         faults: &[FaultEvent],
     ) -> Vec<f64> {
-        let mut engine = FluidEngine::new(&net.graph, net.per_hop_latency_s);
+        let mut health = FabricHealth::new(&net.graph);
+        for &fault in faults {
+            health.apply(fault);
+        }
+        let mut engine =
+            health.engine(link_capacities(&net.graph).into_keys(), net.per_hop_latency_s);
         let ids: Vec<Vec<FlowId>> = jobs
             .iter()
             .map(|(flows, _)| flows.iter().map(|f| engine.add_flow(f.clone())).collect())
             .collect();
-        for &fault in faults {
-            engine.apply_fault_now(fault);
-        }
         engine.run();
         jobs.iter()
             .zip(&ids)
@@ -402,10 +525,10 @@ mod tests {
         sim.run_window();
         let jobs: Vec<(&[FlowSpec], f64)> =
             residents.iter().map(|(_, f, c)| (&f[..], *c)).collect();
-        let fresh = shared_round_times_rebuild(net, &jobs, faults);
+        let fresh = fresh_round_times(net, &jobs, faults);
         for ((handle, flows, compute), want) in residents.iter().zip(fresh) {
             assert_eq!(sim.round_total_s(*handle).to_bits(), want.to_bits(), "resident {handle}");
-            let solo = shared_round_times_rebuild(net, &[(&flows[..], *compute)], faults)[0];
+            let solo = fresh_round_times(net, &[(&flows[..], *compute)], faults)[0];
             assert_eq!(sim.solo_total_s(flows, *compute).to_bits(), solo.to_bits(), "probe");
         }
     }
@@ -514,10 +637,11 @@ mod tests {
         // 10^4 admit → window → retire cycles at a residency of at most 4:
         // the four resident jobs sit on disjoint servers of an ideal switch,
         // so each window re-rates only the newcomer, freed slots are reused,
-        // and the fabric engine never holds a flow.
+        // and the fabric's link table never grows past the fabric.
         let total = 16;
         let net = SimNetwork::without_rules(topologies::ideal_switch(total, 100.0e9), total);
         let mut sim = SharedFabricEngine::new(&net);
+        let fabric_links = sim.health.links.len();
         let mut residents = std::collections::VecDeque::new();
         let cycles = 10_000;
         for k in 0..cycles {
@@ -530,7 +654,71 @@ mod tests {
             }
             assert!(sim.slots.len() <= 4, "slot vector outgrew the peak residency");
         }
-        assert!(sim.fabric.result().completion_s.is_empty(), "the fabric engine holds flows");
+        assert_eq!(sim.health.links.len(), fabric_links, "the link table grew with history");
         assert_eq!(sim.stats().jobs_rerated, cycles, "a window re-rated more than the newcomer");
+    }
+
+    /// Two servers joined both ways at 100 bps, plus a 1 -> 2 link.
+    fn health_fixture() -> FabricHealth {
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 100.0);
+        g.add_edge(1, 0, 100.0);
+        g.add_edge(1, 2, 100.0);
+        FabricHealth::new(&g)
+    }
+
+    #[test]
+    fn ocs_port_failure_kills_every_incident_link() {
+        // Port 1 carries (0, 1), (1, 0) and (1, 2); its recovery restores
+        // all three. A port with no incident link targets nothing.
+        let mut health = health_fixture();
+        assert_eq!(health.apply(FaultEvent::OcsPortDown(1)).len(), 3);
+        for key in [(0, 1), (1, 0), (1, 2)] {
+            assert_eq!(health.capacity(key), 0.0, "{key:?} survived its port");
+        }
+        health.apply(FaultEvent::OcsPortUp(1));
+        for key in [(0, 1), (1, 0), (1, 2)] {
+            assert_eq!(health.capacity(key), 100.0);
+        }
+        assert!(health.apply(FaultEvent::OcsPortDown(7)).is_empty());
+    }
+
+    #[test]
+    fn overlapping_link_and_port_faults_stack() {
+        // The link dies twice (transceiver + port): one recovery is not
+        // enough, the second brings it back.
+        let mut health = health_fixture();
+        health.apply(FaultEvent::LinkDown((0, 1)));
+        health.apply(FaultEvent::OcsPortDown(0));
+        health.apply(FaultEvent::LinkUp((0, 1)));
+        assert_eq!(health.capacity((0, 1)), 0.0);
+        assert_eq!(health.capacity((1, 0)), 0.0);
+        health.apply(FaultEvent::OcsPortUp(0));
+        assert_eq!(health.capacity((0, 1)), 100.0);
+        assert_eq!(health.capacity((1, 0)), 100.0);
+    }
+
+    #[test]
+    fn spurious_recovery_is_ignored() {
+        // A recovery with no failure to pair with must not bank credit
+        // against the next failure.
+        let mut health = health_fixture();
+        health.apply(FaultEvent::LinkUp((1, 2)));
+        health.apply(FaultEvent::OcsPortUp(2));
+        assert_eq!(health.capacity((1, 2)), 100.0);
+        health.apply(FaultEvent::LinkDown((1, 2)));
+        assert_eq!(health.capacity((1, 2)), 0.0);
+    }
+
+    #[test]
+    fn straggler_factor_is_stored_below_one_and_cleared_at_one() {
+        let mut health = health_fixture();
+        let slow = FaultEvent::Straggler { server: 0, egress_factor: 0.5 };
+        assert!(health.apply(slow).is_empty(), "a straggler targets no link");
+        assert_eq!(health.stragglers, BTreeMap::from([(0, 0.5)]));
+        health.apply(FaultEvent::Straggler { server: 1, egress_factor: 1.5 });
+        assert_eq!(health.stragglers, BTreeMap::from([(0, 0.5)]));
+        health.apply(FaultEvent::Straggler { server: 0, egress_factor: 1.0 });
+        assert!(health.stragglers.is_empty());
     }
 }

@@ -229,23 +229,6 @@ fn zero_byte_zero_hop_and_unroutable_mix_matches_reference() {
 }
 
 #[test]
-fn reconfig_pauses_and_resumes_consistently() {
-    // 100 bytes over 100 bps; capacity drops to zero during [2, 5] (an
-    // OCS rewiring blackout), then restores: 200 bits sent before, 600
-    // after at 100 bps -> completion at 5 + 6 = 11 s.
-    let mut fast = Graph::new(2);
-    fast.add_edge(0, 1, 100.0);
-    let dark = Graph::new(2);
-    let mut engine = FluidEngine::new(&fast, 0.0);
-    let id = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-    engine.schedule_reconfig(2.0, &dark);
-    engine.schedule_reconfig(5.0, &fast);
-    engine.run();
-    assert!((engine.completion_s(id) - 11.0).abs() < 1e-9);
-    assert_eq!(engine.stats().reconfigurations, 2);
-}
-
-#[test]
 fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
     // A t = 0 arrival wave across 24 disjoint rings (each with all
     // intra-ring neighbour+chord flows): one event batch re-rates 24
