@@ -607,11 +607,7 @@ fn fig15(s: &Scale) -> ExperimentReport {
         .into_par_iter()
         .map(|degree| {
             let (out, demands) = topoopt_fabric_for(n, degree);
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
+            let plans = AllReducePlan::from_groups(&out.groups);
             let net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
             let it =
                 simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.0 });
@@ -662,11 +658,7 @@ fn fig16(s: &Scale) -> ExperimentReport {
             for (_, e) in out.graph.edges() {
                 union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);
             }
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
+            let plans = AllReducePlan::from_groups(&out.groups);
             jobs_data.push((demands, plans, servers, compute_s, model.name.clone()));
         }
         let topo_net = SimNetwork::without_rules(union, total);
@@ -745,11 +737,7 @@ fn fig16_dynamic(s: &Scale) -> ExperimentReport {
                 let (demands, compute_s) =
                     demands_and_compute(&model, &strategy, req.servers, degree as f64 * link_bps);
                 let out = build_topoopt_fabric(&demands, req.servers, degree, link_bps);
-                let plans: Vec<AllReducePlan> = out
-                    .groups
-                    .iter()
-                    .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                    .collect();
+                let plans = AllReducePlan::from_groups(&out.groups);
                 let spec = DynamicJobSpec {
                     name: model.name.clone(),
                     servers: req.servers,
@@ -872,11 +860,7 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
             let (demands, compute_s) =
                 demands_and_compute(&model, &strategy, n, degree as f64 * link_bps);
             let out = build_topoopt_fabric_routed(&demands, n, degree, link_bps);
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
+            let plans = AllReducePlan::from_groups(&out.groups);
             let spec = DynamicJobSpec {
                 name: model.name.clone(),
                 servers: n,
@@ -1663,11 +1647,7 @@ fn fig_reconfig_planned(s: &Scale) -> ExperimentReport {
                         dyn_degree as f64 * link_bps,
                     );
                     let out = build_topoopt_fabric(&demands, req.servers, dyn_degree, link_bps);
-                    let plans: Vec<AllReducePlan> = out
-                        .groups
-                        .iter()
-                        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                        .collect();
+                    let plans = AllReducePlan::from_groups(&out.groups);
                     let spec = DynamicJobSpec {
                         name: model.name.clone(),
                         servers: req.servers,

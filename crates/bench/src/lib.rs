@@ -111,11 +111,7 @@ pub fn topoopt_iteration(
     compute_s: f64,
 ) -> topoopt_netsim::IterationResult {
     let out = build_topoopt_fabric(demands, n, degree, link_bps);
-    let plans: Vec<AllReducePlan> = out
-        .groups
-        .iter()
-        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-        .collect();
+    let plans = AllReducePlan::from_groups(&out.groups);
     let net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
     simulate_iteration(&net, demands, &plans, &IterationParams { compute_s })
 }
@@ -154,12 +150,7 @@ impl RdmaFabric {
         compute_s: f64,
         relay_efficiency: f64,
     ) -> topoopt_netsim::IterationResult {
-        let plans: Vec<AllReducePlan> = self
-            .out
-            .groups
-            .iter()
-            .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-            .collect();
+        let plans = AllReducePlan::from_groups(&self.out.groups);
         let net =
             SimNetwork::new(self.out.graph.clone(), self.num_servers, self.out.routing.clone())
                 .with_relay_overhead(self.plan.clone(), relay_efficiency);

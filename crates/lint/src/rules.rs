@@ -766,7 +766,7 @@ impl<'a> FileAnalysis<'a> {
                 rule: TRUNCATING_CAST,
                 message: format!(
                     "`as {}` truncates silently on overflow; use the checked \
-                     `dense_u32`/`JobId::from_usize` constructors, `try_into`, or bound \
+                     `dense_u32` constructor, `try_into`, or bound \
                      the value with `.min()`/`.clamp()` first",
                     target.text
                 ),

@@ -4,6 +4,7 @@
 use crate::fluid::FlowSpec;
 use crate::network::SimNetwork;
 use topoopt_collectives::ring::{ring_bytes_per_node, RingPermutation};
+use topoopt_core::topology_finder::SelectedGroup;
 use topoopt_graph::TrafficMatrix;
 
 /// How one AllReduce group's traffic is laid onto rings.
@@ -22,6 +23,15 @@ impl AllReducePlan {
     /// layout for switched fabrics.
     pub fn natural_ring(members: Vec<usize>, bytes: f64) -> Self {
         AllReducePlan { permutations: vec![RingPermutation::new(members, 1)], bytes }
+    }
+
+    /// One plan per `TopologyFinder` group: the group's selected ring
+    /// permutations carrying its bytes.
+    pub fn from_groups(groups: &[SelectedGroup]) -> Vec<AllReducePlan> {
+        groups
+            .iter()
+            .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
+            .collect()
     }
 }
 

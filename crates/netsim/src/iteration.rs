@@ -112,11 +112,7 @@ mod tests {
             mp_shortest_path: false,
             availability_aware: false,
         });
-        let plans: Vec<AllReducePlan> = out
-            .groups
-            .iter()
-            .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-            .collect();
+        let plans = AllReducePlan::from_groups(&out.groups);
         (SimNetwork::new(out.graph, n, out.routing), plans)
     }
 

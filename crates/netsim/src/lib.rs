@@ -86,8 +86,8 @@ pub use iteration::{simulate_iteration, IterationParams, IterationResult};
 pub use multijob::{
     simulate_dynamic_cluster, simulate_shared_cluster, simulate_shared_cluster_stats,
     DynamicClusterParams, DynamicClusterResult, DynamicEngineStats, DynamicFabric,
-    DynamicJobOutcome, DynamicJobSpec, FaultInjection, JobId, JobSpec, MigrationMode,
-    MigrationPlanFn, SharedClusterResult, SharedEngineMode,
+    DynamicJobOutcome, DynamicJobSpec, FaultInjection, JobSpec, MigrationMode, MigrationPlanFn,
+    SharedClusterResult, SharedEngineMode,
 };
 pub use network::{RelayOverhead, SimNetwork};
 pub use reconfig::{simulate_reconfigurable_iteration, ReconfigParams, ReconfigResult};

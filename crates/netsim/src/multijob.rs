@@ -19,7 +19,6 @@
 //!   provisioner ([`topoopt_cluster::LookaheadProvisioner`]), so a job pays
 //!   the `switch_over_delay` that pre-provisioning could not hide.
 
-use crate::arena::dense_u32;
 use crate::engine::EngineStats;
 use crate::flows::{allreduce_flows, demand_flows, AllReducePlan};
 use crate::fluid::FlowSpec;
@@ -33,29 +32,6 @@ use topoopt_cluster::{ClusterShards, LookaheadProvisioner, TransitionRecord, Tra
 use topoopt_collectives::ring::RingPermutation;
 use topoopt_graph::Graph;
 use topoopt_strategy::TrafficDemands;
-
-/// Typed dense job index: position of a job in the slice handed to the
-/// simulator. All internal bookkeeping — running-job records, per-job
-/// completion scans — is keyed by `JobId`; job *names* live only in the
-/// report-side tables ([`DynamicJobOutcome::name`]), so the hot loops
-/// never hash or clone a string per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobId(pub u32);
-
-impl JobId {
-    /// Checked constructor from a job's position in the input slice: the
-    /// dense-id counterpart of `arena::dense_u32`, so `topoopt-lint`'s
-    /// `truncating-cast` rule can require all `JobId` construction to go
-    /// through a bounds check instead of a silent `as u32`.
-    pub fn from_usize(i: usize) -> Self {
-        JobId(dense_u32(i))
-    }
-
-    /// The job's position in the input slice (and every per-job array).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// One job in a shared cluster: its flows (already mapped to global server
 /// ids) and its compute time.
@@ -427,9 +403,9 @@ pub struct DynamicClusterResult {
     pub engine: DynamicEngineStats,
 }
 
-/// A job currently training (dense [`JobId`] reference, no name).
+/// A job currently training: its position in the input slice, no name.
 struct RunningJob {
-    job: JobId,
+    job: usize,
     shard: usize,
     servers: Vec<usize>,
     remaining_iters: f64,
@@ -558,7 +534,7 @@ pub fn simulate_dynamic_cluster(
                 now = now.max(dep_t);
                 settle_running(&mut running, now);
                 let done = running.swap_remove(k);
-                let j = done.job.index();
+                let j = done.job;
                 let job = &jobs[j];
                 outcomes[j].finish_s = now;
                 outcomes[j].completed = true;
@@ -764,7 +740,7 @@ fn admit_queued(
             _ => None,
         };
         running.push(RunningJob {
-            job: JobId::from_usize(j),
+            job: j,
             shard,
             servers,
             remaining_iters: jobs[j].iterations as f64,

@@ -46,6 +46,17 @@ pub struct ForwardingRule {
     pub next_hop_partition: NparPartition,
 }
 
+impl ForwardingRule {
+    /// The `(on_server, final_dst)` rule rewriting towards `next_hop`,
+    /// installed by `src`'s connection. The next-hop MAC is the RDMA
+    /// partition exactly when the next hop is the destination.
+    pub fn new(on_server: usize, final_dst: usize, src: usize, next_hop: usize) -> Self {
+        let next_hop_partition =
+            if next_hop == final_dst { NparPartition::Rdma } else { NparPartition::Forwarding };
+        ForwardingRule { on_server, final_dst, src, next_hop, next_hop_partition }
+    }
+}
+
 /// Two pairs demanded different next hops for the same `(server,
 /// final_dst)` slot: a destination-keyed kernel table can hold only one of
 /// them, so the later pair's traffic follows the installed rule instead of
@@ -113,8 +124,9 @@ pub struct DegradedPair {
     pub at: usize,
 }
 
-/// How [`ForwardingPlan::repair`] touches the rule table — the same two
-/// controller granularities as the reconfiguration planner's `RuleRepair`.
+/// How [`ForwardingPlan::repair_rules`] touches the rule table: the
+/// controller's granularity, both after faults ([`ForwardingPlan::repair`])
+/// and after each unplug of a planned migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepairMode {
     /// Minimal touch: only rules whose next-hop link died are repointed
@@ -176,23 +188,12 @@ impl ForwardingPlan {
     }
 
     /// Install or repoint the `(server, final_dst)` rule to `next_hop`
-    /// (repair plumbing; a fresh install keys the rule on the server).
+    /// (a fresh install keys the rule on the server).
     fn set_rule(&mut self, server: usize, final_dst: usize, next_hop: usize) {
-        let partition =
-            if next_hop == final_dst { NparPartition::Rdma } else { NparPartition::Forwarding };
         let rules = self.rules.entry(server).or_default();
         match rules.iter_mut().find(|r| r.final_dst == final_dst) {
-            Some(r) => {
-                r.next_hop = next_hop;
-                r.next_hop_partition = partition;
-            }
-            None => rules.push(ForwardingRule {
-                on_server: server,
-                final_dst,
-                src: server,
-                next_hop,
-                next_hop_partition: partition,
-            }),
+            Some(r) => *r = ForwardingRule::new(server, final_dst, r.src, next_hop),
+            None => rules.push(ForwardingRule::new(server, final_dst, server, next_hop)),
         }
     }
 
@@ -290,77 +291,83 @@ impl ForwardingPlan {
         }
     }
 
-    /// Repair the plan in place after links died: rules whose next-hop
-    /// link is no longer live in `degraded` are repointed onto current
-    /// shortest paths (or dropped when their destination became
-    /// unreachable) at the chosen [`RepairMode`] granularity, then every
-    /// logical connection is re-walked under the repaired table —
-    /// [`Self::walk`] is the loop/blackhole oracle — and its relay count
-    /// refreshed to the detour chain it now follows.
-    ///
-    /// Pairs whose chains still do not deliver are removed from the relay
-    /// table (their [`Self::effective_throughput_factor`] becomes `0.0`)
-    /// and surfaced as typed [`DegradedPair`] records rather than silently
-    /// priced as disconnected. The repair modes mirror the reconfiguration
-    /// planner's `RuleRepair` controller granularities; drive dead-link
-    /// sequences through that planner when repairs must respect
-    /// loop-freedom and reachability at every intermediate step.
-    pub fn repair(&mut self, degraded: &Graph, mode: RepairMode) -> RepairReport {
-        let mut report = RepairReport::default();
-        // Pass 1: find every rule whose next-hop link died.
+    /// Repoint or drop every rule whose next-hop link is no longer live in
+    /// `graph`, at the chosen [`RepairMode`] granularity: a rule is set to
+    /// the first hop of a current shortest path, or dropped when its
+    /// destination became unreachable. This is the controller's step after
+    /// an unplug; it returns the `(repointed, dropped)` rule counts.
+    pub fn repair_rules(&mut self, graph: &Graph, mode: RepairMode) -> (usize, usize) {
         let broken: Vec<(usize, usize)> = self
             .rules
             .values()
             .flatten()
-            .filter(|r| !degraded.has_edge(r.on_server, r.next_hop))
+            .filter(|r| !graph.has_edge(r.on_server, r.next_hop))
             .map(|r| (r.on_server, r.final_dst))
             .collect();
-        match mode {
-            RepairMode::PerRule => {
-                for (server, dst) in broken {
-                    match bfs_shortest_path(degraded, server, dst) {
-                        Some(path) => {
-                            self.set_rule(server, dst, path[1]);
-                            report.repaired_rules += 1;
-                        }
-                        None => {
-                            self.remove_rule(server, dst);
-                            report.dropped_rules += 1;
-                        }
-                    }
-                }
-            }
+        let resync = match mode {
+            RepairMode::PerRule => broken,
             RepairMode::PerDestination => {
                 let mut dests: Vec<usize> = broken.into_iter().map(|(_, d)| d).collect();
                 dests.sort_unstable();
                 dests.dedup();
-                for dst in dests {
-                    for server in 0..degraded.num_nodes() {
-                        if server == dst {
-                            continue;
-                        }
-                        let installed = self.rule_towards(server, dst).map(|r| r.next_hop);
-                        match bfs_shortest_path(degraded, server, dst) {
-                            Some(path) => {
-                                if installed != Some(path[1]) {
-                                    self.set_rule(server, dst, path[1]);
-                                    report.repaired_rules += 1;
-                                }
-                            }
-                            None => {
-                                if installed.is_some() {
-                                    self.remove_rule(server, dst);
-                                    report.dropped_rules += 1;
-                                }
-                            }
-                        }
-                    }
+                let n = graph.num_nodes();
+                dests
+                    .into_iter()
+                    .flat_map(|dst| (0..n).filter(move |&s| s != dst).map(move |s| (s, dst)))
+                    .collect()
+            }
+        };
+        let (mut repointed, mut dropped) = (0, 0);
+        for (server, dst) in resync {
+            let installed = self.rule_towards(server, dst).map(|r| r.next_hop);
+            match bfs_shortest_path(graph, server, dst) {
+                Some(path) if installed != Some(path[1]) => {
+                    self.set_rule(server, dst, path[1]);
+                    repointed += 1;
                 }
+                None if installed.is_some() => {
+                    self.remove_rule(server, dst);
+                    dropped += 1;
+                }
+                _ => {}
             }
         }
         self.rules.retain(|_, rules| !rules.is_empty());
-        // Pass 2: re-walk every logical connection under the repaired
-        // table and refresh its relay accounting.
+        (repointed, dropped)
+    }
+
+    /// Install a shortest-path rule for every `(server, dst)` pair of
+    /// `graph` that has a live path but no rule: pairs blackholed earlier,
+    /// or newly connected. This is the controller's step after a plug.
+    pub fn fill_missing_rules(&mut self, graph: &Graph) {
+        let n = graph.num_nodes();
+        for server in 0..n {
+            for dst in 0..n {
+                if server == dst || self.rule_towards(server, dst).is_some() {
+                    continue;
+                }
+                if let Some(path) = bfs_shortest_path(graph, server, dst) {
+                    self.set_rule(server, dst, path[1]);
+                }
+            }
+        }
+    }
+
+    /// Repair the plan in place after links died: [`Self::repair_rules`]
+    /// fixes the rules over dead links, then every logical connection is
+    /// re-walked under the repaired table ([`Self::walk`] is the
+    /// loop/blackhole oracle) and its relay count refreshed to the detour
+    /// chain it now follows.
+    ///
+    /// Pairs whose chains still do not deliver are removed from the relay
+    /// table (their [`Self::effective_throughput_factor`] becomes `0.0`)
+    /// and surfaced as typed [`DegradedPair`] records rather than silently
+    /// priced as disconnected. Drive dead-link sequences through the
+    /// reconfiguration planner when repairs must respect loop-freedom and
+    /// reachability at every intermediate step.
+    pub fn repair(&mut self, degraded: &Graph, mode: RepairMode) -> RepairReport {
+        let (repaired_rules, dropped_rules) = self.repair_rules(degraded, mode);
+        let mut report = RepairReport { repaired_rules, dropped_rules, ..RepairReport::default() };
         let pairs: Vec<((usize, usize), usize)> =
             self.relays.iter().map(|(&p, &r)| (p, r)).collect();
         for ((src, dst), old_relays) in pairs {
@@ -469,17 +476,10 @@ pub fn build_forwarding_plan(
     }
     // Materialize the deduplicated rule set, grouped by server.
     for (&(server, final_dst), &(nh, installer)) in &next_hop {
-        plan.rules.entry(server).or_default().push(ForwardingRule {
-            on_server: server,
-            final_dst,
-            src: installer,
-            next_hop: nh,
-            next_hop_partition: if nh == final_dst {
-                NparPartition::Rdma
-            } else {
-                NparPartition::Forwarding
-            },
-        });
+        plan.rules
+            .entry(server)
+            .or_default()
+            .push(ForwardingRule::new(server, final_dst, installer, nh));
     }
     plan
 }
@@ -628,20 +628,6 @@ mod tests {
         assert_eq!(nics.len(), 48);
     }
 
-    fn rule(on: usize, dst: usize, nh: usize) -> ForwardingRule {
-        ForwardingRule {
-            on_server: on,
-            final_dst: dst,
-            src: on,
-            next_hop: nh,
-            next_hop_partition: if nh == dst {
-                NparPartition::Rdma
-            } else {
-                NparPartition::Forwarding
-            },
-        }
-    }
-
     #[test]
     fn walk_delivers_along_installed_chain() {
         let mut g = topoopt_graph::Graph::new(4);
@@ -660,7 +646,7 @@ mod tests {
         // 0 forwards towards 3 via 1, but 1 holds no rule for 3 (a stale
         // table mid-migration): the packet dies on 1.
         let mut plan = ForwardingPlan::default();
-        plan.rules.insert(0, vec![rule(0, 3, 1)]);
+        plan.rules.insert(0, vec![ForwardingRule::new(0, 3, 0, 1)]);
         let out = plan.walk(0, 3);
         assert_eq!(out, WalkOutcome::Blackhole(vec![0, 1]));
         assert!(!out.is_delivered());
@@ -774,9 +760,9 @@ mod tests {
         // Stale rules mixed with a repaired one: 1 -> 2 -> 3 -> 1 for
         // destination 0. The walk stops at the first revisited server.
         let mut plan = ForwardingPlan::default();
-        plan.rules.insert(1, vec![rule(1, 0, 2)]);
-        plan.rules.insert(2, vec![rule(2, 0, 3)]);
-        plan.rules.insert(3, vec![rule(3, 0, 1)]);
+        plan.rules.insert(1, vec![ForwardingRule::new(1, 0, 1, 2)]);
+        plan.rules.insert(2, vec![ForwardingRule::new(2, 0, 2, 3)]);
+        plan.rules.insert(3, vec![ForwardingRule::new(3, 0, 3, 1)]);
         let out = plan.walk(1, 0);
         assert_eq!(out, WalkOutcome::Loop(vec![1, 2, 3, 1]));
         assert!(!out.is_delivered());

@@ -2,12 +2,31 @@
 //! destination-keyed rule chains must actually deliver every pair's
 //! traffic — walk from the source, follow one rule per hop, arrive at the
 //! destination's RDMA interface, never loop, and agree with the plan's
-//! per-pair relay accounting.
+//! per-pair relay accounting. After links die, a repaired plan must keep
+//! that accounting honest for every pair it still delivers.
 
 use proptest::prelude::*;
 use topoopt_core::Routing;
+use topoopt_graph::paths::bfs_distances;
 use topoopt_graph::{topologies, Graph};
-use topoopt_rdma::{build_forwarding_plan, ForwardingPlan, NparPartition, WalkOutcome};
+use topoopt_rdma::{build_forwarding_plan, ForwardingPlan, NparPartition, RepairMode, WalkOutcome};
+
+/// A random connected fabric: a +1 ring (connectivity) plus random ring
+/// permutations and random chords.
+fn fabric(n: usize, strides: &[usize], chords: &[(usize, usize)]) -> Graph {
+    let mut ps: Vec<usize> = vec![1];
+    ps.extend(strides.iter().map(|s| 1 + s % (n - 1)));
+    ps.sort_unstable();
+    ps.dedup();
+    let mut g = topologies::from_permutations(n, &ps, 25.0e9);
+    for &(a, b) in chords {
+        let (a, b) = (a % n, b % n);
+        if a != b {
+            g.add_edge(a, b, 25.0e9);
+        }
+    }
+    g
+}
 
 /// Walk the rule chain for one pair via the shared [`ForwardingPlan::walk`]
 /// oracle (also used by the reconfiguration planner's hard policies);
@@ -79,17 +98,7 @@ proptest! {
         strides in proptest::collection::vec(2usize..11, 0usize..3),
         chords in proptest::collection::vec((0usize..64, 0usize..64), 0usize..10),
     ) {
-        let mut ps: Vec<usize> = vec![1];
-        ps.extend(strides.into_iter().map(|s| 1 + s % (n - 1)));
-        ps.sort_unstable();
-        ps.dedup();
-        let mut g = topologies::from_permutations(n, &ps, 25.0e9);
-        for (a, b) in chords {
-            let (a, b) = (a % n, b % n);
-            if a != b {
-                g.add_edge(a, b, 25.0e9);
-            }
-        }
+        let g = fabric(n, &strides, &chords);
         let plan = build_forwarding_plan(&g, n, &Routing::new());
         assert_plan_delivers(&g, n, &plan);
         // Shortest-path routing: conflicts are benign (equal-length
@@ -125,5 +134,64 @@ proptest! {
         }
         let plan = build_forwarding_plan(&g, n, &routing);
         assert_plan_delivers(&g, n, &plan);
+    }
+
+    // Kill 1-3 random links and repair at a random granularity. No rule
+    // may point over a dead link, and every pair either delivers with its
+    // relay count equal to its walk, or is a typed degraded record absent
+    // from the relay table. A per-destination repair resyncs whole
+    // destination chains, so it never loops and keeps exactly the pairs
+    // the degraded fabric still connects.
+    #[test]
+    fn repair_delivers_every_pair_the_degraded_fabric_still_connects(
+        n in 3usize..12,
+        strides in proptest::collection::vec(2usize..11, 0usize..3),
+        chords in proptest::collection::vec((0usize..64, 0usize..64), 0usize..10),
+        kills in proptest::collection::vec(0usize..256, 1usize..4),
+        per_destination in proptest::bool::ANY,
+    ) {
+        let g = fabric(n, &strides, &chords);
+        let mut plan = build_forwarding_plan(&g, n, &Routing::new());
+        let connected: Vec<(usize, usize)> = plan.relays.keys().copied().collect();
+        let live: Vec<usize> = g.edges().map(|(id, _)| id).collect();
+        let mut degraded = g.clone();
+        for k in kills {
+            degraded.remove_edge(live[k % live.len()]);
+        }
+        let mode = if per_destination { RepairMode::PerDestination } else { RepairMode::PerRule };
+        let report = plan.repair(&degraded, mode);
+        for r in plan.rules.values().flatten() {
+            prop_assert!(
+                degraded.has_edge(r.on_server, r.next_hop),
+                "rule ({}, {}) points over dead link {}->{}",
+                r.on_server, r.final_dst, r.on_server, r.next_hop
+            );
+        }
+        for &(src, dst) in &connected {
+            let walk = plan.walk(src, dst);
+            match &walk {
+                WalkOutcome::Delivered(path) => prop_assert_eq!(
+                    plan.relay_count(src, dst),
+                    Some(path.len() - 2),
+                    "relay count of {}->{} disagrees with walk {:?}", src, dst, path
+                ),
+                WalkOutcome::Blackhole(_) | WalkOutcome::Loop(_) => {
+                    prop_assert!(!plan.has_connection(src, dst), "{}->{} priced: {:?}", src, dst, walk);
+                    prop_assert!(
+                        report.degraded.iter().any(|d| (d.src, d.dst) == (src, dst)),
+                        "{}->{} broke without a degraded record: {:?}", src, dst, walk
+                    );
+                }
+            }
+            if mode == RepairMode::PerDestination {
+                prop_assert!(!matches!(walk, WalkOutcome::Loop(_)), "{}->{} loops: {:?}", src, dst, walk);
+                let reachable = bfs_distances(&degraded, src)[dst] != usize::MAX;
+                prop_assert_eq!(
+                    plan.has_connection(src, dst),
+                    reachable,
+                    "{}->{}: connection disagrees with the degraded fabric ({:?})", src, dst, walk
+                );
+            }
+        }
     }
 }

@@ -15,8 +15,12 @@
 //! * [`HardPolicy`] is the per-state validity oracle: [`LoopFreedom`]
 //!   (no rule chain cycles, checked with [`ForwardingPlan::walk`]) and
 //!   [`PairReachability`] (job-critical pairs stay deliverable).
-//! * [`SoftPolicy`] scores valid states: [`MinimizeSteps`],
-//!   [`DisplacedTraffic`], and the fluid-engine [`ThroughputDip`].
+//! * [`SoftPolicy`] scores valid states: [`MinimizeSteps`] and the
+//!   fluid-engine [`ThroughputDip`].
+//!
+//! Both policy kinds judge a [`FabricState`]'s own rule table, an rdma
+//! [`ForwardingPlan`] repaired after each link operation with the plan's
+//! own routines at the controller's [`RepairMode`] granularity.
 //!
 //! [`MigrationPlanner`] composes the three. When no valid ordering exists
 //! (or the search budget runs out) it reports an explicit
@@ -34,7 +38,9 @@
 //! assert!(plan.link_ops() > 0);
 //! ```
 //!
+//! [`ForwardingPlan`]: topoopt_rdma::ForwardingPlan
 //! [`ForwardingPlan::walk`]: topoopt_rdma::ForwardingPlan::walk
+//! [`RepairMode`]: topoopt_rdma::RepairMode
 
 pub mod planner;
 pub mod policies;
@@ -47,11 +53,11 @@ pub use planner::{
     StepOp,
 };
 pub use policies::{
-    DisplacedTraffic, HardPolicy, LoopFreedom, MinimizeSteps, PairReachability, PolicyViolation,
-    SoftPolicy, ThroughputDip,
+    HardPolicy, LoopFreedom, MinimizeSteps, PairReachability, PolicyViolation, SoftPolicy,
+    ThroughputDip,
 };
 pub use repair::{degraded_graph, plan_link_repair, repair_problem, surviving_pairs};
-pub use state::{diff_ops, link_multiset, FabricSpec, FabricState, Link, LinkOp, RuleRepair};
+pub use state::{diff_ops, link_multiset, FabricSpec, FabricState, Link, LinkOp};
 pub use strategies::{NaiveOrdered, RandomPermutation, Strategy, TreeSearch};
 
 /// A migration planner: one search strategy, a conjunction of hard
@@ -122,10 +128,9 @@ mod tests {
         assert!(matches!(plan.steps.last().unwrap().op, StepOp::InstallTargetRules));
         // Independent replay: every emitted state passes the hard policies.
         for (i, state) in replay(&p, &plan).iter().enumerate() {
-            let fp = state.forwarding_plan();
             for policy in &planner.hard {
                 policy
-                    .check(state, &fp)
+                    .check(state)
                     .unwrap_or_else(|v| panic!("step {i} violates {}: {}", v.policy, v.detail));
             }
         }

@@ -1,14 +1,14 @@
 //! The migration problem, plans, and the shared order evaluator.
 
 use crate::policies::{HardPolicy, PolicyViolation, SoftPolicy};
-use crate::state::{diff_ops, link_multiset, FabricSpec, FabricState, Link, LinkOp, RuleRepair};
+use crate::state::{diff_ops, link_multiset, FabricSpec, FabricState, Link, LinkOp};
 use serde::{Deserialize, Serialize};
-use topoopt_rdma::ForwardingPlan;
+use topoopt_rdma::RepairMode;
 
 /// A source-to-target patch-panel migration to sequence.
 #[derive(Debug, Clone)]
 pub struct MigrationProblem {
-    /// Number of servers (nodes of both fabrics).
+    /// Number of servers: the node count of both fabrics.
     pub num_servers: usize,
     /// The fabric being torn down.
     pub source: FabricSpec,
@@ -18,14 +18,14 @@ pub struct MigrationProblem {
     /// endpoint is at this out/in degree (no free patch-panel port). With
     /// `None`, links can overlap freely mid-migration.
     pub max_degree: Option<usize>,
-    /// Rule-repair granularity of the controller (see [`RuleRepair`]).
-    pub repair: RuleRepair,
+    /// Rule-repair granularity of the controller (see [`RepairMode`]).
+    pub repair: RepairMode,
 }
 
 impl MigrationProblem {
     /// A problem with no interface budget and per-destination repair (the
     /// loop-free-by-construction controller mode; set
-    /// [`RuleRepair::PerRule`] to model a minimal-touch controller whose
+    /// [`RepairMode::PerRule`] to model a minimal-touch controller whose
     /// stale/fresh rule mixtures can transiently loop).
     pub fn new(num_servers: usize, source: FabricSpec, target: FabricSpec) -> Self {
         MigrationProblem {
@@ -33,7 +33,7 @@ impl MigrationProblem {
             source,
             target,
             max_degree: None,
-            repair: RuleRepair::PerDestination,
+            repair: RepairMode::PerDestination,
         }
     }
 
@@ -48,7 +48,7 @@ impl MigrationProblem {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StepOp {
     /// Unplug one link (broken rules are repaired at the problem's
-    /// [`RuleRepair`] granularity).
+    /// [`RepairMode`] granularity).
     RemoveLink(Link),
     /// Plug one link (rules are filled for newly reachable pairs).
     AddLink(Link),
@@ -112,16 +112,12 @@ pub struct MigrationFallback {
     pub states_checked: usize,
 }
 
-/// Materialize a state's rule table once and run every hard policy on it.
+/// Run every hard policy on one state.
 pub(crate) fn check_state(
     state: &FabricState,
     hard: &[Box<dyn HardPolicy>],
-) -> Result<ForwardingPlan, PolicyViolation> {
-    let plan = state.forwarding_plan();
-    for policy in hard {
-        policy.check(state, &plan)?;
-    }
-    Ok(plan)
+) -> Result<(), PolicyViolation> {
+    hard.iter().try_for_each(|policy| policy.check(state))
 }
 
 /// True when adding `l` would exceed the problem's interface budget.
@@ -172,9 +168,7 @@ pub fn evaluate_order(
         state.apply(*op, problem.repair);
         checked += 1;
         match check_state(&state, hard) {
-            Ok(plan) => {
-                steps.push(MigrationStep { op: (*op).into(), cost: soft.state_cost(&state, &plan) })
-            }
+            Ok(()) => steps.push(MigrationStep { op: (*op).into(), cost: soft.state_cost(&state) }),
             Err(v) => {
                 return Err((
                     PolicyViolation::new(&v.policy, format!("after step {idx}: {}", v.detail)),
@@ -191,10 +185,8 @@ pub fn evaluate_order(
     state.sync_with(&problem.target.routing);
     checked += 1;
     match check_state(&state, hard) {
-        Ok(plan) => steps.push(MigrationStep {
-            op: StepOp::InstallTargetRules,
-            cost: soft.state_cost(&state, &plan),
-        }),
+        Ok(()) => steps
+            .push(MigrationStep { op: StepOp::InstallTargetRules, cost: soft.state_cost(&state) }),
         Err(v) => {
             return Err((
                 PolicyViolation::new(&v.policy, format!("target state invalid: {}", v.detail)),

@@ -5,17 +5,18 @@
 //! ordering is invalid. A [`SoftPolicy`] scores valid states; the planner
 //! ranks valid orderings by their peak (then mean) state cost.
 //!
-//! Both traits judge the *installed rule table* of a [`FabricState`],
-//! materialized as a [`ForwardingPlan`] and walked with the rdma
-//! rule-chain walker — the same oracle the forwarding-plan property tests
-//! use.
+//! Both traits judge the state's own installed rule table
+//! ([`FabricState::plan`]), walked with the rdma rule-chain walker
+//! [`ForwardingPlan::walk`] — the same oracle the forwarding-plan property
+//! tests use.
+//!
+//! [`ForwardingPlan::walk`]: topoopt_rdma::ForwardingPlan::walk
 
 use crate::state::FabricState;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use topoopt_graph::traffic::TrafficMatrix;
 use topoopt_netsim::fluid::{simulate_flows, FlowSpec};
-use topoopt_rdma::{ForwardingPlan, WalkOutcome};
+use topoopt_rdma::WalkOutcome;
 
 /// A named hard-policy violation: which policy rejected the state and why.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,9 +39,8 @@ impl PolicyViolation {
 pub trait HardPolicy: Send + Sync {
     /// Stable policy name, reported on violations and fallbacks.
     fn name(&self) -> &'static str;
-    /// Judge one mid-migration state (`plan` is `state`'s materialized
-    /// rule table, shared across policies to avoid rebuilding it).
-    fn check(&self, state: &FabricState, plan: &ForwardingPlan) -> Result<(), PolicyViolation>;
+    /// Judge one mid-migration state.
+    fn check(&self, state: &FabricState) -> Result<(), PolicyViolation>;
 }
 
 /// No rule chain may cycle: a loop forwards packets forever, melting the
@@ -53,14 +53,14 @@ impl HardPolicy for LoopFreedom {
         "loop-freedom"
     }
 
-    fn check(&self, state: &FabricState, plan: &ForwardingPlan) -> Result<(), PolicyViolation> {
+    fn check(&self, state: &FabricState) -> Result<(), PolicyViolation> {
         let n = state.num_servers();
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
                     continue;
                 }
-                if let WalkOutcome::Loop(path) = plan.walk(src, dst) {
+                if let WalkOutcome::Loop(path) = state.plan().walk(src, dst) {
                     return Err(PolicyViolation::new(
                         self.name(),
                         format!("rule chain {src}->{dst} cycles: {path:?}"),
@@ -92,12 +92,12 @@ impl HardPolicy for PairReachability {
         "pair-reachability"
     }
 
-    fn check(&self, state: &FabricState, plan: &ForwardingPlan) -> Result<(), PolicyViolation> {
+    fn check(&self, state: &FabricState) -> Result<(), PolicyViolation> {
         for &(src, dst) in &self.pairs {
             if src == dst {
                 continue;
             }
-            match plan.walk(src, dst) {
+            match state.plan().walk(src, dst) {
                 WalkOutcome::Delivered(path) => {
                     for hop in path.windows(2) {
                         if !state.graph().has_edge(hop[0], hop[1]) {
@@ -135,7 +135,7 @@ pub trait SoftPolicy: Send + Sync {
     /// Stable policy name, reported in plans.
     fn name(&self) -> &'static str;
     /// Cost of one valid state.
-    fn state_cost(&self, state: &FabricState, plan: &ForwardingPlan) -> f64;
+    fn state_cost(&self, state: &FabricState) -> f64;
 }
 
 /// Every state costs 1: total cost counts migration steps, so shorter
@@ -148,54 +148,8 @@ impl SoftPolicy for MinimizeSteps {
         "minimize-steps"
     }
 
-    fn state_cost(&self, _state: &FabricState, _plan: &ForwardingPlan) -> f64 {
+    fn state_cost(&self, _state: &FabricState) -> f64 {
         1.0
-    }
-}
-
-/// Fraction of demand pairs whose traffic is displaced from its
-/// source-fabric path (rerouted over different links, or not deliverable
-/// at all). Cheap: pure rule walks, no fluid simulation.
-#[derive(Debug, Clone)]
-pub struct DisplacedTraffic {
-    pairs: Vec<(usize, usize)>,
-    baseline: BTreeMap<(usize, usize), Vec<usize>>,
-}
-
-impl DisplacedTraffic {
-    /// Track the demand pairs against their paths in `source_plan`.
-    pub fn new(pairs: Vec<(usize, usize)>, source_plan: &ForwardingPlan) -> Self {
-        let baseline = pairs
-            .iter()
-            .filter(|&&(s, d)| s != d)
-            .filter_map(|&(s, d)| match source_plan.walk(s, d) {
-                WalkOutcome::Delivered(path) => Some(((s, d), path)),
-                _ => None,
-            })
-            .collect();
-        DisplacedTraffic { pairs, baseline }
-    }
-}
-
-impl SoftPolicy for DisplacedTraffic {
-    fn name(&self) -> &'static str {
-        "displaced-traffic"
-    }
-
-    fn state_cost(&self, _state: &FabricState, plan: &ForwardingPlan) -> f64 {
-        if self.pairs.is_empty() {
-            return 0.0;
-        }
-        let displaced = self
-            .pairs
-            .iter()
-            .filter(|&&(s, d)| s != d)
-            .filter(|&&(s, d)| match plan.walk(s, d) {
-                WalkOutcome::Delivered(path) => self.baseline.get(&(s, d)) != Some(&path),
-                _ => true,
-            })
-            .count();
-        displaced as f64 / self.pairs.len() as f64
     }
 }
 
@@ -225,13 +179,13 @@ impl ThroughputDip {
     ) -> Self {
         let mut dip =
             ThroughputDip { probe, per_hop_latency_s, relay_efficiency, baseline_goodput: 0.0 };
-        dip.baseline_goodput = dip.goodput(source, &source.forwarding_plan());
+        dip.baseline_goodput = dip.goodput(source);
         dip
     }
 
     /// Goodput of one state under the probe demand: bytes delivered along
     /// the rule walks, divided by the fluid-simulated makespan.
-    pub fn goodput(&self, state: &FabricState, plan: &ForwardingPlan) -> f64 {
+    pub fn goodput(&self, state: &FabricState) -> f64 {
         let n = state.num_servers().min(self.probe.num_nodes());
         let mut flows = Vec::new();
         let mut delivered = 0.0;
@@ -241,7 +195,7 @@ impl ThroughputDip {
                 if src == dst || bytes <= 0.0 {
                     continue;
                 }
-                if let WalkOutcome::Delivered(path) = plan.walk(src, dst) {
+                if let WalkOutcome::Delivered(path) = state.plan().walk(src, dst) {
                     let relays = path.len().saturating_sub(2);
                     let factor = self.relay_efficiency.powi(relays as i32);
                     flows.push(FlowSpec::new(path, bytes).with_relay_factor(factor));
@@ -265,19 +219,20 @@ impl SoftPolicy for ThroughputDip {
         "throughput-dip"
     }
 
-    fn state_cost(&self, state: &FabricState, plan: &ForwardingPlan) -> f64 {
+    fn state_cost(&self, state: &FabricState) -> f64 {
         if self.baseline_goodput <= 0.0 {
             return 0.0;
         }
-        (1.0 - self.goodput(state, plan) / self.baseline_goodput).max(0.0)
+        (1.0 - self.goodput(state) / self.baseline_goodput).max(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{FabricSpec, Link, LinkOp, RuleRepair};
+    use crate::state::{FabricSpec, Link, LinkOp};
     use topoopt_graph::topologies;
+    use topoopt_rdma::RepairMode;
 
     fn ring_state(n: usize) -> FabricState {
         let spec = FabricSpec::shortest_path(topologies::from_permutations(n, &[1], 25.0e9));
@@ -287,11 +242,10 @@ mod tests {
     #[test]
     fn fresh_states_pass_both_hard_policies() {
         let state = ring_state(5);
-        let plan = state.forwarding_plan();
-        assert!(LoopFreedom.check(&state, &plan).is_ok());
+        assert!(LoopFreedom.check(&state).is_ok());
         let all: Vec<(usize, usize)> =
             (0..5).flat_map(|s| (0..5).map(move |d| (s, d))).filter(|&(s, d)| s != d).collect();
-        assert!(PairReachability::new(all).check(&state, &plan).is_ok());
+        assert!(PairReachability::new(all).check(&state).is_ok());
     }
 
     #[test]
@@ -299,14 +253,13 @@ mod tests {
         let mut state = ring_state(4);
         state.apply(
             LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RuleRepair::PerRule,
+            RepairMode::PerRule,
         );
-        let plan = state.forwarding_plan();
-        let err = PairReachability::new(vec![(0, 1)]).check(&state, &plan).unwrap_err();
+        let err = PairReachability::new(vec![(0, 1)]).check(&state).unwrap_err();
         assert_eq!(err.policy, "pair-reachability");
         assert!(err.detail.contains("0->1"), "detail should name the pair: {}", err.detail);
         // Loop-freedom alone tolerates the blackhole (nothing cycles).
-        assert!(LoopFreedom.check(&state, &plan).is_ok());
+        assert!(LoopFreedom.check(&state).is_ok());
     }
 
     #[test]
@@ -314,35 +267,15 @@ mod tests {
         let mut state = ring_state(4);
         state.apply(
             LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RuleRepair::PerRule,
+            RepairMode::PerRule,
         );
         state
-            .apply(LinkOp::Add(Link { src: 0, dst: 2, capacity_bps: 25.0e9 }), RuleRepair::PerRule);
+            .apply(LinkOp::Add(Link { src: 0, dst: 2, capacity_bps: 25.0e9 }), RepairMode::PerRule);
         state
-            .apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 25.0e9 }), RuleRepair::PerRule);
-        let plan = state.forwarding_plan();
-        let err = LoopFreedom.check(&state, &plan).unwrap_err();
+            .apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 25.0e9 }), RepairMode::PerRule);
+        let err = LoopFreedom.check(&state).unwrap_err();
         assert_eq!(err.policy, "loop-freedom");
         assert!(err.detail.contains("cycles"));
-    }
-
-    #[test]
-    fn displaced_traffic_counts_rerouted_pairs() {
-        let state = ring_state(4);
-        let source_plan = state.forwarding_plan();
-        let pairs = vec![(0, 1), (1, 2), (0, 2)];
-        let soft = DisplacedTraffic::new(pairs, &source_plan);
-        // On the unmodified source state nothing is displaced.
-        assert_eq!(soft.state_cost(&state, &source_plan), 0.0);
-        // Remove 0->1: (0,1) undeliverable, (0,2) was routed 0->1->2.
-        let mut moved = state.clone();
-        moved.apply(
-            LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RuleRepair::PerRule,
-        );
-        let plan = moved.forwarding_plan();
-        let cost = soft.state_cost(&moved, &plan);
-        assert!((cost - 2.0 / 3.0).abs() < 1e-12, "got {cost}");
     }
 
     #[test]
@@ -353,17 +286,15 @@ mod tests {
             probe.set(i, (i + 1) % 4, 1.0e9);
         }
         let soft = ThroughputDip::new(probe, 0.0, 1.0, &state);
-        let plan = state.forwarding_plan();
-        assert!(soft.state_cost(&state, &plan) < 1e-9);
+        assert!(soft.state_cost(&state) < 1e-9);
         // Remove every link: nothing deliverable, dip = 1.
         let mut dark = state.clone();
         for i in 0..4 {
             dark.apply(
                 LinkOp::Remove(Link { src: i, dst: (i + 1) % 4, capacity_bps: 25.0e9 }),
-                RuleRepair::PerRule,
+                RepairMode::PerRule,
             );
         }
-        let dark_plan = dark.forwarding_plan();
-        assert_eq!(soft.state_cost(&dark, &dark_plan), 1.0);
+        assert_eq!(soft.state_cost(&dark), 1.0);
     }
 }

@@ -10,18 +10,21 @@
 //! planned migration: every intermediate rule state stays loop-free
 //! ([`LoopFreedom`]), and every pair that survives the fault stays
 //! deliverable while chains repoint ([`PairReachability`] over
-//! [`surviving_pairs`]). Pairs the fault physically severed are *not*
-//! protected — no rule shuffle can resurrect a cut fibre; they surface as
-//! `DegradedPair` records when the repaired plan is priced (see
-//! `topoopt_rdma::ForwardingPlan::repair`).
+//! [`surviving_pairs`]). Each unplug repairs the rules with
+//! `topoopt_rdma::ForwardingPlan::repair_rules`, the same routine the
+//! unplanned `ForwardingPlan::repair` runs before re-walking its pairs.
+//! Pairs the fault physically severed are *not* protected — no rule
+//! shuffle can resurrect a cut fibre; they surface as `DegradedPair`
+//! records when the repaired plan is priced.
 
 use crate::planner::{MigrationFallback, MigrationPlan, MigrationProblem};
 use crate::policies::{LoopFreedom, PairReachability};
-use crate::state::{FabricSpec, Link, RuleRepair};
+use crate::state::{FabricSpec, Link};
 use crate::strategies::Strategy;
 use crate::MigrationPlanner;
 use topoopt_graph::paths::bfs_distances;
 use topoopt_graph::Graph;
+use topoopt_rdma::RepairMode;
 
 /// The fabric left after `dead` links failed: the healthy graph with one
 /// live instance of each dead link removed (a dead link that was not live —
@@ -68,7 +71,7 @@ pub fn repair_problem(
     healthy: &FabricSpec,
     dead: &[Link],
     num_servers: usize,
-    repair: RuleRepair,
+    repair: RepairMode,
 ) -> MigrationProblem {
     let mut problem = MigrationProblem::new(
         num_servers,
@@ -90,7 +93,7 @@ pub fn plan_link_repair(
     healthy: &FabricSpec,
     dead: &[Link],
     num_servers: usize,
-    repair: RuleRepair,
+    repair: RepairMode,
 ) -> Result<MigrationPlan, MigrationFallback> {
     let problem = repair_problem(healthy, dead, num_servers, repair);
     let pairs = surviving_pairs(&problem.target.graph, num_servers);
@@ -125,7 +128,7 @@ mod tests {
             Link { src: 0, dst: 1, capacity_bps: 25.0e9 },
             Link { src: 3, dst: 2, capacity_bps: 25.0e9 },
         ];
-        let problem = repair_problem(&healthy, &dead, 5, RuleRepair::PerDestination);
+        let problem = repair_problem(&healthy, &dead, 5, RepairMode::PerDestination);
         let ops = problem.ops();
         assert_eq!(ops.len(), 2);
         assert!(ops.iter().all(|op| matches!(op, LinkOp::Remove(_))));
@@ -157,7 +160,7 @@ mod tests {
             &healthy,
             &dead,
             4,
-            RuleRepair::PerRule,
+            RepairMode::PerRule,
         )
         .expect_err("stale/fresh mixture must violate a hard policy");
         assert!(
@@ -170,7 +173,7 @@ mod tests {
             &healthy,
             &dead,
             4,
-            RuleRepair::PerDestination,
+            RepairMode::PerDestination,
         )
         .expect("per-destination repair must sequence a single unplug");
         assert_eq!(plan.link_ops(), 1);

@@ -5,16 +5,18 @@
 //! links of each are live, and the servers' destination-keyed forwarding
 //! rules are a mixture of stale entries (installed for the source fabric)
 //! and incremental repairs. [`FabricState`] models exactly that — the live
-//! link multiset plus the installed rule table — and applies link
-//! operations the way the controller would: unplugging a link repairs the
-//! rules it breaks, plugging one fills rules for newly reachable pairs.
+//! link multiset plus the installed rule table, held as an rdma
+//! [`ForwardingPlan`] — and applies link operations the way the controller
+//! would: unplugging a link repairs the rules it breaks
+//! ([`ForwardingPlan::repair_rules`]), plugging one fills rules for newly
+//! reachable pairs ([`ForwardingPlan::fill_missing_rules`]).
 //!
-//! The repair granularity matters. With [`RuleRepair::PerRule`] only the
+//! The repair granularity matters. With [`RepairMode::PerRule`] only the
 //! rules whose next-hop link died are repointed (minimal touch, like
 //! patching individual `tc flower` entries); the repaired next hops follow
 //! shortest paths in the *current* graph while untouched rules still encode
 //! source-fabric paths, and that mixture can transiently loop. With
-//! [`RuleRepair::PerDestination`] every rule towards an affected
+//! [`RepairMode::PerDestination`] every rule towards an affected
 //! destination is resynced at once; since rule chains only ever follow
 //! rules keyed on one destination, per-destination freshness makes loops
 //! impossible by construction (every fresh rule strictly decreases the
@@ -24,10 +26,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use topoopt_core::Routing;
-use topoopt_graph::paths::bfs_shortest_path;
 use topoopt_graph::Graph;
-use topoopt_rdma::npar::NparPartition;
-use topoopt_rdma::{build_forwarding_plan, ForwardingPlan, ForwardingRule};
+use topoopt_rdma::{build_forwarding_plan, ForwardingPlan, RepairMode};
 
 /// One directed physical link (a patch-panel fibre).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,20 +47,6 @@ pub enum LinkOp {
     Remove(Link),
     /// Plug the link.
     Add(Link),
-}
-
-/// How the controller repairs forwarding rules after each link operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RuleRepair {
-    /// Minimal touch: only the rules whose next-hop link died are
-    /// repointed to a current shortest path (dropped when the destination
-    /// became unreachable). Stale rules towards the same destination stay
-    /// installed, so repaired chains can transiently loop.
-    PerRule,
-    /// Every rule towards a destination with at least one broken rule is
-    /// resynced to current shortest paths. Loop-free by construction;
-    /// reachability can still break.
-    PerDestination,
 }
 
 /// A migration endpoint: the link multiset plus the routing its
@@ -126,18 +112,20 @@ pub fn diff_ops(source: &Graph, target: &Graph) -> Vec<LinkOp> {
 pub struct FabricState {
     num_servers: usize,
     graph: Graph,
-    /// `(server, final_dst)` -> next hop, the kernel tables' content.
-    next_hop: BTreeMap<(usize, usize), usize>,
+    /// The kernel tables' content: rules only, since a mid-migration table
+    /// has no per-pair relay accounting until its chains are walked.
+    plan: ForwardingPlan,
 }
 
 impl FabricState {
     /// Start state of a migration: the spec's links with its freshly built
-    /// forwarding plan installed.
+    /// forwarding rules installed. `num_servers` is the spec graph's node
+    /// count.
     pub fn from_spec(spec: &FabricSpec, num_servers: usize) -> Self {
-        let plan = build_forwarding_plan(&spec.graph, num_servers, &spec.routing);
+        debug_assert_eq!(spec.graph.num_nodes(), num_servers, "a fabric's nodes are its servers");
         let mut state =
-            FabricState { num_servers, graph: spec.graph.clone(), next_hop: BTreeMap::new() };
-        state.install(&plan);
+            FabricState { num_servers, graph: spec.graph.clone(), plan: ForwardingPlan::default() };
+        state.sync_with(&spec.routing);
         state
     }
 
@@ -151,33 +139,24 @@ impl FabricState {
         self.num_servers
     }
 
-    /// Number of installed rules.
-    pub fn num_rules(&self) -> usize {
-        self.next_hop.len()
+    /// The installed rule table, walked with [`ForwardingPlan::walk`].
+    pub fn plan(&self) -> &ForwardingPlan {
+        &self.plan
     }
 
-    fn install(&mut self, plan: &ForwardingPlan) {
-        self.next_hop.clear();
-        for rules in plan.rules.values() {
-            for r in rules {
-                self.next_hop.insert((r.on_server, r.final_dst), r.next_hop);
-            }
-        }
-    }
-
-    /// Replace the whole rule table with a freshly built plan for the
+    /// Replace the whole rule table with freshly built rules for the
     /// current links under `routing` — the final `InstallTargetRules` step
     /// of a migration (and the only rule update that is never stale).
     pub fn sync_with(&mut self, routing: &Routing) {
-        let plan = build_forwarding_plan(&self.graph, self.num_servers, routing);
-        self.install(&plan);
+        let rules = build_forwarding_plan(&self.graph, self.num_servers, routing).rules;
+        self.plan = ForwardingPlan { rules, ..ForwardingPlan::default() };
     }
 
     /// Apply one link operation, repairing the rule table the way the
     /// controller would at the given granularity. The caller is
     /// responsible for degree feasibility; removing a link that is not
     /// live panics (the planner only emits diffed operations).
-    pub fn apply(&mut self, op: LinkOp, repair: RuleRepair) {
+    pub fn apply(&mut self, op: LinkOp, repair: RepairMode) {
         match op {
             LinkOp::Remove(l) => {
                 let id = self
@@ -191,94 +170,13 @@ impl FabricState {
                     .map(|(id, _)| id)
                     .unwrap_or_else(|| panic!("remove of non-live link {} -> {}", l.src, l.dst));
                 self.graph.remove_edge(id);
-                self.repair_broken(repair);
+                self.plan.repair_rules(&self.graph, repair);
             }
             LinkOp::Add(l) => {
                 self.graph.add_edge(l.src, l.dst, l.capacity_bps);
-                self.fill_missing();
+                self.plan.fill_missing_rules(&self.graph);
             }
         }
-    }
-
-    /// Repoint or drop every rule whose next-hop link is no longer live.
-    fn repair_broken(&mut self, repair: RuleRepair) {
-        let broken: Vec<(usize, usize)> = self
-            .next_hop
-            .iter()
-            .filter(|(&(server, _), &nh)| !self.graph.has_edge(server, nh))
-            .map(|(&k, _)| k)
-            .collect();
-        match repair {
-            RuleRepair::PerRule => {
-                for (server, dst) in broken {
-                    match bfs_shortest_path(&self.graph, server, dst) {
-                        Some(path) => {
-                            self.next_hop.insert((server, dst), path[1]);
-                        }
-                        None => {
-                            self.next_hop.remove(&(server, dst));
-                        }
-                    }
-                }
-            }
-            RuleRepair::PerDestination => {
-                let mut dests: Vec<usize> = broken.iter().map(|&(_, d)| d).collect();
-                dests.sort_unstable();
-                dests.dedup();
-                for dst in dests {
-                    for server in 0..self.num_servers {
-                        if server == dst {
-                            continue;
-                        }
-                        match bfs_shortest_path(&self.graph, server, dst) {
-                            Some(path) => {
-                                self.next_hop.insert((server, dst), path[1]);
-                            }
-                            None => {
-                                self.next_hop.remove(&(server, dst));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Install rules for pairs that have a live path but no rule (pairs
-    /// blackholed earlier in the migration, or newly connected by an add).
-    fn fill_missing(&mut self) {
-        for server in 0..self.num_servers {
-            for dst in 0..self.num_servers {
-                if server == dst || self.next_hop.contains_key(&(server, dst)) {
-                    continue;
-                }
-                if let Some(path) = bfs_shortest_path(&self.graph, server, dst) {
-                    self.next_hop.insert((server, dst), path[1]);
-                }
-            }
-        }
-    }
-
-    /// Materialize the installed rule table as a [`ForwardingPlan`] so the
-    /// rdma rule-chain walker ([`ForwardingPlan::walk`]) can judge it.
-    /// Only `rules` is populated: mid-migration tables have no meaningful
-    /// per-pair relay accounting until the chains are walked.
-    pub fn forwarding_plan(&self) -> ForwardingPlan {
-        let mut plan = ForwardingPlan::default();
-        for (&(server, dst), &nh) in &self.next_hop {
-            plan.rules.entry(server).or_default().push(ForwardingRule {
-                on_server: server,
-                final_dst: dst,
-                src: server,
-                next_hop: nh,
-                next_hop_partition: if nh == dst {
-                    NparPartition::Rdma
-                } else {
-                    NparPartition::Forwarding
-                },
-            });
-        }
-        plan
     }
 }
 
@@ -312,15 +210,15 @@ mod tests {
         // server 0 (all its chains start over 0->1).
         let spec = ring_spec(4, &[1]);
         let mut state = FabricState::from_spec(&spec, 4);
-        let rules_before = state.num_rules();
+        let rules_before = state.plan().num_rules();
         state.apply(
             LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RuleRepair::PerRule,
+            RepairMode::PerRule,
         );
         // Server 0 is now a sink: no outgoing links, so its rules are
         // dropped; every other server's stale rules stay.
-        assert_eq!(state.num_rules(), rules_before - 3);
-        let plan = state.forwarding_plan();
+        assert_eq!(state.plan().num_rules(), rules_before - 3);
+        let plan = state.plan();
         assert!(!plan.walk(0, 1).is_delivered());
         // 1 -> 2 never used the removed link: still delivered.
         assert_eq!(plan.walk(1, 2), WalkOutcome::Delivered(vec![1, 2]));
@@ -332,11 +230,11 @@ mod tests {
         let mut state = FabricState::from_spec(&spec, 4);
         state.apply(
             LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RuleRepair::PerRule,
+            RepairMode::PerRule,
         );
         state
-            .apply(LinkOp::Add(Link { src: 0, dst: 2, capacity_bps: 25.0e9 }), RuleRepair::PerRule);
-        let plan = state.forwarding_plan();
+            .apply(LinkOp::Add(Link { src: 0, dst: 2, capacity_bps: 25.0e9 }), RepairMode::PerRule);
+        let plan = state.plan();
         assert_eq!(plan.walk(0, 2), WalkOutcome::Delivered(vec![0, 2]));
         assert_eq!(plan.walk(0, 3), WalkOutcome::Delivered(vec![0, 2, 3]));
         // Server 1 lost its only in-link: still unreachable, no fill.
@@ -345,8 +243,8 @@ mod tests {
         // meets the stale ring rule (3,1)->0 and the chain cycles back to
         // the source — exactly the hazard the hard policies must catch.
         state
-            .apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 25.0e9 }), RuleRepair::PerRule);
-        let plan = state.forwarding_plan();
+            .apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 25.0e9 }), RepairMode::PerRule);
+        let plan = state.plan();
         assert_eq!(plan.walk(0, 1), WalkOutcome::Loop(vec![0, 2, 3, 0]));
     }
 
@@ -362,15 +260,15 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         g.add_edge(3, 0, 1.0);
         let spec = FabricSpec::shortest_path(g);
-        let loops_under = |repair: RuleRepair| {
+        let loops_under = |repair: RepairMode| {
             let mut state = FabricState::from_spec(&spec, 4);
             state.apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 1.0 }), repair);
             state.apply(LinkOp::Remove(Link { src: 3, dst: 0, capacity_bps: 1.0 }), repair);
             state.apply(LinkOp::Add(Link { src: 1, dst: 0, capacity_bps: 1.0 }), repair);
-            matches!(state.forwarding_plan().walk(2, 0), WalkOutcome::Loop(_))
+            matches!(state.plan().walk(2, 0), WalkOutcome::Loop(_))
         };
-        assert!(loops_under(RuleRepair::PerRule), "stale+repaired mixture must cycle");
-        assert!(!loops_under(RuleRepair::PerDestination), "per-destination resync is loop-free");
+        assert!(loops_under(RepairMode::PerRule), "stale+repaired mixture must cycle");
+        assert!(!loops_under(RepairMode::PerDestination), "per-destination resync is loop-free");
     }
 
     #[test]
@@ -380,11 +278,11 @@ mod tests {
         for i in 0..5 {
             state.apply(
                 LinkOp::Add(Link { src: i, dst: (i + 2) % 5, capacity_bps: 25.0e9 }),
-                RuleRepair::PerRule,
+                RepairMode::PerRule,
             );
         }
         state.sync_with(&Routing::new());
-        let plan = state.forwarding_plan();
+        let plan = state.plan();
         // Fresh shortest-path rules: 0 -> 2 uses the new chord directly.
         assert_eq!(plan.walk(0, 2), WalkOutcome::Delivered(vec![0, 2]));
         for s in 0..5 {

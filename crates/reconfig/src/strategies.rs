@@ -218,7 +218,7 @@ impl Dfs<'_> {
             next.apply(op, self.problem.repair);
             self.checked += 1;
             match check_state(&next, self.hard) {
-                Ok(_) => {
+                Ok(()) => {
                     self.taken[i] = true;
                     self.order.push(op);
                     if self.search(&next) {

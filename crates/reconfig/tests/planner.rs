@@ -9,10 +9,10 @@
 
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph};
-use topoopt_rdma::WalkOutcome;
+use topoopt_rdma::{RepairMode, WalkOutcome};
 use topoopt_reconfig::{
     replay, FabricSpec, LoopFreedom, MigrationPlanner, MigrationProblem, PairReachability,
-    RandomPermutation, RuleRepair, StepOp, TreeSearch,
+    RandomPermutation, StepOp, TreeSearch,
 };
 
 /// A random strongly connected fabric: a +1 ring for connectivity plus
@@ -43,7 +43,7 @@ fn assert_states_safe(problem: &MigrationProblem, plan: &topoopt_reconfig::Migra
     let states = replay(problem, plan);
     assert_eq!(states.len(), plan.steps.len());
     for (i, state) in states.iter().enumerate() {
-        let fp = state.forwarding_plan();
+        let fp = state.plan();
         for &(s, d) in &pairs {
             match fp.walk(s, d) {
                 WalkOutcome::Loop(path) => {
@@ -111,7 +111,7 @@ proptest! {
         let source = FabricSpec::shortest_path(fabric(n, &src_strides, &[]));
         let target = FabricSpec::shortest_path(fabric(n, &dst_strides, &[]));
         let mut problem = MigrationProblem::new(n, source, target);
-        problem.repair = RuleRepair::PerRule;
+        problem.repair = RepairMode::PerRule;
         let planner = planner_with_reachability(n, Box::new(TreeSearch { max_states: 3_000 }));
         match planner.plan(&problem) {
             Ok(plan) => assert_states_safe(&problem, &plan),

@@ -7,10 +7,9 @@
 
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph};
-use topoopt_rdma::WalkOutcome;
+use topoopt_rdma::{RepairMode, WalkOutcome};
 use topoopt_reconfig::{
-    plan_link_repair, repair_problem, replay, surviving_pairs, FabricSpec, Link, RuleRepair,
-    TreeSearch,
+    plan_link_repair, repair_problem, replay, surviving_pairs, FabricSpec, Link, TreeSearch,
 };
 
 /// A random strongly connected fabric: a +1 ring for connectivity plus
@@ -50,14 +49,14 @@ proptest! {
             .collect();
         for &casualty in &casualties {
             let dead = [casualty];
-            let problem = repair_problem(&healthy, &dead, n, RuleRepair::PerDestination);
+            let problem = repair_problem(&healthy, &dead, n, RepairMode::PerDestination);
             let survivors = surviving_pairs(&problem.target.graph, n);
             let plan = plan_link_repair(
                 Box::new(TreeSearch::default()),
                 &healthy,
                 &dead,
                 n,
-                RuleRepair::PerDestination,
+                RepairMode::PerDestination,
             )
             .unwrap_or_else(|fb| {
                 panic!(
@@ -66,7 +65,7 @@ proptest! {
                 )
             });
             for (i, state) in replay(&problem, &plan).iter().enumerate() {
-                let fp = state.forwarding_plan();
+                let fp = state.plan();
                 for s in 0..n {
                     for d in 0..n {
                         if s == d {

@@ -61,12 +61,7 @@ fn main() {
     cfg.max_rounds = 2;
     cfg.mcmc.iterations = 150;
     let co = co_optimize(&model, num_servers, &cfg);
-    let plans: Vec<AllReducePlan> = co
-        .network
-        .groups
-        .iter()
-        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-        .collect();
+    let plans = AllReducePlan::from_groups(&co.network.groups);
     let topo_net =
         SimNetwork::new(co.network.graph.clone(), num_servers, co.network.routing.clone());
     let topo = simulate_iteration(

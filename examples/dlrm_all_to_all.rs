@@ -53,11 +53,7 @@ fn main() {
             mp_shortest_path: false,
             availability_aware: false,
         });
-        let plans: Vec<AllReducePlan> = out
-            .groups
-            .iter()
-            .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-            .collect();
+        let plans = AllReducePlan::from_groups(&out.groups);
         let topo_net = SimNetwork::new(out.graph.clone(), num_servers, out.routing.clone());
         let topo = simulate_iteration(
             &topo_net,

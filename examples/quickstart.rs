@@ -107,12 +107,7 @@ fn main() -> ExitCode {
 
     // Simulate one training iteration on the fabric (flow-level simulator),
     // with relayed connections priced through the forwarding plane.
-    let plans: Vec<AllReducePlan> = result
-        .network
-        .groups
-        .iter()
-        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-        .collect();
+    let plans = AllReducePlan::from_groups(&result.network.groups);
     let net =
         SimNetwork::new(result.network.graph.clone(), num_servers, result.network.routing.clone())
             .with_relay_overhead(plan.clone(), 1.0);

@@ -67,11 +67,7 @@ fn main() {
             for (_, e) in out.graph.edges() {
                 union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);
             }
-            let plans: Vec<AllReducePlan> = out
-                .groups
-                .iter()
-                .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-                .collect();
+            let plans = AllReducePlan::from_groups(&out.groups);
             let est = estimate_iteration_time(
                 &model,
                 &strategy,

@@ -20,12 +20,7 @@
 //! assert!(result.network.graph.is_strongly_connected());
 //!
 //! // 3. Simulate a training iteration on the resulting fabric (§5).
-//! let plans: Vec<AllReducePlan> = result
-//!     .network
-//!     .groups
-//!     .iter()
-//!     .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-//!     .collect();
+//! let plans = AllReducePlan::from_groups(&result.network.groups);
 //! let net = SimNetwork::new(result.network.graph.clone(), 16, result.network.routing.clone());
 //! let iteration = simulate_iteration(
 //!     &net,
@@ -97,9 +92,8 @@ pub mod prelude {
         DynamicFabric, DynamicJobSpec, FluidEngine, IterationParams, MigrationMode, ReconfigParams,
         SharedEngineMode, SimNetwork,
     };
-    pub use topoopt_reconfig::{
-        FabricSpec, MigrationPlanner, MigrationProblem, RuleRepair, TreeSearch,
-    };
+    pub use topoopt_rdma::RepairMode;
+    pub use topoopt_reconfig::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
     pub use topoopt_strategy::{
         estimate_iteration_time, extract_traffic, search_strategy, ComputeParams, McmcConfig,
         ParallelizationStrategy, TopologyView, TrafficDemands,

@@ -25,12 +25,7 @@ fn full_pipeline_produces_valid_fabric_and_finite_iteration_time() {
         assert!(r.network.graph.is_strongly_connected(), "{kind:?} disconnected");
         r.network.routing.validate_against(&r.network.graph).unwrap();
 
-        let plans: Vec<AllReducePlan> = r
-            .network
-            .groups
-            .iter()
-            .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-            .collect();
+        let plans = AllReducePlan::from_groups(&r.network.groups);
         let net = SimNetwork::new(r.network.graph.clone(), n, r.network.routing.clone());
         let it = simulate_iteration(
             &net,
@@ -77,11 +72,7 @@ fn topoopt_beats_cost_equivalent_fat_tree_for_communication_heavy_candle() {
         mp_shortest_path: false,
         availability_aware: false,
     });
-    let plans: Vec<AllReducePlan> = out
-        .groups
-        .iter()
-        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-        .collect();
+    let plans = AllReducePlan::from_groups(&out.groups);
     let topo_net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
     let topo = simulate_iteration(
         &topo_net,
@@ -157,12 +148,7 @@ fn relay_overhead_pipeline_prices_kernel_forwarding_and_exports_round_trip() {
     let r = co_optimize_quick(ModelKind::Dlrm, n, 4, 25.0e9);
     let plan = build_forwarding_plan(&r.network.graph, n, &r.network.routing);
 
-    let plans: Vec<AllReducePlan> = r
-        .network
-        .groups
-        .iter()
-        .map(|g| AllReducePlan { permutations: g.permutations(), bytes: g.bytes })
-        .collect();
+    let plans = AllReducePlan::from_groups(&r.network.groups);
     let base_net = SimNetwork::new(r.network.graph.clone(), n, r.network.routing.clone());
     let params = IterationParams { compute_s: r.estimate.compute_s };
     let base = simulate_iteration(&base_net, &r.demands, &plans, &params);
