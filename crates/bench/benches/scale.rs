@@ -16,8 +16,9 @@
 //!   per sample); these points are the committed scaling curve, compared
 //!   PR-over-PR via `BENCH_fig16_dynamic_scale.json`.
 //! * A 2048-server, 60%-load dynamic trace benches the shared-fabric
-//!   windows and gates their reuse with a deterministic counter: at most
-//!   one in five job-windows may be re-rated.
+//!   windows and gates their reuse with deterministic counters: at most
+//!   one in five job-windows may be re-rated, and every re-rated one must
+//!   be served by the job's admission probe.
 //!
 //! Run with `cargo bench -p topoopt-bench --bench scale`.
 
@@ -105,7 +106,10 @@ fn bench_scale(c: &mut Criterion) {
     // window re-simulates only the job-level components it touched, each
     // on a fresh engine, and serves every other resident from its cached
     // round time, so the gate is a work counter, not wall time:
-    // re-rating every resident every window would fail it.
+    // re-rating every resident every window would fail it. On an ideal
+    // switch every dirty component is a lone newcomer, so each re-rated
+    // job-window must take the newcomer's admission probe instead of
+    // simulating the job a second time.
     let jobs = mid_run_arrival_trace(2048, 0.6);
     let params = DynamicClusterParams {
         total_servers: 2048,
@@ -123,14 +127,20 @@ fn bench_scale(c: &mut Criterion) {
     let e = simulate_dynamic_cluster(&jobs, &params).engine;
     let job_windows = e.jobs_rerated + e.jobs_reused;
     println!(
-        "  scale/dynamic-2048 reuse: {} of {job_windows} job-windows re-rated ({} windows)",
-        e.jobs_rerated, e.windows
+        "  scale/dynamic-2048 reuse: {} of {job_windows} job-windows re-rated ({} windows, \
+         {} served by admission probes)",
+        e.jobs_rerated, e.windows, e.probes_reused
     );
     assert!(
         e.jobs_rerated * 5 <= job_windows,
         "the shared-fabric windows must serve at least 4 of 5 job-windows from the cache on the \
          2048-server 60%-load mid-run-arrival workload: re-rated {} of {job_windows}",
         e.jobs_rerated
+    );
+    assert_eq!(
+        e.probes_reused, e.jobs_rerated,
+        "every re-rated job-window on the 2048-server ideal switch is a newcomer alone, which \
+         its admission probe must serve"
     );
     group.finish();
 }

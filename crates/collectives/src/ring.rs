@@ -12,7 +12,7 @@ use topoopt_graph::TrafficMatrix;
 
 /// A regular ring permutation "+p" over a group of nodes: member `i` sends
 /// to member `(i + p) mod k` of the group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RingPermutation {
     /// The participating nodes (global server ids), in group order.
     pub members: Vec<usize>,

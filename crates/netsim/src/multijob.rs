@@ -26,7 +26,8 @@ use crate::iteration::{simulate_iteration, IterationParams};
 use crate::network::SimNetwork;
 use crate::shared_engine::{FaultEvent, SharedFabricEngine};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use topoopt_cluster::{ClusterShards, LookaheadProvisioner, TransitionRecord, TransitionSchedule};
 use topoopt_collectives::ring::RingPermutation;
@@ -175,15 +176,19 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Window counters of the shared-fabric engine (`shared_engine`).
+// Work counters of the dynamic layer (solo iterations and the shared-fabric
+// engine's windows, `shared_engine`).
 // ---------------------------------------------------------------------------
 
-/// Work counters for the dynamic layer's shared-fabric windows — the
-/// observable payoff of window-level reuse. Engine-level counters (events,
-/// waterfills, flows re-rated, largest component) are cumulative across
-/// every window of the run; the window counters split how many
-/// arrival/departure windows were served incrementally (at least one
-/// resident job kept its cached round time) versus fully rebuilt.
+/// Work counters for the dynamic layer — the observable payoff of its
+/// reuse. On a partitioned fabric only `solo_simulations` moves: one solo
+/// iteration per distinct job. On a shared fabric the rest count the
+/// windows: engine-level counters (events, waterfills, flows re-rated,
+/// largest component) are cumulative across every window of the run, the
+/// window counters split how many arrival/departure windows were served
+/// incrementally (at least one resident job kept its cached round time)
+/// versus fully rebuilt, and `probes_reused` counts the job-windows an
+/// admission probe served.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DynamicEngineStats {
     /// Shared-fabric re-rate windows executed (arrivals + departures).
@@ -192,10 +197,15 @@ pub struct DynamicEngineStats {
     pub windows_incremental: usize,
     /// Windows where every resident job had to be re-rated.
     pub windows_rebuilt: usize,
-    /// Job-window re-ratings actually simulated.
+    /// Job-windows re-rated: dirty residents, simulated in the window or
+    /// served by their admission probe.
     pub jobs_rerated: usize,
     /// Job-windows served from the per-component cache.
     pub jobs_reused: usize,
+    /// Re-rated job-windows that took the job's admission probe instead
+    /// of simulating it again: the job was alone in its component, with no
+    /// fault injected since the probe. Counted within `jobs_rerated`.
+    pub probes_reused: usize,
     /// Engine events processed across all windows.
     pub events: usize,
     /// Water-filling passes across all windows.
@@ -204,6 +214,10 @@ pub struct DynamicEngineStats {
     pub flows_rerated: usize,
     /// Largest connected component ever re-waterfilled at once.
     pub max_component: usize,
+    /// Solo iterations simulated on a partitioned fabric
+    /// ([`solo_iteration_s`]): one per distinct job, since a job whose
+    /// inputs repeat an earlier job's bit for bit reuses its time.
+    pub solo_simulations: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -398,8 +412,8 @@ pub struct DynamicClusterResult {
     /// with the default guard, which exceeds the maximum possible event
     /// count; only a [`DynamicClusterParams::window_cap`] can trip it.
     pub truncated: bool,
-    /// Shared-fabric engine work counters (all zero on a partitioned
-    /// fabric, which never re-rates windows).
+    /// Work counters: solo iterations on a partitioned fabric, windows on
+    /// a shared one (see [`DynamicEngineStats`]).
     pub engine: DynamicEngineStats,
 }
 
@@ -470,6 +484,8 @@ pub fn simulate_dynamic_cluster(
         })
         .collect();
 
+    // Solo times of the distinct jobs seen so far (partitioned fabric).
+    let mut solo: BTreeMap<SoloInputs<'_>, f64> = BTreeMap::new();
     let mut shards = ClusterShards::new(params.total_servers);
     // Stale wiring (global server ids) left behind by departed jobs; only
     // maintained in planned-migration mode, where the planner needs the
@@ -564,6 +580,7 @@ pub fn simulate_dynamic_cluster(
                     jobs,
                     params,
                     &mut shared,
+                    &mut solo,
                     &mut shards,
                     &mut provisioner,
                     &mut stale_links,
@@ -582,6 +599,7 @@ pub fn simulate_dynamic_cluster(
                     jobs,
                     params,
                     &mut shared,
+                    &mut solo,
                     &mut shards,
                     &mut provisioner,
                     &mut stale_links,
@@ -606,7 +624,10 @@ pub fn simulate_dynamic_cluster(
          processes one arrival, one departure or one fault batch, so \
          4*jobs + faults + 16 cannot run out"
     );
-    let engine_stats = shared.as_ref().map(|(_, sim)| sim.stats()).unwrap_or_default();
+    let engine_stats = DynamicEngineStats {
+        solo_simulations: solo.len(),
+        ..shared.as_ref().map(|(_, sim)| sim.stats()).unwrap_or_default()
+    };
 
     let completed: Vec<&DynamicJobOutcome> = outcomes.iter().filter(|o| o.completed).collect();
     let mean = |f: &dyn Fn(&DynamicJobOutcome) -> f64| {
@@ -648,16 +669,18 @@ fn settle_running(running: &mut [RunningJob], now: f64) {
 
 /// Admit queued jobs FIFO while shards are available. Infeasible requests —
 /// a size the cluster can never satisfy, or a job whose iteration time is
-/// undefined (no topology / unroutable transfers on a partitioned fabric) —
-/// are rejected on the spot instead of holding servers or blocking the
-/// queue head forever; they end the run with `completed: false`. Jobs with
-/// zero work depart the instant they start. Returns true if any job
-/// started.
+/// undefined (no topology / unroutable transfers) — are rejected on the
+/// spot instead of holding servers or blocking the queue head forever.
+/// A rejected job never touches the patch panel: it ends the run with
+/// `completed: false`, no admission or start time and no rewiring record.
+/// Jobs with zero work depart the instant they start. Returns true if any
+/// job started.
 #[allow(clippy::too_many_arguments)]
-fn admit_queued(
-    jobs: &[DynamicJobSpec],
+fn admit_queued<'a>(
+    jobs: &'a [DynamicJobSpec],
     params: &DynamicClusterParams,
     shared: &mut Option<(SimNetwork, SharedFabricEngine)>,
+    solo: &mut BTreeMap<SoloInputs<'a>, f64>,
     shards: &mut ClusterShards,
     provisioner: &mut LookaheadProvisioner,
     stale_links: &mut Graph,
@@ -668,14 +691,38 @@ fn admit_queued(
 ) -> bool {
     let mut admitted_any = false;
     while let Some(&j) = queue.front() {
-        if jobs[j].servers == 0 || jobs[j].servers > shards.total_servers() {
+        let job = &jobs[j];
+        if job.servers == 0 || job.servers > shards.total_servers() {
             // No future departure can make this allocatable: reject rather
             // than head-of-line-block every job behind it.
             queue.pop_front();
             continue;
         }
-        let Some((shard, servers)) = shards.allocate(jobs[j].servers) else { break };
+        let Some((shard, servers)) = shards.allocate(job.servers) else { break };
         queue.pop_front();
+
+        // Feasibility first, from the job's solo iteration time: on its own
+        // shard (simulated once per distinct job), or the probe of its
+        // flows on the shared fabric, which its first window reuses.
+        let (iter_s, probe) = match shared.as_ref() {
+            Some((net, sim)) => {
+                let flows = build_job_flows(net, &job.demands, &job.plans, &servers);
+                let probe = sim.probe(flows, job.compute_s);
+                (probe.total_s(), Some(probe))
+            }
+            None => {
+                let latency = params.per_hop_latency_s;
+                let solo_s =
+                    solo.entry(SoloInputs(job)).or_insert_with(|| solo_iteration_s(job, latency));
+                (*solo_s, None)
+            }
+        };
+        if !iter_s.is_finite() {
+            // The job could train forever without finishing an iteration;
+            // release the shard instead of stranding it.
+            shards.release(shard);
+            continue;
+        }
         outcomes[j].admitted_s = now;
 
         let (start, delay) = match params.fabric {
@@ -684,7 +731,7 @@ fn admit_queued(
                 // look-ahead ports started wiring at submission, hidden
                 // behind the queueing time; the flip costs whatever wiring
                 // is still outstanding when servers free up.
-                let schedule = match (&params.migration, &jobs[j].topology) {
+                let schedule = match (&params.migration, &job.topology) {
                     (MigrationMode::Planned(planner), Some(topo)) => {
                         let previous = take_stale_shard(stale_links, &servers);
                         planner(previous.as_ref(), topo)
@@ -692,10 +739,10 @@ fn admit_queued(
                     _ => TransitionSchedule::atomic(params.provisioning_time_s),
                 };
                 provisioner.start_provisioning_for(schedule.total_s());
-                provisioner.advance((now - jobs[j].arrival_s).max(0.0));
+                provisioner.advance((now - job.arrival_s).max(0.0));
                 let delay = provisioner.flip();
                 outcomes[j].rewiring = Some(TransitionRecord {
-                    wiring_started_s: jobs[j].arrival_s,
+                    wiring_started_s: job.arrival_s,
                     schedule,
                     residual_s: delay,
                 });
@@ -705,28 +752,8 @@ fn admit_queued(
         };
         outcomes[j].switch_over_delay_s = delay;
         outcomes[j].start_s = start;
-
-        let mut shared_flows: Option<Vec<FlowSpec>> = None;
-        let iter_s = match shared.as_ref() {
-            // Contended fabrics are re-rated for the whole co-resident set
-            // right after admission (see `refresh_shared_rates`); seed with
-            // the solo estimate, probed on the job's own links.
-            Some((net, sim)) => {
-                let flows = build_job_flows(net, &jobs[j].demands, &jobs[j].plans, &servers);
-                let total = sim.solo_total_s(&flows, jobs[j].compute_s);
-                shared_flows = Some(flows);
-                total
-            }
-            None => solo_iteration_s(&jobs[j], params.per_hop_latency_s),
-        };
-        if !iter_s.is_finite() {
-            // The job could train forever without finishing an iteration;
-            // release the shard instead of stranding it.
-            shards.release(shard);
-            continue;
-        }
         admitted_any = true;
-        if iter_s <= 0.0 || jobs[j].iterations == 0 {
+        if iter_s <= 0.0 || job.iterations == 0 {
             // Zero work: depart the instant training would have started.
             outcomes[j].finish_s = start;
             outcomes[j].iteration_s = 0.0;
@@ -735,15 +762,18 @@ fn admit_queued(
             continue;
         }
         // Only jobs that will actually train become engine residents.
-        let slot = match (shared.as_mut(), shared_flows) {
-            (Some((_, sim)), Some(flows)) => Some(sim.admit(flows, jobs[j].compute_s)),
+        // Contended fabrics are re-rated for the whole co-resident set
+        // right after admission (see `refresh_shared_rates`); until then
+        // the job runs at its probed solo time.
+        let slot = match (shared.as_mut(), probe) {
+            (Some((_, sim)), Some(probe)) => Some(sim.admit_probed(probe)),
             _ => None,
         };
         running.push(RunningJob {
             job: j,
             shard,
             servers,
-            remaining_iters: jobs[j].iterations as f64,
+            remaining_iters: job.iterations as f64,
             iter_s,
             settled_s: start,
             slot,
@@ -789,7 +819,9 @@ fn take_stale_shard(stale_links: &mut Graph, servers: &[usize]) -> Option<Graph>
 /// the job has no topology or some transfer is unroutable on it). This is
 /// the per-iteration cost [`simulate_dynamic_cluster`] charges a job on a
 /// partitioned fabric; exposed so experiments can calibrate arrival rates
-/// against the exact same number.
+/// against the exact same number. It is a pure function of the inputs
+/// [`SoloInputs`] lists, so the dynamic loop memoizes it within each run:
+/// one call per distinct job.
 pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     let Some(topo) = &job.topology else {
         return f64::INFINITY; // partitioned fabric but no topology supplied
@@ -799,6 +831,59 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     let params = IterationParams { compute_s: job.compute_s };
     simulate_iteration(&net, &job.demands, &job.plans, &params).total_s
 }
+
+/// A job as [`solo_iteration_s`] sees it: the key of the dynamic loop's
+/// per-run table of solo times, which borrows the first job of each kind.
+/// Two keys are equal exactly when every input `solo_iteration_s` reads is
+/// — `servers`, `compute_s`, `plans`, `topology` and `demands.mp` — with
+/// floats compared by their bits, so `-0.0` and `0.0` differ and a NaN
+/// matches itself. A hit is the same simulation, to the bit. Names,
+/// arrivals and iteration counts are not read, so clones that differ only
+/// there share an entry.
+struct SoloInputs<'a>(&'a DynamicJobSpec);
+
+impl Ord for SoloInputs<'_> {
+    /// Part by part, scalars first, so keys of different jobs usually
+    /// differ early. Sequences compare lexicographically, length included,
+    /// so distinct inputs never compare equal.
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn scalars(job: &DynamicJobSpec) -> (usize, u64, Option<usize>, usize) {
+            let nodes = job.topology.as_ref().map(Graph::num_nodes);
+            (job.servers, job.compute_s.to_bits(), nodes, job.demands.mp.num_nodes())
+        }
+        fn plans(job: &DynamicJobSpec) -> impl Iterator<Item = (u64, &[RingPermutation])> {
+            job.plans.iter().map(|p| (p.bytes.to_bits(), &p.permutations[..]))
+        }
+        fn links(job: &DynamicJobSpec) -> impl Iterator<Item = (usize, usize, usize, u64)> + '_ {
+            let edges = job.topology.iter().flat_map(Graph::edges);
+            edges.map(|(id, e)| (id, e.src, e.dst, e.capacity_bps.to_bits()))
+        }
+        fn demands(job: &DynamicJobSpec) -> impl Iterator<Item = u64> + '_ {
+            let (mp, n) = (&job.demands.mp, job.demands.mp.num_nodes());
+            (0..n).flat_map(move |s| (0..n).map(move |d| mp.get(s, d).to_bits()))
+        }
+        let (a, b) = (self.0, other.0);
+        scalars(a)
+            .cmp(&scalars(b))
+            .then_with(|| plans(a).cmp(plans(b)))
+            .then_with(|| links(a).cmp(links(b)))
+            .then_with(|| demands(a).cmp(demands(b)))
+    }
+}
+
+impl PartialOrd for SoloInputs<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SoloInputs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SoloInputs<'_> {}
 
 /// Window refresh on the shared-fabric engine: settle progress, run one
 /// event window (only the components the event touched re-rate), and read
@@ -1041,6 +1126,14 @@ mod tests {
         assert!(r.jobs[2].completed && r.jobs[2].finish_s == 0.0);
         assert!(r.jobs[3].completed, "a normal job must not starve behind infeasible ones");
         assert!(r.jobs[3].finish_s.is_finite() && r.jobs[3].finish_s > 0.0);
+        // Both rejected jobs end alike: never admitted, never started, and
+        // the patch panel never flipped for them.
+        for o in &r.jobs[..2] {
+            assert_eq!(o.admitted_s, f64::INFINITY, "{}", o.name);
+            assert_eq!(o.start_s, f64::INFINITY, "{}", o.name);
+            assert!(o.rewiring.is_none(), "{} was rewired", o.name);
+        }
+        assert_eq!(r.flips, 2, "one flip each for the instant and the normal job");
     }
 
     #[test]
@@ -1142,11 +1235,16 @@ mod tests {
         use std::sync::Mutex;
         // a trains on all 8 servers and departs; b (arriving later) reuses
         // the shard, so its migration starts from a's ring — relabeled to
-        // b's local ids. The first admission sees a dark shard.
+        // b's local ids. The first admission sees a dark shard. In between,
+        // a job whose topology has no links is rejected (its ring is
+        // unroutable) before its migration is planned, so a's ring stays
+        // plugged for b.
         type SeenWirings = Vec<Option<Vec<(usize, usize)>>>;
         let seen: Arc<Mutex<SeenWirings>> = Arc::new(Mutex::new(Vec::new()));
         let seen_cb = Arc::clone(&seen);
-        let jobs = vec![dynamic_job("a", 8, 0.0, 2), dynamic_job("b", 8, 1.0e6, 2)];
+        let mut rejected = dynamic_job("rejected", 8, 0.5e6, 2);
+        rejected.topology = Some(Graph::new(8));
+        let jobs = vec![dynamic_job("a", 8, 0.0, 2), rejected, dynamic_job("b", 8, 1.0e6, 2)];
         let params = DynamicClusterParams {
             total_servers: 8,
             fabric: DynamicFabric::Partitioned,
@@ -1164,9 +1262,10 @@ mod tests {
             faults: vec![],
         };
         let r = simulate_dynamic_cluster(&jobs, &params);
-        assert!(r.jobs.iter().all(|o| o.completed));
+        assert!(r.jobs[0].completed && r.jobs[2].completed);
+        assert!(!r.jobs[1].completed && r.jobs[1].rewiring.is_none());
         let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2);
+        assert_eq!(seen.len(), 2, "the rejected job's migration is never planned");
         assert!(seen[0].is_none(), "first job migrates from a dark shard");
         let stale = seen[1].as_ref().expect("second job must see a's stale ring");
         let mut expected: Vec<(usize, usize)> = (0..8).map(|i| (i, (i + 1) % 8)).collect();

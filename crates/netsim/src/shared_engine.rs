@@ -7,7 +7,9 @@
 //! equal, to the bit, what a fresh engine computes over the current
 //! residents (in admission order) and the cumulative fault history. The
 //! tests below drive random admit/retire/fault/window sequences against
-//! that fresh-engine reference.
+//! that fresh-engine reference, admitting each job through its probe as the
+//! dynamic loop does, and against a second engine that admits the same jobs
+//! without probes.
 
 use crate::arena::{dense_u32, LinkArena, LinkId};
 use crate::engine::{EngineStats, FluidEngine};
@@ -145,6 +147,36 @@ impl FabricHealth {
     }
 }
 
+/// One job simulated alone on the fabric: what an admission probe leaves
+/// behind for the job's slot.
+#[derive(Debug, Clone, Copy)]
+struct SoloRun {
+    /// Last completion over the job's flows (−∞ without flows, +∞ when
+    /// unroutable).
+    comm_s: f64,
+    /// The run's engine counters.
+    stats: EngineStats,
+    /// Faults injected before the run: the fabric state it saw.
+    faults: usize,
+}
+
+/// An admission probe: a job's flows and compute time, and its round
+/// simulated alone on the fabric as it stood at the probe. Admitting the
+/// probe ([`SharedFabricEngine::admit_probed`]) lets a window take the
+/// probe's run instead of simulating the same job again.
+pub(crate) struct Probe {
+    flows: Vec<FlowSpec>,
+    compute_s: f64,
+    run: SoloRun,
+}
+
+impl Probe {
+    /// Round time the job would see alone on the fabric.
+    pub fn total_s(&self) -> f64 {
+        self.compute_s + self.run.comm_s.max(0.0)
+    }
+}
+
 /// One resident job inside a [`SharedFabricEngine`].
 struct SharedSlot {
     /// The job's flows, simulated afresh whenever its component is dirty.
@@ -167,15 +199,18 @@ struct SharedSlot {
     /// Must be re-simulated next window (new arrival, a component mate
     /// departed, or a fault touched it).
     dirty: bool,
+    /// The job's admission probe (`None` when admitted without one).
+    probe: Option<SoloRun>,
 }
 
 /// Shared-fabric round simulator for the dynamic cluster's event windows.
 /// Each window partitions the residents into job-level components over
 /// shared links and re-simulates only the dirty components — those an
 /// arrival, departure or fault touched — each on a fresh [`FluidEngine`]
-/// built like the admission probe ([`Self::solo_total_s`]). Every other
-/// resident keeps its cached round time. A departing job takes its flows
-/// with it, so the state is bounded by the residents, not by history.
+/// built like the admission probe ([`Self::probe`]). Every other resident
+/// keeps its cached round time, and a dirty component that is one probed
+/// job alone takes the probe's run. A departing job takes its flows with
+/// it, so the state is bounded by the residents, not by history.
 ///
 /// # Why the cache is exact
 ///
@@ -189,8 +224,21 @@ struct SharedSlot {
 /// would. Job-level components (over each job's distinct link set) are
 /// coarser than flow-level ones, which keeps the dirty-propagation sound:
 /// any job sharing a link — transitively — with a dirty job is re-rated
-/// too. The seam proptests in this module hold this to `to_bits` equality
-/// against a fresh whole-fabric engine after every window.
+/// too.
+///
+/// An admission probe is such a component run: one job alone, on an engine
+/// built from the fabric's health state. That state changes only when a
+/// fault is injected (interning a path link the fabric lacks adds it at
+/// the capacity 0 a missing link already reads as). So while no fault has
+/// been injected since the probe, a dirty component that is the probed job
+/// alone would be simulated from the same capacities, straggler factors
+/// and flows as the probe was, and the window takes the probe's
+/// completion time and absorbs its counters instead: round times and
+/// engine counters are the same bits either way.
+///
+/// The seam proptests in this module hold this to `to_bits` equality
+/// against a fresh whole-fabric engine, and against an engine admitting
+/// the same jobs without probes, after every window.
 pub(crate) struct SharedFabricEngine {
     /// Link ids, capacities and fault state every window's engines are
     /// built from.
@@ -257,6 +305,18 @@ impl SharedFabricEngine {
     /// Admit a job: intern its path links and mark it dirty for the next
     /// window. Returns a stable slot handle.
     pub fn admit(&mut self, flows: Vec<FlowSpec>, compute_s: f64) -> usize {
+        self.insert(flows, compute_s, None)
+    }
+
+    /// Admit a probed job, like [`Self::admit`]. The probe stands in for
+    /// every window that finds the job alone in a dirty component with no
+    /// fault injected since the probe, as the first window after admission
+    /// usually does.
+    pub fn admit_probed(&mut self, probe: Probe) -> usize {
+        self.insert(probe.flows, probe.compute_s, Some(probe.run))
+    }
+
+    fn insert(&mut self, flows: Vec<FlowSpec>, compute_s: f64, probe: Option<SoloRun>) -> usize {
         let mut links: Vec<LinkId> = flows
             .iter()
             .flat_map(|f| f.path.windows(2))
@@ -272,6 +332,7 @@ impl SharedFabricEngine {
             comm_s: f64::NEG_INFINITY,
             component: u32::MAX,
             dirty: true,
+            probe,
         };
         self.admissions += 1;
         match self.free.pop() {
@@ -371,14 +432,12 @@ impl SharedFabricEngine {
             m.sort_unstable();
         }
         let slots = &self.slots;
-        let components: Vec<Vec<&[FlowSpec]>> = dirty
+        let components: Vec<Vec<&SharedSlot>> = dirty
             .iter()
-            .map(|m| {
-                m.iter().filter_map(|&(_, i)| slots[i].as_ref()).map(|s| &s.flows[..]).collect()
-            })
+            .map(|m| m.iter().filter_map(|&(_, i)| slots[i].as_ref()).collect())
             .collect();
         let dirty_jobs: usize = dirty.iter().map(Vec::len).sum();
-        let dirty_flows: usize = components.iter().flatten().map(|flows| flows.len()).sum();
+        let dirty_flows: usize = components.iter().flatten().map(|s| s.flows.len()).sum();
         self.windows.windows += 1;
         self.windows.jobs_rerated += dirty_jobs;
         self.windows.jobs_reused += total_jobs - dirty_jobs;
@@ -390,9 +449,27 @@ impl SharedFabricEngine {
         if dirty_flows == 0 {
             return; // the whole window served from cache
         }
-        let runs: Vec<(Vec<f64>, EngineStats)> =
-            components.par_iter().map(|jobs| self.simulate(jobs)).collect();
-        for (m, (comms, stats)) in dirty.iter().zip(runs) {
+        // A component that is one job alone, with no fault since its
+        // probe, takes the probe's run (see "Why the cache is exact").
+        let faults = self.faults;
+        let runs: Vec<(Vec<f64>, EngineStats, bool)> = components
+            .par_iter()
+            .map(|jobs| {
+                let probe = match jobs[..] {
+                    [slot] => slot.probe.filter(|p| p.faults == faults),
+                    _ => None,
+                };
+                match probe {
+                    Some(run) => (vec![run.comm_s], run.stats, true),
+                    None => {
+                        let flows: Vec<&[FlowSpec]> = jobs.iter().map(|s| &s.flows[..]).collect();
+                        let (comms, stats) = self.simulate(&flows);
+                        (comms, stats, false)
+                    }
+                }
+            })
+            .collect();
+        for (m, (comms, stats, probed)) in dirty.iter().zip(runs) {
             for (&(_, i), comm) in m.iter().zip(comms) {
                 if let Some(slot) = self.slots[i].as_mut() {
                     slot.comm_s = comm;
@@ -400,6 +477,7 @@ impl SharedFabricEngine {
                 }
             }
             self.engine.absorb(&stats);
+            self.windows.probes_reused += usize::from(probed);
         }
     }
 
@@ -444,11 +522,11 @@ impl SharedFabricEngine {
         slot.compute_s + (slot.comm_s - arrival_s).max(0.0)
     }
 
-    /// Round time the job would see alone on the fabric — the admission
-    /// feasibility probe, simulated the way a dirty component is.
-    pub fn solo_total_s(&self, flows: &[FlowSpec], compute_s: f64) -> f64 {
-        let (comms, _) = self.simulate(&[flows]);
-        compute_s + comms[0].max(0.0)
+    /// The admission feasibility probe: simulate the job alone on the
+    /// fabric, the way a dirty component is.
+    pub fn probe(&self, flows: Vec<FlowSpec>, compute_s: f64) -> Probe {
+        let (comms, stats) = self.simulate(&[&flows]);
+        Probe { flows, compute_s, run: SoloRun { comm_s: comms[0], stats, faults: self.faults } }
     }
 
     /// Cumulative engine counters (events, waterfills, …) across windows,
@@ -514,32 +592,43 @@ mod tests {
     /// A resident as the test tracks it: handle, flows, compute time.
     type Resident = (usize, Vec<FlowSpec>, f64);
 
-    /// Run one window, then hold each resident's round time and its solo
-    /// probe to the fresh-engine reference, bit for bit.
+    /// Run one window on both engines, then hold each resident's round
+    /// time and its solo probe to the fresh-engine reference, and the
+    /// probing engine to the probe-free one, bit for bit.
     fn window(
         net: &SimNetwork,
         sim: &mut SharedFabricEngine,
+        plain: &mut SharedFabricEngine,
         residents: &[Resident],
         faults: &[FaultEvent],
     ) {
         sim.run_window();
+        plain.run_window();
         let jobs: Vec<(&[FlowSpec], f64)> =
             residents.iter().map(|(_, f, c)| (&f[..], *c)).collect();
         let fresh = fresh_round_times(net, &jobs, faults);
         for ((handle, flows, compute), want) in residents.iter().zip(fresh) {
             assert_eq!(sim.round_total_s(*handle).to_bits(), want.to_bits(), "resident {handle}");
+            assert_eq!(plain.round_total_s(*handle).to_bits(), want.to_bits(), "plain {handle}");
             let solo = fresh_round_times(net, &[(&flows[..], *compute)], faults)[0];
-            assert_eq!(sim.solo_total_s(flows, *compute).to_bits(), solo.to_bits(), "probe");
+            let probe = sim.probe(flows.clone(), *compute);
+            assert_eq!(probe.total_s().to_bits(), solo.to_bits(), "probe");
         }
+        // A probe that stands in for a window does that window's work.
+        let unprobed = |s: DynamicEngineStats| DynamicEngineStats { probes_reused: 0, ..s };
+        assert_eq!(unprobed(sim.stats()), unprobed(plain.stats()), "counters");
     }
 
     /// Drive a [`SharedFabricEngine`] through `ops` plus a closing window,
-    /// checking the seam after every window.
+    /// admitting each job through its probe, beside a second engine that
+    /// admits the same jobs without one; check the seam after every
+    /// window.
     fn check_seam(graph: Graph, total: usize, ops: &[Op]) {
         let mut net = SimNetwork::without_rules(graph, total);
         net.per_hop_latency_s = 1.0e-6;
         let edges: Vec<(usize, usize)> = net.graph.edges().map(|(_, e)| (e.src, e.dst)).collect();
         let mut sim = SharedFabricEngine::new(&net);
+        let mut plain = SharedFabricEngine::new(&net);
         let mut residents: Vec<Resident> = Vec::new(); // admission order
         let mut faults: Vec<FaultEvent> = Vec::new();
         for &(kind, a, b, gb, compute_s) in ops {
@@ -549,11 +638,14 @@ mod tests {
                     let servers: Vec<usize> = (0..n).map(|k| (b + k) % total).collect();
                     let flows =
                         allreduce_flows(&net, &AllReducePlan::natural_ring(servers, gb * 1.0e9));
-                    residents.push((sim.admit(flows.clone(), compute_s), flows, compute_s));
+                    let handle = sim.admit_probed(sim.probe(flows.clone(), compute_s));
+                    assert_eq!(plain.admit(flows.clone(), compute_s), handle);
+                    residents.push((handle, flows, compute_s));
                 }
                 1 if !residents.is_empty() => {
                     let (handle, _, _) = residents.remove(a % residents.len());
                     sim.retire(handle);
+                    plain.retire(handle);
                 }
                 2 => {
                     let (s, link) = (a % total, edges[a % edges.len()]);
@@ -565,13 +657,14 @@ mod tests {
                         _ => FaultEvent::Straggler { server: s, egress_factor: gb / 2.0 },
                     };
                     sim.inject_fault(fault);
+                    plain.inject_fault(fault);
                     faults.push(fault);
                 }
-                3 => window(&net, &mut sim, &residents, &faults),
+                3 => window(&net, &mut sim, &mut plain, &residents, &faults),
                 _ => {}
             }
         }
-        window(&net, &mut sim, &residents, &faults);
+        window(&net, &mut sim, &mut plain, &residents, &faults);
     }
 
     fn shared_ring(total: usize, cap: f64) -> Graph {
@@ -636,8 +729,9 @@ mod tests {
     fn no_flow_outlives_its_job_under_long_churn() {
         // 10^4 admit → window → retire cycles at a residency of at most 4:
         // the four resident jobs sit on disjoint servers of an ideal switch,
-        // so each window re-rates only the newcomer, freed slots are reused,
-        // and the fabric's link table never grows past the fabric.
+        // so each window re-rates only the newcomer (from its admission
+        // probe), freed slots are reused, and the fabric's link table never
+        // grows past the fabric.
         let total = 16;
         let net = SimNetwork::without_rules(topologies::ideal_switch(total, 100.0e9), total);
         let mut sim = SharedFabricEngine::new(&net);
@@ -647,7 +741,7 @@ mod tests {
         for k in 0..cycles {
             let servers: Vec<usize> = (0..4).map(|j| 4 * (k % 4) + j).collect();
             let flows = allreduce_flows(&net, &AllReducePlan::natural_ring(servers, 1.0e6));
-            residents.push_back(sim.admit(flows, 0.0));
+            residents.push_back(sim.admit_probed(sim.probe(flows, 0.0)));
             sim.run_window();
             if residents.len() == 4 {
                 sim.retire(residents.pop_front().expect("four residents"));
@@ -656,6 +750,7 @@ mod tests {
         }
         assert_eq!(sim.health.links.len(), fabric_links, "the link table grew with history");
         assert_eq!(sim.stats().jobs_rerated, cycles, "a window re-rated more than the newcomer");
+        assert_eq!(sim.stats().probes_reused, cycles, "a newcomer alone was simulated twice");
     }
 
     /// Two servers joined both ways at 100 bps, plus a 1 -> 2 link.

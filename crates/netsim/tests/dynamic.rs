@@ -1,8 +1,9 @@
 //! Dynamic shared-cluster runs: random Poisson arrival traces (with and
 //! without faults) run to the end under the default event-loop guard,
-//! faults stall and slow jobs as documented, and the guard surfaces
-//! truncation instead of silently dropping jobs. Bit-exactness of the
-//! persistent engine's cached round times is checked at its seam, in
+//! faults stall and slow jobs as documented, the guard surfaces
+//! truncation instead of silently dropping jobs, and a partitioned run
+//! simulates each distinct job once. Bit-exactness of the persistent
+//! engine's cached round times is checked at its seam, in
 //! `src/shared_engine.rs`.
 
 use proptest::prelude::*;
@@ -286,4 +287,68 @@ fn persistent_engine_reports_window_reuse() {
         "star-routed ring flows are link-disjoint: {:?}",
         r.engine
     );
+}
+
+/// One run of `jobs` on a partitioned 16-server fabric.
+fn run_partitioned(jobs: &[DynamicJobSpec]) -> DynamicClusterResult {
+    simulate_dynamic_cluster(
+        jobs,
+        &DynamicClusterParams {
+            total_servers: 16,
+            fabric: DynamicFabric::Partitioned,
+            provisioning_time_s: 0.0,
+            per_hop_latency_s: 1.0e-6,
+            migration: MigrationMode::Atomic,
+            shared_engine: SharedEngineMode::Persistent,
+            window_cap: None,
+            faults: vec![],
+        },
+    )
+}
+
+#[test]
+fn partitioned_runs_simulate_each_distinct_job_once() {
+    // Three job templates, each on its own ring shard.
+    let templates: Vec<DynamicJobSpec> = [(4, 1.0e9, 0.0), (4, 2.0e9, 0.01), (8, 1.0e9, 0.02)]
+        .into_iter()
+        .map(|(n, bytes, compute_s)| DynamicJobSpec {
+            topology: Some(shared_ring(n, 100.0e9)),
+            ..ring_job("template".into(), n, bytes, compute_s, 0.0, 1)
+        })
+        .collect();
+    // 200 clones that differ only in name, arrival and iteration count.
+    let trace: Vec<DynamicJobSpec> = (0..200)
+        .map(|i| DynamicJobSpec {
+            name: format!("j{i}"),
+            arrival_s: 0.01 * i as f64,
+            iterations: 1 + i % 3,
+            ..templates[i % 3].clone()
+        })
+        .collect();
+    let r = run_partitioned(&trace);
+    assert!(r.jobs.iter().all(|o| o.completed));
+    assert_eq!(r.engine.solo_simulations, 3, "{:?}", r.engine);
+
+    // Any other difference in what a solo iteration reads, down to the
+    // sign of a zero or one ULP, is a job of its own.
+    type Change = fn(&mut DynamicJobSpec);
+    let variants: [(&str, Change); 5] = [
+        ("-0.0 compute time", |j| j.compute_s = -0.0),
+        ("one ULP of one link", |j| {
+            let topo = j.topology.as_mut().expect("templates carry a topology");
+            let cap = topo.edge(0).capacity_bps;
+            topo.edge_mut(0).capacity_bps = f64::from_bits(cap.to_bits() + 1);
+        }),
+        ("one MP entry", |j| j.demands.mp.set(0, 1, 1.0e6)),
+        ("one plan's bytes", |j| j.plans[0].bytes *= 1.5),
+        ("one ring stride", |j| j.plans[0].permutations[0].stride = 3),
+    ];
+    for (what, change) in variants {
+        let mut variant = trace[0].clone();
+        change(&mut variant);
+        let mut jobs = trace.clone();
+        jobs.push(variant);
+        let r = run_partitioned(&jobs);
+        assert_eq!(r.engine.solo_simulations, 4, "{what}: {:?}", r.engine);
+    }
 }
