@@ -79,9 +79,9 @@ impl CoinChangeTable {
         self.hops[dist % self.n]
     }
 
-    /// The coin sequence covering modular distance `dist`, or `None` if
-    /// unreachable.
-    pub fn decompose(&self, dist: usize) -> Option<Vec<usize>> {
+    /// The coins covering modular distance `dist`, in backtrace order (the
+    /// last coin of the dynamic program first), or `None` if unreachable.
+    fn coins(&self, dist: usize) -> Option<impl Iterator<Item = usize> + '_> {
         if self.n == 0 {
             return None;
         }
@@ -89,13 +89,37 @@ impl CoinChangeTable {
         if self.hops[d] == usize::MAX {
             return None;
         }
-        let mut seq = Vec::with_capacity(self.hops[d]);
-        while d != 0 {
-            let c = self.back[d];
-            seq.push(c);
-            d = (d + self.n - c) % self.n;
+        Some(std::iter::from_fn(move || {
+            (d != 0).then(|| {
+                let c = self.back[d];
+                d = (d + self.n - c) % self.n;
+                c
+            })
+        }))
+    }
+
+    /// The coin sequence covering modular distance `dist`, or `None` if
+    /// unreachable.
+    pub fn decompose(&self, dist: usize) -> Option<Vec<usize>> {
+        Some(self.coins(dist)?.collect())
+    }
+
+    /// Ring positions from `src` to `dst`, both included, stepping by the
+    /// coins of [`Self::decompose`] in order, or `None` if unreachable.
+    pub fn route(&self, src: usize, dst: usize) -> Option<Vec<usize>> {
+        if self.n == 0 {
+            return None;
         }
-        Some(seq)
+        let dist = (dst + self.n - src) % self.n;
+        let coins = self.coins(dist)?;
+        let mut path = Vec::with_capacity(self.hops[dist] + 1);
+        path.push(src);
+        path.extend(coins.scan(src, |cur, c| {
+            *cur = (*cur + c) % self.n;
+            Some(*cur)
+        }));
+        debug_assert_eq!(path.last(), Some(&dst));
+        Some(path)
     }
 
     /// Maximum hop count over all modular distances — the diameter of the
@@ -116,17 +140,7 @@ pub fn coin_change_route(n: usize, coins: &[usize], src: usize, dst: usize) -> O
     if src == dst {
         return Some(vec![src]);
     }
-    let table = CoinChangeTable::new(n, coins);
-    let dist = (dst + n - src) % n;
-    let seq = table.decompose(dist)?;
-    let mut path = vec![src];
-    let mut cur = src;
-    for c in seq {
-        cur = (cur + c) % n;
-        path.push(cur);
-    }
-    debug_assert_eq!(*path.last().unwrap(), dst);
-    Some(path)
+    CoinChangeTable::new(n, coins).route(src, dst)
 }
 
 #[cfg(test)]

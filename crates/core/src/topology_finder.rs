@@ -8,7 +8,6 @@
 //! and is bidirectional (both directed edges). Out-degree and in-degree are
 //! therefore both bounded by `d`.
 
-use crate::coinchange::CoinChangeTable;
 use crate::routing::Routing;
 use crate::select::{select_permutations, select_permutations_available};
 use crate::totient::{totient_perms, TotientPermsConfig};
@@ -80,8 +79,9 @@ impl SelectedGroup {
 pub struct TopologyFinderOutput {
     /// The combined topology (AllReduce ∪ MP sub-topologies).
     pub graph: Graph,
-    /// Routing rules: coin-change routes for AllReduce pairs, shortest paths
-    /// for MP pairs.
+    /// Routing rules: each AllReduce group's coin-change table (routes
+    /// decompose on demand), plus explicit shortest paths for the MP pairs
+    /// that need one.
     pub routing: Routing,
     /// Degree allocated to the AllReduce sub-topology (`d_A`).
     pub degree_allreduce: usize,
@@ -215,33 +215,13 @@ pub fn topology_finder(input: &TopologyFinderInput<'_>) -> TopologyFinderOutput 
         }
     }
 
-    // Step 4: routing (lines 18–20). Coin-change routes for AllReduce pairs
-    // within each group; shortest paths on the combined topology for MP
-    // pairs.
+    // Step 4: routing (lines 18–20). Each AllReduce group installs its
+    // coin-change table, which routes every pair of members by modular
+    // distance without storing a path; MP pairs get explicit shortest paths
+    // on the combined topology.
     let mut routing = Routing::new();
     for g in &groups_out {
-        let k = g.members.len();
-        if k < 2 || g.strides.is_empty() {
-            continue;
-        }
-        let table = CoinChangeTable::new(k, &g.strides);
-        for i in 0..k {
-            for j in 0..k {
-                if i == j {
-                    continue;
-                }
-                let dist = (j + k - i) % k;
-                if let Some(seq) = table.decompose(dist) {
-                    let mut path = vec![g.members[i]];
-                    let mut cur = i;
-                    for c in seq {
-                        cur = (cur + c) % k;
-                        path.push(g.members[cur]);
-                    }
-                    routing.insert(g.members[i], g.members[j], path);
-                }
-            }
-        }
+        routing.insert_ring(&g.members, &g.strides);
     }
     for (src, dst, _) in demands.mp.entries_desc() {
         let existing_hops = routing.hops(src, dst);

@@ -113,8 +113,8 @@ impl SimNetwork {
                     if s == d {
                         continue;
                     }
-                    if let Some(p) = self.routing.path(s, d) {
-                        v.push(p.len() - 1);
+                    if let Some(h) = self.routing.hops(s, d) {
+                        v.push(h);
                     } else if let Some(p) = bfs_shortest_path(&self.graph, s, d) {
                         v.push(p.len() - 1);
                     }

@@ -405,16 +405,25 @@ impl ForwardingPlan {
 /// measured along the walk its packets actually take under those shared
 /// rules, which can differ from its own routing path when a
 /// [`RuleConflict`] was recorded.
+///
+/// Cost: one rule lookup per hop of every pair's walk, O(pairs × hops).
+/// The rules under construction live in a dense array of `num_servers ×
+/// graph.num_nodes()` slots (about 1.5 MB at 256 servers); on a connected
+/// fabric every server ends up holding a rule per destination, so a sparse
+/// map would be no smaller.
 pub fn build_forwarding_plan(
     graph: &Graph,
     num_servers: usize,
     routing: &Routing,
 ) -> ForwardingPlan {
-    // (server, final_dst) -> (next_hop, installing src).
-    let mut next_hop: BTreeMap<(usize, usize), (usize, usize)> = BTreeMap::new();
-    let mut plan = ForwardingPlan::default();
+    // `slots[final_dst][server]` = (next hop, installing src). A walk reads
+    // one destination's row.
+    let nodes = graph.num_nodes();
+    let mut slots: Vec<Vec<Option<(usize, usize)>>> = vec![vec![None; nodes]; num_servers];
+    let mut relays = Vec::new();
+    let mut conflicts = Vec::new();
     for src in 0..num_servers {
-        for dst in 0..num_servers {
+        for (dst, row) in slots.iter_mut().enumerate() {
             if src == dst {
                 continue;
             }
@@ -434,16 +443,17 @@ pub fn build_forwarding_plan(
             while cur != dst {
                 hops += 1;
                 // Hard asserts, not debug: a non-simple explicit routing
-                // path (Routing::insert validates endpoints only) would
+                // path (which `Routing::validate_against` rejects) would
                 // otherwise hang or mis-index the walk in release builds.
                 assert!(
-                    hops <= graph.num_nodes(),
+                    hops <= nodes,
                     "forwarding walk for ({src},{dst}) cycled — non-simple routing path?"
                 );
-                let nh = match next_hop.get(&(cur, dst)) {
-                    Some(&(nh, _)) => {
+                let slot = &mut row[cur];
+                let nh = match *slot {
+                    Some((nh, _)) => {
                         if on_intended && intended[pos + 1] != nh {
-                            plan.conflicts.push(RuleConflict {
+                            conflicts.push(RuleConflict {
                                 on_server: cur,
                                 final_dst: dst,
                                 installed_next_hop: nh,
@@ -460,7 +470,7 @@ pub fn build_forwarding_plan(
                              its routing path — non-simple routing path?"
                         );
                         let nh = intended[pos + 1];
-                        next_hop.insert((cur, dst), (nh, src));
+                        *slot = Some((nh, src));
                         nh
                     }
                 };
@@ -471,17 +481,26 @@ pub fn build_forwarding_plan(
                 }
                 cur = nh;
             }
-            plan.relays.insert((src, dst), hops.saturating_sub(1));
+            relays.push(((src, dst), hops.saturating_sub(1)));
         }
     }
-    // Materialize the deduplicated rule set, grouped by server.
-    for (&(server, final_dst), &(nh, installer)) in &next_hop {
-        plan.rules
-            .entry(server)
-            .or_default()
-            .push(ForwardingRule::new(server, final_dst, installer, nh));
+    // Materialize the deduplicated rule set, grouped by server, each
+    // server's rules in destination order.
+    let mut rules = BTreeMap::new();
+    for server in 0..nodes {
+        let installed: Vec<ForwardingRule> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(final_dst, row)| {
+                let (nh, installer) = row[server]?;
+                Some(ForwardingRule::new(server, final_dst, installer, nh))
+            })
+            .collect();
+        if !installed.is_empty() {
+            rules.insert(server, installed);
+        }
     }
-    plan
+    ForwardingPlan { rules, relays: relays.into_iter().collect(), conflicts }
 }
 
 /// The NICs of a `num_servers × degree` fabric, split per NPAR.

@@ -3,13 +3,18 @@
 //! traffic — walk from the source, follow one rule per hop, arrive at the
 //! destination's RDMA interface, never loop, and agree with the plan's
 //! per-pair relay accounting. After links die, a repaired plan must keep
-//! that accounting honest for every pair it still delivers.
+//! that accounting honest for every pair it still delivers. The dense-slot
+//! build is held to a map-keyed walk of the same rules, kept here as an oracle.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use topoopt_core::Routing;
 use topoopt_graph::paths::bfs_distances;
 use topoopt_graph::{topologies, Graph};
-use topoopt_rdma::{build_forwarding_plan, ForwardingPlan, NparPartition, RepairMode, WalkOutcome};
+use topoopt_rdma::{
+    build_forwarding_plan, ForwardingPlan, ForwardingRule, NparPartition, RepairMode, RuleConflict,
+    WalkOutcome,
+};
 
 /// A random connected fabric: a +1 ring (connectivity) plus random ring
 /// permutations and random chords.
@@ -86,6 +91,145 @@ fn assert_plan_delivers(graph: &Graph, n: usize, plan: &ForwardingPlan) {
         dsts.sort_unstable();
         dsts.dedup();
         assert_eq!(dsts.len(), before, "duplicate destination rules on server {server}");
+    }
+}
+
+/// The forwarding build with its rules under construction in a map keyed
+/// `(server, final_dst)`, walked one lookup per hop: the oracle for the
+/// dense-slot build.
+fn map_walk_plan(graph: &Graph, num_servers: usize, routing: &Routing) -> ForwardingPlan {
+    // (server, final_dst) -> (next_hop, installing src).
+    let mut next_hop: BTreeMap<(usize, usize), (usize, usize)> = BTreeMap::new();
+    let mut plan = ForwardingPlan::default();
+    for src in 0..num_servers {
+        for dst in 0..num_servers {
+            if src == dst {
+                continue;
+            }
+            let Some(intended) = routing.path_or_shortest(graph, src, dst) else {
+                continue;
+            };
+            let mut cur = src;
+            let mut pos = 0;
+            let mut on_intended = true;
+            let mut hops = 0usize;
+            while cur != dst {
+                hops += 1;
+                assert!(hops <= graph.num_nodes(), "oracle walk for ({src},{dst}) cycled");
+                let nh = match next_hop.get(&(cur, dst)) {
+                    Some(&(nh, _)) => {
+                        if on_intended && intended[pos + 1] != nh {
+                            plan.conflicts.push(RuleConflict {
+                                on_server: cur,
+                                final_dst: dst,
+                                installed_next_hop: nh,
+                                demanded_next_hop: intended[pos + 1],
+                                demanding_src: src,
+                            });
+                        }
+                        nh
+                    }
+                    None => {
+                        assert!(on_intended, "oracle walk for ({src},{dst}) left its path");
+                        let nh = intended[pos + 1];
+                        next_hop.insert((cur, dst), (nh, src));
+                        nh
+                    }
+                };
+                if on_intended && intended[pos + 1] == nh {
+                    pos += 1;
+                } else {
+                    on_intended = false;
+                }
+                cur = nh;
+            }
+            plan.relays.insert((src, dst), hops.saturating_sub(1));
+        }
+    }
+    for (&(server, final_dst), &(nh, installer)) in &next_hop {
+        plan.rules
+            .entry(server)
+            .or_default()
+            .push(ForwardingRule::new(server, final_dst, installer, nh));
+    }
+    plan
+}
+
+/// Explicit simple routes between servers `0..num_servers`: from each
+/// `(src, dst, choices)` a walk that takes the `choices[i]`-th unvisited
+/// out-neighbour at step `i` (any node, switches included), kept when it
+/// reaches `dst`. Detours through other relays than the shortest path make
+/// destination-keyed rules disagree.
+fn random_routes(g: &Graph, num_servers: usize, walks: &[(usize, usize, Vec<usize>)]) -> Routing {
+    let mut routing = Routing::new();
+    for (src, dst, choices) in walks {
+        let (src, dst) = (src % num_servers, dst % num_servers);
+        let mut path = vec![src];
+        for &c in choices {
+            let cur = path[path.len() - 1];
+            if cur == dst {
+                break;
+            }
+            let next: Vec<usize> = g.out_neighbors(cur).filter(|v| !path.contains(v)).collect();
+            if next.is_empty() {
+                break;
+            }
+            path.push(if next.contains(&dst) && c % 3 == 0 { dst } else { next[c % next.len()] });
+        }
+        if src != dst && path.last() == Some(&dst) {
+            routing.insert(src, dst, path);
+        }
+    }
+    routing
+}
+
+/// Up to 23 `(src, dst, choices)` walks for [`random_routes`].
+fn walks() -> impl Strategy<Value = Vec<(usize, usize, Vec<usize>)>> {
+    proptest::collection::vec(
+        (0usize..64, 0usize..64, proptest::collection::vec(0usize..64, 1usize..8)),
+        0usize..24,
+    )
+}
+
+proptest! {
+    // The dense-slot build returns exactly the map walk's plan: rules,
+    // relays and conflicts, under shortest-path routing and under explicit
+    // detours that conflict.
+    #[test]
+    fn dense_build_matches_the_map_walk(
+        n in 3usize..12,
+        strides in proptest::collection::vec(2usize..11, 0usize..3),
+        chords in proptest::collection::vec((0usize..64, 0usize..64), 0usize..10),
+        walks in walks(),
+    ) {
+        let g = fabric(n, &strides, &chords);
+        let shortest = Routing::new();
+        prop_assert_eq!(build_forwarding_plan(&g, n, &shortest), map_walk_plan(&g, n, &shortest));
+        let routing = random_routes(&g, n, &walks);
+        prop_assert_eq!(build_forwarding_plan(&g, n, &routing), map_walk_plan(&g, n, &routing));
+    }
+
+    // Switch nodes (ids >= num_servers) relay too, so each destination's
+    // row has a slot per graph node: an ideal switch plus random server
+    // chords.
+    #[test]
+    fn dense_build_matches_the_map_walk_through_switches(
+        n in 2usize..10,
+        chords in proptest::collection::vec((0usize..64, 0usize..64), 0usize..10),
+        walks in walks(),
+    ) {
+        let mut g = topologies::ideal_switch(n, 100.0e9);
+        for &(a, b) in &chords {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                g.add_edge(a, b, 25.0e9);
+            }
+        }
+        prop_assert!(g.num_nodes() > n);
+        let shortest = Routing::new();
+        prop_assert_eq!(build_forwarding_plan(&g, n, &shortest), map_walk_plan(&g, n, &shortest));
+        let routing = random_routes(&g, n, &walks);
+        prop_assert_eq!(build_forwarding_plan(&g, n, &routing), map_walk_plan(&g, n, &routing));
     }
 }
 
