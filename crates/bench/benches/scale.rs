@@ -23,7 +23,7 @@
 //! Run with `cargo bench -p topoopt-bench --bench scale`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::{Duration, Instant};
+use topoopt_bench::median_time;
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
 use topoopt_netsim::{
@@ -53,19 +53,6 @@ fn dynamic_workload(servers: usize) -> (Graph, Vec<FlowSpec>) {
         }
     }
     (g, flows)
-}
-
-/// Median wall time of `runs` executions.
-fn median_time<F: FnMut()>(runs: usize, mut f: F) -> Duration {
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
 }
 
 fn bench_scale(c: &mut Criterion) {

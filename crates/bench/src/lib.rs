@@ -4,6 +4,7 @@
 
 pub mod experiments;
 
+use std::time::{Duration, Instant};
 use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput, TopologyFinderOutput};
 use topoopt_core::totient::TotientPermsConfig;
 use topoopt_graph::matching::MatchingAlgo;
@@ -19,6 +20,20 @@ use topoopt_strategy::{
 /// Default compute model used by the whole harness.
 pub fn compute_params() -> ComputeParams {
     ComputeParams::default()
+}
+
+/// Median wall time of `runs` executions; the benches assert their
+/// speedups on it.
+pub fn median_time<F: FnMut()>(runs: usize, mut f: F) -> Duration {
+    let mut samples: Vec<Duration> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 /// The heuristic strategy the switched baselines use: hybrid placement for

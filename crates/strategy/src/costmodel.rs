@@ -11,7 +11,6 @@
 use crate::placement::{ParallelizationStrategy, PlacementKind};
 use crate::traffic::{extract_traffic, TrafficDemands};
 use serde::{Deserialize, Serialize};
-use topoopt_graph::paths::bfs_distances;
 use topoopt_graph::Graph;
 use topoopt_models::DnnModel;
 
@@ -78,35 +77,55 @@ pub enum TopologyView {
 impl TopologyView {
     /// Build a view of a concrete topology graph whose first `num_servers`
     /// nodes are the servers.
+    ///
+    /// One BFS per source settles hops and bottlenecks in queue order:
+    /// `bottleneck[v]` is the max over BFS parents `u` (one hop closer to the
+    /// source) of `min(bottleneck[u], capacity(u, v))`, where the capacity
+    /// sums the parallel live edges `u → v` as
+    /// [`Graph::capacity_between`] does. Every node at distance `d` is
+    /// popped, with its bottleneck final, before any node at `d + 1`, and
+    /// `min`/`max` are exact, so the visiting order does not change the
+    /// result. The scratch buffers are reused across sources.
     pub fn from_graph(g: &Graph, num_servers: usize) -> Self {
         let mut hops = Vec::with_capacity(num_servers);
         let mut bottleneck = Vec::with_capacity(num_servers);
+        let mut dist = vec![usize::MAX; g.num_nodes()];
+        let mut bn = vec![0.0f64; g.num_nodes()];
+        let mut queue: Vec<usize> = Vec::with_capacity(g.num_nodes());
         for s in 0..num_servers {
-            let dist = bfs_distances(g, s);
-            // Reconstruct bottlenecks with a second BFS pass per source:
-            // bottleneck[dst] = max over parents p with dist[p]+1 = dist[dst]
-            // of min(bottleneck[p], capacity(p, dst)).
-            let mut bn = vec![0.0f64; g.num_nodes()];
+            for &v in &queue {
+                dist[v] = usize::MAX;
+                bn[v] = 0.0;
+            }
+            queue.clear();
+            dist[s] = 0;
             bn[s] = f64::INFINITY;
-            let mut order: Vec<usize> =
-                (0..g.num_nodes()).filter(|&v| dist[v] != usize::MAX).collect();
-            order.sort_by_key(|&v| dist[v]);
-            for &v in &order {
-                if v == s {
-                    continue;
-                }
-                for u in g.in_neighbors(v) {
-                    if dist[u] != usize::MAX && dist[u] + 1 == dist[v] {
-                        let cap = g.capacity_between(u, v);
-                        let cand = bn[u].min(cap);
-                        if cand > bn[v] {
-                            bn[v] = cand;
-                        }
+            queue.push(s);
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                let next = dist[u] + 1;
+                // Out-edges come sorted by destination, then id: each run of
+                // parallel edges is one neighbour, summed in id order.
+                let mut out = g.out_edges(u).map(|(_, e)| (e.dst, e.capacity_bps)).peekable();
+                while let Some(&(v, _)) = out.peek() {
+                    let cap: f64 =
+                        std::iter::from_fn(|| out.next_if(|&(d, _)| d == v)).map(|(_, c)| c).sum();
+                    if dist[v] == usize::MAX {
+                        dist[v] = next;
+                        queue.push(v);
+                    } else if dist[v] != next {
+                        continue;
+                    }
+                    let cand = bn[u].min(cap);
+                    if cand > bn[v] {
+                        bn[v] = cand;
                     }
                 }
             }
-            hops.push(dist.iter().take(num_servers).cloned().collect());
-            bottleneck.push(bn.iter().take(num_servers).cloned().collect());
+            hops.push(dist[..num_servers].to_vec());
+            bottleneck.push(bn[..num_servers].to_vec());
         }
         let server_bps: Vec<f64> = (0..num_servers).map(|s| g.total_out_capacity(s)).collect();
         let total_bps = server_bps.iter().sum();
@@ -332,9 +351,83 @@ pub fn estimate_from_demands(
 mod tests {
     use super::*;
     use crate::placement::ParallelizationStrategy;
+    use proptest::prelude::*;
+    use topoopt_graph::paths::bfs_distances;
     use topoopt_graph::topologies;
     use topoopt_models::zoo::{build_dlrm, build_model};
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
+
+    /// The two-pass build `from_graph` replaced: per source a BFS, a sort of
+    /// the reached nodes by distance, then a pass over each node's in-edges
+    /// with a `capacity_between` lookup per parent.
+    fn two_pass_tables(g: &Graph, num_servers: usize) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
+        let mut hops = Vec::with_capacity(num_servers);
+        let mut bottleneck = Vec::with_capacity(num_servers);
+        for s in 0..num_servers {
+            let dist = bfs_distances(g, s);
+            let mut bn = vec![0.0f64; g.num_nodes()];
+            bn[s] = f64::INFINITY;
+            let mut order: Vec<usize> =
+                (0..g.num_nodes()).filter(|&v| dist[v] != usize::MAX).collect();
+            order.sort_by_key(|&v| dist[v]);
+            for &v in &order {
+                if v == s {
+                    continue;
+                }
+                for u in g.in_neighbors(v) {
+                    if dist[u] != usize::MAX && dist[u] + 1 == dist[v] {
+                        let cand = bn[u].min(g.capacity_between(u, v));
+                        if cand > bn[v] {
+                            bn[v] = cand;
+                        }
+                    }
+                }
+            }
+            hops.push(dist.iter().take(num_servers).cloned().collect());
+            bottleneck.push(bn.iter().take(num_servers).cloned().collect());
+        }
+        (hops, bottleneck)
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_view_matches_the_two_pass_build(
+            servers in 1..10usize,
+            switches in 0..4usize,
+            edges in proptest::collection::vec(
+                (0..1_000usize, 0..1_000usize, 0..6usize, 0.5f64..100.0, 1..4usize, 0..5usize),
+                0..40,
+            )
+        ) {
+            // A random multigraph over servers plus switch nodes: parallel
+            // copies, a few removed edges (the first copy, so parallel runs
+            // mix live and removed edges), capacities drawn from a small set
+            // (ties between parents) or at random, and sparse enough that
+            // some servers are unreachable.
+            let nodes = servers + switches;
+            let mut g = Graph::new(nodes);
+            for &(a, b, cap_pick, cap, copies, removed) in &edges {
+                let cap = [1.0e9, 10.0e9, 25.0e9, 100.0e9, 25.0e9, cap * 1.0e9][cap_pick];
+                for copy in 0..copies {
+                    let id = g.add_edge(a % nodes, b % nodes, cap);
+                    if removed == 0 && copy == 0 {
+                        g.remove_edge(id);
+                    }
+                }
+            }
+            let TopologyView::Topology { hops, bottleneck, .. } =
+                TopologyView::from_graph(&g, servers)
+            else {
+                unreachable!("from_graph builds a concrete view");
+            };
+            let (want_hops, want_bottleneck) = two_pass_tables(&g, servers);
+            prop_assert_eq!(hops, want_hops);
+            let bits = |t: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                t.iter().map(|row| row.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            prop_assert_eq!(bits(&bottleneck), bits(&want_bottleneck));
+        }
+    }
 
     #[test]
     fn full_mesh_view_reports_one_hop() {

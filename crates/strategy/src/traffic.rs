@@ -106,79 +106,61 @@ pub fn extract_traffic(
             if act_bytes <= 0.0 {
                 continue;
             }
-            let p_kind = strategy.placement(producer_id).clone();
-            let c_kind = strategy.placement(consumer_id).clone();
-            add_edge_traffic(&mut mp, &p_kind, &c_kind, act_bytes, local_batch, global_batch, n);
+            let (p_kind, c_kind) =
+                (strategy.placement(producer_id), strategy.placement(consumer_id));
+            for_each_edge_transfer(
+                p_kind,
+                c_kind,
+                act_bytes,
+                local_batch,
+                global_batch,
+                n,
+                |s, d, b| mp.add(s, d, b),
+            );
         }
     }
 
     TrafficDemands { num_servers: n, allreduce_groups, mp, samples_per_server: local_batch }
 }
 
-/// Samples of the global batch that are *processed at* server `s` for an
-/// operator with the given placement: replicated operators process their
-/// local slice; single-server operators process the whole batch; shards
-/// split the batch evenly.
-fn samples_at(kind: &PlacementKind, s: usize, local_batch: f64, global_batch: f64) -> f64 {
+/// Samples of the global batch that each holder of an operator placed as
+/// `kind` processes: replicated operators process their local slice;
+/// single-server operators process the whole batch; shards split the batch
+/// evenly.
+fn samples_per_holder(kind: &PlacementKind, local_batch: f64, global_batch: f64) -> f64 {
     match kind {
         PlacementKind::Replicated => local_batch,
-        PlacementKind::Single(h) => {
-            if *h == s {
-                global_batch
-            } else {
-                0.0
-            }
-        }
-        PlacementKind::Sharded(v) => {
-            if v.contains(&s) {
-                global_batch / v.len() as f64
-            } else {
-                0.0
-            }
-        }
+        PlacementKind::Single(_) => global_batch,
+        PlacementKind::Sharded(v) => global_batch / v.len() as f64,
     }
 }
 
-fn holders(kind: &PlacementKind, n: usize) -> Vec<usize> {
+/// The holders of a single-server or sharded operator, in placement order.
+/// A replicated operator is held by every server, `0..n`, which callers
+/// iterate as a range instead.
+fn listed_holders(kind: &PlacementKind) -> &[usize] {
     match kind {
-        PlacementKind::Replicated => (0..n).collect(),
-        PlacementKind::Single(s) => vec![*s],
-        PlacementKind::Sharded(v) => v.clone(),
+        PlacementKind::Replicated => &[],
+        PlacementKind::Single(s) => std::slice::from_ref(s),
+        PlacementKind::Sharded(v) => v,
     }
-}
-
-/// Add the forward-activation and backward-gradient traffic of one
-/// producer→consumer edge. Each sample's activation is produced where the
-/// producer processes that sample and consumed where the consumer processes
-/// it; when these servers differ the activation (and its gradient) crosses
-/// the network.
-fn add_edge_traffic(
-    mp: &mut TrafficMatrix,
-    producer: &PlacementKind,
-    consumer: &PlacementKind,
-    act_bytes_per_sample: f64,
-    local_batch: f64,
-    global_batch: f64,
-    n: usize,
-) {
-    for_each_edge_transfer(
-        producer,
-        consumer,
-        act_bytes_per_sample,
-        local_batch,
-        global_batch,
-        n,
-        |src, dst, bytes| {
-            mp.add(src, dst, bytes);
-        },
-    );
 }
 
 /// Enumerate the `(src, dst, bytes)` transfers of one producer→consumer
-/// edge — both the forward activations and the backward gradients. Shared by
+/// edge — both the forward activations and the backward gradients. Each
+/// sample's activation is produced where the producer processes that sample
+/// and consumed where the consumer processes it; when these servers differ
+/// the activation (and its gradient) crosses the network. Shared by
 /// [`extract_traffic`] and the incremental
 /// [`crate::evaluator::CostEvaluator`], so both see byte-identical per-edge
 /// contributions; every emitted `bytes` is strictly positive.
+///
+/// The cost is the number of transfers emitted: an edge between two
+/// replicated operators returns before any loop (each sample's activation
+/// stays on its home server), and each side's holders are read once per
+/// edge as a range (`0..n` for a replicated operator) or a slice of the
+/// placement. Transfers come out per consumer-side server in holder order,
+/// then per producer-side server, forward before backward.
 pub(crate) fn for_each_edge_transfer(
     producer: &PlacementKind,
     consumer: &PlacementKind,
@@ -188,46 +170,54 @@ pub(crate) fn for_each_edge_transfer(
     n: usize,
     mut emit: impl FnMut(usize, usize, f64),
 ) {
-    // For every consumer-side server, the samples it processes must receive
-    // activations from wherever those samples' activations were produced.
-    for dst in holders(consumer, n) {
-        let consumed = samples_at(consumer, dst, local_batch, global_batch);
-        if consumed <= 0.0 {
-            continue;
+    // Each consumer-side server must receive the activations of the samples
+    // it processes from wherever those samples' activations were produced.
+    let consumed = samples_per_holder(consumer, local_batch, global_batch);
+    if consumed <= 0.0 {
+        return;
+    }
+    match (producer, consumer) {
+        // The producing home is the consuming home: no traffic.
+        (PlacementKind::Replicated, PlacementKind::Replicated) => {}
+        // Under data parallelism each sample's "home" is its replica server,
+        // so a replicated producer contributes from every server
+        // proportionally.
+        (PlacementKind::Replicated, _) => {
+            let bytes = act_bytes_per_sample * (consumed / n as f64);
+            cross_transfers(listed_holders(consumer).iter().copied(), 0..n, bytes, &mut emit);
         }
-        // Which servers produced those samples' activations? Under data
-        // parallelism each sample's "home" is its replica server, so a
-        // replicated producer contributes from every server proportionally;
-        // a single/sharded producer contributes from its holders.
-        let producer_holders = holders(producer, n);
-        match producer {
-            PlacementKind::Replicated => {
-                // The consumed samples are distributed across all home
-                // servers uniformly. If the consumer is also replicated, the
-                // producing home is the consuming home: no traffic.
-                match consumer {
-                    PlacementKind::Replicated => {}
-                    _ => {
-                        let per_home = consumed / n as f64;
-                        for src in 0..n {
-                            if src != dst {
-                                let bytes = act_bytes_per_sample * per_home;
-                                emit(src, dst, bytes); // forward activations
-                                emit(dst, src, bytes); // backward gradients
-                            }
-                        }
-                    }
-                }
+        // A single/sharded producer contributes from its holders.
+        (_, _) => {
+            let srcs = listed_holders(producer);
+            let share = 1.0 / srcs.len() as f64;
+            let bytes = act_bytes_per_sample * consumed * share;
+            let srcs = srcs.iter().copied();
+            match consumer {
+                PlacementKind::Replicated => cross_transfers(0..n, srcs, bytes, &mut emit),
+                _ => cross_transfers(
+                    listed_holders(consumer).iter().copied(),
+                    srcs,
+                    bytes,
+                    &mut emit,
+                ),
             }
-            PlacementKind::Single(_) | PlacementKind::Sharded(_) => {
-                let share = 1.0 / producer_holders.len() as f64;
-                for &src in &producer_holders {
-                    if src != dst {
-                        let bytes = act_bytes_per_sample * consumed * share;
-                        emit(src, dst, bytes); // forward activations
-                        emit(dst, src, bytes); // backward gradients
-                    }
-                }
+        }
+    }
+}
+
+/// Emit `bytes` from every `src` to every `dst` other than itself, each
+/// followed by the same bytes back (the gradients), destination-major.
+fn cross_transfers(
+    dsts: impl Iterator<Item = usize>,
+    srcs: impl Iterator<Item = usize> + Clone,
+    bytes: f64,
+    emit: &mut impl FnMut(usize, usize, f64),
+) {
+    for dst in dsts {
+        for src in srcs.clone() {
+            if src != dst {
+                emit(src, dst, bytes); // forward activations
+                emit(dst, src, bytes); // backward gradients
             }
         }
     }
@@ -237,10 +227,156 @@ pub(crate) fn for_each_edge_transfer(
 mod tests {
     use super::*;
     use crate::placement::ParallelizationStrategy;
+    use proptest::prelude::*;
     use topoopt_models::zoo::{build_dlrm, build_model};
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
 
     const GB: f64 = 1.0e9;
+
+    fn samples_at(kind: &PlacementKind, s: usize, local_batch: f64, global_batch: f64) -> f64 {
+        match kind {
+            PlacementKind::Replicated => local_batch,
+            PlacementKind::Single(h) => {
+                if *h == s {
+                    global_batch
+                } else {
+                    0.0
+                }
+            }
+            PlacementKind::Sharded(v) => {
+                if v.contains(&s) {
+                    global_batch / v.len() as f64
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    fn holders(kind: &PlacementKind, n: usize) -> Vec<usize> {
+        match kind {
+            PlacementKind::Replicated => (0..n).collect(),
+            PlacementKind::Single(s) => vec![*s],
+            PlacementKind::Sharded(v) => v.clone(),
+        }
+    }
+
+    /// The per-destination enumeration `for_each_edge_transfer` replaced:
+    /// every consumer-side server rebuilds the producer's holder list and
+    /// scans it, even when both ends are replicated and nothing is emitted.
+    fn per_destination_transfers(
+        producer: &PlacementKind,
+        consumer: &PlacementKind,
+        act_bytes_per_sample: f64,
+        local_batch: f64,
+        global_batch: f64,
+        n: usize,
+    ) -> Vec<(usize, usize, u64)> {
+        let mut out = Vec::new();
+        let mut emit = |src, dst, bytes: f64| out.push((src, dst, bytes.to_bits()));
+        for dst in holders(consumer, n) {
+            let consumed = samples_at(consumer, dst, local_batch, global_batch);
+            if consumed <= 0.0 {
+                continue;
+            }
+            let producer_holders = holders(producer, n);
+            match producer {
+                PlacementKind::Replicated => match consumer {
+                    PlacementKind::Replicated => {}
+                    _ => {
+                        let per_home = consumed / n as f64;
+                        for src in 0..n {
+                            if src != dst {
+                                let bytes = act_bytes_per_sample * per_home;
+                                emit(src, dst, bytes);
+                                emit(dst, src, bytes);
+                            }
+                        }
+                    }
+                },
+                PlacementKind::Single(_) | PlacementKind::Sharded(_) => {
+                    let share = 1.0 / producer_holders.len() as f64;
+                    for &src in &producer_holders {
+                        if src != dst {
+                            let bytes = act_bytes_per_sample * consumed * share;
+                            emit(src, dst, bytes);
+                            emit(dst, src, bytes);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Assert that both enumerations emit the same `(src, dst, bytes)`
+    /// sequence, bit for bit, for all nine producer/consumer kind pairs.
+    fn assert_same_transfers(
+        producers: &[PlacementKind; 3],
+        consumers: &[PlacementKind; 3],
+        act: f64,
+        local: f64,
+        n: usize,
+    ) {
+        let global = local * n as f64;
+        for producer in producers {
+            for consumer in consumers {
+                let mut fast = Vec::new();
+                for_each_edge_transfer(producer, consumer, act, local, global, n, |s, d, b| {
+                    fast.push((s, d, b.to_bits()))
+                });
+                let slow = per_destination_transfers(producer, consumer, act, local, global, n);
+                assert_eq!(fast, slow, "{producer:?} -> {consumer:?} on {n} servers");
+            }
+        }
+    }
+
+    /// The three kinds an edge end can take: replicated, on `single`, and
+    /// sharded over `shard`.
+    fn kinds(single: usize, shard: Vec<usize>) -> [PlacementKind; 3] {
+        [PlacementKind::Replicated, PlacementKind::Single(single), PlacementKind::Sharded(shard)]
+    }
+
+    /// `size` distinct servers of `0..n` (clamped to `1..=n`), drawn by a
+    /// partial Fisher–Yates shuffle driven by `picks`.
+    fn distinct_servers(n: usize, size: usize, picks: &[usize]) -> Vec<usize> {
+        let mut pool: Vec<usize> = (0..n).collect();
+        let size = size.clamp(1, n);
+        for (i, pick) in picks.iter().take(size).enumerate() {
+            pool.swap(i, i + pick % (n - i));
+        }
+        pool.truncate(size);
+        pool
+    }
+
+    #[test]
+    fn edge_enumeration_keeps_its_order_at_every_size() {
+        for n in 1..=40 {
+            let k = n.min(8);
+            let producers = kinds(0, (0..k).collect());
+            let consumers = kinds(n - 1, (n - k..n).collect());
+            assert_same_transfers(&producers, &consumers, 4096.0, 256.0, n);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn edge_enumeration_matches_the_per_destination_loop(
+            n in 1..41usize,
+            singles in (0..1_000usize, 0..1_000usize),
+            sizes in (1..9usize, 1..9usize),
+            picks in proptest::collection::vec(0..1_000usize, 16),
+            act in 1.0f64..1.0e6,
+            local in (0..8usize, 1.0f64..4096.0)
+        ) {
+            // One case in eight runs with an empty local batch (no samples,
+            // so no transfers on either side).
+            let local = if local.0 == 0 { 0.0 } else { local.1 };
+            let producers = kinds(singles.0 % n, distinct_servers(n, sizes.0, &picks[..8]));
+            let consumers = kinds(singles.1 % n, distinct_servers(n, sizes.1, &picks[8..]));
+            assert_same_transfers(&producers, &consumers, act, local, n);
+        }
+    }
 
     #[test]
     fn pure_data_parallel_has_one_allreduce_group_and_no_mp() {

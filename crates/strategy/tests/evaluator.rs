@@ -1,7 +1,7 @@
 //! Equivalence property test: the incremental [`CostEvaluator`] must track
 //! the full [`estimate_iteration_time`] estimator over arbitrary mutation
-//! sequences, including reverts, on both full-mesh and concrete-topology
-//! views (reachable and partially-disconnected).
+//! sequences, including reverts, on full-mesh and concrete-topology views
+//! (reachable, partially-disconnected, and with random pair factors).
 
 use proptest::prelude::*;
 use topoopt_models::zoo::build_dlrm;
@@ -58,10 +58,32 @@ fn chain_view() -> TopologyView {
     TopologyView::from_graph(&g, N)
 }
 
-fn run_sequence(view: &TopologyView, muts: &[(usize, usize, usize)]) {
+/// A strongly connected 12-server circulant whose pair factors come from
+/// `picks`, one per pair: a pick below `dead` gives factor 0 (no logical
+/// connection), one below 32 gives factor 1, and any other the pair's
+/// sampled relay factor in `(0, 1)`.
+fn factor_view(dead: usize, picks: &[(usize, f64)]) -> TopologyView {
+    let g = topoopt_graph::topologies::from_permutations(N, &[1, 5], 40.0e9);
+    let factor = |(pick, relay): (usize, f64)| match pick {
+        p if p < dead => 0.0,
+        p if p < 32 => 1.0,
+        _ => relay,
+    };
+    let factors = picks.chunks(N).map(|row| row.iter().map(|&p| factor(p)).collect()).collect();
+    TopologyView::from_graph(&g, N).with_pair_factors(factors)
+}
+
+/// Apply `muts` to DLRM from the hybrid (or data-parallel) start, then
+/// unwind them, checking the evaluator against the full estimator after
+/// every step.
+fn run_sequence(view: &TopologyView, from_data_parallel: bool, muts: &[(usize, usize, usize)]) {
     let model = build_dlrm(&DlrmConfig::shared());
     let params = ComputeParams::default();
-    let initial = ParallelizationStrategy::hybrid_embeddings_round_robin(&model, N);
+    let initial = if from_data_parallel {
+        ParallelizationStrategy::pure_data_parallel(&model, N)
+    } else {
+        ParallelizationStrategy::hybrid_embeddings_round_robin(&model, N)
+    };
     let mut ev = CostEvaluator::new(&model, initial, view, &params);
     let mut undo: Vec<(usize, PlacementKind)> = Vec::new();
     for (step, &sample) in muts.iter().enumerate() {
@@ -88,13 +110,26 @@ proptest! {
         muts in proptest::collection::vec((0..10_000usize, 0..4usize, 0..1_000usize), 0..24)
     ) {
         let view = TopologyView::FullMesh { n: N, per_server_bps: 40.0e9 };
-        run_sequence(&view, &muts);
+        run_sequence(&view, false, &muts);
     }
 
     #[test]
     fn incremental_matches_full_on_partially_connected_topology(
         muts in proptest::collection::vec((0..10_000usize, 0..4usize, 0..1_000usize), 0..24)
     ) {
-        run_sequence(&chain_view(), &muts);
+        run_sequence(&chain_view(), false, &muts);
+    }
+
+    #[test]
+    fn incremental_matches_full_with_pair_factors(
+        dead in 0..3usize,
+        picks in proptest::collection::vec((0..64usize, 0.01f64..1.0), N * N),
+        from_data_parallel in proptest::bool::ANY,
+        muts in proptest::collection::vec((0..10_000usize, 0..4usize, 0..1_000usize), 0..24)
+    ) {
+        // No dead pairs, about one in 64, or one in 16; a data-parallel
+        // start has few active pairs, so moves cross between finite and
+        // infinite estimates both ways.
+        run_sequence(&factor_view([0, 1, 4][dead], &picks), from_data_parallel, &muts);
     }
 }
