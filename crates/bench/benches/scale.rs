@@ -28,7 +28,6 @@ use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
 use topoopt_netsim::{
     simulate_dynamic_cluster, AllReducePlan, DynamicClusterParams, DynamicFabric, DynamicJobSpec,
-    MigrationMode, SharedEngineMode,
 };
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
@@ -98,16 +97,10 @@ fn bench_scale(c: &mut Criterion) {
     // job-window must take the newcomer's admission probe instead of
     // simulating the job a second time.
     let jobs = mid_run_arrival_trace(2048, 0.6);
-    let params = DynamicClusterParams {
-        total_servers: 2048,
-        fabric: DynamicFabric::Shared(topologies::ideal_switch(2048, 100.0e9)),
-        provisioning_time_s: 0.0,
-        per_hop_latency_s: 1.0e-6,
-        migration: MigrationMode::Atomic,
-        shared_engine: SharedEngineMode::Persistent,
-        window_cap: None,
-        faults: vec![],
-    };
+    let params = DynamicClusterParams::new(
+        2048,
+        DynamicFabric::Shared(topologies::ideal_switch(2048, 100.0e9)),
+    );
     group.bench_with_input(BenchmarkId::new("dynamic_persistent", 2048), &2048usize, |b, _| {
         b.iter(|| simulate_dynamic_cluster(&jobs, &params))
     });

@@ -30,7 +30,7 @@ use topoopt_strategy::{
 };
 
 fn mcmc_cfg(iterations: usize, chains: usize) -> McmcConfig {
-    McmcConfig { iterations, temperature: 0.05, seed: 7, restrict_to_heavy_ops: true, chains }
+    McmcConfig { iterations, temperature: 0.05, seed: 7, chains }
 }
 
 fn bench_mcmc_incremental(c: &mut Criterion) {

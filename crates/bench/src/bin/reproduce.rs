@@ -1,16 +1,21 @@
 //! Regenerate the tables and figures of the TopoOpt evaluation.
 //!
 //! Usage:
-//!   cargo run --release -p topoopt-bench --bin reproduce -- <experiment>... [options]
-//!   cargo run --release -p topoopt-bench --bin reproduce -- all --json bench/ --md
+//!
+//! ```text
+//! cargo run --release -p topoopt-bench --bin reproduce -- <experiment>... [options]
+//! cargo run --release -p topoopt-bench --bin reproduce -- all --json bench/ --md
+//! ```
 //!
 //! Every experiment builds a structured `ExperimentReport` (see the
 //! `topoopt-report` crate); this binary only parses arguments, runs the
 //! registry (`topoopt_bench::experiments`), and renders:
 //!
-//!   default        aligned text, rendered from the report
-//!   --json <dir>   one `BENCH_<id>.json` per experiment + `BENCH_SUMMARY.json`
-//!   --md           regenerate `EXPERIMENTS.md` (paper-vs-measured index)
+//! ```text
+//! default        aligned text, rendered from the report
+//! --json <dir>   one BENCH_<id>.json per experiment + BENCH_SUMMARY.json
+//! --md           regenerate EXPERIMENTS.md (paper-vs-measured index)
+//! ```
 //!
 //! By default cluster sizes are scaled down (e.g. 32 servers instead of
 //! 128) so the whole suite runs in minutes on a laptop; pass `--full` for

@@ -30,7 +30,7 @@ use topoopt_netsim::multijob::{
 use topoopt_netsim::{
     simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration, AllReducePlan,
     DynamicClusterParams, DynamicFabric, DynamicJobSpec, IterationParams, MigrationMode,
-    ReconfigParams, SharedEngineMode, SimNetwork,
+    ReconfigParams, SimNetwork,
 };
 use topoopt_rdma::RepairMode;
 use topoopt_reconfig::{
@@ -780,14 +780,8 @@ fn fig16_dynamic(s: &Scale) -> ExperimentReport {
         let topo = simulate_dynamic_cluster(
             &topo_jobs,
             &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Partitioned,
                 provisioning_time_s: provisioning_s,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
+                ..DynamicClusterParams::new(total, DynamicFabric::Partitioned)
             },
         );
 
@@ -803,18 +797,10 @@ fn fig16_dynamic(s: &Scale) -> ExperimentReport {
             .collect();
         let ft = simulate_dynamic_cluster(
             &ft_jobs,
-            &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Shared(topoopt_graph::topologies::ideal_switch(
-                    total, ft_bw,
-                )),
-                provisioning_time_s: 0.0,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
-            },
+            &DynamicClusterParams::new(
+                total,
+                DynamicFabric::Shared(topoopt_graph::topologies::ideal_switch(total, ft_bw)),
+            ),
         );
         row![
             load * 100.0,
@@ -939,14 +925,8 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
         let r = simulate_dynamic_cluster(
             &jobs,
             &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Partitioned,
                 provisioning_time_s: provisioning_s,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
+                ..DynamicClusterParams::new(total, DynamicFabric::Partitioned)
             },
         );
         row![
@@ -1073,18 +1053,10 @@ fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
             .collect();
         let r = simulate_dynamic_cluster(
             &jobs,
-            &DynamicClusterParams {
-                total_servers: total,
-                fabric: DynamicFabric::Shared(topoopt_graph::topologies::ideal_switch(
-                    total, ft_bw,
-                )),
-                provisioning_time_s: 0.0,
-                per_hop_latency_s: 1.0e-6,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
-            },
+            &DynamicClusterParams::new(
+                total,
+                DynamicFabric::Shared(topoopt_graph::topologies::ideal_switch(total, ft_bw)),
+            ),
         );
         let e = r.engine;
         row![
@@ -1687,14 +1659,9 @@ fn fig_reconfig_planned(s: &Scale) -> ExperimentReport {
                     let r = simulate_dynamic_cluster(
                         &jobs,
                         &DynamicClusterParams {
-                            total_servers: total,
-                            fabric: DynamicFabric::Partitioned,
                             provisioning_time_s: provisioning_s,
-                            per_hop_latency_s: 1.0e-6,
                             migration,
-                            shared_engine: SharedEngineMode::Persistent,
-                            window_cap: None,
-                            faults: vec![],
+                            ..DynamicClusterParams::new(total, DynamicFabric::Partitioned)
                         },
                     );
                     row![

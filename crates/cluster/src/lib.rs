@@ -10,6 +10,6 @@ pub mod lookahead;
 pub mod scheduler;
 pub mod shard;
 
-pub use lookahead::{LookaheadProvisioner, PortSide, TransitionRecord, TransitionSchedule};
+pub use lookahead::{LookaheadProvisioner, TransitionRecord, TransitionSchedule};
 pub use scheduler::{job_mix_for_load, jobs_for_load, poisson_arrival_times, JobRequest, MixModel};
 pub use shard::ClusterShards;

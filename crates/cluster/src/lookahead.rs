@@ -9,25 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which side of the 1×2 switch a server interface currently uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PortSide {
-    /// The side currently carrying traffic.
-    Active,
-    /// The side being pre-provisioned for the next job.
-    LookAhead,
-}
-
-impl PortSide {
-    /// The other side.
-    pub fn flipped(self) -> PortSide {
-        match self {
-            PortSide::Active => PortSide::LookAhead,
-            PortSide::LookAhead => PortSide::Active,
-        }
-    }
-}
-
 /// A per-step rewiring schedule for one patch-panel transition, as produced
 /// by a migration planner (or the single-opaque-step atomic fallback).
 /// Offsets are cumulative completion times measured from the moment wiring
@@ -89,50 +70,25 @@ impl TransitionRecord {
     }
 }
 
-/// State of the dual-sided provisioning for one cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// State of the dual-sided provisioning for one cluster: how much wiring
+/// the look-ahead bank still needs before the 1×2 switches can flip.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LookaheadProvisioner {
-    /// Which physical patch-panel bank (0 or 1) is the Active side.
-    active_bank: usize,
-    /// Whether the look-ahead bank has a fully provisioned topology waiting.
-    lookahead_ready: bool,
-    /// Remaining seconds of patch-panel rewiring for the look-ahead bank.
+    /// Remaining seconds of patch-panel rewiring for the look-ahead bank
+    /// (0 once it is fully wired).
     provisioning_remaining_s: f64,
-    /// How long one full rewiring takes (minutes for a patch panel).
-    provisioning_time_s: f64,
     /// Number of flips performed so far.
     pub flips: usize,
 }
 
 impl LookaheadProvisioner {
-    /// New provisioner; `provisioning_time_s` is the patch-panel rewiring
-    /// time for a full job topology.
-    pub fn new(provisioning_time_s: f64) -> Self {
-        LookaheadProvisioner {
-            active_bank: 0,
-            lookahead_ready: false,
-            provisioning_remaining_s: 0.0,
-            provisioning_time_s,
-            flips: 0,
-        }
-    }
-
-    /// The bank currently serving traffic (0 or 1).
-    pub fn active_bank(&self) -> usize {
-        self.active_bank
-    }
-
-    /// Start wiring the next job's topology on the look-ahead bank.
-    pub fn start_provisioning(&mut self) {
-        self.start_provisioning_for(self.provisioning_time_s);
-    }
-
-    /// Start wiring the next job's topology with an explicit total rewiring
-    /// time — used when a migration planner produced a per-step schedule
-    /// whose total differs from the opaque full-rewire default.
+    /// Start wiring the next job's topology on the look-ahead bank, taking
+    /// `total_s` seconds: the opaque full rewire, or the total of a
+    /// migration planner's per-step schedule. A total that is not positive
+    /// (NaN included) leaves the bank ready at once.
     pub fn start_provisioning_for(&mut self, total_s: f64) {
-        self.lookahead_ready = total_s <= 0.0;
-        self.provisioning_remaining_s = total_s.max(0.0);
+        // A comparison, not `max`: `(-0.0f64).max(0.0)` may keep the sign.
+        self.provisioning_remaining_s = if total_s > 0.0 { total_s } else { 0.0 };
     }
 
     /// Advance wall-clock time (the robot keeps rewiring while the current
@@ -140,34 +96,19 @@ impl LookaheadProvisioner {
     pub fn advance(&mut self, dt_s: f64) {
         if self.provisioning_remaining_s > 0.0 {
             self.provisioning_remaining_s = (self.provisioning_remaining_s - dt_s).max(0.0);
-            if self.provisioning_remaining_s == 0.0 {
-                self.lookahead_ready = true;
-            }
         }
     }
 
-    /// True when the look-ahead bank is fully wired and the cluster can flip
-    /// instantly.
-    pub fn ready_to_flip(&self) -> bool {
-        self.lookahead_ready
-    }
-
-    /// Switch-over delay the next job observes if it starts now: zero when
-    /// the look-ahead bank is ready, otherwise the remaining rewiring time.
+    /// Switch-over delay the next job observes if it starts now: the
+    /// remaining rewiring time, zero when the look-ahead bank is ready.
     pub fn switch_over_delay(&self) -> f64 {
-        if self.lookahead_ready {
-            0.0
-        } else {
-            self.provisioning_remaining_s
-        }
+        self.provisioning_remaining_s
     }
 
     /// Flip the 1×2 switches: the look-ahead bank becomes active. Returns
     /// the delay incurred (0 when pre-provisioning finished in time).
     pub fn flip(&mut self) -> f64 {
         let delay = self.switch_over_delay();
-        self.active_bank = 1 - self.active_bank;
-        self.lookahead_ready = false;
         self.provisioning_remaining_s = 0.0;
         self.flips += 1;
         delay
@@ -177,32 +118,101 @@ impl LookaheadProvisioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn port_side_flips() {
-        assert_eq!(PortSide::Active.flipped(), PortSide::LookAhead);
-        assert_eq!(PortSide::LookAhead.flipped(), PortSide::Active);
+    /// A provisioner with an explicit ready flag beside the remaining time,
+    /// set whenever that time reaches zero: the oracle the one-field state
+    /// must replay bit for bit.
+    #[derive(Default)]
+    struct FlaggedProvisioner {
+        lookahead_ready: bool,
+        provisioning_remaining_s: f64,
+        flips: usize,
+    }
+
+    impl FlaggedProvisioner {
+        fn start_provisioning_for(&mut self, total_s: f64) {
+            self.lookahead_ready = total_s <= 0.0;
+            self.provisioning_remaining_s = total_s.max(0.0);
+        }
+
+        fn advance(&mut self, dt_s: f64) {
+            if self.provisioning_remaining_s > 0.0 {
+                self.provisioning_remaining_s = (self.provisioning_remaining_s - dt_s).max(0.0);
+                if self.provisioning_remaining_s == 0.0 {
+                    self.lookahead_ready = true;
+                }
+            }
+        }
+
+        fn switch_over_delay(&self) -> f64 {
+            if self.lookahead_ready {
+                0.0
+            } else {
+                self.provisioning_remaining_s
+            }
+        }
+
+        fn flip(&mut self) -> f64 {
+            let delay = self.switch_over_delay();
+            self.lookahead_ready = false;
+            self.provisioning_remaining_s = 0.0;
+            self.flips += 1;
+            delay
+        }
+    }
+
+    /// Degenerate totals and time steps the random sequences draw from
+    /// besides ordinary sampled ones.
+    const SPECIAL: [f64; 7] =
+        [0.0, -0.0, -30.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE];
+
+    proptest! {
+        #[test]
+        fn one_field_provisioner_replays_the_flagged_one(
+            ops in proptest::collection::vec((0usize..3, 0usize..14, 0.0f64..600.0), 1..40)
+        ) {
+            let mut p = LookaheadProvisioner::default();
+            let mut oracle = FlaggedProvisioner::default();
+            for (kind, pick, sampled) in ops {
+                let x = SPECIAL.get(pick).copied().unwrap_or(sampled);
+                match kind {
+                    0 => {
+                        p.start_provisioning_for(x);
+                        oracle.start_provisioning_for(x);
+                    }
+                    1 => {
+                        p.advance(x);
+                        oracle.advance(x);
+                    }
+                    _ => prop_assert_eq!(p.flip().to_bits(), oracle.flip().to_bits()),
+                }
+                prop_assert_eq!(
+                    p.switch_over_delay().to_bits(),
+                    oracle.switch_over_delay().to_bits()
+                );
+                prop_assert_eq!(p.flips, oracle.flips);
+            }
+        }
     }
 
     #[test]
     fn pre_provisioned_flip_is_free() {
-        let mut p = LookaheadProvisioner::new(300.0);
-        p.start_provisioning();
-        assert!(!p.ready_to_flip());
+        let mut p = LookaheadProvisioner::default();
+        p.start_provisioning_for(300.0);
+        assert_eq!(p.switch_over_delay(), 300.0);
         p.advance(400.0); // the current job trained long enough
-        assert!(p.ready_to_flip());
+        assert_eq!(p.switch_over_delay(), 0.0);
         let delay = p.flip();
         assert_eq!(delay, 0.0);
-        assert_eq!(p.active_bank(), 1);
         assert_eq!(p.flips, 1);
     }
 
     #[test]
     fn early_flip_pays_remaining_rewiring_time() {
-        let mut p = LookaheadProvisioner::new(300.0);
-        p.start_provisioning();
+        let mut p = LookaheadProvisioner::default();
+        p.start_provisioning_for(300.0);
         p.advance(100.0);
-        assert!(!p.ready_to_flip());
         assert!((p.switch_over_delay() - 200.0).abs() < 1e-9);
         let delay = p.flip();
         assert!((delay - 200.0).abs() < 1e-9);
@@ -210,7 +220,7 @@ mod tests {
 
     #[test]
     fn scheduled_provisioning_overrides_the_opaque_total() {
-        let mut p = LookaheadProvisioner::new(300.0);
+        let mut p = LookaheadProvisioner::default();
         // A planned migration that only needs 40s of rewiring instead of
         // the full 300s rewire.
         let schedule = TransitionSchedule::planned(vec![10.0, 20.0, 30.0, 40.0]);
@@ -237,20 +247,22 @@ mod tests {
 
     #[test]
     fn zero_length_schedule_is_immediately_ready() {
-        let mut p = LookaheadProvisioner::new(300.0);
+        let mut p = LookaheadProvisioner::default();
         p.start_provisioning_for(0.0);
-        assert!(p.ready_to_flip());
+        assert_eq!(p.switch_over_delay(), 0.0);
         assert_eq!(p.flip(), 0.0);
     }
 
     #[test]
     fn banks_alternate_across_flips() {
-        let mut p = LookaheadProvisioner::new(1.0);
+        // Every flip swaps the banks, so the flip count's parity names the
+        // active one.
+        let mut p = LookaheadProvisioner::default();
         for expect in [1usize, 0, 1, 0] {
-            p.start_provisioning();
+            p.start_provisioning_for(1.0);
             p.advance(2.0);
-            p.flip();
-            assert_eq!(p.active_bank(), expect);
+            assert_eq!(p.flip(), 0.0);
+            assert_eq!(p.flips % 2, expect);
         }
         assert_eq!(p.flips, 4);
     }

@@ -1,4 +1,4 @@
-//! Collective communication algorithms and their traffic/timing models.
+//! Collective communication algorithms and their traffic models.
 //!
 //! The paper's key observation (§4.3) is that AllReduce traffic is *mutable*:
 //! the set of nodes participating in an AllReduce can be relabelled by any
@@ -11,18 +11,9 @@
 //! * [`ring`] — ring-AllReduce (the default inter-server collective), +p
 //!   regular ring permutations (Figure 7), and multi-ring load balancing.
 //! * [`tree`] — tree-AllReduce and the double binary tree of Appendix A.
-//! * [`hierarchical`] — hierarchical ring-AllReduce (intra-server parameter
-//!   server + inter-server rings), matching §5.1's setup.
-//! * [`parameter_server`] — the distributed parameter-server collective used
-//!   within servers.
-//! * [`timing`] — α-β completion-time models for each collective.
 
-pub mod hierarchical;
-pub mod parameter_server;
 pub mod ring;
-pub mod timing;
 pub mod tree;
 
-pub use ring::{multi_ring_traffic, ring_allreduce_traffic, ring_neighbors, RingPermutation};
-pub use timing::{allreduce_time, AllReduceAlgo, TimingParams};
+pub use ring::{multi_ring_traffic, ring_allreduce_traffic, RingPermutation};
 pub use tree::{double_binary_tree, tree_allreduce_traffic, DoubleBinaryTree};

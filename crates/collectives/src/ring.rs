@@ -90,12 +90,6 @@ pub fn ring_bytes_per_node(total_bytes: f64, k: usize) -> f64 {
     }
 }
 
-/// Hops between consecutive ring neighbours for a ring-AllReduce that runs
-/// over the +p permutation: `(sender, receiver)` for every member.
-pub fn ring_neighbors(perm: &RingPermutation) -> Vec<(usize, usize)> {
-    perm.edges()
-}
-
 /// Traffic matrix (over `n` global nodes) of one ring-AllReduce of
 /// `total_bytes` over the permutation `perm`. Every member sends
 /// `2·M·(k-1)/k` bytes to its ring successor.
@@ -125,15 +119,6 @@ pub fn multi_ring_traffic(n: usize, total_bytes: f64, perms: &[RingPermutation])
         tm = tm.merged(&ring_allreduce_traffic(n, share, p));
     }
     tm
-}
-
-/// Relabel a permutation's members by another permutation of the group —
-/// the graph-isomorphism view of mutability (Appendix A): the resulting
-/// collective completes in the same time.
-pub fn relabel(perm: &RingPermutation, relabeling: &[usize]) -> RingPermutation {
-    assert_eq!(perm.len(), relabeling.len());
-    let members = relabeling.iter().map(|&i| perm.members[i]).collect();
-    RingPermutation { members, stride: perm.stride }
 }
 
 #[cfg(test)]
@@ -218,10 +203,10 @@ mod tests {
 
     #[test]
     fn relabel_preserves_volume_and_stride() {
+        // Mutability (Appendix A): the same +1 ring over a relabelled group
+        // carries the same volume on as many pairs.
         let p = RingPermutation::new(identity_group(8), 1);
-        let relabeling: Vec<usize> = vec![3, 2, 1, 0, 7, 6, 5, 4];
-        let q = relabel(&p, &relabeling);
-        assert_eq!(q.stride, 1);
+        let q = RingPermutation::new(vec![3, 2, 1, 0, 7, 6, 5, 4], 1);
         let tp = ring_allreduce_traffic(8, 1.0e6, &p);
         let tq = ring_allreduce_traffic(8, 1.0e6, &q);
         assert!((tp.total() - tq.total()).abs() < 1e-6);

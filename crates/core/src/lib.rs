@@ -9,9 +9,9 @@
 //!   subset of permutations whose strides approximate a geometric sequence,
 //!   bounding the AllReduce sub-topology's diameter to `O(d·n^(1/d))`
 //!   (Theorem 1).
-//! * [`topology_finder`] — `TopologyFinder` (Algorithm 1): split the server
-//!   degree between AllReduce and model-parallel sub-topologies, build each,
-//!   and compute routing.
+//! * [`topology_finder`](mod@topology_finder) — `TopologyFinder`
+//!   (Algorithm 1): split the server degree between AllReduce and
+//!   model-parallel sub-topologies, build each, and compute routing.
 //! * [`coinchange`] — `CoinChangeMod` (Algorithm 4 / Appendix E.3): route
 //!   AllReduce transfers over the selected ring strides by solving a modular
 //!   coin-change problem.
@@ -21,12 +21,8 @@
 //! * [`alternating`] — the alternating optimization loop of §4.1 that
 //!   bounces between the `Comp.×Comm.` plane (MCMC strategy search) and the
 //!   `Comm.×Topo.` plane (`TopologyFinder`).
-//! * [`architectures`] — constructors for every interconnect simulated in
-//!   §5 (TopoOpt, OCS-reconfig, Ideal Switch, Fat-tree, oversubscribed
-//!   Fat-tree, SiP-ML, Expander).
 
 pub mod alternating;
-pub mod architectures;
 pub mod coinchange;
 pub mod ocs_reconfig;
 pub mod routing;
@@ -35,7 +31,6 @@ pub mod topology_finder;
 pub mod totient;
 
 pub use alternating::{co_optimize, AlternatingConfig, CoOptResult};
-pub use architectures::{build_architecture, Architecture, BuiltNetwork};
 pub use coinchange::{coin_change_route, CoinChangeTable};
 pub use ocs_reconfig::{ocs_reconfig_topology, sipml_topology, OcsReconfigConfig};
 pub use routing::Routing;

@@ -22,9 +22,7 @@ use crate::components::component_costs;
 use serde::{Deserialize, Serialize};
 use topoopt_graph::topologies::fat_tree_arity_for_hosts;
 
-/// Architectures the cost model knows about (mirrors
-/// `topoopt_core::Architecture`, duplicated here to keep the cost crate
-/// independent of the core crate).
+/// Architectures the cost model knows about: the fabrics Figure 10 prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CostedArchitecture {
     /// TopoOpt with patch panels and the look-ahead design.

@@ -185,13 +185,6 @@ impl Graph {
         self.edges().map(|(_, e)| e.capacity_bps).sum()
     }
 
-    /// Merge another graph's edges into this one. Both graphs must have the
-    /// same node count. Returns the ids of the newly added edges.
-    pub fn union_edges(&mut self, other: &Graph) -> Vec<EdgeId> {
-        assert_eq!(self.n, other.n, "graphs must have equal node counts");
-        other.edges().map(|(_, e)| self.add_edge(e.src, e.dst, e.capacity_bps)).collect()
-    }
-
     /// True if every node can reach every other node over live edges
     /// (strong connectivity).
     pub fn is_strongly_connected(&self) -> bool {
@@ -313,18 +306,6 @@ mod tests {
         p.add_edge(0, 1, 1.0);
         p.add_edge(1, 2, 1.0);
         assert!(!p.is_strongly_connected());
-    }
-
-    #[test]
-    fn union_edges_merges_graphs() {
-        let mut a = Graph::new(3);
-        a.add_edge(0, 1, 1.0);
-        let mut b = Graph::new(3);
-        b.add_edge(1, 2, 2.0);
-        a.union_edges(&b);
-        assert!(a.has_edge(0, 1));
-        assert!(a.has_edge(1, 2));
-        assert_eq!(a.num_edges(), 2);
     }
 
     #[test]

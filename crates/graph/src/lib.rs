@@ -8,12 +8,12 @@
 //! * [`matching`] — maximum-weight matching on general graphs, used by
 //!   `TopologyFinder` (Algorithm 1, step 3) to build the model-parallel
 //!   sub-topology.
-//! * [`paths`] — BFS / Dijkstra / k-shortest paths, diameter, and path-length
-//!   CDFs (Figure 14 of the paper).
+//! * [`paths`] — BFS and k-shortest paths, diameter, and average path
+//!   length.
 //! * [`topologies`] — canonical interconnect builders: Fat-tree,
 //!   oversubscribed Fat-tree, Expander (Jellyfish-style random regular graph),
-//!   ring, star (Ideal Switch), torus, and direct-connect graphs assembled
-//!   from ring permutations.
+//!   circulant, star (Ideal Switch), and direct-connect graphs assembled from
+//!   ring permutations.
 //! * [`traffic`] — dense traffic matrices (demand in bytes between node
 //!   pairs) with heatmap export helpers.
 
@@ -25,8 +25,5 @@ pub mod traffic;
 
 pub use graph::{EdgeId, Graph, NodeId};
 pub use matching::{maximum_weight_matching, MatchingAlgo};
-pub use paths::{
-    all_pairs_shortest_path_lengths, bfs_shortest_path, diameter, dijkstra, k_shortest_paths,
-    path_length_cdf,
-};
+pub use paths::{all_pairs_shortest_path_lengths, bfs_shortest_path, diameter, k_shortest_paths};
 pub use traffic::TrafficMatrix;

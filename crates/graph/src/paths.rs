@@ -1,14 +1,11 @@
-//! Shortest paths, k-shortest paths, diameter, and path-length statistics.
+//! Shortest paths, k-shortest paths, diameter, and average path length.
 //!
 //! TopoOpt routes model-parallel transfers over (k-)shortest paths on the
-//! combined topology (Algorithm 1, line 20), and Figure 14 of the paper
-//! reports the CDF of hop counts between all server pairs, which is computed
-//! with [`path_length_cdf`].
+//! combined topology (Algorithm 1, line 20).
 
 use crate::graph::{Graph, NodeId};
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A path as an ordered list of nodes, starting at the source and ending at
 /// the destination.
@@ -99,17 +96,6 @@ pub fn bfs_shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<NodePath
     })
 }
 
-fn reconstruct(prev: &[Option<NodeId>], src: NodeId, dst: NodeId) -> NodePath {
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur].expect("path reconstruction broke");
-        path.push(cur);
-    }
-    path.reverse();
-    path
-}
-
 /// Hop-count distances from `src` to every node (usize::MAX if unreachable).
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
     let n = g.num_nodes();
@@ -126,68 +112,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
         }
     }
     dist
-}
-
-#[derive(Copy, Clone, PartialEq)]
-struct HeapItem {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapItem {}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on cost.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.node.cmp(&other.node))
-    }
-}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Dijkstra shortest path where the per-edge cost is supplied by `edge_cost`
-/// (e.g. `1.0 / capacity` to prefer fat links, or a constant for hop count).
-/// Returns the path and its total cost, or `None` if unreachable.
-pub fn dijkstra<F>(g: &Graph, src: NodeId, dst: NodeId, edge_cost: F) -> Option<(NodePath, f64)>
-where
-    F: Fn(NodeId, NodeId, f64) -> f64,
-{
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    heap.push(HeapItem { cost: 0.0, node: src });
-    while let Some(HeapItem { cost, node }) = heap.pop() {
-        if cost > dist[node] {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for (_, e) in g.out_edges(node) {
-            let c = edge_cost(e.src, e.dst, e.capacity_bps);
-            let next = cost + c;
-            if next < dist[e.dst] {
-                dist[e.dst] = next;
-                prev[e.dst] = Some(node);
-                heap.push(HeapItem { cost: next, node: e.dst });
-            }
-        }
-    }
-    if dist[dst].is_infinite() {
-        None
-    } else if src == dst {
-        Some((vec![src], 0.0))
-    } else {
-        Some((reconstruct(&prev, src, dst), dist[dst]))
-    }
 }
 
 /// Yen's algorithm: up to `k` loop-free shortest paths by hop count, in order
@@ -296,23 +220,6 @@ pub fn average_path_length(g: &Graph) -> f64 {
     }
 }
 
-/// Sorted hop counts over all reachable ordered pairs — the x-values of the
-/// path-length CDF in Figure 14. Pair `i / len` with each value to plot the
-/// CDF.
-pub fn path_length_cdf(g: &Graph) -> Vec<usize> {
-    let d = all_pairs_shortest_path_lengths(g);
-    let mut v: Vec<usize> = Vec::new();
-    for (i, row) in d.iter().enumerate() {
-        for (j, &x) in row.iter().enumerate() {
-            if i != j && x != usize::MAX {
-                v.push(x);
-            }
-        }
-    }
-    v.sort_unstable();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,27 +257,6 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         assert!(bfs_shortest_path(&g, 1, 0).is_none());
         assert!(bfs_shortest_path(&g, 0, 2).is_none());
-    }
-
-    #[test]
-    fn dijkstra_prefers_cheaper_path() {
-        // 0 -> 1 -> 2 with cheap edges, plus a direct expensive 0 -> 2.
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1, 100.0);
-        g.add_edge(1, 2, 100.0);
-        g.add_edge(0, 2, 1.0);
-        // Cost = 1 / capacity, so the two-hop path costs 0.02, direct 1.0.
-        let (p, cost) = dijkstra(&g, 0, 2, |_, _, cap| 1.0 / cap).unwrap();
-        assert_eq!(p, vec![0, 1, 2]);
-        assert!(cost < 0.05);
-    }
-
-    #[test]
-    fn dijkstra_hop_count_matches_bfs() {
-        let g = ring(8);
-        let (p, cost) = dijkstra(&g, 0, 5, |_, _, _| 1.0).unwrap();
-        assert_eq!(p.len() - 1, 5);
-        assert!((cost - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -422,14 +308,5 @@ mod tests {
             }
         }
         assert!((average_path_length(&g) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn path_length_cdf_is_sorted_and_complete() {
-        let g = ring(5);
-        let cdf = path_length_cdf(&g);
-        assert_eq!(cdf.len(), 5 * 4);
-        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*cdf.last().unwrap(), 4);
     }
 }

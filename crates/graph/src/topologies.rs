@@ -9,17 +9,15 @@
 //! * [`fat_tree`] / [`oversubscribed_fat_tree`] — k-ary fat-trees; the
 //!   evaluation's "Fat-tree" baseline uses a full-bisection tree whose link
 //!   bandwidth is chosen so the total cost matches TopoOpt (§5.2).
-//! * [`expander`] — a Jellyfish-style random regular graph baseline.
-//! * [`directed_ring`] / [`ring_permutation`] — +p regular rings used for
-//!   AllReduce permutations (Figure 7).
+//! * [`expander`] — a Jellyfish-style random regular graph baseline, with
+//!   the deterministic [`circulant`] graph as its fallback.
 //! * [`from_permutations`] — assemble a direct-connect TopoOpt topology from
-//!   a set of ring permutations.
-//! * [`torus_2d`] — classic accelerator interconnect, used in ablations.
+//!   a set of +p regular ring permutations (Figure 7).
 
 use crate::graph::Graph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A fat-tree instance: the host-level graph plus bookkeeping about which
 /// node indices are hosts vs. switches.
@@ -205,22 +203,6 @@ pub fn circulant(n: usize, d: usize, link_bps: f64) -> Graph {
     g
 }
 
-/// Directed ring following the identity permutation: `i -> i+1 (mod n)`.
-pub fn directed_ring(n: usize, link_bps: f64) -> Graph {
-    ring_permutation(n, 1, link_bps)
-}
-
-/// The +p regular ring of Figure 7: a directed edge from `i` to
-/// `(i + p) mod n` for every node. Only generates a single Hamiltonian ring
-/// when `gcd(p, n) == 1`.
-pub fn ring_permutation(n: usize, p: usize, link_bps: f64) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        g.add_edge(i, (i + p) % n, link_bps);
-    }
-    g
-}
-
 /// Assemble a direct-connect topology as the union of several +p ring
 /// permutations (each adds out-degree 1 and in-degree 1 at every node).
 pub fn from_permutations(n: usize, ps: &[usize], link_bps: f64) -> Graph {
@@ -229,42 +211,6 @@ pub fn from_permutations(n: usize, ps: &[usize], link_bps: f64) -> Graph {
         for i in 0..n {
             g.add_edge(i, (i + p) % n, link_bps);
         }
-    }
-    g
-}
-
-/// 2-D torus over a `rows x cols` grid with bidirectional links.
-pub fn torus_2d(rows: usize, cols: usize, link_bps: f64) -> Graph {
-    let n = rows * cols;
-    let mut g = Graph::new(n);
-    let id = |r: usize, c: usize| r * cols + c;
-    for r in 0..rows {
-        for c in 0..cols {
-            let right = id(r, (c + 1) % cols);
-            let down = id((r + 1) % rows, c);
-            if cols > 1 {
-                g.add_bidi_edge(id(r, c), right, link_bps);
-            }
-            if rows > 1 {
-                g.add_bidi_edge(id(r, c), down, link_bps);
-            }
-        }
-    }
-    g
-}
-
-/// A uniform-random d-regular-ish directed graph used for stress tests:
-/// each node picks `d` random distinct out-neighbours.
-pub fn random_out_regular(n: usize, d: usize, link_bps: f64, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        let mut targets: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        targets.shuffle(&mut rng);
-        for &j in targets.iter().take(d.min(n - 1)) {
-            g.add_edge(i, j, link_bps);
-        }
-        let _ = rng.gen::<u8>();
     }
     g
 }
@@ -331,7 +277,7 @@ mod tests {
 
     #[test]
     fn ring_permutation_plus_one_is_directed_cycle() {
-        let g = ring_permutation(6, 1, 1.0);
+        let g = from_permutations(6, &[1], 1.0);
         assert_eq!(g.num_edges(), 6);
         assert_eq!(diameter(&g), Some(5));
         for i in 0..6 {
@@ -342,10 +288,10 @@ mod tests {
     #[test]
     fn coprime_permutation_forms_single_cycle() {
         // +5 on 12 nodes: gcd(5,12)=1, so the walk visits every node.
-        let g = ring_permutation(12, 5, 1.0);
+        let g = from_permutations(12, &[5], 1.0);
         assert!(g.is_strongly_connected());
         // +4 on 12 nodes: gcd=4, graph splits into 4 cycles of length 3.
-        let g2 = ring_permutation(12, 4, 1.0);
+        let g2 = from_permutations(12, &[4], 1.0);
         assert!(!g2.is_strongly_connected());
     }
 
@@ -358,25 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn torus_dimensions_and_connectivity() {
-        let g = torus_2d(4, 4, 1.0);
-        assert_eq!(g.num_nodes(), 16);
-        assert!(g.is_strongly_connected());
-        assert_eq!(diameter(&g), Some(4));
-    }
-
-    #[test]
     fn expander_deterministic_for_same_seed() {
         let a = expander(20, 3, 1.0, 42);
         let b = expander(20, 3, 1.0, 42);
         assert_eq!(a.capacity_matrix(), b.capacity_matrix());
-    }
-
-    #[test]
-    fn random_out_regular_has_requested_out_degree() {
-        let g = random_out_regular(10, 3, 1.0, 1);
-        for v in 0..10 {
-            assert_eq!(g.out_degree(v), 3);
-        }
     }
 }

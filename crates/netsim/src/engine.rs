@@ -19,7 +19,7 @@
 //!
 //! # Flat storage
 //!
-//! Links are interned once into a dense [`crate::arena::LinkArena`]
+//! Links are interned once into a dense `LinkArena` (`crate::arena`)
 //! (`LinkId = u32`), and each flow's path is resolved to link ids at
 //! [`FluidEngine::add_flow`] time into one flat CSR-style buffer
 //! (`flow_links`, per-flow contiguous slices). Everything the hot path
@@ -400,7 +400,7 @@ impl FluidEngine {
     /// order via the arena's key-sorted id list: O(links), allocation-free,
     /// and bit-stable run-over-run (float addition does not commute at the
     /// last ulp, so the order is part of the determinism contract — see
-    /// [`crate::arena`]). Links that carried nothing contribute exact
+    /// `crate::arena`). Links that carried nothing contribute exact
     /// zeros, which leave every partial sum bit-unchanged.
     pub fn carried_bytes(&self) -> f64 {
         self.links.ids_by_key().iter().map(|&id| self.link_bytes[id as usize]).sum()

@@ -10,7 +10,7 @@
 //! component of links/flows an event touches. The original from-scratch
 //! event loop is kept as [`simulate_flows_reference`]: it is the oracle
 //! for the engine's equivalence proptests and the baseline of the `fluid`
-//! Criterion bench. Both allocators share [`waterfill_slices`], so any fix
+//! Criterion bench. Both allocators share `waterfill_slices`, so any fix
 //! to the rate allocation applies to both.
 
 use crate::engine::FluidEngine;

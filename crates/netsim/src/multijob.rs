@@ -338,6 +338,25 @@ pub struct DynamicClusterParams {
     pub faults: Vec<FaultInjection>,
 }
 
+impl DynamicClusterParams {
+    /// A cluster of `total_servers` on `fabric` with every other parameter
+    /// at its default: no patch-panel rewiring time, 1 µs per hop, atomic
+    /// transitions, the default event-loop guard and no faults. Callers set
+    /// the rest with struct-update syntax.
+    pub fn new(total_servers: usize, fabric: DynamicFabric) -> Self {
+        DynamicClusterParams {
+            total_servers,
+            fabric,
+            provisioning_time_s: 0.0,
+            per_hop_latency_s: 1.0e-6,
+            migration: MigrationMode::Atomic,
+            shared_engine: SharedEngineMode::Persistent,
+            window_cap: None,
+            faults: vec![],
+        }
+    }
+}
+
 /// One scheduled fabric fault (or recovery) in a dynamic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjection {
@@ -492,7 +511,7 @@ pub fn simulate_dynamic_cluster(
     // source fabric of each shard migration. Atomic mode never reads it.
     let planned_mode = matches!(params.migration, MigrationMode::Planned(_));
     let mut stale_links = Graph::new(params.total_servers);
-    let mut provisioner = LookaheadProvisioner::new(params.provisioning_time_s);
+    let mut provisioner = LookaheadProvisioner::default();
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut next_arrival = 0usize;
     let mut running: Vec<RunningJob> = Vec::new();
@@ -820,7 +839,7 @@ fn take_stale_shard(stale_links: &mut Graph, servers: &[usize]) -> Option<Graph>
 /// the per-iteration cost [`simulate_dynamic_cluster`] charges a job on a
 /// partitioned fabric; exposed so experiments can calibrate arrival rates
 /// against the exact same number. It is a pure function of the inputs
-/// [`SoloInputs`] lists, so the dynamic loop memoizes it within each run:
+/// `SoloInputs` lists, so the dynamic loop memoizes it within each run:
 /// one call per distinct job.
 pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     let Some(topo) = &job.topology else {
@@ -1034,14 +1053,8 @@ mod tests {
             dynamic_job("c", 4, 0.0, 10),
         ];
         let params = DynamicClusterParams {
-            total_servers: 8,
-            fabric: DynamicFabric::Partitioned,
-            provisioning_time_s: 0.0,
             per_hop_latency_s: 0.0,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
+            ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
         };
         let r = simulate_dynamic_cluster(&jobs, &params);
         assert!(r.jobs.iter().all(|o| o.completed));
@@ -1069,28 +1082,17 @@ mod tests {
         jobs[2].arrival_s = 0.0;
         let solo_iter = {
             let params = DynamicClusterParams {
-                total_servers: 8,
-                fabric: DynamicFabric::Partitioned,
-                provisioning_time_s: 0.0,
                 per_hop_latency_s: 0.0,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
+                ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
             };
             let r = simulate_dynamic_cluster(&jobs[..1], &params);
             r.jobs[0].finish_s
         };
         let provisioning = solo_iter * 0.5; // hidden by one job's runtime
         let params = DynamicClusterParams {
-            total_servers: 8,
-            fabric: DynamicFabric::Partitioned,
             provisioning_time_s: provisioning,
             per_hop_latency_s: 0.0,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
+            ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
         };
         let r = simulate_dynamic_cluster(&jobs, &params);
         assert!(r.jobs.iter().all(|o| o.completed));
@@ -1111,14 +1113,8 @@ mod tests {
         let instant = dynamic_job("instant", 4, 0.0, 0);
         let normal = dynamic_job("normal", 4, 0.0, 5);
         let params = DynamicClusterParams {
-            total_servers: 8,
-            fabric: DynamicFabric::Partitioned,
-            provisioning_time_s: 0.0,
             per_hop_latency_s: 0.0,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
+            ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
         };
         let r = simulate_dynamic_cluster(&[oversized, unroutable, instant, normal], &params);
         assert!(!r.jobs[0].completed);
@@ -1141,14 +1137,8 @@ mod tests {
         let mk = |fabric: DynamicFabric| {
             let jobs = vec![dynamic_job("a", 4, 0.0, 5), dynamic_job("b", 4, 0.0, 5)];
             let params = DynamicClusterParams {
-                total_servers: 8,
-                fabric,
-                provisioning_time_s: 0.0,
                 per_hop_latency_s: 0.0,
-                migration: MigrationMode::Atomic,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
+                ..DynamicClusterParams::new(8, fabric)
             };
             simulate_dynamic_cluster(&jobs, &params)
         };
@@ -1165,14 +1155,9 @@ mod tests {
     fn atomic_mode_records_one_opaque_step_per_transition() {
         let jobs = vec![dynamic_job("a", 4, 0.0, 5), dynamic_job("b", 4, 0.0, 5)];
         let params = DynamicClusterParams {
-            total_servers: 8,
-            fabric: DynamicFabric::Partitioned,
             provisioning_time_s: 0.5,
             per_hop_latency_s: 0.0,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
+            ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
         };
         let r = simulate_dynamic_cluster(&jobs, &params);
         assert_eq!(r.planned_transitions, 0);
@@ -1201,14 +1186,10 @@ mod tests {
         };
         let mk = |migration: MigrationMode| {
             let params = DynamicClusterParams {
-                total_servers: 8,
-                fabric: DynamicFabric::Partitioned,
                 provisioning_time_s: 0.4,
                 per_hop_latency_s: 0.0,
                 migration,
-                shared_engine: SharedEngineMode::Persistent,
-                window_cap: None,
-                faults: vec![],
+                ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
             };
             simulate_dynamic_cluster(&jobs(), &params)
         };
@@ -1246,8 +1227,6 @@ mod tests {
         rejected.topology = Some(Graph::new(8));
         let jobs = vec![dynamic_job("a", 8, 0.0, 2), rejected, dynamic_job("b", 8, 1.0e6, 2)];
         let params = DynamicClusterParams {
-            total_servers: 8,
-            fabric: DynamicFabric::Partitioned,
             provisioning_time_s: 0.1,
             per_hop_latency_s: 0.0,
             migration: MigrationMode::Planned(Arc::new(move |prev, target: &Graph| {
@@ -1257,9 +1236,7 @@ mod tests {
                     .push(prev.map(|g| g.edges().map(|(_, e)| (e.src, e.dst)).collect()));
                 TransitionSchedule::planned(vec![0.1 * target.num_edges() as f64])
             })),
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
+            ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
         };
         let r = simulate_dynamic_cluster(&jobs, &params);
         assert!(r.jobs[0].completed && r.jobs[2].completed);
@@ -1279,8 +1256,6 @@ mod tests {
     fn planner_fallbacks_are_counted() {
         let jobs = vec![dynamic_job("a", 4, 0.0, 3), dynamic_job("b", 4, 0.0, 3)];
         let params = DynamicClusterParams {
-            total_servers: 8,
-            fabric: DynamicFabric::Partitioned,
             provisioning_time_s: 0.2,
             per_hop_latency_s: 0.0,
             migration: MigrationMode::Planned(Arc::new(|_, _: &Graph| TransitionSchedule {
@@ -1288,9 +1263,7 @@ mod tests {
                 planned: false,
                 fallback: Some("loop-freedom: synthetic".into()),
             })),
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
+            ..DynamicClusterParams::new(8, DynamicFabric::Partitioned)
         };
         let r = simulate_dynamic_cluster(&jobs, &params);
         assert_eq!(r.planned_transitions, 0);

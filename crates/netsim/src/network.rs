@@ -2,7 +2,7 @@
 //! set of server nodes.
 
 use topoopt_core::Routing;
-use topoopt_graph::paths::{bfs_shortest_path, path_length_cdf};
+use topoopt_graph::paths::bfs_shortest_path;
 use topoopt_graph::Graph;
 use topoopt_rdma::ForwardingPlan;
 
@@ -101,30 +101,26 @@ impl SimNetwork {
         Some(p)
     }
 
-    /// Hop-count CDF between all node pairs of the *server-only* subgraph
-    /// seen through routing (Figure 14). Pairs without a path are skipped.
+    /// Sorted hop counts over all ordered server pairs (Figure 14): a pair's
+    /// routing rule when it has one, otherwise its BFS shortest path. Hubs
+    /// and switches are never endpoints, and pairs without a path are
+    /// skipped.
     pub fn server_path_length_cdf(&self) -> Vec<usize> {
-        // When explicit routing rules exist, measure those; otherwise fall
-        // back to graph shortest paths.
-        if !self.routing.is_empty() {
-            let mut v: Vec<usize> = Vec::new();
-            for s in 0..self.num_servers {
-                for d in 0..self.num_servers {
-                    if s == d {
-                        continue;
-                    }
-                    if let Some(h) = self.routing.hops(s, d) {
-                        v.push(h);
-                    } else if let Some(p) = bfs_shortest_path(&self.graph, s, d) {
-                        v.push(p.len() - 1);
-                    }
+        let mut v: Vec<usize> = Vec::new();
+        for s in 0..self.num_servers {
+            for d in 0..self.num_servers {
+                if s == d {
+                    continue;
+                }
+                if let Some(h) = self.routing.hops(s, d) {
+                    v.push(h);
+                } else if let Some(p) = bfs_shortest_path(&self.graph, s, d) {
+                    v.push(p.len() - 1);
                 }
             }
-            v.sort_unstable();
-            v
-        } else {
-            path_length_cdf(&self.graph).into_iter().collect()
         }
+        v.sort_unstable();
+        v
     }
 
     /// Average server-to-server path length in hops.
@@ -189,5 +185,22 @@ mod tests {
         assert!(!cdf.is_empty());
         assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
         assert!(net.average_server_path_length() >= 1.0);
+    }
+
+    #[test]
+    fn path_length_cdf_counts_server_pairs_only_on_switched_fabrics() {
+        // Ideal switch: 4 servers behind one hub, every pair 2 hops apart;
+        // the hub<->server pairs are not part of the CDF.
+        let net = SimNetwork::without_rules(topologies::ideal_switch(4, 100.0e9), 4);
+        assert_eq!(net.server_path_length_cdf(), vec![2; 4 * 3]);
+        // k = 4 fat-tree: 16 hosts and 20 switches; host pairs are 2, 4 or
+        // 6 hops apart (same edge switch, same pod, across pods).
+        let ft = topologies::fat_tree(4, 10.0e9);
+        let net = SimNetwork::without_rules(ft.graph, ft.num_hosts);
+        let cdf = net.server_path_length_cdf();
+        assert_eq!(cdf.len(), 16 * 15);
+        assert_eq!(cdf.first(), Some(&2));
+        assert_eq!(cdf.last(), Some(&6));
+        assert_eq!(cdf.iter().filter(|&&h| h == 2).count(), 16);
     }
 }

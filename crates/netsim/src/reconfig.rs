@@ -36,9 +36,10 @@ pub struct ReconfigParams {
     pub compute_s: f64,
     /// Per-hop propagation latency in seconds.
     pub per_hop_latency_s: f64,
-    /// Safety cap on reconfiguration rounds per iteration.
-    pub max_rounds: usize,
 }
+
+/// Safety cap on reconfiguration rounds per iteration.
+const MAX_ROUNDS: usize = 256;
 
 impl Default for ReconfigParams {
     fn default() -> Self {
@@ -50,7 +51,6 @@ impl Default for ReconfigParams {
             host_forwarding: true,
             compute_s: 0.0,
             per_hop_latency_s: 1.0e-6,
-            max_rounds: 256,
         }
     }
 }
@@ -99,7 +99,7 @@ pub fn simulate_reconfigurable_iteration(
     let mut rounds = 0usize;
     let mut truncated = false;
 
-    while residual.total() > 1.0 && rounds < params.max_rounds {
+    while residual.total() > 1.0 && rounds < MAX_ROUNDS {
         rounds += 1;
         // Reconfigure for the current residual demand.
         let topo = ocs_reconfig_topology(
@@ -157,7 +157,7 @@ pub fn simulate_reconfigurable_iteration(
             }
         }
     }
-    if rounds >= params.max_rounds && residual.total() > 1.0 {
+    if rounds >= MAX_ROUNDS && residual.total() > 1.0 {
         truncated = true;
     }
 

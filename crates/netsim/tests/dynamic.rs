@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::{
     simulate_dynamic_cluster, AllReducePlan, DynamicClusterParams, DynamicClusterResult,
-    DynamicFabric, DynamicJobSpec, FaultEvent, FaultInjection, MigrationMode, SharedEngineMode,
+    DynamicFabric, DynamicJobSpec, FaultEvent, FaultInjection,
 };
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
@@ -58,14 +58,8 @@ fn run_shared(
     simulate_dynamic_cluster(
         jobs,
         &DynamicClusterParams {
-            total_servers: total,
-            fabric: DynamicFabric::Shared(fabric.clone()),
-            provisioning_time_s: 0.0,
-            per_hop_latency_s: 1.0e-6,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
             faults,
+            ..DynamicClusterParams::new(total, DynamicFabric::Shared(fabric.clone()))
         },
     )
 }
@@ -244,14 +238,8 @@ fn window_cap_truncation_is_surfaced() {
     let jobs: Vec<DynamicJobSpec> =
         (0..3).map(|i| ring_job(format!("j{i}"), 4, 1.0e9, 0.0, i as f64 * 0.1, 2)).collect();
     let params = |cap: Option<usize>| DynamicClusterParams {
-        total_servers: 4,
-        fabric: DynamicFabric::Shared(topologies::ideal_switch(4, 100.0e9)),
-        provisioning_time_s: 0.0,
-        per_hop_latency_s: 1.0e-6,
-        migration: MigrationMode::Atomic,
-        shared_engine: SharedEngineMode::Persistent,
         window_cap: cap,
-        faults: vec![],
+        ..DynamicClusterParams::new(4, DynamicFabric::Shared(topologies::ideal_switch(4, 100.0e9)))
     };
     let cut = simulate_dynamic_cluster(&jobs, &params(Some(1)));
     assert!(cut.truncated, "guard exhaustion with pending jobs must be reported");
@@ -291,19 +279,7 @@ fn persistent_engine_reports_window_reuse() {
 
 /// One run of `jobs` on a partitioned 16-server fabric.
 fn run_partitioned(jobs: &[DynamicJobSpec]) -> DynamicClusterResult {
-    simulate_dynamic_cluster(
-        jobs,
-        &DynamicClusterParams {
-            total_servers: 16,
-            fabric: DynamicFabric::Partitioned,
-            provisioning_time_s: 0.0,
-            per_hop_latency_s: 1.0e-6,
-            migration: MigrationMode::Atomic,
-            shared_engine: SharedEngineMode::Persistent,
-            window_cap: None,
-            faults: vec![],
-        },
-    )
+    simulate_dynamic_cluster(jobs, &DynamicClusterParams::new(16, DynamicFabric::Partitioned))
 }
 
 #[test]

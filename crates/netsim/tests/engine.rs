@@ -8,8 +8,7 @@ use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
 use topoopt_netsim::{
     allreduce_flows, simulate_dynamic_cluster, simulate_shared_cluster_stats, AllReducePlan,
-    DynamicClusterParams, DynamicFabric, DynamicJobSpec, FluidEngine, JobSpec, MigrationMode,
-    SharedEngineMode, SimNetwork,
+    DynamicClusterParams, DynamicFabric, DynamicJobSpec, FluidEngine, JobSpec, SimNetwork,
 };
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
@@ -355,16 +354,7 @@ fn shared_fabric_fan_out_is_deterministic_across_thread_counts() {
             ring_job(i, servers, 5.0e8 * (1 + i % 3) as f64, 0.02 * i as f64, iterations)
         })
         .collect();
-    let params = DynamicClusterParams {
-        total_servers: 16,
-        fabric: DynamicFabric::Shared(tree),
-        provisioning_time_s: 0.0,
-        per_hop_latency_s: 1.0e-6,
-        migration: MigrationMode::Atomic,
-        shared_engine: SharedEngineMode::Persistent,
-        window_cap: None,
-        faults: vec![],
-    };
+    let params = DynamicClusterParams::new(16, DynamicFabric::Shared(tree));
     let run = |threads: &str| {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         let (result, stats) = simulate_shared_cluster_stats(&net, &round);

@@ -14,27 +14,16 @@ pub struct MigrationProblem {
     pub source: FabricSpec,
     /// The fabric being built up.
     pub target: FabricSpec,
-    /// Per-server interface budget: an add is infeasible while either
-    /// endpoint is at this out/in degree (no free patch-panel port). With
-    /// `None`, links can overlap freely mid-migration.
-    pub max_degree: Option<usize>,
     /// Rule-repair granularity of the controller (see [`RepairMode`]).
     pub repair: RepairMode,
 }
 
 impl MigrationProblem {
-    /// A problem with no interface budget and per-destination repair (the
-    /// loop-free-by-construction controller mode; set
-    /// [`RepairMode::PerRule`] to model a minimal-touch controller whose
-    /// stale/fresh rule mixtures can transiently loop).
+    /// A problem with per-destination repair (the loop-free-by-construction
+    /// controller mode; set [`RepairMode::PerRule`] to model a minimal-touch
+    /// controller whose stale/fresh rule mixtures can transiently loop).
     pub fn new(num_servers: usize, source: FabricSpec, target: FabricSpec) -> Self {
-        MigrationProblem {
-            num_servers,
-            source,
-            target,
-            max_degree: None,
-            repair: RepairMode::PerDestination,
-        }
+        MigrationProblem { num_servers, source, target, repair: RepairMode::PerDestination }
     }
 
     /// The unordered link operations of the migration (source/target
@@ -120,14 +109,6 @@ pub(crate) fn check_state(
     hard.iter().try_for_each(|policy| policy.check(state))
 }
 
-/// True when adding `l` would exceed the problem's interface budget.
-pub(crate) fn add_infeasible(problem: &MigrationProblem, state: &FabricState, l: &Link) -> bool {
-    match problem.max_degree {
-        Some(d) => state.graph().out_degree(l.src) >= d || state.graph().in_degree(l.dst) >= d,
-        None => false,
-    }
-}
-
 /// Evaluate one complete ordering of the problem's link operations: apply
 /// each op, validate every resulting state against the hard policies, score
 /// it with the soft policy, and finish with the target rule install. On
@@ -149,22 +130,6 @@ pub fn evaluate_order(
     }
     let mut steps = Vec::with_capacity(order.len() + 1);
     for (idx, op) in order.iter().enumerate() {
-        if let LinkOp::Add(l) = op {
-            if add_infeasible(problem, &state, l) {
-                return Err((
-                    PolicyViolation::new(
-                        "interface-capacity",
-                        format!(
-                            "step {idx}: adding {}->{} exceeds degree {}",
-                            l.src,
-                            l.dst,
-                            problem.max_degree.unwrap_or(0)
-                        ),
-                    ),
-                    checked,
-                ));
-            }
-        }
         state.apply(*op, problem.repair);
         checked += 1;
         match check_state(&state, hard) {

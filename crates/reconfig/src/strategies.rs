@@ -18,7 +18,7 @@
 //!   state budget is exhausted.
 
 use crate::planner::{
-    add_infeasible, check_state, evaluate_order, MigrationFallback, MigrationPlan, MigrationProblem,
+    check_state, evaluate_order, MigrationFallback, MigrationPlan, MigrationProblem,
 };
 use crate::policies::{HardPolicy, PolicyViolation, SoftPolicy};
 use crate::state::{FabricState, LinkOp};
@@ -200,20 +200,6 @@ impl Dfs<'_> {
                 return false;
             }
             let op = self.ops[i];
-            if let LinkOp::Add(l) = &op {
-                if add_infeasible(self.problem, state, l) {
-                    self.record(PolicyViolation::new(
-                        "interface-capacity",
-                        format!(
-                            "adding {}->{} exceeds degree {}",
-                            l.src,
-                            l.dst,
-                            self.problem.max_degree.unwrap_or(0)
-                        ),
-                    ));
-                    continue;
-                }
-            }
             let mut next = state.clone();
             next.apply(op, self.problem.repair);
             self.checked += 1;

@@ -77,7 +77,7 @@ fn planner_with_reachability(
 }
 
 proptest! {
-    // Per-destination repair, no interface budget: tree search must
+    // Per-destination repair: tree search must
     // sequence EVERY random connected pair safely (additions-first keeps
     // the source intact while the target builds up), and each emitted
     // intermediate state must hold up under independent replay.
@@ -142,40 +142,6 @@ proptest! {
         prop_assert_eq!(random(seed).plan(&problem), random(seed).plan(&problem));
         let tree = || planner_with_reachability(n, Box::new(TreeSearch::default()));
         prop_assert_eq!(tree().plan(&problem), tree().plan(&problem));
-    }
-}
-
-#[test]
-fn interface_budget_forces_interleaved_removals() {
-    // Both fabrics use 2 out-links per server and the patch panel has no
-    // spare ports (max_degree = 2): the adds-first order is infeasible, so
-    // the tree search must interleave removals with additions — and every
-    // intermediate state must still be safe.
-    let source = FabricSpec::shortest_path(topologies::from_permutations(6, &[1, 3], 25.0e9));
-    let target = FabricSpec::shortest_path(topologies::from_permutations(6, &[2, 5], 25.0e9));
-    let mut problem = MigrationProblem::new(6, source, target);
-    problem.max_degree = Some(2);
-    let planner = planner_with_reachability(6, Box::new(TreeSearch::default()));
-    match planner.plan(&problem) {
-        Ok(plan) => {
-            // An add appears before the last removal (interleaving).
-            let first_add =
-                plan.steps.iter().position(|s| matches!(s.op, StepOp::AddLink(_))).unwrap();
-            let last_remove =
-                plan.steps.iter().rposition(|s| matches!(s.op, StepOp::RemoveLink(_))).unwrap();
-            assert!(first_add < last_remove, "degree cap must force interleaving");
-            assert_states_safe(&problem, &plan);
-        }
-        Err(fb) => {
-            // A port-constrained migration may genuinely have no safe
-            // ordering; the fallback must then name what blocked it.
-            assert!(
-                ["loop-freedom", "pair-reachability", "interface-capacity", "search-budget"]
-                    .contains(&fb.violation.policy.as_str()),
-                "unexpected fallback {:?}",
-                fb.violation
-            );
-        }
     }
 }
 

@@ -41,10 +41,6 @@ pub struct McmcConfig {
     /// RNG seed (searches are deterministic given the seed, regardless of
     /// thread count).
     pub seed: u64,
-    /// If true, only embedding tables and large dense layers are eligible
-    /// for model-parallel placement — mirrors how DLRM-style models are
-    /// actually parallelized and keeps the chain in the useful region.
-    pub restrict_to_heavy_ops: bool,
     /// Number of independent chains run in parallel; the best result wins.
     /// Chain `k` is seeded from `seed` (chain 0 uses `seed` itself, so
     /// `chains = 1` reproduces the single-chain trajectory).
@@ -53,13 +49,7 @@ pub struct McmcConfig {
 
 impl Default for McmcConfig {
     fn default() -> Self {
-        McmcConfig {
-            iterations: 400,
-            temperature: 0.05,
-            seed: 1,
-            restrict_to_heavy_ops: true,
-            chains: 4,
-        }
+        McmcConfig { iterations: 400, temperature: 0.05, seed: 1, chains: 4 }
     }
 }
 
@@ -76,20 +66,15 @@ pub struct McmcResult {
     pub evaluated: usize,
 }
 
-/// Operators eligible for model-parallel placement under
-/// `restrict_to_heavy_ops`: embedding tables, plus parameterised layers
-/// whose parameter footprint exceeds 64 MB.
-fn mp_candidates(model: &DnnModel, restrict: bool) -> Vec<usize> {
+/// Operators eligible for model-parallel placement: embedding tables, plus
+/// parameterised layers whose parameter footprint exceeds 64 MB. This
+/// mirrors how DLRM-style models are actually parallelized and keeps the
+/// chain in the useful region.
+fn mp_candidates(model: &DnnModel) -> Vec<usize> {
     (0..model.num_ops())
         .filter(|&i| {
             let op = &model.ops[i].op;
-            if !op.has_params() {
-                return false;
-            }
-            if !restrict {
-                return true;
-            }
-            op.is_embedding() || op.param_bytes() > 64.0e6
+            op.has_params() && (op.is_embedding() || op.param_bytes() > 64.0e6)
         })
         .collect()
 }
@@ -147,7 +132,7 @@ fn search_one_chain(
 ) -> McmcResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = initial.num_servers;
-    let candidates = mp_candidates(model, cfg.restrict_to_heavy_ops);
+    let candidates = mp_candidates(model);
 
     let mut eval = CostEvaluator::new(model, initial, view, params);
     let mut current_est = eval.estimate();
@@ -202,7 +187,7 @@ pub fn search_strategy_reference(
 ) -> McmcResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n = initial.num_servers;
-    let candidates = mp_candidates(model, cfg.restrict_to_heavy_ops);
+    let candidates = mp_candidates(model);
 
     let mut current = initial;
     let mut current_est = estimate_iteration_time(model, &current, view, params);
@@ -286,13 +271,7 @@ mod tests {
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
 
     fn quick_cfg(seed: u64) -> McmcConfig {
-        McmcConfig {
-            iterations: 120,
-            temperature: 0.05,
-            seed,
-            restrict_to_heavy_ops: true,
-            chains: 1,
-        }
+        McmcConfig { iterations: 120, temperature: 0.05, seed, chains: 1 }
     }
 
     #[test]
@@ -436,14 +415,5 @@ mod tests {
         let init = ParallelizationStrategy::pure_data_parallel(&m, 16);
         let result = search_strategy(&m, init, &view, &p, &quick_cfg(5));
         assert!(result.strategy.num_model_parallel_ops() <= 2);
-    }
-
-    #[test]
-    fn candidate_restriction_limits_eligible_ops() {
-        let m = build_model(ModelKind::Bert, ModelPreset::Shared);
-        let all = mp_candidates(&m, false);
-        let heavy = mp_candidates(&m, true);
-        assert!(heavy.len() <= all.len());
-        assert!(!all.is_empty());
     }
 }

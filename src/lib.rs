@@ -37,7 +37,7 @@
 //! |---|---|
 //! | `topoopt-graph` | graphs, matching, paths, canonical topologies |
 //! | `topoopt-models` | DNN model zoo (DLRM, CANDLE, BERT, NCF, ResNet-50, VGG) |
-//! | `topoopt-collectives` | AllReduce algorithms, ring permutations, timing models |
+//! | `topoopt-collectives` | AllReduce rings and trees, ring permutations, traffic models |
 //! | `topoopt-strategy` | FlexNet-style MCMC parallelization strategy search |
 //! | `topoopt-core` | TotientPerms, SelectPermutations, TopologyFinder, CoinChangeMod, OCS-reconfig, alternating optimization |
 //! | `topoopt-netsim` | flow-level network simulator (dedicated, shared, reconfigurable) |
@@ -69,9 +69,7 @@ pub use topoopt_workloads as workloads;
 pub mod prelude {
     pub use crate::export::{CoOptimizationExport, ForwardingExport, TopologyExport};
     pub use topoopt_collectives::ring::RingPermutation;
-    pub use topoopt_collectives::timing::{allreduce_time, AllReduceAlgo, TimingParams};
     pub use topoopt_core::alternating::{co_optimize, AlternatingConfig, CoOptResult};
-    pub use topoopt_core::architectures::{build_architecture, Architecture, BuiltNetwork};
     pub use topoopt_core::coinchange::{coin_change_route, CoinChangeTable};
     pub use topoopt_core::ocs_reconfig::{
         ocs_reconfig_topology, sipml_topology, OcsReconfigConfig,

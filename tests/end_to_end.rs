@@ -188,13 +188,6 @@ fn cost_model_and_architectures_are_consistent() {
     assert!(ideal > 1.5 * topo);
     let b_eq = equivalent_fat_tree_bandwidth(n, d, b);
     assert!(b_eq < d as f64 * b);
-
-    // Architecture builders produce usable graphs for the simulator.
-    for arch in Architecture::all() {
-        let built = build_architecture(arch, 32, d, 25.0e9, b_eq, 1);
-        assert!(built.graph.num_nodes() >= 32, "{arch:?} too small");
-        assert!(built.graph.is_strongly_connected(), "{arch:?} disconnected");
-    }
 }
 
 #[test]
