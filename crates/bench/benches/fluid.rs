@@ -15,7 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use topoopt_graph::{topologies, Graph};
-use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
+use topoopt_netsim::fluid::{simulate_flows, FlowSpec};
+use topoopt_oracle::simulate_flows_reference;
 
 /// `rings` disjoint rings of `size` nodes, one flow per edge with distinct
 /// sizes so completions are spread over many events.

@@ -25,10 +25,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use topoopt_bench::median_time;
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
-use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
+use topoopt_netsim::fluid::{simulate_flows, FlowSpec};
 use topoopt_netsim::{
     simulate_dynamic_cluster, AllReducePlan, DynamicClusterParams, DynamicFabric, DynamicJobSpec,
 };
+use topoopt_oracle::simulate_flows_reference;
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
 /// Disjoint 8-server rings covering `servers` nodes: one flow per edge with

@@ -25,9 +25,8 @@ use std::time::Duration;
 use topoopt_bench::{compute_params, median_time};
 use topoopt_models::zoo::{build_dlrm, build_model};
 use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
-use topoopt_strategy::{
-    search_strategy, search_strategy_reference, McmcConfig, ParallelizationStrategy, TopologyView,
-};
+use topoopt_oracle::search_strategy_reference;
+use topoopt_strategy::{search_strategy, McmcConfig, ParallelizationStrategy, TopologyView};
 
 fn mcmc_cfg(iterations: usize, chains: usize) -> McmcConfig {
     McmcConfig { iterations, temperature: 0.05, seed: 7, chains }

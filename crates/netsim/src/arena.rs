@@ -21,9 +21,10 @@
 //!   allocation — the sorted key set is maintained incrementally at intern
 //!   time instead of being rebuilt per call);
 //! * [`waterfill_ids`] scans candidate bottleneck links in ascending
-//!   `LinkKey` order (the order `waterfill_slices` iterates its `BTreeMap`s
-//!   in) and freezes flows in the same position order, so the flat and
-//!   map-keyed water-fillers produce bit-identical rates;
+//!   `LinkKey` order (the order the map-keyed `waterfill_slices` of the
+//!   dev-only `topoopt-oracle` crate iterates its `BTreeMap`s in) and
+//!   freezes flows in the same position order, so the flat and map-keyed
+//!   water-fillers produce bit-identical rates;
 //! * results must not depend on thread count: the water-filler is a pure
 //!   function of the arena and the spans, and the shared fabric's
 //!   per-component engines merge in deterministic component order.
@@ -158,8 +159,8 @@ pub(crate) fn waterfill_ids(
 }
 
 /// Progressive-filling max-min fair allocation over interned link ids — the
-/// flat-index equivalent of [`crate::fluid::waterfill_slices`], returning
-/// rates (bps) aligned with `spans` positions.
+/// flat-index equivalent of the map-keyed `topoopt_oracle::waterfill_slices`,
+/// returning rates (bps) aligned with `spans` positions.
 ///
 /// `spans[k]` holds the link ids flow `k` traverses, one entry per path
 /// window *including duplicates* (a path revisiting a link counts once per
@@ -170,7 +171,8 @@ pub(crate) fn waterfill_ids(
 /// operation order exactly — the allocations are bit-identical, which is
 /// what keeps the committed BENCH artifacts byte-stable across the flat
 /// refactor (see the unit tests below, which assert `f64::to_bits`
-/// equality against `waterfill_slices`).
+/// equality against `waterfill_slices` and check every allocation with the
+/// oracle crate's max-min certificate, `check_max_min`).
 pub(crate) fn waterfill_ids_with(
     links: &LinkArena,
     spans: &[&[LinkId]],
@@ -320,27 +322,40 @@ pub(crate) fn waterfill_ids_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fluid::waterfill_slices;
     use std::collections::BTreeMap;
+    use topoopt_oracle::{check_max_min, waterfill_slices};
 
-    /// Intern every window of every path and return the flat spans.
-    fn intern_paths(arena: &mut LinkArena, paths: &[Vec<usize>]) -> Vec<Vec<LinkId>> {
-        paths.iter().map(|p| p.windows(2).map(|w| arena.intern((w[0], w[1]))).collect()).collect()
+    /// Run the flat water-filler over `paths` and assert the max-min
+    /// certificate on its allocation.
+    fn certified_waterfill(
+        capacity: &BTreeMap<LinkKey, f64>,
+        paths: &[&[usize]],
+        factors: &[f64],
+    ) -> Vec<f64> {
+        let mut arena = LinkArena::from_sorted_capacities(capacity.iter().map(|(&k, &v)| (k, v)));
+        let spans: Vec<Vec<LinkId>> = paths
+            .iter()
+            .map(|p| p.windows(2).map(|w| arena.intern((w[0], w[1]))).collect())
+            .collect();
+        let span_refs: Vec<&[LinkId]> = spans.iter().map(|s| s.as_slice()).collect();
+        let rates = waterfill_ids(&arena, &span_refs, factors);
+        if let Err(violation) = check_max_min(capacity, paths, factors, &rates) {
+            panic!("max-min certificate failed: {violation}\nrates {rates:?}\npaths {paths:?}");
+        }
+        rates
     }
 
-    /// Assert the flat water-filler matches the map-keyed one bit-for-bit.
+    /// Assert the flat water-filler is max-min fair and matches the
+    /// map-keyed one bit-for-bit.
     fn assert_bit_identical(
         capacity: &BTreeMap<LinkKey, f64>,
         paths: &[Vec<usize>],
         factors: &[f64],
     ) {
-        let mut arena = LinkArena::from_sorted_capacities(capacity.iter().map(|(&k, &v)| (k, v)));
-        let spans = intern_paths(&mut arena, paths);
-        let span_refs: Vec<&[LinkId]> = spans.iter().map(|s| s.as_slice()).collect();
-        let flat = waterfill_ids(&arena, &span_refs, factors);
+        let path_refs: Vec<&[usize]> = paths.iter().map(|p| p.as_slice()).collect();
+        let flat = certified_waterfill(capacity, &path_refs, factors);
 
         let active: Vec<usize> = (0..paths.len()).collect();
-        let path_refs: Vec<&[usize]> = paths.iter().map(|p| p.as_slice()).collect();
         let map_rates = waterfill_slices(capacity, &active, &path_refs, factors);
         for (pos, &rate) in flat.iter().enumerate() {
             let expected = map_rates.get(&pos).copied().unwrap_or(0.0);
@@ -401,6 +416,33 @@ mod tests {
         // 0 -> 1 -> 0 -> 1 crosses (0, 1) twice: counts twice in its share.
         let paths = vec![vec![0, 1, 0, 1], vec![0, 1]];
         assert_bit_identical(&capacity, &paths, &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn dead_links_waterfill_to_zero_never_nan() {
+        // Fault injection stalls flows on zero-capacity links instead of
+        // dropping them, so the fair-share division `0 / count` must come
+        // out as rate 0 — never NaN or a negative share — and flows whose
+        // relay cap is `factor × 0` must freeze at exactly 0.
+        let mut capacity: BTreeMap<LinkKey, f64> = BTreeMap::new();
+        capacity.insert((0, 1), 100.0);
+        capacity.insert((1, 2), 0.0); // failed link (capacity zeroed)
+                                      // (2, 3) is intentionally absent: missing links count as dead.
+        let rates = certified_waterfill(
+            &capacity,
+            &[&[0, 1], &[0, 1, 2], &[2, 3], &[0, 1, 2]],
+            // Flow 3's cap is 0.5 × its zero bottleneck = 0.
+            &[1.0, 1.0, 1.0, 0.5],
+        );
+        for (pos, &r) in rates.iter().enumerate() {
+            assert!(r.is_finite() && r >= 0.0, "flow {pos}: rate {r} must be finite and >= 0");
+        }
+        assert_eq!(rates[1], 0.0, "flow over the zeroed link stalls");
+        assert_eq!(rates[2], 0.0, "flow over the missing link stalls");
+        assert_eq!(rates[3], 0.0, "relay-capped flow over the zeroed link stalls");
+        // Stalled flows consume nothing, so the healthy flow still gets the
+        // full 100 bps of its link.
+        assert!((rates[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -29,13 +29,16 @@
 //! old `BTreeMap`-ordered semantics survive at the API boundary
 //! ([`FluidEngine::from_capacities`], [`FluidEngine::result`]) and in the
 //! arena's key-sorted id list, which fixes the iteration order of every
-//! order-sensitive float reduction; the refactor is bit-identical to the
-//! map-keyed engine (see `tests/engine.rs` and the committed artifacts).
+//! order-sensitive float reduction. The flat allocator is bit-identical to
+//! the map-keyed one (the `arena` unit tests compare `to_bits`); the engine
+//! as a whole matches the from-scratch loop to 1e-9 relative
+//! (`tests/engine.rs`), because the two settle float progress in different
+//! orders.
 //!
 //! # Incremental recomputation
 //!
-//! The key optimisation over the from-scratch loop
-//! ([`crate::fluid::simulate_flows_reference`]) is *incremental* max-min
+//! The key optimisation over the from-scratch loop (`simulate_flows_reference`
+//! in the dev-only `topoopt-oracle` crate) is *incremental* max-min
 //! recomputation: an event can only change the rates of flows that share a
 //! link — transitively — with the flows it touches, i.e. the connected
 //! component of the flow/link sharing graph around the event. The engine

@@ -4,18 +4,19 @@
 //! constrained link (smallest equal share for its not-yet-frozen flows),
 //! freeze those flows at that rate, subtract their consumption, and repeat.
 //!
-//! Since the event-driven refactor, [`simulate_flows`] is a thin wrapper
-//! over [`crate::engine::FluidEngine`], which advances from event to event
-//! (flow arrival, flow completion) and re-waterfills only the connected
-//! component of links/flows an event touches. The original from-scratch
-//! event loop is kept as [`simulate_flows_reference`]: it is the oracle
-//! for the engine's equivalence proptests and the baseline of the `fluid`
-//! Criterion bench. Both allocators share `waterfill_slices`, so any fix
-//! to the rate allocation applies to both.
+//! [`simulate_flows`] is a thin wrapper over [`crate::engine::FluidEngine`],
+//! which advances from event to event (flow arrival, flow completion) and
+//! re-waterfills only the connected component of links/flows an event
+//! touches, with the flat allocator `arena::waterfill_ids_with`. The
+//! original from-scratch event loop and its map-keyed allocator live in the
+//! dev-only `topoopt-oracle` crate (`simulate_flows_reference`,
+//! `waterfill_slices`): they are the oracles of the engine's equivalence
+//! proptests and the allocator's bit-identity tests, and the baseline of
+//! the `fluid` and `scale` benches.
 
 use crate::engine::FluidEngine;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use topoopt_graph::Graph;
 
 /// A directed server pair, the key under which parallel physical links are
@@ -135,283 +136,6 @@ pub(crate) fn link_capacities(graph: &Graph) -> BTreeMap<LinkKey, f64> {
     caps
 }
 
-/// Progressive-filling max-min fair allocation (bits per second) with
-/// per-flow rate caps.
-///
-/// `active` holds arbitrary flow ids, `paths[k]` is the node path of
-/// `active[k]`, and `relay_factors[k]` its kernel-relay throughput
-/// multiplier: a factor `< 1.0` caps the flow's rate at `factor ×` its
-/// path's minimum link capacity (see [`FlowSpec::relay_factor`]); factors
-/// `>= 1.0` impose no cap, reproducing the classic algorithm exactly. Links
-/// missing from `capacity` count as zero-capacity, so flows routed over
-/// them receive rate 0. Link iteration uses ordered maps and capped flows
-/// freeze lowest-cap-first (ties by position), making the allocation fully
-/// deterministic. Shared by the incremental engine and the from-scratch
-/// reference loop.
-pub(crate) fn waterfill_slices(
-    capacity: &BTreeMap<LinkKey, f64>,
-    active: &[usize],
-    paths: &[&[usize]],
-    relay_factors: &[f64],
-) -> HashMap<usize, f64> {
-    debug_assert_eq!(active.len(), paths.len());
-    debug_assert_eq!(active.len(), relay_factors.len());
-    // Absolute rate caps: relayed logical connections cannot exceed their
-    // penalty share of the path bottleneck even when alone on the fabric.
-    // Fabrics without relay overhead (every factor >= 1.0 — all switched
-    // baselines) skip the cap bookkeeping entirely, so the classic
-    // algorithm's hot path pays nothing for the feature.
-    let any_capped = relay_factors.iter().any(|&f| f < 1.0);
-    let caps: Vec<f64> = if !any_capped {
-        Vec::new()
-    } else {
-        paths
-            .iter()
-            .zip(relay_factors)
-            .map(|(path, &f)| {
-                if f >= 1.0 {
-                    f64::INFINITY
-                } else {
-                    let bottleneck = path
-                        .windows(2)
-                        .map(|w| capacity.get(&(w[0], w[1])).cloned().unwrap_or(0.0))
-                        .fold(f64::INFINITY, f64::min);
-                    if bottleneck.is_finite() {
-                        f.max(0.0) * bottleneck
-                    } else {
-                        f64::INFINITY // zero-hop path: never rated anyway
-                    }
-                }
-            })
-            .collect()
-    };
-    let mut rates: HashMap<usize, f64> = HashMap::new();
-    // Which links each active flow uses, by position in `active`. A path
-    // revisiting a link registers once per traversal, so the flow counts
-    // once per crossing in the link's fair share.
-    let mut flows_on_link: BTreeMap<LinkKey, Vec<usize>> = BTreeMap::new();
-    for (pos, path) in paths.iter().enumerate() {
-        for w in path.windows(2) {
-            flows_on_link.entry((w[0], w[1])).or_default().push(pos);
-        }
-    }
-    let mut residual: BTreeMap<LinkKey, f64> = BTreeMap::new();
-    let mut unfixed_count: BTreeMap<LinkKey, usize> = BTreeMap::new();
-    for (link, fs) in &flows_on_link {
-        let cap = capacity.get(link).cloned().unwrap_or(0.0);
-        residual.insert(*link, cap);
-        unfixed_count.insert(*link, fs.len());
-    }
-
-    let mut fixed = vec![false; active.len()];
-    let mut remaining_flows = active.len();
-    while remaining_flows > 0 {
-        // Find the most constrained link: min residual / #unfixed flows.
-        let mut best: Option<(LinkKey, f64)> = None;
-        for (link, &count) in &unfixed_count {
-            if count == 0 {
-                continue;
-            }
-            // lint:allow(panic-in-engine): `residual` and `unfixed_count` were
-            // built over the same link set a screenful above.
-            let share = residual[link] / count as f64;
-            if best.map(|(_, b)| share < b).unwrap_or(true) {
-                best = Some((*link, share));
-            }
-        }
-        // Find the most constrained per-flow rate cap.
-        let mut best_cap: Option<(usize, f64)> = None;
-        for (pos, &cap) in caps.iter().enumerate() {
-            if fixed[pos] || cap.is_infinite() {
-                continue;
-            }
-            if best_cap.map(|(_, b)| cap < b).unwrap_or(true) {
-                best_cap = Some((pos, cap));
-            }
-        }
-        // A capped flow freezes at its cap when that is *strictly* below
-        // the bottleneck fair share (ties defer to link freezing, so
-        // uncapped runs retrace the classic algorithm exactly); its
-        // consumption is then subtracted like any frozen flow's.
-        if let Some((pos, cap)) = best_cap {
-            let link_share = best.map(|(_, s)| s.max(0.0)).unwrap_or(f64::INFINITY);
-            if cap < link_share {
-                let cap = cap.max(0.0);
-                rates.insert(active[pos], cap);
-                fixed[pos] = true;
-                remaining_flows -= 1;
-                for w in paths[pos].windows(2) {
-                    let key = (w[0], w[1]);
-                    if let Some(r) = residual.get_mut(&key) {
-                        *r = (*r - cap).max(0.0);
-                    }
-                    if let Some(c) = unfixed_count.get_mut(&key) {
-                        *c = c.saturating_sub(1);
-                    }
-                }
-                continue;
-            }
-        }
-        let Some((bottleneck, share)) = best else {
-            // Remaining flows traverse no known links (shouldn't happen);
-            // give them zero.
-            for (pos, &id) in active.iter().enumerate() {
-                if !fixed[pos] {
-                    rates.insert(id, 0.0);
-                }
-            }
-            break;
-        };
-        let share = share.max(0.0);
-        // Freeze every unfixed flow crossing the bottleneck at `share`.
-        let frozen: Vec<usize> =
-            // lint:allow(panic-in-engine): the bottleneck was selected from
-            // `unfixed_count`, which mirrors `flows_on_link`'s key set.
-            flows_on_link[&bottleneck].iter().cloned().filter(|&pos| !fixed[pos]).collect();
-        for pos in frozen {
-            if fixed[pos] {
-                continue; // listed twice on the bottleneck (path revisit)
-            }
-            rates.insert(active[pos], share);
-            fixed[pos] = true;
-            remaining_flows -= 1;
-            // Subtract its consumption from every link it crosses.
-            for w in paths[pos].windows(2) {
-                let key = (w[0], w[1]);
-                if let Some(r) = residual.get_mut(&key) {
-                    *r = (*r - share).max(0.0);
-                }
-                if let Some(c) = unfixed_count.get_mut(&key) {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-    }
-    rates
-}
-
-/// From-scratch reference simulator: the pre-engine event loop that re-runs
-/// full water-filling over *all* active flows at every completion event.
-///
-/// Kept as the correctness oracle for the incremental engine (see the
-/// equivalence proptests in `tests/engine.rs`) and as the baseline of the
-/// `fluid` Criterion bench. Prefer [`simulate_flows`] everywhere else.
-pub fn simulate_flows_reference(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    per_hop_latency_s: f64,
-) -> FluidResult {
-    let capacity = link_capacities(graph);
-    let n_flows = flows.len();
-    let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes.max(0.0)).collect();
-    let mut completion = vec![0.0f64; n_flows];
-    let mut done: Vec<bool> = remaining.iter().map(|&b| b <= 0.0).collect();
-    let mut link_bytes: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-
-    // Flows with zero hops complete immediately (local transfers).
-    for (i, f) in flows.iter().enumerate() {
-        if f.hops() == 0 {
-            done[i] = true;
-            completion[i] = f.start_s;
-        }
-    }
-
-    let mut now = 0.0f64;
-    let mut guard = 0usize;
-    let max_events = 4 * n_flows + 16;
-    while done.iter().any(|&d| !d) && guard < max_events {
-        guard += 1;
-        // Active = started and not done. Advance `now` to the next start if
-        // nothing is active yet.
-        let mut active: Vec<usize> =
-            (0..n_flows).filter(|&i| !done[i] && flows[i].start_s <= now + 1e-15).collect();
-        if active.is_empty() {
-            let next_start = (0..n_flows)
-                .filter(|&i| !done[i])
-                .map(|i| flows[i].start_s)
-                .fold(f64::INFINITY, f64::min);
-            if !next_start.is_finite() {
-                break;
-            }
-            now = next_start;
-            active =
-                (0..n_flows).filter(|&i| !done[i] && flows[i].start_s <= now + 1e-15).collect();
-        }
-
-        let paths: Vec<&[usize]> = active.iter().map(|&i| flows[i].path.as_slice()).collect();
-        let factors: Vec<f64> = active.iter().map(|&i| flows[i].relay_factor).collect();
-        let rates = waterfill_slices(&capacity, &active, &paths, &factors);
-
-        // Time to the earliest of: an active flow finishing, or a pending
-        // flow starting.
-        let mut dt = f64::INFINITY;
-        for &i in &active {
-            // lint:allow(panic-in-engine): waterfill_slices returns a rate for
-            // every active flow by construction.
-            let r = rates[&i];
-            if r > 0.0 {
-                dt = dt.min(remaining[i] * 8.0 / r);
-            }
-        }
-        let next_start = (0..n_flows)
-            .filter(|&i| !done[i] && flows[i].start_s > now + 1e-15)
-            .map(|i| flows[i].start_s - now)
-            .fold(f64::INFINITY, f64::min);
-        dt = dt.min(next_start);
-        if !dt.is_finite() || dt <= 0.0 {
-            // No progress possible (e.g. a flow with zero-rate on a
-            // zero-capacity path). Mark stuck flows done with infinite time.
-            for &i in &active {
-                // lint:allow(panic-in-engine): waterfill_slices returns a rate for
-                // every active flow by construction.
-                if rates[&i] <= 0.0 {
-                    done[i] = true;
-                    completion[i] = f64::INFINITY;
-                }
-            }
-            continue;
-        }
-
-        // Advance.
-        for &i in &active {
-            // lint:allow(panic-in-engine): waterfill_slices returns a rate for
-            // every active flow by construction.
-            let r = rates[&i];
-            let sent = r * dt / 8.0;
-            let sent = sent.min(remaining[i]);
-            remaining[i] -= sent;
-            for w in flows[i].path.windows(2) {
-                *link_bytes.entry((w[0], w[1])).or_insert(0.0) += sent;
-            }
-            if remaining[i] <= COMPLETION_EPS_BYTES {
-                done[i] = true;
-                completion[i] = now + dt + per_hop_latency_s * flows[i].hops() as f64;
-            }
-        }
-        now += dt;
-    }
-
-    // Anything still unfinished after the guard (shouldn't happen) is marked
-    // at the current time.
-    for i in 0..n_flows {
-        if !done[i] {
-            completion[i] = f64::INFINITY;
-        }
-    }
-
-    // Summed in ascending link order, like the engine (see `crate::arena`).
-    let carried = link_bytes.values().sum();
-    let demand: f64 = flows.iter().map(|f| if f.hops() > 0 { f.bytes } else { 0.0 }).sum();
-    let makespan = completion.iter().cloned().filter(|c| c.is_finite()).fold(0.0, f64::max);
-    FluidResult {
-        completion_s: completion,
-        makespan_s: makespan,
-        link_bytes,
-        carried_bytes: carried,
-        demand_bytes: demand,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,36 +185,6 @@ mod tests {
         let r = simulate_flows(&g, &f, 0.0);
         assert!((r.completion_s[0] - 8.0).abs() < 1e-6);
         assert!((r.completion_s[1] - 8.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn dead_links_waterfill_to_zero_never_nan() {
-        // Fault injection stalls flows on zero-capacity links instead of
-        // dropping them, so the fair-share division `0 / count` must come
-        // out as rate 0 — never NaN or a negative share — and flows whose
-        // relay cap is `factor × 0` must freeze at exactly 0.
-        let mut capacity: BTreeMap<LinkKey, f64> = BTreeMap::new();
-        capacity.insert((0, 1), 100.0);
-        capacity.insert((1, 2), 0.0); // failed link (capacity zeroed)
-                                      // (2, 3) is intentionally absent: missing links count as dead.
-        let (p0, p1, p2, p3): (&[usize], &[usize], &[usize], &[usize]) =
-            (&[0, 1], &[0, 1, 2], &[2, 3], &[0, 1, 2]);
-        let rates = waterfill_slices(
-            &capacity,
-            &[7, 8, 9, 10],
-            &[p0, p1, p2, p3],
-            // Flow 10's cap is 0.5 × its zero bottleneck = 0.
-            &[1.0, 1.0, 1.0, 0.5],
-        );
-        for (&id, &r) in &rates {
-            assert!(r.is_finite() && r >= 0.0, "flow {id}: rate {r} must be finite and >= 0");
-        }
-        assert_eq!(rates[&8], 0.0, "flow over the zeroed link stalls");
-        assert_eq!(rates[&9], 0.0, "flow over the missing link stalls");
-        assert_eq!(rates[&10], 0.0, "relay-capped flow over the zeroed link stalls");
-        // Stalled flows consume nothing, so the healthy flow still gets the
-        // full 100 bps of its link.
-        assert!((rates[&7] - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -593,8 +287,6 @@ mod tests {
         let f = vec![FlowSpec::new(vec![0, 1, 2], 100.0).with_relay_factor(0.5)];
         let r = simulate_flows(&g, &f, 0.0);
         assert!((r.completion_s[0] - 16.0).abs() < 1e-9);
-        let reference = simulate_flows_reference(&g, &f, 0.0);
-        assert!((reference.completion_s[0] - 16.0).abs() < 1e-9);
     }
 
     #[test]
@@ -609,10 +301,6 @@ mod tests {
         let r = simulate_flows(&g, &f, 0.0);
         assert!((r.completion_s[0] - 32.0).abs() < 1e-9);
         assert!((r.completion_s[1] - 16.0).abs() < 1e-9, "{}", r.completion_s[1]);
-        let reference = simulate_flows_reference(&g, &f, 0.0);
-        for (a, b) in r.completion_s.iter().zip(&reference.completion_s) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -632,19 +320,5 @@ mod tests {
         let f = vec![FlowSpec::new(vec![0, 1], 10.0).with_relay_factor(0.0)];
         let r = simulate_flows(&g, &f, 0.0);
         assert!(r.completion_s[0].is_infinite());
-    }
-
-    #[test]
-    fn reference_loop_matches_engine_on_contended_case() {
-        let g = line(&[100.0, 10.0]);
-        let mut f2 = FlowSpec::new(vec![0, 1], 90.0);
-        f2.start_s = 2.0;
-        let flows = vec![FlowSpec::new(vec![0, 1, 2], 10.0), f2];
-        let a = simulate_flows(&g, &flows, 0.0);
-        let b = simulate_flows_reference(&g, &flows, 0.0);
-        for (x, y) in a.completion_s.iter().zip(&b.completion_s) {
-            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
-        assert!((a.carried_bytes - b.carried_bytes).abs() < 1e-6);
     }
 }

@@ -27,10 +27,11 @@
 //! and leaves all other flows — and their scheduled completion events —
 //! untouched. On a sharded shared cluster (Figure 16) each job is its own
 //! component, turning every event from O(all flows) into O(one job). The
-//! pre-engine from-scratch loop survives as
-//! [`fluid::simulate_flows_reference`], the oracle for the equivalence
-//! proptests (`tests/engine.rs`) and the baseline of the `fluid` Criterion
-//! bench; both allocators implement one water-filling algorithm.
+//! pre-engine from-scratch loop survives as `simulate_flows_reference` in
+//! the dev-only `topoopt-oracle` crate: the oracle for the equivalence
+//! proptests (`tests/engine.rs`) and the baseline of the `fluid` and
+//! `scale` benches. It implements the same water-filling algorithm with
+//! map-keyed storage.
 //!
 //! # Flat storage
 //!
@@ -41,16 +42,16 @@
 //! CSR-style flat buffer, so event handling and water-filling do zero
 //! tree/hash lookups on the hot path. `BTreeMap`-ordered semantics are
 //! kept only at the API boundary and as the arena's key-sorted id list,
-//! which pins the order of every order-sensitive float reduction — the
-//! flat core is bit-identical to the map-keyed one. See the [`engine`]
-//! and `arena` module docs for the determinism contracts.
+//! which pins the order of every order-sensitive float reduction: the flat
+//! allocator is bit-identical to the map-keyed one, and the engine matches
+//! the from-scratch loop to 1e-9 relative. See the [`engine`] and `arena`
+//! module docs for the determinism contracts.
 //!
 //! # Modules
 //!
 //! * [`engine`] — the event-driven incremental fluid engine.
-//! * [`fluid`] — flow/result types, the shared water-filling allocator, the
-//!   [`fluid::simulate_flows`] compatibility wrapper, and the reference
-//!   from-scratch loop.
+//! * [`fluid`] — flow/result types and the [`fluid::simulate_flows`]
+//!   compatibility wrapper.
 //! * [`flows`] — builders that turn AllReduce plans and MP demand matrices
 //!   into flow sets routed over a concrete topology.
 //! * [`network`] — the simulated network: topology + routing + server set.
@@ -81,7 +82,7 @@ pub(crate) mod shared_engine;
 
 pub use engine::{EngineStats, FluidEngine};
 pub use flows::{allreduce_flows, mp_flows, AllReducePlan};
-pub use fluid::{simulate_flows, simulate_flows_reference, FlowSpec, FluidResult};
+pub use fluid::{simulate_flows, FlowSpec, FluidResult};
 pub use iteration::{simulate_iteration, IterationParams, IterationResult};
 pub use multijob::{
     simulate_dynamic_cluster, simulate_shared_cluster, simulate_shared_cluster_stats,

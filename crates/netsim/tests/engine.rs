@@ -5,11 +5,12 @@
 
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
-use topoopt_netsim::fluid::{simulate_flows, simulate_flows_reference, FlowSpec};
+use topoopt_netsim::fluid::{simulate_flows, FlowSpec};
 use topoopt_netsim::{
     allreduce_flows, simulate_dynamic_cluster, simulate_shared_cluster_stats, AllReducePlan,
     DynamicClusterParams, DynamicFabric, DynamicJobSpec, FluidEngine, JobSpec, SimNetwork,
 };
+use topoopt_oracle::simulate_flows_reference;
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
 /// Mixed absolute/relative closeness at the 1e-9 level (the two simulators
@@ -197,6 +198,36 @@ fn sharded_event_loops_are_deterministic_across_thread_counts() {
         }
     }
     assert_equivalent(&g, &flows, 1.0e-4);
+}
+
+/// A line `0 -> 1 -> ...` with one link per entry of `capacities`.
+fn line(capacities: &[f64]) -> Graph {
+    let mut g = Graph::new(capacities.len() + 1);
+    for (i, &c) in capacities.iter().enumerate() {
+        g.add_edge(i, i + 1, c);
+    }
+    g
+}
+
+#[test]
+fn reference_loop_matches_engine_on_contended_and_capped_cases() {
+    // Contended: a mid-run arrival shares the 100 bps first hop with a
+    // flow held to 10 bps by the second.
+    let mut late = FlowSpec::new(vec![0, 1], 90.0);
+    late.start_s = 2.0;
+    assert_equivalent(&line(&[100.0, 10.0]), &[FlowSpec::new(vec![0, 1, 2], 10.0), late], 0.0);
+    // A lone flow relay-capped at 50% of its 100 bps path takes 16 s.
+    let g = line(&[100.0, 100.0]);
+    let capped = [FlowSpec::new(vec![0, 1, 2], 100.0).with_relay_factor(0.5)];
+    let reference = simulate_flows_reference(&g, &capped, 0.0);
+    assert!((reference.completion_s[0] - 16.0).abs() < 1e-9);
+    assert_equivalent(&g, &capped, 0.0);
+    // A flow capped at 25 bps leaves the other 75 bps to its sharer.
+    let sharers = [
+        FlowSpec::new(vec![0, 1], 100.0).with_relay_factor(0.25),
+        FlowSpec::new(vec![0, 1], 150.0),
+    ];
+    assert_equivalent(&line(&[100.0]), &sharers, 0.0);
 }
 
 #[test]

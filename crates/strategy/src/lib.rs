@@ -28,6 +28,6 @@ pub use costmodel::{
     estimate_from_demands, estimate_iteration_time, ComputeParams, IterationEstimate, TopologyView,
 };
 pub use evaluator::CostEvaluator;
-pub use mcmc::{search_strategy, search_strategy_reference, McmcConfig, McmcResult};
+pub use mcmc::{search_strategy, McmcConfig, McmcResult};
 pub use placement::{OpPlacement, ParallelizationStrategy, PlacementKind};
 pub use traffic::{extract_traffic, AllReduceGroup, TrafficDemands};

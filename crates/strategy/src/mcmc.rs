@@ -12,16 +12,17 @@
 //! * **Incremental cost evaluation** — each proposal mutates exactly one
 //!   operator, so the chain drives a [`CostEvaluator`] with a
 //!   mutate-and-revert loop instead of cloning the strategy and re-running
-//!   the full estimator per step ([`search_strategy_reference`] keeps the
-//!   original clone-per-proposal loop as the equivalence oracle and bench
-//!   baseline).
+//!   the full estimator per step. The original clone-per-proposal loop is
+//!   `search_strategy_reference` in the dev-only `topoopt-oracle` crate:
+//!   the equivalence oracle (`tests/search.rs`) and the `search` bench
+//!   baseline.
 //! * **Parallel multi-chain search** — [`McmcConfig::chains`] independent
 //!   chains run on rayon threads from seeds derived deterministically from
 //!   [`McmcConfig::seed`]; results are collected in chain order and the
 //!   best is returned, so a fixed seed yields the same result regardless of
 //!   thread count (`RAYON_NUM_THREADS=1` included).
 
-use crate::costmodel::{estimate_iteration_time, ComputeParams, IterationEstimate, TopologyView};
+use crate::costmodel::{ComputeParams, IterationEstimate, TopologyView};
 use crate::evaluator::CostEvaluator;
 use crate::placement::{ParallelizationStrategy, PlacementKind};
 use rand::rngs::StdRng;
@@ -69,7 +70,8 @@ pub struct McmcResult {
 /// Operators eligible for model-parallel placement: embedding tables, plus
 /// parameterised layers whose parameter footprint exceeds 64 MB. This
 /// mirrors how DLRM-style models are actually parallelized and keeps the
-/// chain in the useful region.
+/// chain in the useful region. `topoopt-oracle` restates this filter and
+/// [`propose_kind`]; `tests/search.rs` fails if the copies drift.
 fn mp_candidates(model: &DnnModel) -> Vec<usize> {
     (0..model.num_ops())
         .filter(|&i| {
@@ -174,60 +176,6 @@ fn search_one_chain(
     McmcResult { strategy: best, estimate: best_est, accepted, evaluated }
 }
 
-/// The original clone-per-proposal, full-re-estimation search loop (always
-/// single-chain; `cfg.chains` is ignored). Kept as the correctness oracle
-/// for the incremental path and as the baseline of the `search` Criterion
-/// bench — prefer [`search_strategy`] everywhere else.
-pub fn search_strategy_reference(
-    model: &DnnModel,
-    initial: ParallelizationStrategy,
-    view: &TopologyView,
-    params: &ComputeParams,
-    cfg: &McmcConfig,
-) -> McmcResult {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n = initial.num_servers;
-    let candidates = mp_candidates(model);
-
-    let mut current = initial;
-    let mut current_est = estimate_iteration_time(model, &current, view, params);
-    let mut best = current.clone();
-    let mut best_est = current_est;
-    let mut accepted = 0usize;
-    let mut evaluated = 0usize;
-
-    for _ in 0..cfg.iterations {
-        if candidates.is_empty() {
-            break;
-        }
-        let mut proposal = current.clone();
-        let op = candidates[rng.gen_range(0..candidates.len())];
-        let new_kind = propose_kind(&proposal.placements[op].kind, n, &mut rng);
-        proposal.placements[op].kind = new_kind;
-
-        let est = estimate_iteration_time(model, &proposal, view, params);
-        evaluated += 1;
-        let accept = if est.total_s <= current_est.total_s {
-            true
-        } else {
-            let delta = est.total_s - current_est.total_s;
-            let scale = (cfg.temperature * current_est.total_s).max(1e-12);
-            rng.gen::<f64>() < (-delta / scale).exp()
-        };
-        if accept {
-            current = proposal;
-            current_est = est;
-            accepted += 1;
-            if current_est.total_s < best_est.total_s {
-                best = current.clone();
-                best_est = current_est;
-            }
-        }
-    }
-
-    McmcResult { strategy: best, estimate: best_est, accepted, evaluated }
-}
-
 /// Propose a new placement for one operator.
 fn propose_kind(kind: &PlacementKind, n: usize, rng: &mut StdRng) -> PlacementKind {
     match kind {
@@ -267,6 +215,7 @@ fn propose_kind(kind: &PlacementKind, n: usize, rng: &mut StdRng) -> PlacementKi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costmodel::estimate_iteration_time;
     use topoopt_models::zoo::{build_dlrm, build_model};
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
 
@@ -357,52 +306,6 @@ mod tests {
         let multi = search_strategy(&m, init, &view, &p, &cfg);
         assert!(multi.estimate.total_s <= single.estimate.total_s + 1e-12);
         assert_eq!(multi.evaluated, 4 * single.evaluated);
-    }
-
-    /// Run both search loops from `init` and require the same trajectory:
-    /// strategy, counters, and the estimate to 1e-9 relative.
-    fn assert_retraces_reference(
-        m: &DnnModel,
-        init: ParallelizationStrategy,
-        view: &TopologyView,
-        seed: u64,
-    ) {
-        let p = ComputeParams::default();
-        let cfg = quick_cfg(seed);
-        let fast = search_strategy(m, init.clone(), view, &p, &cfg);
-        let slow = search_strategy_reference(m, init, view, &p, &cfg);
-        let case = format!("{} on {} servers, seed {seed}", m.name, view.num_servers());
-        assert_eq!(fast.strategy, slow.strategy, "{case}");
-        assert_eq!(fast.accepted, slow.accepted, "{case}");
-        assert_eq!(fast.evaluated, slow.evaluated, "{case}");
-        let (a, b) = (fast.estimate.total_s, slow.estimate.total_s);
-        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{case}: {a} vs {b}");
-    }
-
-    #[test]
-    fn incremental_search_matches_reference_loop() {
-        // Same seed, same proposals, same accept decisions: the incremental
-        // evaluator must retrace the clone-per-proposal reference exactly
-        // (float round-off between the two paths is far smaller than any
-        // accept-threshold gap seen in practice). Data-parallel starts on
-        // three models, then hybrid starts on every zoo model at 16 and 64
-        // servers.
-        let view = TopologyView::FullMesh { n: 16, per_server_bps: 25.0e9 };
-        for (kind, seed) in [(ModelKind::Dlrm, 5u64), (ModelKind::Ncf, 9), (ModelKind::Bert, 2)] {
-            let m = build_model(kind, ModelPreset::Shared);
-            let init = ParallelizationStrategy::pure_data_parallel(&m, 16);
-            assert_retraces_reference(&m, init, &view, seed);
-        }
-        for n in [16, 64] {
-            let view = TopologyView::FullMesh { n, per_server_bps: 25.0e9 };
-            for kind in ModelKind::all() {
-                let m = build_model(kind, ModelPreset::Shared);
-                for seed in [2, 5, 9] {
-                    let init = ParallelizationStrategy::hybrid_embeddings_round_robin(&m, n);
-                    assert_retraces_reference(&m, init, &view, seed);
-                }
-            }
-        }
     }
 
     #[test]
