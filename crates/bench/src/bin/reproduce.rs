@@ -130,7 +130,6 @@ struct ExperimentSummary {
     id: String,
     title: String,
     section: String,
-    wall_time_s: f64,
     tables: usize,
     rows: usize,
 }
@@ -141,7 +140,6 @@ struct BenchSummary {
     generated_by: String,
     full: bool,
     seed: u64,
-    total_wall_time_s: f64,
     experiments: Vec<ExperimentSummary>,
 }
 
@@ -153,7 +151,6 @@ fn write_json_artifacts(
     dir: &PathBuf,
     reports: &[ExperimentReport],
     cli: &Cli,
-    total_wall_time_s: f64,
 ) -> std::io::Result<bool> {
     std::fs::create_dir_all(dir)?;
     for report in reports {
@@ -166,14 +163,12 @@ fn write_json_artifacts(
         generated_by: "reproduce (topoopt-bench)".to_string(),
         full: cli.full,
         seed: cli.seed,
-        total_wall_time_s,
         experiments: reports
             .iter()
             .map(|r| ExperimentSummary {
                 id: r.id.clone(),
                 title: r.title.clone(),
                 section: r.section.clone(),
-                wall_time_s: r.wall_time_s,
                 tables: r.tables.len(),
                 rows: r.tables.iter().map(|t| t.rows.len()).sum(),
             })
@@ -183,9 +178,9 @@ fn write_json_artifacts(
     Ok(true)
 }
 
-/// Render the `EXPERIMENTS.md` paper-vs-measured index. Deliberately
-/// excludes wall times so the committed file is stable for a fixed seed
-/// and scale (CI regenerates it and diffs).
+/// Render the `EXPERIMENTS.md` paper-vs-measured index. Reports carry no
+/// wall times, so the committed file is stable for a fixed seed and scale
+/// (CI regenerates it and diffs).
 fn render_experiments_md(reports: &[ExperimentReport], cli: &Cli) -> String {
     let mut out = String::new();
     out.push_str("# EXPERIMENTS — paper vs. measured\n\n");
@@ -237,22 +232,20 @@ fn main() -> ExitCode {
     let mut reports = Vec::new();
     for def in &cli.selected {
         println!("\n================ {} ================", def.id);
+        // Timings go to stdout only: the artifacts stay byte-stable.
+        let run_started = std::time::Instant::now();
         let report = experiments::run(def, &scale);
+        let elapsed = run_started.elapsed();
         print!("{}", report.render_text());
-        println!(
-            "[{} done in {:.2?}]",
-            def.id,
-            std::time::Duration::from_secs_f64(report.wall_time_s)
-        );
+        println!("[{} done in {:.2?}]", def.id, elapsed);
         reports.push(report);
     }
-    let total_wall_time_s = started.elapsed().as_secs_f64();
     if reports.len() > 1 {
         println!("\n[{} experiments done in {:.2?}]", reports.len(), started.elapsed());
     }
 
     if let Some(dir) = &cli.json_dir {
-        match write_json_artifacts(dir, &reports, &cli, total_wall_time_s) {
+        match write_json_artifacts(dir, &reports, &cli) {
             Err(err) => {
                 eprintln!("reproduce: failed to write JSON artifacts to {}: {err}", dir.display());
                 return ExitCode::FAILURE;

@@ -1,19 +1,18 @@
 //! Shared helpers for the figure/table regeneration harness (`reproduce`
 //! binary) and the Criterion benches, plus the [`experiments`] registry of
-//! report-returning experiment builders.
+//! report-returning experiment builders, one module per paper section.
 
 pub mod experiments;
 
 use std::time::{Duration, Instant};
 use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput, TopologyFinderOutput};
-use topoopt_core::totient::TotientPermsConfig;
-use topoopt_graph::matching::MatchingAlgo;
+use topoopt_graph::Graph;
 use topoopt_models::{build_model, ModelKind, ModelPreset};
 use topoopt_netsim::iteration::natural_ring_plans;
 use topoopt_netsim::{simulate_iteration, AllReducePlan, IterationParams, SimNetwork};
 use topoopt_rdma::{build_forwarding_plan, ForwardingPlan};
 use topoopt_strategy::{
-    estimate_iteration_time, extract_traffic, ComputeParams, ParallelizationStrategy, TopologyView,
+    estimate_from_demands, extract_traffic, ComputeParams, ParallelizationStrategy, TopologyView,
     TrafficDemands,
 };
 
@@ -65,56 +64,21 @@ pub fn demands_and_compute(
 ) -> (TrafficDemands, f64) {
     let params = compute_params();
     let demands = extract_traffic(model, strategy, params.gpus_per_server);
-    let est = estimate_iteration_time(
-        model,
-        strategy,
-        &TopologyView::FullMesh { n, per_server_bps },
-        &params,
-    );
+    let view = TopologyView::FullMesh { n, per_server_bps };
+    let est = estimate_from_demands(model, strategy, &demands, &view, &params);
     (demands, est.compute_s)
 }
 
-/// Run `TopologyFinder` for a demand set (historical routing: coin-change
-/// ring routes win over MP shortest paths; all committed artifacts up to
-/// `fig16_dynamic` use this).
+/// Run `TopologyFinder` for a demand set with the default options of
+/// [`TopologyFinderInput::new`] (coin-change ring routes win over MP
+/// shortest paths).
 pub fn build_topoopt_fabric(
     demands: &TrafficDemands,
     n: usize,
     degree: usize,
     link_bps: f64,
 ) -> TopologyFinderOutput {
-    topology_finder(&TopologyFinderInput {
-        num_servers: n,
-        degree,
-        link_bps,
-        demands,
-        totient: TotientPermsConfig::default(),
-        matching: MatchingAlgo::Auto,
-        mp_shortest_path: false,
-        availability_aware: false,
-    })
-}
-
-/// [`build_topoopt_fabric`] with `mp_shortest_path` routing enabled: MP
-/// pairs covered by an AllReduce ring are re-routed onto strictly shorter
-/// BFS paths, so matched MP links carry the MP traffic they were built for.
-/// Used by the datacenter-scale experiments (`fig16_dynamic_scale`).
-pub fn build_topoopt_fabric_routed(
-    demands: &TrafficDemands,
-    n: usize,
-    degree: usize,
-    link_bps: f64,
-) -> TopologyFinderOutput {
-    topology_finder(&TopologyFinderInput {
-        num_servers: n,
-        degree,
-        link_bps,
-        demands,
-        totient: TotientPermsConfig::default(),
-        matching: MatchingAlgo::Auto,
-        mp_shortest_path: true,
-        availability_aware: false,
-    })
+    topology_finder(&TopologyFinderInput::new(n, degree, link_bps, demands))
 }
 
 /// Simulated iteration time of a TopoOpt fabric for the given demands.
@@ -143,6 +107,14 @@ pub struct RdmaFabric {
 }
 
 impl RdmaFabric {
+    /// Run `TopologyFinder` on `input` and derive the fabric's NPAR
+    /// forwarding plan from the resulting topology + routing.
+    pub fn new(input: &TopologyFinderInput<'_>) -> RdmaFabric {
+        let out = topology_finder(input);
+        let plan = build_forwarding_plan(&out.graph, input.num_servers, &out.routing);
+        RdmaFabric { num_servers: input.num_servers, out, plan }
+    }
+
     /// The per-pair throughput-factor matrix of this fabric at a given
     /// relay efficiency (feeds `TopologyView::with_pair_factors`).
     pub fn pair_factors(&self, relay_efficiency: f64) -> Vec<Vec<f64>> {
@@ -173,56 +145,14 @@ impl RdmaFabric {
     }
 }
 
-/// Run `TopologyFinder` for a demand set and derive the fabric's NPAR
-/// forwarding plan from the resulting topology + routing.
+/// [`RdmaFabric::new`] with the default `TopologyFinder` options.
 pub fn build_rdma_fabric(
     demands: &TrafficDemands,
     n: usize,
     degree: usize,
     link_bps: f64,
 ) -> RdmaFabric {
-    let out = build_topoopt_fabric(demands, n, degree, link_bps);
-    let plan = build_forwarding_plan(&out.graph, n, &out.routing);
-    RdmaFabric { num_servers: n, out, plan }
-}
-
-/// [`build_rdma_fabric`] with the availability-aware knob on: the degree
-/// split gives every AllReduce group redundant rings and stride selection
-/// is repaired until no single link loss disconnects a group's circulant.
-/// Used by the failure-degradation experiment; the committed default
-/// fabrics keep the knob off.
-pub fn build_rdma_fabric_available(
-    demands: &TrafficDemands,
-    n: usize,
-    degree: usize,
-    link_bps: f64,
-) -> RdmaFabric {
-    let out = topology_finder(&TopologyFinderInput {
-        num_servers: n,
-        degree,
-        link_bps,
-        demands,
-        totient: TotientPermsConfig::default(),
-        matching: MatchingAlgo::Auto,
-        mp_shortest_path: false,
-        availability_aware: true,
-    });
-    let plan = build_forwarding_plan(&out.graph, n, &out.routing);
-    RdmaFabric { num_servers: n, out, plan }
-}
-
-/// Simulated TopoOpt iteration priced through the RDMA forwarding plane
-/// (§6): the fabric is synthesized with `TopologyFinder`, its forwarding
-/// plan derived, and relayed logical connections pay the kernel penalty.
-pub fn topoopt_rdma_iteration(
-    demands: &TrafficDemands,
-    n: usize,
-    degree: usize,
-    link_bps: f64,
-    compute_s: f64,
-    relay_efficiency: f64,
-) -> topoopt_netsim::IterationResult {
-    build_rdma_fabric(demands, n, degree, link_bps).simulate(demands, compute_s, relay_efficiency)
+    RdmaFabric::new(&TopologyFinderInput::new(n, degree, link_bps, demands))
 }
 
 /// Simulated iteration time on a non-blocking switch of `per_server_bps`
@@ -234,8 +164,7 @@ pub fn switch_iteration(
     compute_s: f64,
 ) -> topoopt_netsim::IterationResult {
     let g = topoopt_graph::topologies::ideal_switch(n, per_server_bps);
-    let net = SimNetwork::without_rules(g, n);
-    simulate_iteration(&net, demands, &natural_ring_plans(demands), &IterationParams { compute_s })
+    natural_ring_iteration(g, n, demands, compute_s)
 }
 
 /// Simulated iteration on an expander fabric of the same degree.
@@ -247,6 +176,17 @@ pub fn expander_iteration(
     compute_s: f64,
 ) -> topoopt_netsim::IterationResult {
     let g = topoopt_graph::topologies::expander(n, degree, link_bps, 11);
+    natural_ring_iteration(g, n, demands, compute_s)
+}
+
+/// Simulated iteration of the demands' natural rings on a fabric without
+/// routing rules (flows take shortest paths).
+fn natural_ring_iteration(
+    g: Graph,
+    n: usize,
+    demands: &TrafficDemands,
+    compute_s: f64,
+) -> topoopt_netsim::IterationResult {
     let net = SimNetwork::without_rules(g, n);
     simulate_iteration(&net, demands, &natural_ring_plans(demands), &IterationParams { compute_s })
 }
@@ -275,7 +215,7 @@ mod tests {
         let (model, strategy) = baseline_strategy(ModelKind::Dlrm, ModelPreset::Testbed, n);
         let (demands, compute_s) = demands_and_compute(&model, &strategy, n, 100.0e9);
         let shortcut = topoopt_iteration(&demands, n, 4, 25.0e9, compute_s);
-        let rdma = topoopt_rdma_iteration(&demands, n, 4, 25.0e9, compute_s, 1.0);
+        let rdma = build_rdma_fabric(&demands, n, 4, 25.0e9).simulate(&demands, compute_s, 1.0);
         assert_eq!(shortcut, rdma);
     }
 

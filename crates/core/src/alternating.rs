@@ -15,7 +15,6 @@
 use crate::topology_finder::{topology_finder, TopologyFinderInput, TopologyFinderOutput};
 use crate::totient::TotientPermsConfig;
 use serde::{Deserialize, Serialize};
-use topoopt_graph::matching::MatchingAlgo;
 use topoopt_models::DnnModel;
 use topoopt_strategy::{
     estimate_iteration_time, extract_traffic, search_strategy, ComputeParams, IterationEstimate,
@@ -98,14 +97,8 @@ pub fn co_optimize(model: &DnnModel, num_servers: usize, cfg: &AlternatingConfig
 
         // --- Comm.×Topo. plane.
         let network = topology_finder(&TopologyFinderInput {
-            num_servers,
-            degree: cfg.degree,
-            link_bps: cfg.link_bps,
-            demands: &demands,
             totient: cfg.totient,
-            matching: MatchingAlgo::Auto,
-            mp_shortest_path: false,
-            availability_aware: false,
+            ..TopologyFinderInput::new(num_servers, cfg.degree, cfg.link_bps, &demands)
         });
         let new_view = TopologyView::from_graph(&network.graph, num_servers);
         let estimate = estimate_iteration_time(model, &strategy, &new_view, &cfg.compute);

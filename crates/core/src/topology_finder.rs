@@ -36,12 +36,11 @@ pub struct TopologyFinderInput<'a> {
     pub matching: MatchingAlgo,
     /// Route model-parallel pairs over the shortest path on the combined
     /// topology even when an AllReduce group's coin-change route already
-    /// covers the pair. The historical rule (`false`, the default used by
-    /// all committed artifacts) lets coin-change ring routes win, which
-    /// leaves matched MP links idle whenever a DP ring spans the pair;
-    /// enabling this replaces the ring route whenever BFS finds a strictly
-    /// shorter path, putting the dedicated MP links to work (§6 DLRM
-    /// fabrics).
+    /// covers the pair. The historical rule (`false`, the default) lets
+    /// coin-change ring routes win, which leaves matched MP links idle
+    /// whenever a DP ring spans the pair; enabling this replaces the ring
+    /// route whenever BFS finds a strictly shorter path, putting the
+    /// dedicated MP links to work (§6 DLRM fabrics).
     pub mp_shortest_path: bool,
     /// Prefer fabrics whose AllReduce rings survive any single link loss.
     /// A group served by one directed ring dies with any one cut (each
@@ -53,6 +52,30 @@ pub struct TopologyFinderInput<'a> {
     /// connectivity fallback ring is doubled. Defaults OFF — the committed
     /// artifacts score fabrics on diameter and throughput alone.
     pub availability_aware: bool,
+}
+
+impl<'a> TopologyFinderInput<'a> {
+    /// Algorithm 1's arguments with the default options: default
+    /// TotientPerms enumeration, [`MatchingAlgo::Auto`], and
+    /// `mp_shortest_path` and `availability_aware` off. Callers change an
+    /// option with struct-update syntax.
+    pub fn new(
+        num_servers: usize,
+        degree: usize,
+        link_bps: f64,
+        demands: &'a TrafficDemands,
+    ) -> Self {
+        TopologyFinderInput {
+            num_servers,
+            degree,
+            link_bps,
+            demands,
+            totient: TotientPermsConfig::default(),
+            matching: MatchingAlgo::Auto,
+            mp_shortest_path: false,
+            availability_aware: false,
+        }
+    }
 }
 
 /// One AllReduce group's selected permutations.
@@ -264,16 +287,7 @@ mod tests {
     }
 
     fn finder_input(demands: &TrafficDemands, n: usize, d: usize) -> TopologyFinderInput<'_> {
-        TopologyFinderInput {
-            num_servers: n,
-            degree: d,
-            link_bps: 25.0e9,
-            demands,
-            totient: TotientPermsConfig::default(),
-            matching: MatchingAlgo::Auto,
-            mp_shortest_path: false,
-            availability_aware: false,
-        }
+        TopologyFinderInput::new(n, d, 25.0e9, demands)
     }
 
     #[test]
@@ -414,16 +428,31 @@ mod tests {
     }
 
     #[test]
-    fn availability_knob_off_is_bit_identical_to_legacy() {
-        // The committed artifacts rely on the default being a no-op.
+    fn new_matches_the_all_defaults_literal() {
+        // `perfbench/` spells every default out as a struct literal and the
+        // committed artifacts rely on `new`'s defaults: changing one of them
+        // must fail here, not only in the artifact diff.
         let demands = dlrm_demands(16);
-        let out = topology_finder(&finder_input(&demands, 16, 4));
-        let mut input = finder_input(&demands, 16, 4);
-        input.availability_aware = false;
-        let again = topology_finder(&input);
-        assert_eq!(out.groups, again.groups);
-        assert_eq!(out.mp_links, again.mp_links);
-        assert_eq!(out.graph.num_edges(), again.graph.num_edges());
+        let from_new = topology_finder(&TopologyFinderInput::new(16, 4, 25.0e9, &demands));
+        let literal = topology_finder(&TopologyFinderInput {
+            num_servers: 16,
+            degree: 4,
+            link_bps: 25.0e9,
+            demands: &demands,
+            totient: TotientPermsConfig::default(),
+            matching: MatchingAlgo::Auto,
+            mp_shortest_path: false,
+            availability_aware: false,
+        });
+        assert_eq!(from_new.groups, literal.groups);
+        assert_eq!(from_new.mp_links, literal.mp_links);
+        let edges = |g: &Graph| g.edges().map(|(_, e)| *e).collect::<Vec<_>>();
+        assert_eq!(edges(&from_new.graph), edges(&literal.graph));
+        let mp_pairs = demands.mp.entries_desc();
+        assert!(!mp_pairs.is_empty(), "hybrid DLRM must have MP pairs");
+        for (src, dst, _) in mp_pairs {
+            assert_eq!(from_new.routing.path(src, dst), literal.routing.path(src, dst));
+        }
     }
 
     #[test]

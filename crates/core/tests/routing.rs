@@ -8,9 +8,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use topoopt_core::coinchange::CoinChangeTable;
 use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput};
-use topoopt_core::totient::TotientPermsConfig;
 use topoopt_core::Routing;
-use topoopt_graph::matching::MatchingAlgo;
 use topoopt_graph::paths::bfs_shortest_path;
 use topoopt_graph::Graph;
 use topoopt_models::{build_model, ModelKind, ModelPreset};
@@ -234,14 +232,8 @@ fn topology_finder_routes_match_the_materialized_table_on_the_zoo() {
         let demands = extract_traffic(&model, &strategy, 4);
         for mp_shortest_path in [false, true] {
             let out = topology_finder(&TopologyFinderInput {
-                num_servers: n,
-                degree: 4,
-                link_bps: 25.0e9,
-                demands: &demands,
-                totient: TotientPermsConfig::default(),
-                matching: MatchingAlgo::Auto,
                 mp_shortest_path,
-                availability_aware: false,
+                ..TopologyFinderInput::new(n, 4, 25.0e9, &demands)
             });
             let oracle = replay_step4(&out, &demands.mp, mp_shortest_path);
             assert_same_routes(&out.routing, &oracle, n);

@@ -83,8 +83,6 @@ mod tests {
     use super::*;
     use crate::network::SimNetwork;
     use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput};
-    use topoopt_core::totient::TotientPermsConfig;
-    use topoopt_graph::matching::MatchingAlgo;
     use topoopt_graph::topologies;
     use topoopt_models::zoo::build_dlrm;
     use topoopt_models::DlrmConfig;
@@ -102,16 +100,7 @@ mod tests {
         d: usize,
         bps: f64,
     ) -> (SimNetwork, Vec<AllReducePlan>) {
-        let out = topology_finder(&TopologyFinderInput {
-            num_servers: n,
-            degree: d,
-            link_bps: bps,
-            demands,
-            totient: TotientPermsConfig::default(),
-            matching: MatchingAlgo::Auto,
-            mp_shortest_path: false,
-            availability_aware: false,
-        });
+        let out = topology_finder(&TopologyFinderInput::new(n, d, bps, demands));
         let plans = AllReducePlan::from_groups(&out.groups);
         (SimNetwork::new(out.graph, n, out.routing), plans)
     }

@@ -231,8 +231,6 @@ pub struct ExperimentReport {
     pub scale: ScaleInfo,
     /// RNG seed threaded into sampling/MCMC experiments.
     pub seed: u64,
-    /// Wall-clock time of the experiment run, in seconds.
-    pub wall_time_s: f64,
     /// Free-form notes, rendered after the tables. Multi-line notes (e.g.
     /// ASCII heatmaps) become code blocks in markdown.
     pub notes: Vec<String>,
@@ -242,8 +240,8 @@ pub struct ExperimentReport {
 
 impl ExperimentReport {
     /// An empty report. The harness fills in identity and run metadata
-    /// ([`ExperimentReport::id`], `title`, `section`, `scale`, `seed`,
-    /// `wall_time_s`) from its registry; builders only add content.
+    /// ([`ExperimentReport::id`], `title`, `section`, `scale`, `seed`)
+    /// from its registry; builders only add content.
     pub fn new() -> Self {
         ExperimentReport {
             id: String::new(),
@@ -251,7 +249,6 @@ impl ExperimentReport {
             section: String::new(),
             scale: ScaleInfo { full: false, dedicated: 0, shared: 0, mcmc_iters: 0 },
             seed: 0,
-            wall_time_s: 0.0,
             notes: Vec::new(),
             tables: Vec::new(),
         }

@@ -24,7 +24,6 @@ fn sample_report() -> ExperimentReport {
     report.section = "§5.3".into();
     report.scale = ScaleInfo { full: false, dedicated: 32, shared: 64, mcmc_iters: 100 };
     report.seed = u64::MAX;
-    report.wall_time_s = 1.25;
     report
 }
 

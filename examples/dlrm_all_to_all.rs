@@ -43,16 +43,8 @@ fn main() {
             &compute,
         );
 
-        let out = topology_finder(&TopologyFinderInput {
-            num_servers,
-            degree,
-            link_bps,
-            demands: &demands,
-            totient: TotientPermsConfig::default(),
-            matching: MatchingAlgo::Auto,
-            mp_shortest_path: false,
-            availability_aware: false,
-        });
+        let out =
+            topology_finder(&TopologyFinderInput::new(num_servers, degree, link_bps, &demands));
         let plans = AllReducePlan::from_groups(&out.groups);
         let topo_net = SimNetwork::new(out.graph.clone(), num_servers, out.routing.clone());
         let topo = simulate_iteration(
@@ -88,16 +80,8 @@ fn main() {
     let model = build_dlrm(&DlrmConfig::testbed(64));
     let strategy = ParallelizationStrategy::hybrid_embeddings_round_robin(&model, testbed_servers);
     let demands = extract_traffic(&model, &strategy, 1);
-    let out = topology_finder(&TopologyFinderInput {
-        num_servers: testbed_servers,
-        degree,
-        link_bps,
-        demands: &demands,
-        totient: TotientPermsConfig::default(),
-        matching: MatchingAlgo::Auto,
-        mp_shortest_path: false,
-        availability_aware: false,
-    });
+    let out =
+        topology_finder(&TopologyFinderInput::new(testbed_servers, degree, link_bps, &demands));
     let plan = build_forwarding_plan(&out.graph, testbed_servers, &out.routing);
     let nics = split_all_nics(testbed_servers, degree);
     let max_relays = (0..testbed_servers)

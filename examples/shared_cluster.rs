@@ -53,16 +53,8 @@ fn main() {
                 ParallelizationStrategy::pure_data_parallel(&model, req.servers)
             };
             let demands = extract_traffic(&model, &strategy, compute.gpus_per_server);
-            let out = topology_finder(&TopologyFinderInput {
-                num_servers: req.servers,
-                degree,
-                link_bps,
-                demands: &demands,
-                totient: TotientPermsConfig::default(),
-                matching: MatchingAlgo::Auto,
-                mp_shortest_path: false,
-                availability_aware: false,
-            });
+            let out =
+                topology_finder(&TopologyFinderInput::new(req.servers, degree, link_bps, &demands));
             // Splice the shard's topology into the cluster-wide graph.
             for (_, e) in out.graph.edges() {
                 union.add_edge(servers[e.src], servers[e.dst], e.capacity_bps);

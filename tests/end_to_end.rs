@@ -62,16 +62,7 @@ fn topoopt_beats_cost_equivalent_fat_tree_for_communication_heavy_candle() {
     );
 
     // TopoOpt fabric.
-    let out = topology_finder(&TopologyFinderInput {
-        num_servers: n,
-        degree,
-        link_bps,
-        demands: &demands,
-        totient: TotientPermsConfig::default(),
-        matching: MatchingAlgo::Auto,
-        mp_shortest_path: false,
-        availability_aware: false,
-    });
+    let out = topology_finder(&TopologyFinderInput::new(n, degree, link_bps, &demands));
     let plans = AllReducePlan::from_groups(&out.groups);
     let topo_net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
     let topo = simulate_iteration(
