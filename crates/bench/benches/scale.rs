@@ -17,8 +17,9 @@
 //!   PR-over-PR via `BENCH_fig16_dynamic_scale.json`.
 //! * A 2048-server, 60%-load dynamic trace benches the shared-fabric
 //!   windows and gates their reuse with deterministic counters: at most
-//!   one in five job-windows may be re-rated, and every re-rated one must
-//!   be served by the job's admission probe.
+//!   one in five job-windows may be re-rated, every re-rated one must be
+//!   served by the job's admission probe, and every probe but the first
+//!   must take the run of a resident of the same shape (47 of 48).
 //!
 //! Run with `cargo bench -p topoopt-bench --bench scale`.
 
@@ -109,8 +110,8 @@ fn bench_scale(c: &mut Criterion) {
     let job_windows = e.jobs_rerated + e.jobs_reused;
     println!(
         "  scale/dynamic-2048 reuse: {} of {job_windows} job-windows re-rated ({} windows, \
-         {} served by admission probes)",
-        e.jobs_rerated, e.windows, e.probes_reused
+         {} served by admission probes, {} engine runs served by an equal-shape run)",
+        e.jobs_rerated, e.windows, e.probes_reused, e.shapes_reused
     );
     assert!(
         e.jobs_rerated * 5 <= job_windows,
@@ -122,6 +123,14 @@ fn bench_scale(c: &mut Criterion) {
         e.probes_reused, e.jobs_rerated,
         "every re-rated job-window on the 2048-server ideal switch is a newcomer alone, which \
          its admission probe must serve"
+    );
+    // Every job of the trace is the same ring on another 16 servers, in
+    // order, and some job is always resident when the next one arrives:
+    // only the first admission probe builds an engine.
+    assert_eq!(
+        e.shapes_reused, 47,
+        "every admission probe but the first on the 2048-server trace must take the run of a \
+         resident of the same shape"
     );
     group.finish();
 }

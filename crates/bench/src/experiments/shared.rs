@@ -56,9 +56,8 @@ struct JobMix {
 }
 
 impl JobMix {
-    /// Synthesize every kind's shard fabric, with `mp_shortest_path`
-    /// routing when asked.
-    fn new(seed: u64, mp_shortest_path: bool) -> JobMix {
+    /// Synthesize every kind's shard fabric.
+    fn new(seed: u64) -> JobMix {
         let mix = MixModel::default();
         let n = mix.servers_per_job;
         let kinds = [ModelKind::Dlrm, ModelKind::Bert, ModelKind::Candle, ModelKind::Vgg16];
@@ -68,10 +67,7 @@ impl JobMix {
                 let (model, strategy) = baseline_strategy(kind, ModelPreset::Shared, n);
                 let (demands, compute_s) =
                     demands_and_compute(&model, &strategy, n, DEGREE as f64 * LINK_BPS);
-                let out = topology_finder(&TopologyFinderInput {
-                    mp_shortest_path,
-                    ..TopologyFinderInput::new(n, DEGREE, LINK_BPS, &demands)
-                });
+                let out = topology_finder(&TopologyFinderInput::new(n, DEGREE, LINK_BPS, &demands));
                 let spec = DynamicJobSpec {
                     name: model.name.clone(),
                     servers: n,
@@ -220,7 +216,7 @@ pub(super) fn fig16(s: &Scale) -> ExperimentReport {
     let total = s.shared;
     // Default seed 7 reproduces the original harness's job-mix stream
     // (which used a fixed seed of 11).
-    let mix = JobMix::new(s.seed.wrapping_add(4), false);
+    let mix = JobMix::new(s.seed.wrapping_add(4));
     let mut table = Table::titled(
         format!("shared cluster of {total} servers (d = {DEGREE}, B = 100 Gbps), §5.6 job mix"),
         vec![
@@ -259,7 +255,7 @@ pub(super) fn fig16(s: &Scale) -> ExperimentReport {
 
 pub(super) fn fig16_dynamic(s: &Scale) -> ExperimentReport {
     let total = s.shared;
-    let mix = JobMix::new(s.seed.wrapping_add(4), false);
+    let mix = JobMix::new(s.seed.wrapping_add(4));
     let mut table = Table::titled(
         format!(
             "dynamic shared cluster of {total} servers (d = {DEGREE}, B = 100 Gbps): \
@@ -306,9 +302,7 @@ pub(super) fn fig16_dynamic(s: &Scale) -> ExperimentReport {
 }
 
 pub(super) fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
-    // These fabrics use `mp_shortest_path` routing: MP pairs covered by a
-    // DP ring still ride their matched direct links.
-    let mix = JobMix::new(s.seed.wrapping_add(5), true);
+    let mix = JobMix::new(s.seed.wrapping_add(5));
     // Fixed datacenter sizes regardless of --full: the point of this
     // experiment is the committed, diffable scaling curve of the flat
     // engine, not a paper figure at a paper size.
@@ -364,8 +358,9 @@ pub(super) fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
 
     // Table 2: one fully-occupied static round per size on the union
     // fabric, with the engine's work counters. Every job is a disjoint
-    // component simulated on a fresh engine of its own, so max_component
-    // stays at one job's flow count no matter how large the cluster grows.
+    // component, simulated on a fresh engine of its own or given the run
+    // of an equal-shape copy (same counters), so max_component stays at
+    // one job's flow count no matter how large the cluster grows.
     let mut round_table = Table::titled(
         "full-occupancy static round on the union fabric (engine work counters)".to_string(),
         vec![
@@ -444,11 +439,11 @@ pub(super) fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
     ExperimentReport::new().table(dynamic_table).table(round_table).table(window_table).note(
         "Flat index-based engine, one fresh engine per job-level component: disjoint \
          16-server jobs are simulated fully independently, so the largest re-rated \
-         component is one job's flow set even at 8192 servers. MP pairs use shortest-path \
-         routes over their matched links (mp_shortest_path). The shared-arm table keeps a \
-         window cache across every arrival/departure window and re-simulates only the \
-         dirty components, each on a fresh engine: 'jobs reused' counts resident jobs \
-         whose cached round time survived a window untouched (bit-identical to a full \
+         component is one job's flow set even at 8192 servers. MP flows take BFS \
+         shortest paths of the union fabric. The shared-arm table keeps a window cache \
+         across every arrival/departure window and re-simulates only the dirty \
+         components, each on a fresh engine: 'jobs reused' counts resident jobs whose \
+         cached round time survived a window untouched (bit-identical to a full \
          rebuild).",
     )
 }
@@ -641,7 +636,7 @@ pub(super) fn fig_reconfig_planned(s: &Scale) -> ExperimentReport {
     // Table 2: a fig16-style dynamic workload, atomic vs planned
     // transitions end to end — same jobs, same arrivals, same provisioner.
     let total = s.shared;
-    let mix = JobMix::new(s.seed.wrapping_add(6), false);
+    let mix = JobMix::new(s.seed.wrapping_add(6));
     let mut dynamic_table = Table::titled(
         format!(
             "dynamic cluster of {total} servers (d = {DEGREE}, B = 100 Gbps): atomic \

@@ -130,7 +130,10 @@ impl Ord for Event {
 }
 
 /// Counters describing how much work a run did — the observable payoff of
-/// incremental recomputation.
+/// incremental recomputation. The shared fabric sums them over its
+/// component runs, and a run that serves several components (an admission
+/// probe, or one run per distinct component shape) counts once per
+/// component it serves, so the sums equal those of a run per component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events processed (stale completion events excluded).

@@ -66,9 +66,9 @@
 //!   jobs (`fig16_dynamic`).
 //! * `shared_engine` — the shared-fabric round simulator the dynamic layer
 //!   keeps across arrival/departure windows: each window re-simulates only
-//!   the job-level components it touched, each on a fresh engine, in
-//!   parallel. It also holds the fabric's health state, which
-//!   [`FaultEvent`]s update between windows.
+//!   the job-level components it touched, on one fresh engine per distinct
+//!   component shape, in parallel. It also holds the fabric's health
+//!   state, which [`FaultEvent`]s update between windows.
 
 pub(crate) mod arena;
 pub mod engine;

@@ -122,7 +122,8 @@ pub fn build_job_flows(
 ///
 /// Each job-level component (jobs linked by shared links) is simulated on
 /// an engine of its own, in parallel — disjoint TopoOpt shards never pay
-/// for each other's events.
+/// for each other's events — and components of equal shape, such as
+/// copies of one job on other shards, share one run.
 pub fn simulate_shared_cluster(net: &SimNetwork, jobs: &[JobSpec]) -> SharedClusterResult {
     simulate_shared_cluster_stats(net, jobs).0
 }
@@ -187,8 +188,9 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 /// largest component) are cumulative across every window of the run, the
 /// window counters split how many arrival/departure windows were served
 /// incrementally (at least one resident job kept its cached round time)
-/// versus fully rebuilt, and `probes_reused` counts the job-windows an
-/// admission probe served.
+/// versus fully rebuilt, `probes_reused` counts the job-windows an
+/// admission probe served, and `shapes_reused` the engine runs another
+/// run of the same shape served.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DynamicEngineStats {
     /// Shared-fabric re-rate windows executed (arrivals + departures).
@@ -206,7 +208,16 @@ pub struct DynamicEngineStats {
     /// of simulating it again: the job was alone in its component, with no
     /// fault injected since the probe. Counted within `jobs_rerated`.
     pub probes_reused: usize,
-    /// Engine events processed across all windows.
+    /// Engine runs served by a run of the same shape (the component's flows
+    /// relabeled by node rank, with the capacities and straggler factors
+    /// they see) instead of a fresh engine: dirty components that took the
+    /// run of an earlier component of their window, and admitted jobs whose
+    /// probe took a probed resident's run.
+    pub shapes_reused: usize,
+    /// Engine events processed across all windows. A run that serves
+    /// several components (a probe, or a run of a shared shape) counts once
+    /// per component it serves, here and in the three counters below, so
+    /// they equal what a run per component would count.
     pub events: usize,
     /// Water-filling passes across all windows.
     pub waterfills: usize,

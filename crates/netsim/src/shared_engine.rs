@@ -6,10 +6,11 @@
 //! every window, each resident's round time and each admission probe must
 //! equal, to the bit, what a fresh engine computes over the current
 //! residents (in admission order) and the cumulative fault history. The
-//! tests below drive random admit/retire/fault/window sequences against
-//! that fresh-engine reference, admitting each job through its probe as the
-//! dynamic loop does, and against a second engine that admits the same jobs
-//! without probes.
+//! tests below drive random admit/retire/fault/window sequences, which also
+//! admit relabeled copies of residents, against that fresh-engine
+//! reference, admitting each job through its probe as the dynamic loop
+//! does, and against a second engine that admits the same jobs without
+//! probes.
 
 use crate::arena::{dense_u32, LinkArena, LinkId};
 use crate::engine::{EngineStats, FluidEngine};
@@ -17,7 +18,9 @@ use crate::fluid::{link_capacities, FlowSpec, LinkKey};
 use crate::multijob::DynamicEngineStats;
 use crate::network::SimNetwork;
 use rayon::prelude::*;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use topoopt_graph::Graph;
 
 /// A fabric fault (or recovery), applied between simulated rounds. Link
@@ -145,6 +148,55 @@ impl FabricHealth {
         FluidEngine::from_capacities(caps, per_hop_latency_s)
             .with_straggler_factors(self.stragglers.clone())
     }
+
+    /// The shape of a component whose jobs (in admission order) have these
+    /// flows, on the fabric as it stands.
+    fn shape(&self, jobs: &[&[FlowSpec]]) -> Shape {
+        let flows = || jobs.iter().copied().flatten();
+        let mut nodes: Vec<usize> =
+            flows().flat_map(|f| f.path.iter().copied().chain([f.src])).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut links: Vec<LinkKey> =
+            flows().flat_map(|f| f.path.windows(2)).map(|w| (w[0], w[1])).collect();
+        links.sort_unstable();
+        links.dedup();
+        // Every node is listed, so the search always hits.
+        let rank = |v: usize| match nodes.binary_search(&v) {
+            Ok(i) | Err(i) => i as u64,
+        };
+        // The flows fix how many node and link words follow them, so no
+        // two components share an encoding.
+        let mut words = vec![jobs.len() as u64];
+        words.extend(jobs.iter().map(|flows| flows.len() as u64));
+        for f in flows() {
+            words.push(f.path.len() as u64);
+            words.extend(f.path.iter().map(|&v| rank(v)));
+            words.extend([rank(f.src), f.bytes.to_bits(), f.start_s.to_bits()]);
+            words.push(f.relay_factor.to_bits());
+        }
+        words.extend(nodes.iter().map(|v| self.stragglers.get(v).unwrap_or(&1.0).to_bits()));
+        words.extend(links.iter().map(|&key| self.capacity(key).to_bits()));
+        Shape(words)
+    }
+}
+
+/// Everything a fresh engine over a component reads, with each node id
+/// replaced by its rank among the component's nodes: per job its flow
+/// count, then per flow (in admission order) its path, source, bytes,
+/// start offset and relay factor, then each node's straggler factor (1.0
+/// when healthy) and each link's effective capacity, nodes and links in
+/// ascending order. Components of equal shape get equal completion times
+/// and engine counters, to the bit (see "Why the cache is exact").
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Shape(Vec<u64>);
+
+/// The solo run every probed resident of one shape gets: the residents'
+/// count, and the run of the first of them admitted.
+struct ShapeRun {
+    residents: usize,
+    comm_s: f64,
+    stats: EngineStats,
 }
 
 /// One job simulated alone on the fabric: what an admission probe leaves
@@ -161,13 +213,17 @@ struct SoloRun {
 }
 
 /// An admission probe: a job's flows and compute time, and its round
-/// simulated alone on the fabric as it stood at the probe. Admitting the
-/// probe ([`SharedFabricEngine::admit_probed`]) lets a window take the
-/// probe's run instead of simulating the same job again.
+/// simulated alone on the fabric as it stood at the probe, or taken from a
+/// probed resident of the same shape. Admitting the probe
+/// ([`SharedFabricEngine::admit_probed`]) lets a window take the probe's
+/// run instead of simulating the same job again.
 pub(crate) struct Probe {
     flows: Vec<FlowSpec>,
     compute_s: f64,
     run: SoloRun,
+    shape: Shape,
+    /// The run came from a resident of the same shape.
+    reused: bool,
 }
 
 impl Probe {
@@ -201,15 +257,19 @@ struct SharedSlot {
     dirty: bool,
     /// The job's admission probe (`None` when admitted without one).
     probe: Option<SoloRun>,
+    /// The probe's shape, counted in the engine's resident-shape table.
+    shape: Option<Arc<Shape>>,
 }
 
 /// Shared-fabric round simulator for the dynamic cluster's event windows.
 /// Each window partitions the residents into job-level components over
 /// shared links and re-simulates only the dirty components — those an
-/// arrival, departure or fault touched — each on a fresh [`FluidEngine`]
-/// built like the admission probe ([`Self::probe`]). Every other resident
-/// keeps its cached round time, and a dirty component that is one probed
-/// job alone takes the probe's run. A departing job takes its flows with
+/// arrival, departure or fault touched — on fresh [`FluidEngine`]s built
+/// like the admission probe ([`Self::probe`]), one per distinct shape.
+/// Every other resident keeps its cached round time, and a dirty component
+/// that is one probed job alone takes the probe's run. A probe takes the
+/// run of a probed resident of the same shape when there is one. A
+/// departing job takes its flows and its share of the shape table with
 /// it, so the state is bounded by the residents, not by history.
 ///
 /// # Why the cache is exact
@@ -236,9 +296,38 @@ struct SharedSlot {
 /// completion time and absorbs its counters instead: round times and
 /// engine counters are the same bits either way.
 ///
+/// A fresh engine reads node ids only through the order of its link keys
+/// (it assigns arena ids in key order, and the water-filler scans touched
+/// links in key order) and through the straggler factor of each flow's
+/// source. A strictly increasing relabeling of the nodes preserves the
+/// lexicographic order of `(src, dst)` keys, so it changes no float
+/// operation. A component's [`Shape`] lists its flows with every node id
+/// replaced by its rank among the component's nodes, which is such a
+/// relabeling, together with what the fabric contributes: the effective
+/// capacity of each link the flows cross and the straggler factor of each
+/// node. Two components of equal shape are therefore the same simulation,
+/// so a window builds one engine per distinct shape among its dirty
+/// components that no probe serves, and every component of that shape
+/// takes the run's completion times and absorbs its counters, as it would
+/// for a run of its own. `ClusterShards::allocate` places every job on a
+/// strictly increasing server map, so copies of one job on other shards
+/// share a shape.
+///
+/// The same holds for probes. The engine keeps a table of the shapes of
+/// its probed residents, counted up on [`Self::admit_probed`] and down on
+/// [`Self::retire`], each with the solo run of its first resident. A probe
+/// whose shape is in the table takes that run instead of simulating. The
+/// shape already holds the capacities and straggler factors the run saw,
+/// so an entry stays exact across faults without being invalidated. The
+/// table holds exactly the shapes of resident probed jobs, so it is
+/// bounded by the residents, not by history, and a shape is held once
+/// however many residents share it.
+///
 /// The seam proptests in this module hold this to `to_bits` equality
 /// against a fresh whole-fabric engine, and against an engine admitting
-/// the same jobs without probes, after every window.
+/// the same jobs without probes, after every window; their traces admit
+/// relabeled copies of residents, so windows and probes meet equal
+/// shapes.
 pub(crate) struct SharedFabricEngine {
     /// Link ids, capacities and fault state every window's engines are
     /// built from.
@@ -249,6 +338,8 @@ pub(crate) struct SharedFabricEngine {
     free: Vec<usize>,
     /// Jobs admitted so far.
     admissions: u64,
+    /// The shapes of the probed residents, each with its solo run.
+    shapes: BTreeMap<Arc<Shape>, ShapeRun>,
     /// Cumulative counters of every component engine run so far.
     engine: EngineStats,
     /// Faults injected so far; each counts as one engine event.
@@ -271,6 +362,7 @@ impl SharedFabricEngine {
             slots: Vec::new(),
             free: Vec::new(),
             admissions: 0,
+            shapes: BTreeMap::new(),
             engine: EngineStats::default(),
             faults: 0,
             windows: DynamicEngineStats::default(),
@@ -305,18 +397,38 @@ impl SharedFabricEngine {
     /// Admit a job: intern its path links and mark it dirty for the next
     /// window. Returns a stable slot handle.
     pub fn admit(&mut self, flows: Vec<FlowSpec>, compute_s: f64) -> usize {
-        self.insert(flows, compute_s, None)
+        self.insert(flows, compute_s, None, None)
     }
 
     /// Admit a probed job, like [`Self::admit`]. The probe stands in for
     /// every window that finds the job alone in a dirty component with no
     /// fault injected since the probe, as the first window after admission
-    /// usually does.
+    /// usually does, and its shape serves later probes of the same shape
+    /// while the job is resident.
     pub fn admit_probed(&mut self, probe: Probe) -> usize {
-        self.insert(probe.flows, probe.compute_s, Some(probe.run))
+        let Probe { flows, compute_s, run, shape, reused } = probe;
+        self.windows.shapes_reused += usize::from(reused);
+        let shape = match self.shapes.entry(Arc::new(shape)) {
+            Entry::Occupied(mut held) => {
+                held.get_mut().residents += 1;
+                Arc::clone(held.key())
+            }
+            Entry::Vacant(new) => {
+                let shape = Arc::clone(new.key());
+                new.insert(ShapeRun { residents: 1, comm_s: run.comm_s, stats: run.stats });
+                shape
+            }
+        };
+        self.insert(flows, compute_s, Some(run), Some(shape))
     }
 
-    fn insert(&mut self, flows: Vec<FlowSpec>, compute_s: f64, probe: Option<SoloRun>) -> usize {
+    fn insert(
+        &mut self,
+        flows: Vec<FlowSpec>,
+        compute_s: f64,
+        probe: Option<SoloRun>,
+        shape: Option<Arc<Shape>>,
+    ) -> usize {
         let mut links: Vec<LinkId> = flows
             .iter()
             .flat_map(|f| f.path.windows(2))
@@ -333,6 +445,7 @@ impl SharedFabricEngine {
             component: u32::MAX,
             dirty: true,
             probe,
+            shape,
         };
         self.admissions += 1;
         match self.free.pop() {
@@ -348,10 +461,19 @@ impl SharedFabricEngine {
     }
 
     /// Retire a departing job: its component mates lose a contender (they
-    /// re-rate next window) and its slot is freed. Retiring a handle that
-    /// is not resident does nothing.
+    /// re-rate next window), its slot is freed, and its probe's shape
+    /// leaves the table with the last resident holding it. Retiring a
+    /// handle that is not resident does nothing.
     pub fn retire(&mut self, handle: usize) {
         let Some(slot) = self.slots[handle].take() else { return };
+        if let Some(shape) = &slot.shape {
+            if let Some(held) = self.shapes.get_mut(shape) {
+                held.residents -= 1;
+                if held.residents == 0 {
+                    self.shapes.remove(shape);
+                }
+            }
+        }
         if slot.component != u32::MAX {
             for s in self.slots.iter_mut().flatten() {
                 if s.component == slot.component {
@@ -364,9 +486,10 @@ impl SharedFabricEngine {
 
     /// Simulate one event window: partition residents into job-level
     /// components over shared links, propagate dirtiness within each
-    /// component, simulate each dirty component on a fresh engine (fanned
-    /// out over rayon, merged in component order), and refresh their
-    /// cached round times. Untouched components cost nothing.
+    /// component, simulate the dirty components no probe serves on one
+    /// fresh engine per distinct shape (fanned out over rayon, merged in
+    /// component order), and refresh their cached round times. Untouched
+    /// components cost nothing.
     pub fn run_window(&mut self) {
         // Job-level union-find over each slot's distinct link list,
         // epoch-stamped so the link→slot map never refills.
@@ -450,34 +573,51 @@ impl SharedFabricEngine {
             return; // the whole window served from cache
         }
         // A component that is one job alone, with no fault since its
-        // probe, takes the probe's run (see "Why the cache is exact").
+        // probe, takes the probe's run; every other one takes the run of
+        // the first dirty component of its shape, so the window builds one
+        // engine per distinct shape (see "Why the cache is exact"). Only
+        // the distinct shapes are held.
+        enum Served {
+            Probe(SoloRun),
+            Run(usize),
+        }
         let faults = self.faults;
-        let runs: Vec<(Vec<f64>, EngineStats, bool)> = components
-            .par_iter()
+        let mut first_of_shape: BTreeMap<Shape, usize> = BTreeMap::new();
+        let mut distinct: Vec<Vec<&[FlowSpec]>> = Vec::new();
+        let served: Vec<Served> = components
+            .iter()
             .map(|jobs| {
-                let probe = match jobs[..] {
-                    [slot] => slot.probe.filter(|p| p.faults == faults),
-                    _ => None,
-                };
-                match probe {
-                    Some(run) => (vec![run.comm_s], run.stats, true),
-                    None => {
-                        let flows: Vec<&[FlowSpec]> = jobs.iter().map(|s| &s.flows[..]).collect();
-                        let (comms, stats) = self.simulate(&flows);
-                        (comms, stats, false)
+                if let [slot] = jobs[..] {
+                    if let Some(run) = slot.probe.filter(|p| p.faults == faults) {
+                        return Served::Probe(run);
                     }
                 }
+                let flows: Vec<&[FlowSpec]> = jobs.iter().map(|s| &s.flows[..]).collect();
+                let next = distinct.len();
+                let run = *first_of_shape.entry(self.health.shape(&flows)).or_insert(next);
+                if run == next {
+                    distinct.push(flows);
+                }
+                Served::Run(run)
             })
             .collect();
-        for (m, (comms, stats, probed)) in dirty.iter().zip(runs) {
-            for (&(_, i), comm) in m.iter().zip(comms) {
+        let runs: Vec<(Vec<f64>, EngineStats)> =
+            distinct.par_iter().map(|flows| self.simulate(flows)).collect();
+        let keyed = served.iter().filter(|s| matches!(s, Served::Run(_))).count();
+        self.windows.shapes_reused += keyed - runs.len();
+        for (m, served) in dirty.iter().zip(&served) {
+            let (comms, stats) = match served {
+                Served::Probe(run) => (std::slice::from_ref(&run.comm_s), run.stats),
+                Served::Run(r) => (&runs[*r].0[..], runs[*r].1),
+            };
+            for (&(_, i), &comm) in m.iter().zip(comms) {
                 if let Some(slot) = self.slots[i].as_mut() {
                     slot.comm_s = comm;
                     slot.dirty = false;
                 }
             }
             self.engine.absorb(&stats);
-            self.windows.probes_reused += usize::from(probed);
+            self.windows.probes_reused += usize::from(matches!(served, Served::Probe(_)));
         }
     }
 
@@ -522,11 +662,20 @@ impl SharedFabricEngine {
         slot.compute_s + (slot.comm_s - arrival_s).max(0.0)
     }
 
-    /// The admission feasibility probe: simulate the job alone on the
-    /// fabric, the way a dirty component is.
+    /// The admission feasibility probe: the job's round alone on the
+    /// fabric, taken from a probed resident of the same shape when there is
+    /// one, else simulated the way a dirty component is.
     pub fn probe(&self, flows: Vec<FlowSpec>, compute_s: f64) -> Probe {
-        let (comms, stats) = self.simulate(&[&flows]);
-        Probe { flows, compute_s, run: SoloRun { comm_s: comms[0], stats, faults: self.faults } }
+        let shape = self.health.shape(&[&flows]);
+        let (comm_s, stats, reused) = match self.shapes.get(&shape) {
+            Some(held) => (held.comm_s, held.stats, true),
+            None => {
+                let (comms, stats) = self.simulate(&[&flows]);
+                (comms[0], stats, false)
+            }
+        };
+        let run = SoloRun { comm_s, stats, faults: self.faults };
+        Probe { flows, compute_s, run, shape, reused }
     }
 
     /// Cumulative engine counters (events, waterfills, …) across windows,
@@ -586,11 +735,35 @@ mod tests {
 
     /// One step of a seam trace: `(kind, pick, pick, gigabytes, compute_s)`.
     /// Kind 0 admits a ring job, 1 retires a resident, 2 injects a fault,
-    /// 3 runs a window.
+    /// 3 runs a window, 4 admits a relabeled copy of a resident's job.
     type Op = (usize, usize, usize, f64, f64);
 
-    /// A resident as the test tracks it: handle, flows, compute time.
-    type Resident = (usize, Vec<FlowSpec>, f64);
+    /// A resident as the test tracks it: its handle, ring members and ring
+    /// bytes, and the flows and compute time it was admitted with.
+    struct Resident {
+        handle: usize,
+        servers: Vec<usize>,
+        bytes: f64,
+        flows: Vec<FlowSpec>,
+        compute_s: f64,
+    }
+
+    /// Admit a ring job on both engines: through its probe on `sim`, and
+    /// without one on `plain`.
+    fn admit(
+        net: &SimNetwork,
+        sim: &mut SharedFabricEngine,
+        plain: &mut SharedFabricEngine,
+        servers: Vec<usize>,
+        bytes: f64,
+        compute_s: f64,
+    ) -> Resident {
+        let flows = allreduce_flows(net, &AllReducePlan::natural_ring(servers.clone(), bytes));
+        let probe = sim.probe(flows.clone(), compute_s);
+        let handle = sim.admit_probed(probe);
+        assert_eq!(plain.admit(flows.clone(), compute_s), handle);
+        Resident { handle, servers, bytes, flows, compute_s }
+    }
 
     /// Run one window on both engines, then hold each resident's round
     /// time and its solo probe to the fresh-engine reference, and the
@@ -605,25 +778,31 @@ mod tests {
         sim.run_window();
         plain.run_window();
         let jobs: Vec<(&[FlowSpec], f64)> =
-            residents.iter().map(|(_, f, c)| (&f[..], *c)).collect();
+            residents.iter().map(|r| (&r.flows[..], r.compute_s)).collect();
         let fresh = fresh_round_times(net, &jobs, faults);
-        for ((handle, flows, compute), want) in residents.iter().zip(fresh) {
-            assert_eq!(sim.round_total_s(*handle).to_bits(), want.to_bits(), "resident {handle}");
-            assert_eq!(plain.round_total_s(*handle).to_bits(), want.to_bits(), "plain {handle}");
-            let solo = fresh_round_times(net, &[(&flows[..], *compute)], faults)[0];
-            let probe = sim.probe(flows.clone(), *compute);
+        for (r, want) in residents.iter().zip(fresh) {
+            let handle = r.handle;
+            assert_eq!(sim.round_total_s(handle).to_bits(), want.to_bits(), "resident {handle}");
+            assert_eq!(plain.round_total_s(handle).to_bits(), want.to_bits(), "plain {handle}");
+            let solo = fresh_round_times(net, &[(&r.flows[..], r.compute_s)], faults)[0];
+            let probe = sim.probe(r.flows.clone(), r.compute_s);
             assert_eq!(probe.total_s().to_bits(), solo.to_bits(), "probe");
         }
-        // A probe that stands in for a window does that window's work.
-        let unprobed = |s: DynamicEngineStats| DynamicEngineStats { probes_reused: 0, ..s };
-        assert_eq!(unprobed(sim.stats()), unprobed(plain.stats()), "counters");
+        // Every probed resident is counted in the shape table, once.
+        let counted: usize = sim.shapes.values().map(|held| held.residents).sum();
+        assert_eq!(counted, residents.len(), "shape table counts");
+        // A probe or an equal-shape run that stands in for a run does that
+        // run's work.
+        let unshared =
+            |s: DynamicEngineStats| DynamicEngineStats { probes_reused: 0, shapes_reused: 0, ..s };
+        assert_eq!(unshared(sim.stats()), unshared(plain.stats()), "counters");
     }
 
     /// Drive a [`SharedFabricEngine`] through `ops` plus a closing window,
     /// admitting each job through its probe, beside a second engine that
     /// admits the same jobs without one; check the seam after every
-    /// window.
-    fn check_seam(graph: Graph, total: usize, ops: &[Op]) {
+    /// window. Returns both engines' counters.
+    fn check_seam(graph: Graph, total: usize, ops: &[Op]) -> [DynamicEngineStats; 2] {
         let mut net = SimNetwork::without_rules(graph, total);
         net.per_hop_latency_s = 1.0e-6;
         let edges: Vec<(usize, usize)> = net.graph.edges().map(|(_, e)| (e.src, e.dst)).collect();
@@ -636,16 +815,13 @@ mod tests {
                 0 => {
                     let n = 2 + a % 4;
                     let servers: Vec<usize> = (0..n).map(|k| (b + k) % total).collect();
-                    let flows =
-                        allreduce_flows(&net, &AllReducePlan::natural_ring(servers, gb * 1.0e9));
-                    let handle = sim.admit_probed(sim.probe(flows.clone(), compute_s));
-                    assert_eq!(plain.admit(flows.clone(), compute_s), handle);
-                    residents.push((handle, flows, compute_s));
+                    let bytes = gb * 1.0e9;
+                    residents.push(admit(&net, &mut sim, &mut plain, servers, bytes, compute_s));
                 }
                 1 if !residents.is_empty() => {
-                    let (handle, _, _) = residents.remove(a % residents.len());
-                    sim.retire(handle);
-                    plain.retire(handle);
+                    let r = residents.remove(a % residents.len());
+                    sim.retire(r.handle);
+                    plain.retire(r.handle);
                 }
                 2 => {
                     let (s, link) = (a % total, edges[a % edges.len()]);
@@ -661,10 +837,21 @@ mod tests {
                     faults.push(fault);
                 }
                 3 => window(&net, &mut sim, &mut plain, &residents, &faults),
+                4 if !residents.is_empty() => {
+                    // The resident's ring moved `b` servers on: a
+                    // relabeling that keeps the servers' order, and so the
+                    // shape, unless the shift wraps some of them but not
+                    // all (or a fault tells the copies apart).
+                    let r = &residents[a % residents.len()];
+                    let servers = r.servers.iter().map(|s| (s + b) % total).collect();
+                    let (bytes, compute_s) = (r.bytes, r.compute_s);
+                    residents.push(admit(&net, &mut sim, &mut plain, servers, bytes, compute_s));
+                }
                 _ => {}
             }
         }
         window(&net, &mut sim, &mut plain, &residents, &faults);
+        [sim.stats(), plain.stats()]
     }
 
     fn shared_ring(total: usize, cap: f64) -> Graph {
@@ -678,7 +865,7 @@ mod tests {
 
     fn ops() -> impl Strategy<Value = Vec<Op>> {
         proptest::collection::vec(
-            (0usize..4, 0usize..64, 0usize..64, 0.2f64..3.0, 0.0f64..0.2),
+            (0usize..5, 0usize..64, 0usize..64, 0.2f64..3.0, 0.0f64..0.2),
             1usize..28,
         )
     }
@@ -726,12 +913,44 @@ mod tests {
     }
 
     #[test]
+    fn seam_holds_for_relabeled_copies_that_faults_tell_apart() {
+        // Job A on servers 0..4 of a 16-server ideal switch, then copies B,
+        // C and D on 4..8, 8..12 and 12..16: the same shape, so each
+        // copy's probe takes A's run, and the probe-free engine runs one
+        // engine for A, B and C in the first window. Equal stragglers on
+        // B's and C's second servers keep their shapes equal (one run for
+        // both); D's probe takes A's run across those faults. A link fault
+        // on A tells A apart until it recovers.
+        let trace: [Op; 12] = [
+            (0, 2, 0, 1.0, 0.05),
+            (4, 0, 4, 0.0, 0.0),
+            (4, 0, 8, 0.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+            (2, 5, 4, 1.0, 0.0),
+            (2, 9, 4, 1.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+            (4, 0, 12, 0.0, 0.0),
+            (2, 1, 0, 0.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+            (2, 1, 1, 0.0, 0.0),
+            (3, 0, 0, 0.0, 0.0),
+        ];
+        let [sim, plain] = check_seam(topologies::ideal_switch(16, 100.0e9), 16, &trace);
+        // Probed: three copies' probes, then B and C's shared run.
+        assert_eq!(sim.shapes_reused, 4, "{sim:?}");
+        // Probe-free: B and C in the first window, then C in the second.
+        assert_eq!(plain.shapes_reused, 3, "{plain:?}");
+    }
+
+    #[test]
     fn no_flow_outlives_its_job_under_long_churn() {
         // 10^4 admit → window → retire cycles at a residency of at most 4:
         // the four resident jobs sit on disjoint servers of an ideal switch,
         // so each window re-rates only the newcomer (from its admission
-        // probe), freed slots are reused, and the fabric's link table never
-        // grows past the fabric.
+        // probe), freed slots are reused, and neither the fabric's link
+        // table nor the shape table grows with history. Every newcomer is
+        // the same ring on another four servers, in order, so its probe
+        // takes a resident's run: only the first probe simulates.
         let total = 16;
         let net = SimNetwork::without_rules(topologies::ideal_switch(total, 100.0e9), total);
         let mut sim = SharedFabricEngine::new(&net);
@@ -747,10 +966,84 @@ mod tests {
                 sim.retire(residents.pop_front().expect("four residents"));
             }
             assert!(sim.slots.len() <= 4, "slot vector outgrew the peak residency");
+            let resident_slots = sim.slots.iter().flatten().count();
+            assert!(sim.shapes.len() <= resident_slots, "the shape table outgrew the residents");
         }
         assert_eq!(sim.health.links.len(), fabric_links, "the link table grew with history");
         assert_eq!(sim.stats().jobs_rerated, cycles, "a window re-rated more than the newcomer");
         assert_eq!(sim.stats().probes_reused, cycles, "a newcomer alone was simulated twice");
+        // No window ran an engine, so every shape reuse is a probe's.
+        let probe_simulations = cycles - sim.stats().shapes_reused;
+        assert_eq!(probe_simulations, 1, "a relabeled copy of a resident was probed afresh");
+    }
+
+    #[test]
+    fn a_window_builds_one_engine_per_distinct_shape() {
+        // k copies of each of j distinct ring jobs, every copy on a shard
+        // of its own granted lowest-first, as `ClusterShards::allocate`
+        // does: one window over the j·k lone-job components builds j
+        // engines. Each job's round time and the window's engine counters
+        // equal, to the bit, those of a round with an engine per job.
+        let (j, k, shard) = (4usize, 3usize, 6usize);
+        let total = j * k * shard;
+        let mut net = SimNetwork::without_rules(topologies::ideal_switch(total, 100.0e9), total);
+        net.per_hop_latency_s = 1.0e-6;
+        let jobs: Vec<Vec<FlowSpec>> = (0..j * k)
+            .map(|c| {
+                let kind = c % j;
+                let servers: Vec<usize> = (c * shard..c * shard + 2 + kind).collect();
+                let bytes = 1.0e8 * (1 + kind) as f64;
+                allreduce_flows(&net, &AllReducePlan::natural_ring(servers, bytes))
+            })
+            .collect();
+        let mut sim = SharedFabricEngine::new(&net);
+        let handles: Vec<usize> = jobs.iter().map(|flows| sim.admit(flows.clone(), 0.01)).collect();
+        sim.run_window();
+        let engines = j * k - sim.stats().shapes_reused;
+        assert_eq!(engines, j, "one engine per distinct shape");
+        let mut apart = EngineStats::default();
+        for (flows, &handle) in jobs.iter().zip(&handles) {
+            let mut alone = SharedFabricEngine::new(&net);
+            let own = alone.admit(flows.clone(), 0.01);
+            alone.run_window();
+            let want = alone.round_total_s(own);
+            assert_eq!(sim.round_total_s(handle).to_bits(), want.to_bits(), "job {handle}");
+            apart.absorb(&alone.engine_stats());
+        }
+        assert_eq!(sim.engine_stats(), apart, "counters");
+    }
+
+    #[test]
+    fn shapes_match_exactly_under_order_preserving_relabeling() {
+        // A two-job component on servers 0..5 of a 12-server ideal switch
+        // (hub 12). Moved up to 6..11 it keeps its shape; wrapped past the
+        // last server it does not, and neither do the same flows split
+        // between the jobs otherwise, a flow sourced elsewhere, or a
+        // straggler or dead link on the moved copy alone.
+        let g = topologies::ideal_switch(12, 100.0e9);
+        let net = SimNetwork::without_rules(g.clone(), 12);
+        let ring = |servers: Vec<usize>| {
+            allreduce_flows(&net, &AllReducePlan::natural_ring(servers, 1.0e9))
+        };
+        let mut health = FabricHealth::new(&g);
+        let (a, b) = (ring(vec![0, 1, 2]), ring(vec![3, 4]));
+        let base = health.shape(&[&a, &b]);
+        let (moved_a, moved_b) = (ring(vec![6, 7, 8]), ring(vec![9, 10]));
+        assert_eq!(health.shape(&[&moved_a, &moved_b]), base, "order kept");
+        let (wrapped_a, wrapped_b) = (ring(vec![9, 10, 11]), ring(vec![0, 1]));
+        assert_ne!(health.shape(&[&wrapped_a, &wrapped_b]), base, "order changed");
+        let flows: Vec<FlowSpec> = a.iter().chain(&b).cloned().collect();
+        assert_ne!(health.shape(&[&flows[..4], &flows[4..]]), base, "job split");
+        let mut resourced = a.clone();
+        resourced[0].src = 2;
+        assert_ne!(health.shape(&[&resourced, &b]), base, "source");
+        health.apply(FaultEvent::Straggler { server: 7, egress_factor: 0.5 });
+        assert_ne!(health.shape(&[&moved_a, &moved_b]), base, "straggler");
+        assert_eq!(health.shape(&[&a, &b]), base, "straggler elsewhere");
+        health.apply(FaultEvent::Straggler { server: 7, egress_factor: 1.0 });
+        health.apply(FaultEvent::LinkDown((12, 9)));
+        assert_ne!(health.shape(&[&moved_a, &moved_b]), base, "dead link");
+        assert_eq!(health.shape(&[&a, &b]), base, "dead link elsewhere");
     }
 
     /// Two servers joined both ways at 100 bps, plus a 1 -> 2 link.
