@@ -12,6 +12,10 @@ use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput};
 use topoopt_cost::equivalent_fat_tree_bandwidth;
 use topoopt_graph::topologies::ideal_switch;
 use topoopt_graph::{Graph, TrafficMatrix};
+use topoopt_migration::{
+    FabricSpec, FabricState, MigrationPlanner, MigrationProblem, NaiveOrdered, PairReachability,
+    RandomPermutation, Strategy, ThroughputDip, TreeSearch,
+};
 use topoopt_models::{ModelKind, ModelPreset};
 use topoopt_netsim::iteration::natural_ring_plans;
 use topoopt_netsim::multijob::{
@@ -22,10 +26,6 @@ use topoopt_netsim::{
     simulate_dynamic_cluster, simulate_reconfigurable_iteration, AllReducePlan,
     DynamicClusterParams, DynamicClusterResult, DynamicFabric, DynamicJobSpec, MigrationMode,
     ReconfigParams, SimNetwork,
-};
-use topoopt_reconfig::{
-    FabricSpec, FabricState, MigrationPlanner, MigrationProblem, NaiveOrdered, PairReachability,
-    RandomPermutation, Strategy, ThroughputDip, TreeSearch,
 };
 use topoopt_report::{row, Cell, Column, ExperimentReport, Table};
 

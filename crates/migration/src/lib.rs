@@ -29,7 +29,7 @@
 //!
 //! ```rust
 //! use topoopt_graph::topologies;
-//! use topoopt_reconfig::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
+//! use topoopt_migration::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
 //!
 //! let source = FabricSpec::shortest_path(topologies::from_permutations(8, &[1, 3], 25.0e9));
 //! let target = FabricSpec::shortest_path(topologies::from_permutations(8, &[2, 5], 25.0e9));

@@ -9,11 +9,11 @@
 
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph};
-use topoopt_rdma::{RepairMode, WalkOutcome};
-use topoopt_reconfig::{
+use topoopt_migration::{
     replay, FabricSpec, LoopFreedom, MigrationPlanner, MigrationProblem, PairReachability,
     RandomPermutation, StepOp, TreeSearch,
 };
+use topoopt_rdma::{RepairMode, WalkOutcome};
 
 /// A random strongly connected fabric: a +1 ring for connectivity plus
 /// random ring permutations and chords.
@@ -38,7 +38,7 @@ fn all_pairs(n: usize) -> Vec<(usize, usize)> {
 
 /// Replay the plan and assert every emitted state passes loop-freedom and
 /// reachability of `pairs`, with every delivered walk crossing live links.
-fn assert_states_safe(problem: &MigrationProblem, plan: &topoopt_reconfig::MigrationPlan) {
+fn assert_states_safe(problem: &MigrationProblem, plan: &topoopt_migration::MigrationPlan) {
     let pairs = all_pairs(problem.num_servers);
     let states = replay(problem, plan);
     assert_eq!(states.len(), plan.steps.len());
@@ -71,7 +71,7 @@ fn assert_states_safe(problem: &MigrationProblem, plan: &topoopt_reconfig::Migra
 
 fn planner_with_reachability(
     n: usize,
-    strategy: Box<dyn topoopt_reconfig::Strategy>,
+    strategy: Box<dyn topoopt_migration::Strategy>,
 ) -> MigrationPlanner {
     MigrationPlanner::new(strategy).with_hard(Box::new(PairReachability::new(all_pairs(n))))
 }

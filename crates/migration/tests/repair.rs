@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph};
-use topoopt_rdma::{RepairMode, WalkOutcome};
-use topoopt_reconfig::{
+use topoopt_migration::{
     plan_link_repair, repair_problem, replay, surviving_pairs, FabricSpec, Link, TreeSearch,
 };
+use topoopt_rdma::{RepairMode, WalkOutcome};
 
 /// A random strongly connected fabric: a +1 ring for connectivity plus
 /// random ring permutations and chords.

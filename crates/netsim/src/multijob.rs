@@ -287,7 +287,7 @@ pub enum MigrationMode {
     #[default]
     Atomic,
     /// Sequence each transition through a migration planner (see the
-    /// `topoopt-reconfig` crate): per-link unplug/replug steps whose
+    /// `topoopt-migration` crate): per-link unplug/replug steps whose
     /// schedule the callback decides, with the stale source wiring tracked
     /// across shard reuse.
     Planned(MigrationPlanFn),

@@ -44,7 +44,7 @@
 //! | `topoopt-cost` | component prices and interconnect cost model |
 //! | `topoopt-cluster` | sharding, look-ahead provisioning, job scheduling |
 //! | `topoopt-rdma` | NPAR host-based RDMA forwarding model |
-//! | `topoopt-reconfig` | safe patch-panel migration planning (Snowcap-style) |
+//! | `topoopt-migration` | safe patch-panel migration planning (Snowcap-style) |
 //! | `topoopt-workloads` | synthetic production traces, heatmaps, time-to-accuracy |
 //!
 //! See `README.md` for the workspace inventory, and `EXPERIMENTS.md` for
@@ -58,10 +58,10 @@ pub use topoopt_collectives as collectives;
 pub use topoopt_core as core;
 pub use topoopt_cost as cost;
 pub use topoopt_graph as graph;
+pub use topoopt_migration as migration;
 pub use topoopt_models as models;
 pub use topoopt_netsim as netsim;
 pub use topoopt_rdma as rdma;
-pub use topoopt_reconfig as reconfig;
 pub use topoopt_strategy as strategy;
 pub use topoopt_workloads as workloads;
 
@@ -83,6 +83,7 @@ pub mod prelude {
     pub use topoopt_cost::{equivalent_fat_tree_bandwidth, interconnect_cost, CostedArchitecture};
     pub use topoopt_graph::matching::MatchingAlgo;
     pub use topoopt_graph::{Graph, TrafficMatrix};
+    pub use topoopt_migration::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
     pub use topoopt_models::{build_model, DnnModel, ModelKind, ModelPreset};
     pub use topoopt_netsim::{
         simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration,
@@ -91,7 +92,6 @@ pub mod prelude {
         SharedEngineMode, SimNetwork,
     };
     pub use topoopt_rdma::RepairMode;
-    pub use topoopt_reconfig::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
     pub use topoopt_strategy::{
         estimate_iteration_time, extract_traffic, search_strategy, ComputeParams, McmcConfig,
         ParallelizationStrategy, TopologyView, TrafficDemands,
