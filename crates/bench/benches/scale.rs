@@ -91,13 +91,13 @@ fn bench_scale(c: &mut Criterion) {
 
     // Mid-run-arrival shared-fabric workload: 2048 servers at 60% offered
     // load, Poisson arrivals on an ideal switch. Each arrival/departure
-    // window re-simulates only the job-level components it touched, each
-    // on a fresh engine, and serves every other resident from its cached
-    // round time, so the gate is a work counter, not wall time:
-    // re-rating every resident every window would fail it. On an ideal
-    // switch every dirty component is a lone newcomer, so each re-rated
-    // job-window must take the newcomer's admission probe instead of
-    // simulating the job a second time.
+    // window re-simulates only the job-level components it touched, one
+    // engine run per distinct component shape, and serves every other
+    // resident from its cached round time, so the gate is a work counter,
+    // not wall time: re-rating every resident every window would fail it.
+    // On an ideal switch every dirty component is a lone newcomer, so each
+    // re-rated job-window must take the newcomer's admission probe instead
+    // of simulating the job a second time.
     let jobs = mid_run_arrival_trace(2048, 0.6);
     let params = DynamicClusterParams::new(
         2048,

@@ -10,7 +10,9 @@ use topoopt_cost::{
 };
 use topoopt_models::zoo::build_dlrm;
 use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
-use topoopt_netsim::{simulate_iteration, AllReducePlan, IterationParams, SimNetwork};
+use topoopt_netsim::{
+    simulate_iteration, AllReducePlan, IterationParams, IterationResult, SimNetwork,
+};
 use topoopt_report::{row, Cell, Column, ExperimentReport, Table};
 use topoopt_strategy::{extract_traffic, ParallelizationStrategy, TrafficDemands};
 
@@ -107,16 +109,30 @@ pub(super) fn fig27_d8(s: &Scale) -> ExperimentReport {
     dedicated_sweep(s, 8)
 }
 
-fn alltoall_row(n: usize, degree: usize, batch: usize) -> (f64, f64, f64, f64, f64) {
+/// Per-interface bandwidth of the all-to-all sweeps (fig12, fig13).
+const ALLTOALL_LINK_BPS: f64 = 100.0e9;
+
+/// The all-to-all DLRM's demands and compute time at one batch size, and
+/// its simulated iteration on the TopoOpt fabric.
+fn alltoall_topoopt(
+    n: usize,
+    degree: usize,
+    batch: usize,
+) -> (TrafficDemands, f64, IterationResult) {
     let model = build_dlrm(&DlrmConfig::all_to_all(batch));
     let strategy = ParallelizationStrategy::hybrid_embeddings_round_robin(&model, n);
-    let link_bps = 100.0e9;
-    let (demands, compute_s) = demands_and_compute(&model, &strategy, n, degree as f64 * link_bps);
-    let topo = topoopt_iteration(&demands, n, degree, link_bps, compute_s);
-    let ideal = switch_iteration(&demands, n, degree as f64 * link_bps, compute_s);
-    let ft_bw = equivalent_fat_tree_bandwidth(n, degree, link_bps);
+    let (demands, compute_s) =
+        demands_and_compute(&model, &strategy, n, degree as f64 * ALLTOALL_LINK_BPS);
+    let topo = topoopt_iteration(&demands, n, degree, ALLTOALL_LINK_BPS, compute_s);
+    (demands, compute_s, topo)
+}
+
+fn alltoall_row(n: usize, degree: usize, batch: usize) -> (f64, f64, f64, f64) {
+    let (demands, compute_s, topo) = alltoall_topoopt(n, degree, batch);
+    let ideal = switch_iteration(&demands, n, degree as f64 * ALLTOALL_LINK_BPS, compute_s);
+    let ft_bw = equivalent_fat_tree_bandwidth(n, degree, ALLTOALL_LINK_BPS);
     let ft = switch_iteration(&demands, n, ft_bw, compute_s);
-    (demands.mp_to_allreduce_ratio(), topo.total_s, ideal.total_s, ft.total_s, topo.bandwidth_tax)
+    (demands.mp_to_allreduce_ratio(), topo.total_s, ideal.total_s, ft.total_s)
 }
 
 pub(super) fn fig12(s: &Scale) -> ExperimentReport {
@@ -135,7 +151,7 @@ pub(super) fn fig12(s: &Scale) -> ExperimentReport {
         )
         .with_paper("128 servers in the paper");
         let rows = par_rows(vec![64usize, 128, 256, 512, 1024, 2048], |batch| {
-            let (ratio, topo, ideal, ft, _tax) = alltoall_row(n, degree, batch);
+            let (ratio, topo, ideal, ft) = alltoall_row(n, degree, batch);
             row![batch, ratio * 100.0, topo, ideal, ft]
         });
         table.extend(rows);
@@ -150,10 +166,11 @@ pub(super) fn fig13(s: &Scale) -> ExperimentReport {
         format!("bandwidth tax of host-based forwarding, {n} servers"),
         vec![Column::int("batch"), Column::fixed("d=4 (x)", 2), Column::fixed("d=8 (x)", 2)],
     );
+    // Only the TopoOpt fabric pays a bandwidth tax, so only its iteration
+    // is simulated.
     let rows = par_rows(vec![64usize, 128, 256, 512, 1024, 2048], |batch| {
-        let (_, _, _, _, tax4) = alltoall_row(n, 4, batch);
-        let (_, _, _, _, tax8) = alltoall_row(n, 8, batch);
-        row![batch, tax4, tax8]
+        let tax = |degree| alltoall_topoopt(n, degree, batch).2.bandwidth_tax;
+        row![batch, tax(4), tax(8)]
     });
     table.extend(rows);
     ExperimentReport::new().table(table)

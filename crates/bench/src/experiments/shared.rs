@@ -13,7 +13,7 @@ use topoopt_cost::equivalent_fat_tree_bandwidth;
 use topoopt_graph::topologies::ideal_switch;
 use topoopt_graph::{Graph, TrafficMatrix};
 use topoopt_migration::{
-    FabricSpec, FabricState, MigrationPlanner, MigrationProblem, NaiveOrdered, PairReachability,
+    FabricState, MigrationPlanner, MigrationProblem, NaiveOrdered, PairReachability,
     RandomPermutation, Strategy, ThroughputDip, TreeSearch,
 };
 use topoopt_models::{ModelKind, ModelPreset};
@@ -396,10 +396,10 @@ pub(super) fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
     // cost-equivalent shared fat-tree, where every arrival/departure
     // re-rates the co-resident set. One window cache survives the whole run
     // (links intern once, and each window simulates only its dirty
-    // job-level components, each on a fresh engine); the window counters
-    // prove the reuse: jobs are server-disjoint on the ideal switch, so a
-    // window touches one component and every other resident keeps its
-    // cached round time.
+    // job-level components, one engine run per distinct component shape);
+    // the window counters prove the reuse: jobs are server-disjoint on the
+    // ideal switch, so a window touches one component and every other
+    // resident keeps its cached round time.
     let mut window_table = Table::titled(
         "shared fat-tree arm: persistent engine window counters (60% offered load)".to_string(),
         vec![
@@ -437,14 +437,14 @@ pub(super) fn fig16_dynamic_scale(s: &Scale) -> ExperimentReport {
     window_table.extend(window_rows);
 
     ExperimentReport::new().table(dynamic_table).table(round_table).table(window_table).note(
-        "Flat index-based engine, one fresh engine per job-level component: disjoint \
-         16-server jobs are simulated fully independently, so the largest re-rated \
-         component is one job's flow set even at 8192 servers. MP flows take BFS \
-         shortest paths of the union fabric. The shared-arm table keeps a window cache \
-         across every arrival/departure window and re-simulates only the dirty \
-         components, each on a fresh engine: 'jobs reused' counts resident jobs whose \
-         cached round time survived a window untouched (bit-identical to a full \
-         rebuild).",
+        "Flat index-based engine, one engine run per distinct job-level component \
+         shape: disjoint 16-server jobs are simulated independently, relabeled copies \
+         of a job share one run, and the largest re-rated component is one job's flow \
+         set even at 8192 servers. MP flows take BFS shortest paths of the union \
+         fabric. The shared-arm table keeps a window cache across every \
+         arrival/departure window and re-simulates only the dirty components, one run \
+         per distinct shape: 'jobs reused' counts resident jobs whose cached round \
+         time survived a window untouched (bit-identical to a full rebuild).",
     )
 }
 
@@ -497,15 +497,10 @@ pub(super) fn fig17(s: &Scale) -> ExperimentReport {
 /// policy on the schedule — when no safe ordering is found.
 pub(super) fn planned_migration_mode(provisioning_s: f64) -> MigrationMode {
     MigrationMode::Planned(Arc::new(move |prev: Option<&Graph>, target: &Graph| {
-        let n = target.num_nodes();
         let per_step_s = provisioning_s / target.num_edges().max(1) as f64;
-        let source = prev.cloned().unwrap_or_else(|| Graph::new(n));
-        let problem = MigrationProblem::new(
-            n,
-            FabricSpec::shortest_path(source),
-            FabricSpec::shortest_path(target.clone()),
-        );
-        let planner = MigrationPlanner::new(Box::new(TreeSearch::default()));
+        let source = prev.cloned().unwrap_or_else(|| Graph::new(target.num_nodes()));
+        let problem = MigrationProblem::new(source, target.clone());
+        let planner = MigrationPlanner::new(Box::new(TreeSearch));
         match planner.plan(&problem) {
             Ok(plan) => TransitionSchedule::planned(
                 (1..=plan.link_ops()).map(|i| i as f64 * per_step_s).collect(),
@@ -529,11 +524,7 @@ pub(super) fn reconfig_testbed_rows(
     seed: u64,
 ) -> Vec<Vec<Cell>> {
     let n = source.num_nodes();
-    let problem = MigrationProblem::new(
-        n,
-        FabricSpec::shortest_path(source.clone()),
-        FabricSpec::shortest_path(target.clone()),
-    );
+    let problem = MigrationProblem::new(source.clone(), target.clone());
     let ops = problem.ops().len();
     let all_pairs: Vec<(usize, usize)> =
         (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).filter(|&(s, d)| s != d).collect();
@@ -544,14 +535,14 @@ pub(super) fn reconfig_testbed_rows(
     let strategies: Vec<(&str, Box<dyn Strategy>)> = vec![
         ("naive ordered", Box::new(NaiveOrdered)),
         ("random perms", Box::new(RandomPermutation::new(4, seed))),
-        ("tree search", Box::new(TreeSearch::default())),
+        ("tree search", Box::new(TreeSearch)),
     ];
     // The atomic swap: the whole fabric is dark for the full rewiring, a
     // throughput dip of 1.0 by definition.
     let mut rows =
         vec![row![name, "atomic swap", ops, 1usize, 1.0, 1.0, 0usize, "dark while rewiring"]];
     for (label, strategy) in strategies {
-        let src_state = FabricState::from_spec(&problem.source, n);
+        let src_state = FabricState::new(source);
         let dip = ThroughputDip::new(probe.clone(), 1.0e-6, TESTBED_RELAY_EFFICIENCY, &src_state);
         let planner = MigrationPlanner::new(strategy)
             .with_hard(Box::new(PairReachability::new(all_pairs.clone())))

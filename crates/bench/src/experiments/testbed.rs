@@ -439,7 +439,7 @@ pub(super) fn fig_failure_degradation(s: &Scale) -> ExperimentReport {
         for &id in &ids {
             let mut cut = g.clone();
             cut.remove_edge(id);
-            let connected = topoopt_migration::surviving_pairs(&cut, n).len();
+            let connected = topoopt_graph::paths::surviving_pairs(&cut, n).len();
             if connected < n * (n - 1) {
                 critical += 1;
             }

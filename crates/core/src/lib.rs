@@ -16,8 +16,7 @@
 //!   AllReduce transfers over the selected ring strides by solving a modular
 //!   coin-change problem.
 //! * [`ocs_reconfig`] — the OCS-reconfig heuristic (Algorithm 5 / Appendix
-//!   E.4) with the discounted-utility link allocator, and the SiP-ML variant
-//!   (Appendix F, discount = 1).
+//!   E.4) with the discounted-utility link allocator.
 //! * [`alternating`] — the alternating optimization loop of §4.1 that
 //!   bounces between the `Comp.×Comm.` plane (MCMC strategy search) and the
 //!   `Comm.×Topo.` plane (`TopologyFinder`).
@@ -32,7 +31,7 @@ pub mod totient;
 
 pub use alternating::{co_optimize, AlternatingConfig, CoOptResult};
 pub use coinchange::{coin_change_route, CoinChangeTable};
-pub use ocs_reconfig::{ocs_reconfig_topology, sipml_topology, OcsReconfigConfig};
+pub use ocs_reconfig::ocs_reconfig_topology;
 pub use routing::Routing;
 pub use select::{critical_links, select_permutations, select_permutations_available};
 pub use topology_finder::{topology_finder, TopologyFinderInput, TopologyFinderOutput};

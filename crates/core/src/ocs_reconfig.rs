@@ -1,77 +1,31 @@
-//! OCS-reconfig heuristic (Algorithm 5 / Appendix E.4) and the SiP-ML
-//! variant (Appendix F).
+//! OCS-reconfig heuristic (Algorithm 5 / Appendix E.4).
 //!
 //! When the fabric reconfigures *within* training iterations, a centralized
 //! controller periodically measures the unsatisfied demand and recomputes
 //! the circuits. The heuristic greedily allocates parallel links to the
-//! highest-demand pair, discounting a pair's residual demand each time it
-//! receives an extra link (so elephant pairs do not monopolise every
-//! interface), then repairs connectivity with a two-edge replacement pass.
-//!
-//! SiP-ML's SiP-Ring formulation optimises the same utility with no
-//! diminishing returns (`Discount = 1`), which is how the paper evaluates it
-//! (Appendix F).
+//! highest-demand pair, halving a pair's residual demand each time it
+//! receives an extra link (the exponential discount of Eq. 2, so elephant
+//! pairs do not monopolise every interface), then repairs connectivity
+//! with a two-edge replacement pass.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use topoopt_graph::{Graph, TrafficMatrix};
 
-/// Discount schedule applied to a pair's demand after each allocated
-/// parallel link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Discount {
-    /// Exponential: each extra link halves the residual demand (TopoOpt's
-    /// OCS-reconfig heuristic, Eq. 2).
-    Exponential,
-    /// No discount (SiP-ML's utility, Appendix F).
-    None,
-}
-
-/// Configuration of the reconfiguration heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OcsReconfigConfig {
-    /// Interfaces per server.
-    pub degree: usize,
-    /// Per-interface bandwidth (bps).
-    pub link_bps: f64,
-    /// Discount schedule.
-    pub discount: Discount,
-    /// If true, run the two-edge replacement pass so the final graph is
-    /// strongly connected (required when host-based forwarding is enabled).
-    pub ensure_connected: bool,
-}
-
-/// Utility of a topology for a demand matrix (Eq. 1 of Appendix E.4):
-/// `Σ T(i,j) · Discount(L(i,j))` where `L` is the number of parallel links.
-pub fn topology_utility(demand: &TrafficMatrix, g: &Graph, discount: Discount) -> f64 {
-    let n = demand.num_nodes();
-    let mut u = 0.0;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let l = g.multiplicity(i, j);
-            if l == 0 {
-                continue;
-            }
-            let factor = match discount {
-                Discount::Exponential => (1..=l).map(|x| 0.5f64.powi(x as i32)).sum::<f64>(),
-                Discount::None => l as f64,
-            };
-            u += demand.get(i, j) * factor;
-        }
-    }
-    u
-}
-
 /// Run the OCS-reconfig circuit allocation (Algorithm 5) for the current
-/// unsatisfied demand matrix. Node ids are `0..demand.num_nodes()`.
-pub fn ocs_reconfig_topology(demand: &TrafficMatrix, cfg: &OcsReconfigConfig) -> Graph {
+/// unsatisfied demand matrix: `degree` interfaces per server of `link_bps`
+/// each. Node ids are `0..demand.num_nodes()`. With `ensure_connected`, the
+/// two-edge replacement pass makes the final graph strongly connected
+/// (required when host-based forwarding is enabled).
+pub fn ocs_reconfig_topology(
+    demand: &TrafficMatrix,
+    degree: usize,
+    link_bps: f64,
+    ensure_connected: bool,
+) -> Graph {
     let n = demand.num_nodes();
     let mut g = Graph::new(n);
-    let mut available_tx = vec![cfg.degree; n];
-    let mut available_rx = vec![cfg.degree; n];
+    let mut available_tx = vec![degree; n];
+    let mut available_rx = vec![degree; n];
     // Residual demand we keep scaling down as pairs receive links.
     let mut residual = demand.clone();
 
@@ -94,30 +48,17 @@ pub fn ocs_reconfig_topology(demand: &TrafficMatrix, cfg: &OcsReconfigConfig) ->
             }
         }
         let Some((a, b, _)) = best else { break };
-        g.add_edge(a, b, cfg.link_bps);
-        // Line 11: scale residual demand by the discount factor.
-        match cfg.discount {
-            Discount::Exponential => residual.scale_entry(a, b, 0.5),
-            Discount::None => residual.set(a, b, 0.0),
-        }
+        g.add_edge(a, b, link_bps);
+        // Line 11: halve the pair's residual demand.
+        residual.scale_entry(a, b, 0.5);
         available_tx[a] -= 1;
         available_rx[b] -= 1;
     }
 
-    if cfg.ensure_connected {
-        two_edge_replacement(&mut g, cfg);
+    if ensure_connected {
+        two_edge_replacement(&mut g, degree, link_bps);
     }
     g
-}
-
-/// SiP-ML topology: the same allocator with no diminishing returns and no
-/// host-based forwarding, i.e. only directly connected pairs can talk
-/// between reconfigurations (Appendix F).
-pub fn sipml_topology(demand: &TrafficMatrix, degree: usize, link_bps: f64) -> Graph {
-    ocs_reconfig_topology(
-        demand,
-        &OcsReconfigConfig { degree, link_bps, discount: Discount::None, ensure_connected: false },
-    )
 }
 
 /// Two-edge replacement connectivity repair (OWAN-style, Appendix E.4, line
@@ -125,7 +66,7 @@ pub fn sipml_topology(demand: &TrafficMatrix, degree: usize, link_bps: f64) -> G
 /// be reached from node 0 (or cannot reach it), free one of its interfaces by
 /// dropping its lowest-capacity redundant edge (a parallel edge if possible),
 /// and splice it into a ring edge that stitches the components together.
-fn two_edge_replacement(g: &mut Graph, cfg: &OcsReconfigConfig) {
+fn two_edge_replacement(g: &mut Graph, degree: usize, link_bps: f64) {
     let n = g.num_nodes();
     if n <= 1 {
         return;
@@ -148,13 +89,13 @@ fn two_edge_replacement(g: &mut Graph, cfg: &OcsReconfigConfig) {
         if g.has_edge(i, j) {
             continue;
         }
-        if g.out_degree(i) >= cfg.degree {
+        if g.out_degree(i) >= degree {
             remove_one_redundant_out_edge(g, i);
         }
-        if g.in_degree(j) >= cfg.degree {
+        if g.in_degree(j) >= degree {
             remove_one_redundant_in_edge(g, j);
         }
-        g.add_edge(i, j, cfg.link_bps);
+        g.add_edge(i, j, link_bps);
     }
 }
 
@@ -196,46 +137,19 @@ mod tests {
 
     #[test]
     fn allocation_respects_interface_budget() {
-        let demand = skewed_demand(8);
-        let cfg = OcsReconfigConfig {
-            degree: 4,
-            link_bps: 25.0e9,
-            discount: Discount::Exponential,
-            ensure_connected: false,
-        };
-        let g = ocs_reconfig_topology(&demand, &cfg);
+        let g = ocs_reconfig_topology(&skewed_demand(8), 4, 25.0e9, false);
         assert!(g.respects_degree(4));
     }
 
     #[test]
     fn elephant_pair_gets_links_but_not_all_of_them() {
-        let demand = skewed_demand(8);
-        let cfg = OcsReconfigConfig {
-            degree: 4,
-            link_bps: 25.0e9,
-            discount: Discount::Exponential,
-            ensure_connected: false,
-        };
-        let g = ocs_reconfig_topology(&demand, &cfg);
+        let g = ocs_reconfig_topology(&skewed_demand(8), 4, 25.0e9, false);
         let elephant_links = g.multiplicity(0, 1);
         assert!(elephant_links >= 1);
         assert!(
             elephant_links < 4,
             "discounting should stop the elephant pair from taking every interface"
         );
-    }
-
-    #[test]
-    fn sipml_discount_none_gives_each_pair_at_most_one_link() {
-        // With Discount::None the residual demand is zeroed after the first
-        // link, so no pair receives parallel links.
-        let demand = skewed_demand(8);
-        let g = sipml_topology(&demand, 4, 25.0e9);
-        for i in 0..8 {
-            for j in 0..8 {
-                assert!(g.multiplicity(i, j) <= 1);
-            }
-        }
     }
 
     #[test]
@@ -257,56 +171,16 @@ mod tests {
                 }
             }
         }
-        let disconnected = ocs_reconfig_topology(
-            &demand,
-            &OcsReconfigConfig {
-                degree: 3,
-                link_bps: 25.0e9,
-                discount: Discount::Exponential,
-                ensure_connected: false,
-            },
-        );
+        let disconnected = ocs_reconfig_topology(&demand, 3, 25.0e9, false);
         assert!(!disconnected.is_strongly_connected());
-        let repaired = ocs_reconfig_topology(
-            &demand,
-            &OcsReconfigConfig {
-                degree: 3,
-                link_bps: 25.0e9,
-                discount: Discount::Exponential,
-                ensure_connected: true,
-            },
-        );
+        let repaired = ocs_reconfig_topology(&demand, 3, 25.0e9, true);
         assert!(repaired.is_strongly_connected());
         assert!(repaired.respects_degree(3));
     }
 
     #[test]
-    fn utility_prefers_topology_matching_demand() {
-        let demand = skewed_demand(6);
-        let cfg = OcsReconfigConfig {
-            degree: 2,
-            link_bps: 10.0e9,
-            discount: Discount::Exponential,
-            ensure_connected: false,
-        };
-        let matched = ocs_reconfig_topology(&demand, &cfg);
-        // A ring ignores the demand distribution entirely.
-        let ring = topoopt_graph::topologies::from_permutations(6, &[1, 5], 10.0e9);
-        let u_matched = topology_utility(&demand, &matched, Discount::Exponential);
-        let u_ring = topology_utility(&demand, &ring, Discount::Exponential);
-        assert!(u_matched > u_ring);
-    }
-
-    #[test]
     fn empty_demand_allocates_nothing() {
-        let demand = TrafficMatrix::new(5);
-        let cfg = OcsReconfigConfig {
-            degree: 3,
-            link_bps: 1.0e9,
-            discount: Discount::Exponential,
-            ensure_connected: false,
-        };
-        let g = ocs_reconfig_topology(&demand, &cfg);
+        let g = ocs_reconfig_topology(&TrafficMatrix::new(5), 3, 1.0e9, false);
         assert_eq!(g.num_edges(), 0);
     }
 }

@@ -1,4 +1,5 @@
-//! Shortest paths, k-shortest paths, diameter, and average path length.
+//! Shortest paths, k-shortest paths, the pairs a damaged fabric still
+//! connects, diameter, and average path length.
 //!
 //! TopoOpt routes model-parallel transfers over (k-)shortest paths on the
 //! combined topology (Algorithm 1, line 20).
@@ -112,6 +113,21 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
         }
     }
     dist
+}
+
+/// The ordered pairs among the first `num_servers` nodes that are still
+/// path-connected on `g` — what a repair can and must keep deliverable.
+pub fn surviving_pairs(g: &Graph, num_servers: usize) -> Vec<(NodeId, NodeId)> {
+    let mut pairs = Vec::new();
+    for src in 0..num_servers {
+        let dist = bfs_distances(g, src);
+        for (dst, &d) in dist.iter().enumerate().take(num_servers) {
+            if src != dst && d != usize::MAX {
+                pairs.push((src, dst));
+            }
+        }
+    }
+    pairs
 }
 
 /// Yen's algorithm: up to `k` loop-free shortest paths by hop count, in order
@@ -257,6 +273,17 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         assert!(bfs_shortest_path(&g, 1, 0).is_none());
         assert!(bfs_shortest_path(&g, 0, 2).is_none());
+    }
+
+    #[test]
+    fn surviving_pairs_excludes_severed_ones() {
+        // Directed 3-ring losing 0->1: 0 is cut off from everyone (its only
+        // egress) and 2->1 is stranded (its only path relayed through 0);
+        // only the 1->2->0 arc survives.
+        let mut g = ring(3);
+        let dead = g.edges().find(|(_, e)| e.src == 0 && e.dst == 1).map(|(id, _)| id);
+        g.remove_edge(dead.expect("0->1 is live"));
+        assert_eq!(surviving_pairs(&g, 3), vec![(1, 0), (1, 2), (2, 0)]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! Both policy kinds judge a [`FabricState`]'s own rule table, an rdma
 //! [`ForwardingPlan`] repaired after each link operation with the plan's
-//! own routines at the controller's [`RepairMode`] granularity.
+//! own routines, per destination ([`RepairMode::PerDestination`]).
 //!
 //! [`MigrationPlanner`] composes the three. When no valid ordering exists
 //! (or the search budget runs out) it reports an explicit
@@ -29,22 +29,21 @@
 //!
 //! ```rust
 //! use topoopt_graph::topologies;
-//! use topoopt_migration::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
+//! use topoopt_migration::{MigrationPlanner, MigrationProblem, TreeSearch};
 //!
-//! let source = FabricSpec::shortest_path(topologies::from_permutations(8, &[1, 3], 25.0e9));
-//! let target = FabricSpec::shortest_path(topologies::from_permutations(8, &[2, 5], 25.0e9));
-//! let planner = MigrationPlanner::new(Box::new(TreeSearch::default()));
-//! let plan = planner.plan(&MigrationProblem::new(8, source, target)).unwrap();
+//! let source = topologies::from_permutations(8, &[1, 3], 25.0e9);
+//! let target = topologies::from_permutations(8, &[2, 5], 25.0e9);
+//! let planner = MigrationPlanner::new(Box::new(TreeSearch));
+//! let plan = planner.plan(&MigrationProblem::new(source, target)).unwrap();
 //! assert!(plan.link_ops() > 0);
 //! ```
 //!
 //! [`ForwardingPlan`]: topoopt_rdma::ForwardingPlan
 //! [`ForwardingPlan::walk`]: topoopt_rdma::ForwardingPlan::walk
-//! [`RepairMode`]: topoopt_rdma::RepairMode
+//! [`RepairMode::PerDestination`]: topoopt_rdma::RepairMode::PerDestination
 
 pub mod planner;
 pub mod policies;
-pub mod repair;
 pub mod state;
 pub mod strategies;
 
@@ -56,8 +55,7 @@ pub use policies::{
     HardPolicy, LoopFreedom, MinimizeSteps, PairReachability, PolicyViolation, SoftPolicy,
     ThroughputDip,
 };
-pub use repair::{degraded_graph, plan_link_repair, repair_problem, surviving_pairs};
-pub use state::{diff_ops, link_multiset, FabricSpec, FabricState, Link, LinkOp};
+pub use state::{diff_ops, link_multiset, FabricState, Link, LinkOp};
 pub use strategies::{NaiveOrdered, RandomPermutation, Strategy, TreeSearch};
 
 /// A migration planner: one search strategy, a conjunction of hard
@@ -108,9 +106,10 @@ mod tests {
     use topoopt_graph::topologies;
 
     fn problem(n: usize, src: &[usize], dst: &[usize]) -> MigrationProblem {
-        let source = FabricSpec::shortest_path(topologies::from_permutations(n, src, 25.0e9));
-        let target = FabricSpec::shortest_path(topologies::from_permutations(n, dst, 25.0e9));
-        MigrationProblem::new(n, source, target)
+        MigrationProblem::new(
+            topologies::from_permutations(n, src, 25.0e9),
+            topologies::from_permutations(n, dst, 25.0e9),
+        )
     }
 
     fn all_pairs(n: usize) -> Vec<(usize, usize)> {
@@ -120,7 +119,7 @@ mod tests {
     #[test]
     fn tree_search_sequences_a_ring_swap() {
         let p = problem(8, &[1, 3], &[2, 5]);
-        let planner = MigrationPlanner::new(Box::new(TreeSearch::default()))
+        let planner = MigrationPlanner::new(Box::new(TreeSearch))
             .with_hard(Box::new(PairReachability::new(all_pairs(8))));
         let plan = planner.plan(&p).expect("tree search must sequence the swap");
         assert_eq!(plan.strategy, "tree-search");
@@ -164,7 +163,7 @@ mod tests {
     #[test]
     fn empty_migration_is_just_the_rule_install() {
         let p = problem(5, &[1, 2], &[1, 2]);
-        let plan = MigrationPlanner::new(Box::new(TreeSearch::default())).plan(&p).unwrap();
+        let plan = MigrationPlanner::new(Box::new(TreeSearch)).plan(&p).unwrap();
         assert_eq!(plan.link_ops(), 0);
         assert_eq!(plan.steps.len(), 1);
     }

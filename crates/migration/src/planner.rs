@@ -1,43 +1,40 @@
 //! The migration problem, plans, and the shared order evaluator.
 
 use crate::policies::{HardPolicy, PolicyViolation, SoftPolicy};
-use crate::state::{diff_ops, link_multiset, FabricSpec, FabricState, Link, LinkOp};
+use crate::state::{diff_ops, link_multiset, FabricState, Link, LinkOp};
 use serde::{Deserialize, Serialize};
-use topoopt_rdma::RepairMode;
+use topoopt_graph::Graph;
 
-/// A source-to-target patch-panel migration to sequence.
+/// A source-to-target patch-panel migration to sequence. Both fabrics
+/// span the same servers (their node counts); each end installs
+/// shortest-path forwarding rules.
 #[derive(Debug, Clone)]
 pub struct MigrationProblem {
-    /// Number of servers: the node count of both fabrics.
-    pub num_servers: usize,
     /// The fabric being torn down.
-    pub source: FabricSpec,
+    pub source: Graph,
     /// The fabric being built up.
-    pub target: FabricSpec,
-    /// Rule-repair granularity of the controller (see [`RepairMode`]).
-    pub repair: RepairMode,
+    pub target: Graph,
 }
 
 impl MigrationProblem {
-    /// A problem with per-destination repair (the loop-free-by-construction
-    /// controller mode; set [`RepairMode::PerRule`] to model a minimal-touch
-    /// controller whose stale/fresh rule mixtures can transiently loop).
-    pub fn new(num_servers: usize, source: FabricSpec, target: FabricSpec) -> Self {
-        MigrationProblem { num_servers, source, target, repair: RepairMode::PerDestination }
+    /// The migration from `source` to `target`.
+    pub fn new(source: Graph, target: Graph) -> Self {
+        debug_assert_eq!(source.num_nodes(), target.num_nodes(), "one set of servers rewires");
+        MigrationProblem { source, target }
     }
 
     /// The unordered link operations of the migration (source/target
     /// multiset difference) in the canonical removals-then-additions order.
     pub fn ops(&self) -> Vec<LinkOp> {
-        diff_ops(&self.source.graph, &self.target.graph)
+        diff_ops(&self.source, &self.target)
     }
 }
 
 /// One emitted migration step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StepOp {
-    /// Unplug one link (broken rules are repaired at the problem's
-    /// [`RepairMode`] granularity).
+    /// Unplug one link (rules towards every destination it broke are
+    /// resynced).
     RemoveLink(Link),
     /// Plug one link (rules are filled for newly reachable pairs).
     AddLink(Link),
@@ -119,7 +116,7 @@ pub fn evaluate_order(
     hard: &[Box<dyn HardPolicy>],
     soft: &dyn SoftPolicy,
 ) -> Result<MigrationPlan, (PolicyViolation, usize)> {
-    let mut state = FabricState::from_spec(&problem.source, problem.num_servers);
+    let mut state = FabricState::new(&problem.source);
     let mut checked = 0usize;
     checked += 1;
     if let Err(v) = check_state(&state, hard) {
@@ -130,7 +127,7 @@ pub fn evaluate_order(
     }
     let mut steps = Vec::with_capacity(order.len() + 1);
     for (idx, op) in order.iter().enumerate() {
-        state.apply(*op, problem.repair);
+        state.apply(*op);
         checked += 1;
         match check_state(&state, hard) {
             Ok(()) => steps.push(MigrationStep { op: (*op).into(), cost: soft.state_cost(&state) }),
@@ -144,10 +141,10 @@ pub fn evaluate_order(
     }
     debug_assert_eq!(
         link_multiset(state.graph()),
-        link_multiset(&problem.target.graph),
+        link_multiset(&problem.target),
         "a complete ordering must land on the target link multiset"
     );
-    state.sync_with(&problem.target.routing);
+    state.sync();
     checked += 1;
     match check_state(&state, hard) {
         Ok(()) => steps
@@ -174,13 +171,13 @@ pub fn evaluate_order(
 /// the independent verification hook the property tests use (the states
 /// come from [`FabricState`] semantics, not from the search).
 pub fn replay(problem: &MigrationProblem, plan: &MigrationPlan) -> Vec<FabricState> {
-    let mut state = FabricState::from_spec(&problem.source, problem.num_servers);
+    let mut state = FabricState::new(&problem.source);
     let mut states = Vec::with_capacity(plan.steps.len());
     for step in &plan.steps {
         match &step.op {
-            StepOp::RemoveLink(l) => state.apply(LinkOp::Remove(*l), problem.repair),
-            StepOp::AddLink(l) => state.apply(LinkOp::Add(*l), problem.repair),
-            StepOp::InstallTargetRules => state.sync_with(&problem.target.routing),
+            StepOp::RemoveLink(l) => state.apply(LinkOp::Remove(*l)),
+            StepOp::AddLink(l) => state.apply(LinkOp::Add(*l)),
+            StepOp::InstallTargetRules => state.sync(),
         }
         states.push(state.clone());
     }

@@ -54,7 +54,7 @@ impl HardPolicy for LoopFreedom {
     }
 
     fn check(&self, state: &FabricState) -> Result<(), PolicyViolation> {
-        let n = state.num_servers();
+        let n = state.graph().num_nodes();
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
@@ -186,7 +186,7 @@ impl ThroughputDip {
     /// Goodput of one state under the probe demand: bytes delivered along
     /// the rule walks, divided by the fluid-simulated makespan.
     pub fn goodput(&self, state: &FabricState) -> f64 {
-        let n = state.num_servers().min(self.probe.num_nodes());
+        let n = state.graph().num_nodes().min(self.probe.num_nodes());
         let mut flows = Vec::new();
         let mut delivered = 0.0;
         for src in 0..n {
@@ -230,13 +230,18 @@ impl SoftPolicy for ThroughputDip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{FabricSpec, Link, LinkOp};
-    use topoopt_graph::topologies;
-    use topoopt_rdma::RepairMode;
+    use crate::state::{Link, LinkOp};
+    use topoopt_core::Routing;
+    use topoopt_graph::{topologies, Graph};
+    use topoopt_rdma::{build_forwarding_plan, RepairMode};
 
     fn ring_state(n: usize) -> FabricState {
-        let spec = FabricSpec::shortest_path(topologies::from_permutations(n, &[1], 25.0e9));
-        FabricState::from_spec(&spec, n)
+        FabricState::new(&topologies::from_permutations(n, &[1], 25.0e9))
+    }
+
+    fn remove(g: &mut Graph, src: usize, dst: usize) {
+        let id = g.edges().find(|(_, e)| e.src == src && e.dst == dst).map(|(id, _)| id);
+        g.remove_edge(id.expect("link is live"));
     }
 
     #[test]
@@ -251,10 +256,7 @@ mod tests {
     #[test]
     fn reachability_names_the_blackholed_pair() {
         let mut state = ring_state(4);
-        state.apply(
-            LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RepairMode::PerRule,
-        );
+        state.apply(LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }));
         let err = PairReachability::new(vec![(0, 1)]).check(&state).unwrap_err();
         assert_eq!(err.policy, "pair-reachability");
         assert!(err.detail.contains("0->1"), "detail should name the pair: {}", err.detail);
@@ -264,15 +266,18 @@ mod tests {
 
     #[test]
     fn loop_freedom_names_the_cycling_chain() {
-        let mut state = ring_state(4);
-        state.apply(
-            LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RepairMode::PerRule,
-        );
-        state
-            .apply(LinkOp::Add(Link { src: 0, dst: 2, capacity_bps: 25.0e9 }), RepairMode::PerRule);
-        state
-            .apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 25.0e9 }), RepairMode::PerRule);
+        // A minimal-touch (per-rule) controller on the 4-ring: unplug 0->1,
+        // plug 0->2 and 3->1. The refilled rule (0,1)->2 meets the stale
+        // ring rule (3,1)->0 and the chain cycles.
+        let mut g = topologies::from_permutations(4, &[1], 25.0e9);
+        let mut plan = build_forwarding_plan(&g, 4, &Routing::new());
+        remove(&mut g, 0, 1);
+        plan.repair_rules(&g, RepairMode::PerRule);
+        g.add_edge(0, 2, 25.0e9);
+        plan.fill_missing_rules(&g);
+        g.add_edge(3, 1, 25.0e9);
+        plan.fill_missing_rules(&g);
+        let state = FabricState::with_plan(g, plan);
         let err = LoopFreedom.check(&state).unwrap_err();
         assert_eq!(err.policy, "loop-freedom");
         assert!(err.detail.contains("cycles"));
@@ -290,10 +295,7 @@ mod tests {
         // Remove every link: nothing deliverable, dip = 1.
         let mut dark = state.clone();
         for i in 0..4 {
-            dark.apply(
-                LinkOp::Remove(Link { src: i, dst: (i + 1) % 4, capacity_bps: 25.0e9 }),
-                RepairMode::PerRule,
-            );
+            dark.apply(LinkOp::Remove(Link { src: i, dst: (i + 1) % 4, capacity_bps: 25.0e9 }));
         }
         assert_eq!(soft.state_cost(&dark), 1.0);
     }

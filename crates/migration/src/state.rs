@@ -11,17 +11,12 @@
 //! ([`ForwardingPlan::repair_rules`]), plugging one fills rules for newly
 //! reachable pairs ([`ForwardingPlan::fill_missing_rules`]).
 //!
-//! The repair granularity matters. With [`RepairMode::PerRule`] only the
-//! rules whose next-hop link died are repointed (minimal touch, like
-//! patching individual `tc flower` entries); the repaired next hops follow
-//! shortest paths in the *current* graph while untouched rules still encode
-//! source-fabric paths, and that mixture can transiently loop. With
-//! [`RepairMode::PerDestination`] every rule towards an affected
-//! destination is resynced at once; since rule chains only ever follow
-//! rules keyed on one destination, per-destination freshness makes loops
-//! impossible by construction (every fresh rule strictly decreases the
-//! current-graph distance to the destination) — only reachability can
-//! still be violated.
+//! The controller repairs per destination ([`RepairMode::PerDestination`]):
+//! every rule towards an affected destination is resynced at once. Rule
+//! chains only ever follow rules keyed on one destination, so
+//! per-destination freshness makes loops impossible by construction (every
+//! fresh rule strictly decreases the current-graph distance to the
+//! destination) — only reachability can still be violated.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -47,28 +42,6 @@ pub enum LinkOp {
     Remove(Link),
     /// Plug the link.
     Add(Link),
-}
-
-/// A migration endpoint: the link multiset plus the routing its
-/// destination-keyed rules derive from (empty routing = shortest paths).
-#[derive(Debug, Clone)]
-pub struct FabricSpec {
-    /// The fabric's links.
-    pub graph: Graph,
-    /// Routing whose paths install the fabric's forwarding rules.
-    pub routing: Routing,
-}
-
-impl FabricSpec {
-    /// A fabric whose rules follow explicit routing paths where given.
-    pub fn new(graph: Graph, routing: Routing) -> Self {
-        FabricSpec { graph, routing }
-    }
-
-    /// A fabric whose rules follow shortest paths.
-    pub fn shortest_path(graph: Graph) -> Self {
-        FabricSpec { graph, routing: Routing::new() }
-    }
 }
 
 /// The live link multiset of a fabric, keyed by `(src, dst, capacity
@@ -107,10 +80,9 @@ pub fn diff_ops(source: &Graph, target: &Graph) -> Vec<LinkOp> {
 
 /// A live mid-migration fabric: the current link multiset plus the
 /// destination-keyed rule table actually installed on the servers (possibly
-/// stale relative to the links).
+/// stale relative to the links). Every node of the graph is a server.
 #[derive(Debug, Clone)]
 pub struct FabricState {
-    num_servers: usize,
     graph: Graph,
     /// The kernel tables' content: rules only, since a mid-migration table
     /// has no per-pair relay accounting until its chains are walked.
@@ -118,14 +90,11 @@ pub struct FabricState {
 }
 
 impl FabricState {
-    /// Start state of a migration: the spec's links with its freshly built
-    /// forwarding rules installed. `num_servers` is the spec graph's node
-    /// count.
-    pub fn from_spec(spec: &FabricSpec, num_servers: usize) -> Self {
-        debug_assert_eq!(spec.graph.num_nodes(), num_servers, "a fabric's nodes are its servers");
-        let mut state =
-            FabricState { num_servers, graph: spec.graph.clone(), plan: ForwardingPlan::default() };
-        state.sync_with(&spec.routing);
+    /// Start state of a migration: `graph`'s links with freshly built
+    /// shortest-path forwarding rules installed.
+    pub fn new(graph: &Graph) -> Self {
+        let mut state = FabricState { graph: graph.clone(), plan: ForwardingPlan::default() };
+        state.sync();
         state
     }
 
@@ -134,29 +103,25 @@ impl FabricState {
         &self.graph
     }
 
-    /// Number of servers.
-    pub fn num_servers(&self) -> usize {
-        self.num_servers
-    }
-
     /// The installed rule table, walked with [`ForwardingPlan::walk`].
     pub fn plan(&self) -> &ForwardingPlan {
         &self.plan
     }
 
-    /// Replace the whole rule table with freshly built rules for the
-    /// current links under `routing` — the final `InstallTargetRules` step
-    /// of a migration (and the only rule update that is never stale).
-    pub fn sync_with(&mut self, routing: &Routing) {
-        let rules = build_forwarding_plan(&self.graph, self.num_servers, routing).rules;
+    /// Replace the whole rule table with freshly built shortest-path rules
+    /// for the current links — the final `InstallTargetRules` step of a
+    /// migration (and the only rule update that is never stale).
+    pub fn sync(&mut self) {
+        let n = self.graph.num_nodes();
+        let rules = build_forwarding_plan(&self.graph, n, &Routing::new()).rules;
         self.plan = ForwardingPlan { rules, ..ForwardingPlan::default() };
     }
 
     /// Apply one link operation, repairing the rule table the way the
-    /// controller would at the given granularity. The caller is
-    /// responsible for degree feasibility; removing a link that is not
-    /// live panics (the planner only emits diffed operations).
-    pub fn apply(&mut self, op: LinkOp, repair: RepairMode) {
+    /// controller would. The caller is responsible for degree feasibility;
+    /// removing a link that is not live panics (the planner only emits
+    /// diffed operations).
+    pub fn apply(&mut self, op: LinkOp) {
         match op {
             LinkOp::Remove(l) => {
                 let id = self
@@ -170,7 +135,7 @@ impl FabricState {
                     .map(|(id, _)| id)
                     .unwrap_or_else(|| panic!("remove of non-live link {} -> {}", l.src, l.dst));
                 self.graph.remove_edge(id);
-                self.plan.repair_rules(&self.graph, repair);
+                self.plan.repair_rules(&self.graph, RepairMode::PerDestination);
             }
             LinkOp::Add(l) => {
                 self.graph.add_edge(l.src, l.dst, l.capacity_bps);
@@ -181,14 +146,19 @@ impl FabricState {
 }
 
 #[cfg(test)]
+impl FabricState {
+    /// A state with an explicit rule table, for policy tests that need
+    /// tables no per-destination controller produces.
+    pub(crate) fn with_plan(graph: Graph, plan: ForwardingPlan) -> Self {
+        FabricState { graph, plan }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use topoopt_graph::topologies;
     use topoopt_rdma::WalkOutcome;
-
-    fn ring_spec(n: usize, perms: &[usize]) -> FabricSpec {
-        FabricSpec::shortest_path(topologies::from_permutations(n, perms, 25.0e9))
-    }
 
     #[test]
     fn diff_ops_is_the_multiset_difference() {
@@ -205,83 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_with_per_rule_repair_touches_only_broken_rules() {
-        // 4-ring 0->1->2->3->0: removing 0->1 breaks exactly the rules on
-        // server 0 (all its chains start over 0->1).
-        let spec = ring_spec(4, &[1]);
-        let mut state = FabricState::from_spec(&spec, 4);
-        let rules_before = state.plan().num_rules();
-        state.apply(
-            LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RepairMode::PerRule,
-        );
-        // Server 0 is now a sink: no outgoing links, so its rules are
-        // dropped; every other server's stale rules stay.
-        assert_eq!(state.plan().num_rules(), rules_before - 3);
-        let plan = state.plan();
-        assert!(!plan.walk(0, 1).is_delivered());
-        // 1 -> 2 never used the removed link: still delivered.
-        assert_eq!(plan.walk(1, 2), WalkOutcome::Delivered(vec![1, 2]));
-    }
-
-    #[test]
-    fn add_fills_rules_for_newly_reachable_pairs() {
-        let spec = ring_spec(4, &[1]);
-        let mut state = FabricState::from_spec(&spec, 4);
-        state.apply(
-            LinkOp::Remove(Link { src: 0, dst: 1, capacity_bps: 25.0e9 }),
-            RepairMode::PerRule,
-        );
-        state
-            .apply(LinkOp::Add(Link { src: 0, dst: 2, capacity_bps: 25.0e9 }), RepairMode::PerRule);
-        let plan = state.plan();
-        assert_eq!(plan.walk(0, 2), WalkOutcome::Delivered(vec![0, 2]));
-        assert_eq!(plan.walk(0, 3), WalkOutcome::Delivered(vec![0, 2, 3]));
-        // Server 1 lost its only in-link: still unreachable, no fill.
-        assert_eq!(plan.walk(0, 1), WalkOutcome::Blackhole(vec![0]));
-        // Plugging 3->1 reconnects 1; the freshly filled rule (0,1)->2
-        // meets the stale ring rule (3,1)->0 and the chain cycles back to
-        // the source — exactly the hazard the hard policies must catch.
-        state
-            .apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 25.0e9 }), RepairMode::PerRule);
-        let plan = state.plan();
-        assert_eq!(plan.walk(0, 1), WalkOutcome::Loop(vec![0, 2, 3, 0]));
-    }
-
-    #[test]
-    fn per_rule_repair_can_loop_per_destination_cannot() {
-        // Chain 1->2->3->0. Add 3->1, remove 3->0 (0 becomes unreachable,
-        // rules towards 0 break), then add 1->0. Under per-rule repair the
-        // refill installs (3,0)->1 while 1 and 2 still hold stale chain
-        // rules (1,0)->2 and (2,0)->3: the chain 2->3->1->2 cycles. A
-        // per-destination resync rebuilds every rule towards 0 instead.
-        let mut g = Graph::new(4);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(3, 0, 1.0);
-        let spec = FabricSpec::shortest_path(g);
-        let loops_under = |repair: RepairMode| {
-            let mut state = FabricState::from_spec(&spec, 4);
-            state.apply(LinkOp::Add(Link { src: 3, dst: 1, capacity_bps: 1.0 }), repair);
-            state.apply(LinkOp::Remove(Link { src: 3, dst: 0, capacity_bps: 1.0 }), repair);
-            state.apply(LinkOp::Add(Link { src: 1, dst: 0, capacity_bps: 1.0 }), repair);
-            matches!(state.plan().walk(2, 0), WalkOutcome::Loop(_))
-        };
-        assert!(loops_under(RepairMode::PerRule), "stale+repaired mixture must cycle");
-        assert!(!loops_under(RepairMode::PerDestination), "per-destination resync is loop-free");
-    }
-
-    #[test]
     fn sync_with_installs_fresh_target_rules() {
-        let spec = ring_spec(5, &[1]);
-        let mut state = FabricState::from_spec(&spec, 5);
+        let mut state = FabricState::new(&topologies::from_permutations(5, &[1], 25.0e9));
         for i in 0..5 {
-            state.apply(
-                LinkOp::Add(Link { src: i, dst: (i + 2) % 5, capacity_bps: 25.0e9 }),
-                RepairMode::PerRule,
-            );
+            state.apply(LinkOp::Add(Link { src: i, dst: (i + 2) % 5, capacity_bps: 25.0e9 }));
         }
-        state.sync_with(&Routing::new());
+        state.sync();
         let plan = state.plan();
         // Fresh shortest-path rules: 0 -> 2 uses the new chord directly.
         assert_eq!(plan.walk(0, 2), WalkOutcome::Delivered(vec![0, 2]));

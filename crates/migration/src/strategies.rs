@@ -149,22 +149,15 @@ impl Strategy for RandomPermutation {
     }
 }
 
-/// Depth-first search with backtracking over step orderings.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeSearch {
-    /// Maximum number of intermediate states to validate before falling
-    /// back to atomic.
-    pub max_states: usize,
-}
+/// Depth-first search with backtracking over step orderings; it falls
+/// back to atomic after validating 20,000 intermediate states.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TreeSearch;
 
-impl Default for TreeSearch {
-    fn default() -> Self {
-        TreeSearch { max_states: 20_000 }
-    }
-}
+/// The tree search's budget of intermediate states to validate.
+const MAX_STATES: usize = 20_000;
 
 struct Dfs<'a> {
-    problem: &'a MigrationProblem,
     hard: &'a [Box<dyn HardPolicy>],
     ops: Vec<LinkOp>,
     /// Candidate indices in preference order: additions first (build the
@@ -173,7 +166,6 @@ struct Dfs<'a> {
     taken: Vec<bool>,
     order: Vec<LinkOp>,
     checked: usize,
-    max_states: usize,
     exhausted: bool,
     deepest: Option<(usize, PolicyViolation)>,
 }
@@ -195,13 +187,13 @@ impl Dfs<'_> {
             if self.taken[i] {
                 continue;
             }
-            if self.checked >= self.max_states {
+            if self.checked >= MAX_STATES {
                 self.exhausted = true;
                 return false;
             }
             let op = self.ops[i];
             let mut next = state.clone();
-            next.apply(op, self.problem.repair);
+            next.apply(op);
             self.checked += 1;
             match check_state(&next, self.hard) {
                 Ok(()) => {
@@ -235,16 +227,14 @@ impl Strategy for TreeSearch {
         let mut priority: Vec<usize> =
             (0..ops.len()).filter(|&i| matches!(ops[i], LinkOp::Add(_))).collect();
         priority.extend((0..ops.len()).filter(|&i| matches!(ops[i], LinkOp::Remove(_))));
-        let start = FabricState::from_spec(&problem.source, problem.num_servers);
+        let start = FabricState::new(&problem.source);
         let mut dfs = Dfs {
-            problem,
             hard,
             taken: vec![false; ops.len()],
             priority,
             ops,
             order: Vec::new(),
             checked: 1,
-            max_states: self.max_states.max(1),
             exhausted: false,
             deepest: None,
         };

@@ -10,10 +10,10 @@
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph};
 use topoopt_migration::{
-    replay, FabricSpec, LoopFreedom, MigrationPlanner, MigrationProblem, PairReachability,
-    RandomPermutation, StepOp, TreeSearch,
+    replay, LoopFreedom, MigrationPlanner, MigrationProblem, PairReachability, RandomPermutation,
+    StepOp, TreeSearch,
 };
-use topoopt_rdma::{RepairMode, WalkOutcome};
+use topoopt_rdma::WalkOutcome;
 
 /// A random strongly connected fabric: a +1 ring for connectivity plus
 /// random ring permutations and chords.
@@ -39,7 +39,7 @@ fn all_pairs(n: usize) -> Vec<(usize, usize)> {
 /// Replay the plan and assert every emitted state passes loop-freedom and
 /// reachability of `pairs`, with every delivered walk crossing live links.
 fn assert_states_safe(problem: &MigrationProblem, plan: &topoopt_migration::MigrationPlan) {
-    let pairs = all_pairs(problem.num_servers);
+    let pairs = all_pairs(problem.source.num_nodes());
     let states = replay(problem, plan);
     assert_eq!(states.len(), plan.steps.len());
     for (i, state) in states.iter().enumerate() {
@@ -77,10 +77,10 @@ fn planner_with_reachability(
 }
 
 proptest! {
-    // Per-destination repair: tree search must
-    // sequence EVERY random connected pair safely (additions-first keeps
-    // the source intact while the target builds up), and each emitted
-    // intermediate state must hold up under independent replay.
+    // Tree search must sequence EVERY random connected pair safely
+    // (additions-first keeps the source intact while the target builds
+    // up), and each emitted intermediate state must hold up under
+    // independent replay.
     #[test]
     fn tree_search_keeps_every_intermediate_state_safe(
         n in 4usize..9,
@@ -88,42 +88,14 @@ proptest! {
         dst_strides in proptest::collection::vec(0usize..16, 0usize..2),
         chords in proptest::collection::vec((0usize..64, 0usize..64), 0usize..6),
     ) {
-        let source = FabricSpec::shortest_path(fabric(n, &src_strides, &[]));
-        let target = FabricSpec::shortest_path(fabric(n, &dst_strides, &chords));
-        let problem = MigrationProblem::new(n, source, target);
-        let planner = planner_with_reachability(n, Box::new(TreeSearch::default()));
+        let problem =
+            MigrationProblem::new(fabric(n, &src_strides, &[]), fabric(n, &dst_strides, &chords));
+        let planner = planner_with_reachability(n, Box::new(TreeSearch));
         let plan = planner.plan(&problem).unwrap_or_else(|fb| {
             panic!("tree search must sequence an uncapped migration: {:?}", fb.violation)
         });
         prop_assert_eq!(plan.link_ops(), problem.ops().len());
         assert_states_safe(&problem, &plan);
-    }
-
-    // Minimal-touch (per-rule) repair can make orderings transiently loop;
-    // the planner must then either find a safe ordering (verified by
-    // replay) or fall back naming the violated policy.
-    #[test]
-    fn per_rule_repair_plans_are_safe_or_fallback_names_the_policy(
-        n in 4usize..8,
-        src_strides in proptest::collection::vec(0usize..16, 0usize..2),
-        dst_strides in proptest::collection::vec(0usize..16, 0usize..2),
-    ) {
-        let source = FabricSpec::shortest_path(fabric(n, &src_strides, &[]));
-        let target = FabricSpec::shortest_path(fabric(n, &dst_strides, &[]));
-        let mut problem = MigrationProblem::new(n, source, target);
-        problem.repair = RepairMode::PerRule;
-        let planner = planner_with_reachability(n, Box::new(TreeSearch { max_states: 3_000 }));
-        match planner.plan(&problem) {
-            Ok(plan) => assert_states_safe(&problem, &plan),
-            Err(fb) => {
-                prop_assert!(
-                    ["loop-freedom", "pair-reachability", "search-budget"]
-                        .contains(&fb.violation.policy.as_str()),
-                    "fallback must name the blocking policy, got {:?}", fb.violation
-                );
-                prop_assert!(fb.states_checked > 0);
-            }
-        }
     }
 
     // Determinism: the same problem and seed yield byte-identical plans,
@@ -135,12 +107,11 @@ proptest! {
         src_strides in proptest::collection::vec(0usize..16, 0usize..2),
         dst_strides in proptest::collection::vec(0usize..16, 0usize..2),
     ) {
-        let source = FabricSpec::shortest_path(fabric(n, &src_strides, &[]));
-        let target = FabricSpec::shortest_path(fabric(n, &dst_strides, &[]));
-        let problem = MigrationProblem::new(n, source, target);
+        let problem =
+            MigrationProblem::new(fabric(n, &src_strides, &[]), fabric(n, &dst_strides, &[]));
         let random = |seed| planner_with_reachability(n, Box::new(RandomPermutation::new(8, seed)));
         prop_assert_eq!(random(seed).plan(&problem), random(seed).plan(&problem));
-        let tree = || planner_with_reachability(n, Box::new(TreeSearch::default()));
+        let tree = || planner_with_reachability(n, Box::new(TreeSearch));
         prop_assert_eq!(tree().plan(&problem), tree().plan(&problem));
     }
 }
@@ -148,10 +119,10 @@ proptest! {
 #[test]
 fn planner_defaults_smoke() {
     // The planner's defaults: LoopFreedom only, minimize steps.
-    let source = FabricSpec::shortest_path(topologies::from_permutations(6, &[1], 25.0e9));
-    let target = FabricSpec::shortest_path(topologies::from_permutations(6, &[1, 2], 25.0e9));
-    let problem = MigrationProblem::new(6, source, target);
-    let plan = MigrationPlanner::new(Box::new(TreeSearch::default())).plan(&problem).unwrap();
+    let source = topologies::from_permutations(6, &[1], 25.0e9);
+    let target = topologies::from_permutations(6, &[1, 2], 25.0e9);
+    let problem = MigrationProblem::new(source, target);
+    let plan = MigrationPlanner::new(Box::new(TreeSearch)).plan(&problem).unwrap();
     assert!(plan.link_ops() > 0);
     let _ = LoopFreedom; // the default hard policy, re-exported
 }

@@ -487,8 +487,17 @@ impl FluidEngine {
 
     /// Mark a settled flow finished at the current clock: drain any float
     /// residue into the byte counters, deregister it from its links, and
-    /// return the still-active flows that shared a link with it (the seeds
-    /// of the component to re-rate). Idempotent callers must check state.
+    /// return the smallest still-active sharer of each of its links (the
+    /// seeds of the components to re-rate). Idempotent callers must check
+    /// state.
+    ///
+    /// One sharer per link is enough: the gather BFS reaches the link's
+    /// other sharers through it, and if the seed itself finishes later in
+    /// the same batch, its own `finish_now` seeds the link again with the
+    /// next-smallest sharer. Each re-rated component's smallest seed is
+    /// then its smallest flow that shared a link with a finished flow (or
+    /// its smallest arrival), which fixes the order components re-rate in
+    /// and so every float sum. The caller sorts and dedups a batch's seeds.
     fn finish_now(&mut self, id: FlowId) -> Vec<FlowId> {
         let start = self.flows[id].links_start;
         let end = start + self.flows[id].spec.hops();
@@ -505,16 +514,13 @@ impl FluidEngine {
         flow.version += 1;
         flow.completion_s = self.now_s + self.per_hop_latency_s * flow.spec.hops() as f64;
 
-        let mut neighbours: Vec<FlowId> = Vec::new();
+        let mut seeds: Vec<FlowId> = Vec::new();
         for k in start..end {
-            let lid = self.flow_links[k] as usize;
-            let sharers = &mut self.active_on_link[lid];
+            let sharers = &mut self.active_on_link[self.flow_links[k] as usize];
             sharers.retain(|&f| f != id);
-            neighbours.extend(sharers.iter().copied());
+            seeds.extend(sharers.iter().min());
         }
-        neighbours.sort_unstable();
-        neighbours.dedup();
-        neighbours
+        seeds
     }
 
     /// Re-waterfill every connected component (over link sharing) that
@@ -775,6 +781,26 @@ mod tests {
         engine.run();
         assert!(engine.completion_s(dead).is_infinite());
         assert!(engine.drained());
+    }
+
+    #[test]
+    fn a_finishing_seed_reseeds_its_links() {
+        // Three flows share one 300 bps link at 100 bps each. A and B finish
+        // in one batch at t = 8: A's completion seeds only B, the smallest
+        // remaining sharer, and B's own completion must seed the link again
+        // so that C is re-rated to the whole link.
+        let g = ring(2, 300.0);
+        let mut engine = FluidEngine::new(&g, 0.0);
+        let a = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
+        let b = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
+        let c = engine.add_flow(FlowSpec::new(vec![0, 1], 400.0));
+        engine.run();
+        assert_eq!(engine.completion_s(a), 8.0);
+        assert_eq!(engine.completion_s(b), 8.0);
+        // 100 bytes by t = 8, then 300 bytes at 300 bps: 8 s more.
+        assert!((engine.completion_s(c) - 16.0).abs() < 1e-9, "{}", engine.completion_s(c));
+        // One waterfill for the arrivals and one for C after the batch.
+        assert_eq!(engine.stats().waterfills, 2);
     }
 
     #[test]

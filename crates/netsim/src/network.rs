@@ -35,7 +35,7 @@ pub struct SimNetwork {
     pub per_hop_latency_s: f64,
     /// Whether servers may relay traffic for other servers (host-based
     /// forwarding). When false, a flow whose shortest path crosses another
-    /// server is considered unroutable on this fabric (SiP-ML's behaviour).
+    /// server is considered unroutable on this fabric (OCS-reconfig-noFW).
     pub host_forwarding: bool,
     /// RDMA forwarding-plane penalty model. `None` (the default) prices
     /// relaying as free — switched baselines and the pre-§6 abstract
@@ -63,7 +63,7 @@ impl SimNetwork {
         Self::new(graph, num_servers, Routing::new())
     }
 
-    /// Disable host-based forwarding (SiP-ML / OCS-reconfig-noFW).
+    /// Disable host-based forwarding (OCS-reconfig-noFW).
     pub fn with_host_forwarding(mut self, enabled: bool) -> Self {
         self.host_forwarding = enabled;
         self

@@ -1,19 +1,19 @@
 //! Windowed simulation of a reconfigurable (OCS-reconfig) fabric.
 //!
 //! Following §5.1 and Appendix E.4: the controller measures the unsatisfied
-//! demand every `window_s` (50 ms), computes new circuits with the
+//! demand every 50 ms window, computes new circuits with the
 //! Algorithm 5 heuristic, pauses all flows for the reconfiguration latency,
 //! and resumes. With host-based forwarding (OCS-reconfig-FW) multi-hop
 //! relays are allowed between reconfigurations; without it
-//! (OCS-reconfig-noFW / SiP-ML) only directly connected pairs can exchange
-//! traffic, so draining a high-communication-degree demand needs several
+//! (OCS-reconfig-noFW) only directly connected pairs can exchange traffic,
+//! so draining a high-communication-degree demand needs several
 //! reconfiguration rounds.
 
 use crate::engine::FluidEngine;
 use crate::fluid::FlowSpec;
 use crate::network::SimNetwork;
 use serde::{Deserialize, Serialize};
-use topoopt_core::ocs_reconfig::{ocs_reconfig_topology, Discount, OcsReconfigConfig};
+use topoopt_core::ocs_reconfig::ocs_reconfig_topology;
 use topoopt_graph::TrafficMatrix;
 use topoopt_strategy::TrafficDemands;
 
@@ -27,16 +27,18 @@ pub struct ReconfigParams {
     /// Reconfiguration latency in seconds (10 ms for commercial 3D-MEMS
     /// OCS, down to microseconds/nanoseconds for futuristic switches).
     pub reconfig_latency_s: f64,
-    /// Demand-measurement window in seconds (50 ms in the paper).
-    pub window_s: f64,
     /// Enable host-based forwarding between reconfigurations
     /// (OCS-reconfig-FW vs -noFW).
     pub host_forwarding: bool,
     /// Compute time of the busiest server per iteration.
     pub compute_s: f64,
-    /// Per-hop propagation latency in seconds.
-    pub per_hop_latency_s: f64,
 }
+
+/// Demand-measurement window in seconds (50 ms in the paper).
+const WINDOW_S: f64 = 50.0e-3;
+
+/// Per-hop propagation latency in seconds.
+const PER_HOP_LATENCY_S: f64 = 1.0e-6;
 
 /// Safety cap on reconfiguration rounds per iteration.
 const MAX_ROUNDS: usize = 256;
@@ -47,10 +49,8 @@ impl Default for ReconfigParams {
             degree: 4,
             link_bps: 100.0e9,
             reconfig_latency_s: 10.0e-3,
-            window_s: 50.0e-3,
             host_forwarding: true,
             compute_s: 0.0,
-            per_hop_latency_s: 1.0e-6,
         }
     }
 }
@@ -104,12 +104,9 @@ pub fn simulate_reconfigurable_iteration(
         // Reconfigure for the current residual demand.
         let topo = ocs_reconfig_topology(
             &residual,
-            &OcsReconfigConfig {
-                degree: params.degree,
-                link_bps: params.link_bps,
-                discount: Discount::Exponential,
-                ensure_connected: params.host_forwarding,
-            },
+            params.degree,
+            params.link_bps,
+            params.host_forwarding,
         );
         comm_s += params.reconfig_latency_s;
 
@@ -137,12 +134,12 @@ pub fn simulate_reconfigurable_iteration(
         // per-flow residuals replace the old proportional-drain
         // approximation, so fast pairs finish early while slow pairs carry
         // their true backlog into the next reconfiguration round.
-        let mut engine = FluidEngine::new(&net.graph, params.per_hop_latency_s);
+        let mut engine = FluidEngine::new(&net.graph, PER_HOP_LATENCY_S);
         let ids: Vec<usize> = flows.into_iter().map(|f| engine.add_flow(f)).collect();
-        engine.run_until(params.window_s);
+        engine.run_until(WINDOW_S);
         if engine.drained() {
             // Everything routable drained within the window.
-            comm_s += engine.makespan_so_far().min(params.window_s);
+            comm_s += engine.makespan_so_far().min(WINDOW_S);
             for (k, &(src, dst)) in flow_pairs.iter().enumerate() {
                 if engine.is_done(ids[k]) && engine.completion_s(ids[k]).is_finite() {
                     residual.set(src, dst, 0.0);
@@ -150,7 +147,7 @@ pub fn simulate_reconfigurable_iteration(
             }
         } else {
             // Partial progress: every pair keeps its exact unsent bytes.
-            comm_s += params.window_s;
+            comm_s += WINDOW_S;
             for (k, &(src, dst)) in flow_pairs.iter().enumerate() {
                 let left = engine.remaining_bytes(ids[k]);
                 residual.set(src, dst, if left < 1.0 { 0.0 } else { left });

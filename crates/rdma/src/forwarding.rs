@@ -106,7 +106,7 @@ impl WalkOutcome {
 
 /// A logical connection that stays broken after a repair pass: its
 /// destination-keyed rule chain no longer delivers on the degraded fabric.
-/// Mirrors the reconfiguration planner's `MigrationFallback` — an explicit
+/// Mirrors the migration planner's `MigrationFallback` — an explicit
 /// typed record of what could not be fixed, instead of the pair silently
 /// disappearing into a zero-throughput entry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -125,8 +125,8 @@ pub struct DegradedPair {
 }
 
 /// How [`ForwardingPlan::repair_rules`] touches the rule table: the
-/// controller's granularity, both after faults ([`ForwardingPlan::repair`])
-/// and after each unplug of a planned migration.
+/// controller's granularity after faults ([`ForwardingPlan::repair`]). A
+/// planned migration repairs after each unplug per destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepairMode {
     /// Minimal touch: only rules whose next-hop link died are repointed
@@ -209,7 +209,7 @@ impl ForwardingPlan {
     /// with explicit loop and blackhole detection.
     ///
     /// This is the single chain-termination oracle shared by the
-    /// forwarding-plan property tests and the reconfiguration planner's
+    /// forwarding-plan property tests and the migration planner's
     /// hard policies: plans freshly built by [`build_forwarding_plan`]
     /// always deliver, but mid-migration rule tables (stale rules mixed
     /// with incremental repairs) can transiently [`WalkOutcome::Loop`] or
@@ -362,9 +362,7 @@ impl ForwardingPlan {
     /// Pairs whose chains still do not deliver are removed from the relay
     /// table (their [`Self::effective_throughput_factor`] becomes `0.0`)
     /// and surfaced as typed [`DegradedPair`] records rather than silently
-    /// priced as disconnected. Drive dead-link sequences through the
-    /// reconfiguration planner when repairs must respect loop-freedom and
-    /// reachability at every intermediate step.
+    /// priced as disconnected.
     pub fn repair(&mut self, degraded: &Graph, mode: RepairMode) -> RepairReport {
         let (repaired_rules, dropped_rules) = self.repair_rules(degraded, mode);
         let mut report = RepairReport { repaired_rules, dropped_rules, ..RepairReport::default() };
@@ -512,6 +510,12 @@ pub fn split_all_nics(num_servers: usize, degree: usize) -> Vec<NparNic> {
 mod tests {
     use super::*;
     use topoopt_graph::topologies;
+
+    /// Unplug one live `src -> dst` link.
+    fn remove_link(g: &mut Graph, src: usize, dst: usize) {
+        let id = g.edges().find(|(_, e)| e.src == src && e.dst == dst).map(|(id, _)| id);
+        g.remove_edge(id.unwrap_or_else(|| panic!("{src}->{dst} is live")));
+    }
 
     #[test]
     fn direct_neighbours_need_no_relay() {
@@ -684,12 +688,7 @@ mod tests {
         let mut plan = build_forwarding_plan(&g, 4, &Routing::new());
         assert_eq!(plan.relay_count(0, 1), Some(0));
         let mut degraded = g.clone();
-        let dead = degraded
-            .edges()
-            .find(|(_, e)| e.src == 0 && e.dst == 1)
-            .map(|(id, _)| id)
-            .expect("0->1 is live");
-        degraded.remove_edge(dead);
+        remove_link(&mut degraded, 0, 1);
         let report = plan.repair(&degraded, RepairMode::PerDestination);
         assert!(report.repaired_rules > 0, "rules over 0->1 must be repointed");
         assert_eq!(report.dropped_rules, 0, "the degraded ring is still connected");
@@ -718,12 +717,7 @@ mod tests {
         }
         let mut plan = build_forwarding_plan(&g, 4, &Routing::new());
         let mut degraded = g.clone();
-        let dead = degraded
-            .edges()
-            .find(|(_, e)| e.src == 0 && e.dst == 1)
-            .map(|(id, _)| id)
-            .expect("0->1 is live");
-        degraded.remove_edge(dead);
+        remove_link(&mut degraded, 0, 1);
         let report = plan.repair(&degraded, RepairMode::PerRule);
         let loops: Vec<(usize, usize)> = report
             .degraded
@@ -741,6 +735,69 @@ mod tests {
     }
 
     #[test]
+    fn remove_with_per_rule_repair_touches_only_broken_rules() {
+        // 4-ring 0->1->2->3->0: removing 0->1 breaks exactly the rules on
+        // server 0 (all its chains start over 0->1).
+        let mut g = topologies::from_permutations(4, &[1], 25.0e9);
+        let mut plan = build_forwarding_plan(&g, 4, &Routing::new());
+        let rules_before = plan.num_rules();
+        remove_link(&mut g, 0, 1);
+        plan.repair_rules(&g, RepairMode::PerRule);
+        // Server 0 is now a sink: no outgoing links, so its rules are
+        // dropped; every other server's stale rules stay.
+        assert_eq!(plan.num_rules(), rules_before - 3);
+        assert!(!plan.walk(0, 1).is_delivered());
+        // 1 -> 2 never used the removed link: still delivered.
+        assert_eq!(plan.walk(1, 2), WalkOutcome::Delivered(vec![1, 2]));
+    }
+
+    #[test]
+    fn add_fills_rules_for_newly_reachable_pairs() {
+        let mut g = topologies::from_permutations(4, &[1], 25.0e9);
+        let mut plan = build_forwarding_plan(&g, 4, &Routing::new());
+        remove_link(&mut g, 0, 1);
+        plan.repair_rules(&g, RepairMode::PerRule);
+        g.add_edge(0, 2, 25.0e9);
+        plan.fill_missing_rules(&g);
+        assert_eq!(plan.walk(0, 2), WalkOutcome::Delivered(vec![0, 2]));
+        assert_eq!(plan.walk(0, 3), WalkOutcome::Delivered(vec![0, 2, 3]));
+        // Server 1 lost its only in-link: still unreachable, no fill.
+        assert_eq!(plan.walk(0, 1), WalkOutcome::Blackhole(vec![0]));
+        // Plugging 3->1 reconnects 1; the freshly filled rule (0,1)->2
+        // meets the stale ring rule (3,1)->0 and the chain cycles back to
+        // the source — exactly the hazard a migration's hard policies
+        // must catch.
+        g.add_edge(3, 1, 25.0e9);
+        plan.fill_missing_rules(&g);
+        assert_eq!(plan.walk(0, 1), WalkOutcome::Loop(vec![0, 2, 3, 0]));
+    }
+
+    #[test]
+    fn per_rule_repair_can_loop_per_destination_cannot() {
+        // Chain 1->2->3->0. Add 3->1, remove 3->0 (0 becomes unreachable,
+        // rules towards 0 break), then add 1->0. Under per-rule repair the
+        // refill installs (3,0)->1 while 1 and 2 still hold stale chain
+        // rules (1,0)->2 and (2,0)->3: the chain 2->3->1->2 cycles. A
+        // per-destination resync rebuilds every rule towards 0 instead.
+        let loops_under = |mode: RepairMode| {
+            let mut g = Graph::new(4);
+            g.add_edge(1, 2, 1.0);
+            g.add_edge(2, 3, 1.0);
+            g.add_edge(3, 0, 1.0);
+            let mut plan = build_forwarding_plan(&g, 4, &Routing::new());
+            g.add_edge(3, 1, 1.0);
+            plan.fill_missing_rules(&g);
+            remove_link(&mut g, 3, 0);
+            plan.repair_rules(&g, mode);
+            g.add_edge(1, 0, 1.0);
+            plan.fill_missing_rules(&g);
+            matches!(plan.walk(2, 0), WalkOutcome::Loop(_))
+        };
+        assert!(loops_under(RepairMode::PerRule), "stale+repaired mixture must cycle");
+        assert!(!loops_under(RepairMode::PerDestination), "per-destination resync is loop-free");
+    }
+
+    #[test]
     fn repair_surfaces_unreachable_pairs_as_degraded_records() {
         // Directed 3-ring: losing 0->1 severs every chain that crossed it;
         // no detour exists, so the affected pairs become typed degraded
@@ -748,12 +805,7 @@ mod tests {
         let g = topologies::from_permutations(3, &[1], 25.0e9);
         let mut plan = build_forwarding_plan(&g, 3, &Routing::new());
         let mut degraded = g.clone();
-        let dead = degraded
-            .edges()
-            .find(|(_, e)| e.src == 0 && e.dst == 1)
-            .map(|(id, _)| id)
-            .expect("0->1 is live");
-        degraded.remove_edge(dead);
+        remove_link(&mut degraded, 0, 1);
         let report = plan.repair(&degraded, RepairMode::PerRule);
         // Server 0 lost its only egress: both its rules drop.
         assert_eq!(report.dropped_rules, 2);

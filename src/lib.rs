@@ -39,12 +39,12 @@
 //! | `topoopt-models` | DNN model zoo (DLRM, CANDLE, BERT, NCF, ResNet-50, VGG) |
 //! | `topoopt-collectives` | AllReduce rings and trees, ring permutations, traffic models |
 //! | `topoopt-strategy` | FlexNet-style MCMC parallelization strategy search |
-//! | `topoopt-core` | TotientPerms, SelectPermutations, TopologyFinder, CoinChangeMod, OCS-reconfig, alternating optimization |
-//! | `topoopt-netsim` | flow-level network simulator (dedicated, shared, reconfigurable) |
+//! | `topoopt-core` | TotientPerms, SelectPermutations, TopologyFinder, CoinChangeMod, the OCS-reconfig circuit allocator (Algorithm 5), alternating optimization |
+//! | `topoopt-netsim` | flow-level network simulator (dedicated, shared, OCS-reconfig baseline) |
 //! | `topoopt-cost` | component prices and interconnect cost model |
 //! | `topoopt-cluster` | sharding, look-ahead provisioning, job scheduling |
 //! | `topoopt-rdma` | NPAR host-based RDMA forwarding model |
-//! | `topoopt-migration` | safe patch-panel migration planning (Snowcap-style) |
+//! | `topoopt-migration` | safe patch-panel migrations between jobs (Snowcap-style) |
 //! | `topoopt-workloads` | synthetic production traces, heatmaps, time-to-accuracy |
 //!
 //! See `README.md` for the workspace inventory, and `EXPERIMENTS.md` for
@@ -71,9 +71,7 @@ pub mod prelude {
     pub use topoopt_collectives::ring::RingPermutation;
     pub use topoopt_core::alternating::{co_optimize, AlternatingConfig, CoOptResult};
     pub use topoopt_core::coinchange::{coin_change_route, CoinChangeTable};
-    pub use topoopt_core::ocs_reconfig::{
-        ocs_reconfig_topology, sipml_topology, OcsReconfigConfig,
-    };
+    pub use topoopt_core::ocs_reconfig::ocs_reconfig_topology;
     pub use topoopt_core::routing::Routing;
     pub use topoopt_core::select::{select_for_group, select_permutations};
     pub use topoopt_core::topology_finder::{
@@ -83,7 +81,7 @@ pub mod prelude {
     pub use topoopt_cost::{equivalent_fat_tree_bandwidth, interconnect_cost, CostedArchitecture};
     pub use topoopt_graph::matching::MatchingAlgo;
     pub use topoopt_graph::{Graph, TrafficMatrix};
-    pub use topoopt_migration::{FabricSpec, MigrationPlanner, MigrationProblem, TreeSearch};
+    pub use topoopt_migration::{MigrationPlanner, MigrationProblem, TreeSearch};
     pub use topoopt_models::{build_model, DnnModel, ModelKind, ModelPreset};
     pub use topoopt_netsim::{
         simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration,
