@@ -4,6 +4,8 @@
 //! traffic, and the server-degree sweep.
 
 use rayon::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use topoopt_core::topology_finder::TopologyFinderOutput;
 use topoopt_cost::{
     component_costs, equivalent_fat_tree_bandwidth, interconnect_cost, CostedArchitecture,
@@ -114,24 +116,36 @@ const ALLTOALL_LINK_BPS: f64 = 100.0e9;
 
 /// The all-to-all DLRM's demands and compute time at one batch size, and
 /// its simulated iteration on the TopoOpt fabric.
-fn alltoall_topoopt(
-    n: usize,
-    degree: usize,
-    batch: usize,
-) -> (TrafficDemands, f64, IterationResult) {
+type AllToAllCell = Arc<(TrafficDemands, f64, IterationResult)>;
+
+/// [`alltoall_topoopt`]'s cells by `(n, degree, batch)`, for the life of
+/// the process: fig13's cells are the TopoOpt cells fig12 simulates, so a
+/// run of both simulates each once, and either run alone its own.
+static ALLTOALL_CELLS: Mutex<BTreeMap<(usize, usize, usize), AllToAllCell>> =
+    Mutex::new(BTreeMap::new());
+
+/// The all-to-all cell at `(n, degree, batch)`, simulated on first use.
+fn alltoall_topoopt(n: usize, degree: usize, batch: usize) -> AllToAllCell {
+    let cells = || ALLTOALL_CELLS.lock().expect("no thread panics holding the all-to-all memo");
+    if let Some(cell) = cells().get(&(n, degree, batch)) {
+        return Arc::clone(cell);
+    }
+    // Simulated outside the lock: fig12's rows run in parallel.
     let model = build_dlrm(&DlrmConfig::all_to_all(batch));
     let strategy = ParallelizationStrategy::hybrid_embeddings_round_robin(&model, n);
     let (demands, compute_s) =
         demands_and_compute(&model, &strategy, n, degree as f64 * ALLTOALL_LINK_BPS);
     let topo = topoopt_iteration(&demands, n, degree, ALLTOALL_LINK_BPS, compute_s);
-    (demands, compute_s, topo)
+    let cell = Arc::new((demands, compute_s, topo));
+    Arc::clone(cells().entry((n, degree, batch)).or_insert(cell))
 }
 
 fn alltoall_row(n: usize, degree: usize, batch: usize) -> (f64, f64, f64, f64) {
-    let (demands, compute_s, topo) = alltoall_topoopt(n, degree, batch);
-    let ideal = switch_iteration(&demands, n, degree as f64 * ALLTOALL_LINK_BPS, compute_s);
+    let cell = alltoall_topoopt(n, degree, batch);
+    let (demands, compute_s, topo) = &*cell;
+    let ideal = switch_iteration(demands, n, degree as f64 * ALLTOALL_LINK_BPS, *compute_s);
     let ft_bw = equivalent_fat_tree_bandwidth(n, degree, ALLTOALL_LINK_BPS);
-    let ft = switch_iteration(&demands, n, ft_bw, compute_s);
+    let ft = switch_iteration(demands, n, ft_bw, *compute_s);
     (demands.mp_to_allreduce_ratio(), topo.total_s, ideal.total_s, ft.total_s)
 }
 
@@ -167,7 +181,7 @@ pub(super) fn fig13(s: &Scale) -> ExperimentReport {
         vec![Column::int("batch"), Column::fixed("d=4 (x)", 2), Column::fixed("d=8 (x)", 2)],
     );
     // Only the TopoOpt fabric pays a bandwidth tax, so only its iteration
-    // is simulated.
+    // is simulated, once per process with fig12's.
     let rows = par_rows(vec![64usize, 128, 256, 512, 1024, 2048], |batch| {
         let tax = |degree| alltoall_topoopt(n, degree, batch).2.bandwidth_tax;
         row![batch, tax(4), tax(8)]

@@ -79,45 +79,45 @@ impl CoinChangeTable {
         self.hops[dist % self.n]
     }
 
-    /// The coins covering modular distance `dist`, in backtrace order (the
-    /// last coin of the dynamic program first), or `None` if unreachable.
-    fn coins(&self, dist: usize) -> Option<impl Iterator<Item = usize> + '_> {
+    /// The ring position after `from` on the coin-change route to `to`:
+    /// one backtrace step, by the last coin the dynamic program used for
+    /// the distance `(to − from) mod n`. `None` at the destination and when
+    /// the distance is unreachable. Every route of the table is this step
+    /// repeated, so the rest of a route after any of its positions is the
+    /// route from that position.
+    pub(crate) fn next_position(&self, from: usize, to: usize) -> Option<usize> {
         if self.n == 0 {
             return None;
         }
-        let mut d = dist % self.n;
-        if self.hops[d] == usize::MAX {
-            return None;
-        }
-        Some(std::iter::from_fn(move || {
-            (d != 0).then(|| {
-                let c = self.back[d];
-                d = (d + self.n - c) % self.n;
-                c
-            })
-        }))
+        let coin = self.back[(to + self.n - from) % self.n];
+        (coin != usize::MAX).then(|| (from + coin) % self.n)
     }
 
     /// The coin sequence covering modular distance `dist`, or `None` if
     /// unreachable.
     pub fn decompose(&self, dist: usize) -> Option<Vec<usize>> {
-        Some(self.coins(dist)?.collect())
+        let path = self.route(0, dist.checked_rem(self.n)?)?;
+        Some(path.windows(2).map(|w| (w[1] + self.n - w[0]) % self.n).collect())
     }
 
-    /// Ring positions from `src` to `dst`, both included, stepping by the
-    /// coins of [`Self::decompose`] in order, or `None` if unreachable.
+    /// Ring positions from `src` to `dst`, both included, one backtrace
+    /// step at a time, or `None` if unreachable. The rest of a route after
+    /// any of its positions is the route from that position.
     pub fn route(&self, src: usize, dst: usize) -> Option<Vec<usize>> {
         if self.n == 0 {
             return None;
         }
-        let dist = (dst + self.n - src) % self.n;
-        let coins = self.coins(dist)?;
-        let mut path = Vec::with_capacity(self.hops[dist] + 1);
+        let hops = self.hops[(dst + self.n - src) % self.n];
+        if hops == usize::MAX {
+            return None;
+        }
+        let mut path = Vec::with_capacity(hops + 1);
         path.push(src);
-        path.extend(coins.scan(src, |cur, c| {
-            *cur = (*cur + c) % self.n;
-            Some(*cur)
-        }));
+        let mut at = src;
+        while let Some(next) = self.next_position(at, dst) {
+            path.push(next);
+            at = next;
+        }
         debug_assert_eq!(path.last(), Some(&dst));
         Some(path)
     }

@@ -13,6 +13,17 @@
 //! paths are stored only for the pairs that need one. Lookups resolve as if
 //! every reachable pair of every group had been inserted one by one, in the
 //! order the groups and explicit paths were installed: the last writer wins.
+//!
+//! [`Routing::route`] is the lazy view of one pair: a borrowed explicit
+//! path, or a [`RingRoute`] that names the group and gives its next hop
+//! from any member towards the destination. The RDMA forwarding build
+//! walks pairs through it and relies on one contract of the ring routes
+//! (checked by `tests/routing.rs`): a group's route is one coin-backtrace
+//! step of its [`CoinChangeTable`] repeated from the source, so
+//! following [`RingRoute::next_hop`] from `src` reproduces
+//! [`Routing::path`] node for node, and the rest of a group-`g` route after
+//! any of its nodes, `path(src, dst)[1..]`, is group `g`'s own route from
+//! `path[1]` (whatever the table resolves for that later pair).
 
 use crate::coinchange::CoinChangeTable;
 use serde::{Deserialize, Serialize};
@@ -45,12 +56,62 @@ struct RingGroup {
 }
 
 impl RingGroup {
+    /// Ring position of server `v`, if it is a member.
+    fn at(&self, v: usize) -> Option<usize> {
+        self.position.get(v).copied().flatten()
+    }
+
     /// Ring positions of `src` and `dst` when the group reaches the pair.
     fn reaches(&self, src: usize, dst: usize) -> Option<(usize, usize)> {
-        let at = |v: usize| self.position.get(v).copied().flatten();
-        let (i, j) = (at(src)?, at(dst)?);
+        let (i, j) = (self.at(src)?, self.at(dst)?);
         let k = self.members.len();
         (i != j && self.table.hops_for_distance(j + k - i) != usize::MAX).then_some((i, j))
+    }
+}
+
+/// How the routing sends one pair, borrowed from the table.
+#[derive(Debug, Clone, Copy)]
+pub enum Route<'a> {
+    /// A stored explicit path, endpoints included.
+    Explicit(&'a [usize]),
+    /// The coin-change route of the ring group reaching the pair.
+    Ring(RingRoute<'a>),
+}
+
+/// One ring group's coin-change routes towards one destination member,
+/// stepped on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct RingRoute<'a> {
+    /// Index of the group among the routing's groups, in install order.
+    group: usize,
+    ring: &'a RingGroup,
+    /// Ring position of the destination.
+    to: usize,
+}
+
+impl RingRoute<'_> {
+    /// The group's index in install order: two routes with the same index
+    /// come from the same group.
+    pub fn group(&self) -> usize {
+        self.group
+    }
+
+    /// The next hop of the group's route from member `from` towards the
+    /// destination; `None` at the destination, for a non-member, or when
+    /// the group's strides cannot reach the destination from `from`.
+    pub fn next_hop(&self, from: usize) -> Option<usize> {
+        let next = self.ring.table.next_position(self.ring.at(from)?, self.to)?;
+        Some(self.ring.members[next])
+    }
+
+    /// The group's route from member `from` to the destination, both
+    /// included.
+    fn path(&self, from: usize) -> Option<Vec<usize>> {
+        let mut path = self.ring.table.route(self.ring.at(from)?, self.to)?;
+        for v in &mut path {
+            *v = self.ring.members[*v];
+        }
+        Some(path)
     }
 }
 
@@ -87,22 +148,32 @@ impl Routing {
         self.groups.push(group);
     }
 
-    /// The latest group reaching the pair, with the pair's ring positions.
-    fn ring_route(&self, src: usize, dst: usize) -> Option<(&RingGroup, usize, usize)> {
-        self.groups.iter().rev().find_map(|g| g.reaches(src, dst).map(|(i, j)| (g, i, j)))
+    /// The latest group reaching the pair, with its index and the pair's
+    /// ring positions.
+    fn ring_route(&self, src: usize, dst: usize) -> Option<(usize, &RingGroup, usize, usize)> {
+        self.groups
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(group, g)| g.reaches(src, dst).map(|(i, j)| (group, g, i, j)))
+    }
+
+    /// How the pair is routed, without materializing a ring route: its
+    /// explicit path if one is stored, else the latest group reaching it.
+    pub fn route(&self, src: usize, dst: usize) -> Option<Route<'_>> {
+        if let Some(p) = self.explicit.get(&(src, dst)) {
+            return Some(Route::Explicit(p));
+        }
+        let (group, ring, _, to) = self.ring_route(src, dst)?;
+        Some(Route::Ring(RingRoute { group, ring, to }))
     }
 
     /// The installed path for a pair.
     pub fn path(&self, src: usize, dst: usize) -> Option<Vec<usize>> {
-        if let Some(p) = self.explicit.get(&(src, dst)) {
-            return Some(p.clone());
+        match self.route(src, dst)? {
+            Route::Explicit(p) => Some(p.to_vec()),
+            Route::Ring(ring) => ring.path(src),
         }
-        let (g, i, j) = self.ring_route(src, dst)?;
-        let mut path = g.table.route(i, j)?;
-        for v in &mut path {
-            *v = g.members[*v];
-        }
-        Some(path)
     }
 
     /// Path for a pair, falling back to a BFS shortest path on `g` when no
@@ -144,7 +215,7 @@ impl Routing {
         if let Some(p) = self.explicit.get(&(src, dst)) {
             return Some(p.len().saturating_sub(1));
         }
-        let (g, i, j) = self.ring_route(src, dst)?;
+        let (_, g, i, j) = self.ring_route(src, dst)?;
         Some(g.table.hops_for_distance(j + g.members.len() - i))
     }
 

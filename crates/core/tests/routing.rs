@@ -1,14 +1,15 @@
 //! `Routing` holds circulant AllReduce groups as coin-change tables and
 //! decomposes their routes on demand. These tests hold it to a materialized
 //! table: every route inserted pair by pair into a map, in the order the
-//! groups and explicit paths were installed.
+//! groups and explicit paths were installed. They also check the contract
+//! of the ring routes that the RDMA forwarding build relies on.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use topoopt_core::coinchange::CoinChangeTable;
 use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput};
-use topoopt_core::Routing;
+use topoopt_core::{Route, Routing};
 use topoopt_graph::paths::bfs_shortest_path;
 use topoopt_graph::Graph;
 use topoopt_models::{build_model, ModelKind, ModelPreset};
@@ -18,6 +19,8 @@ use topoopt_strategy::{extract_traffic, ParallelizationStrategy};
 #[derive(Default)]
 struct Materialized {
     paths: BTreeMap<(usize, usize), Vec<usize>>,
+    /// Every route of each group that reaches a pair, in install order.
+    rings: Vec<BTreeMap<(usize, usize), Vec<usize>>>,
 }
 
 impl Materialized {
@@ -32,6 +35,7 @@ impl Materialized {
             return;
         }
         let table = CoinChangeTable::new(k, strides);
+        let mut ring = BTreeMap::new();
         for i in 0..k {
             for j in 0..k {
                 if i == j {
@@ -45,9 +49,15 @@ impl Materialized {
                         cur = (cur + c) % k;
                         path.push(members[cur]);
                     }
-                    self.insert(members[i], members[j], path);
+                    ring.insert((members[i], members[j]), path);
                 }
             }
+        }
+        if !ring.is_empty() {
+            for (&(src, dst), path) in &ring {
+                self.insert(src, dst, path.clone());
+            }
+            self.rings.push(ring);
         }
     }
 
@@ -103,6 +113,34 @@ fn assert_same_routes(routing: &Routing, oracle: &Materialized, n: usize) {
     assert_eq!(routing.len(), oracle.paths.len());
     assert_eq!(routing.is_empty(), oracle.paths.is_empty());
     assert_eq!(routing.average_hops().to_bits(), oracle.average_hops().to_bits());
+}
+
+/// The contract the forwarding build's early stop rests on, for every pair
+/// a group routes: following the group's lazy next hop from `src`
+/// reproduces `path(src, dst)` node for node, and `path(src, dst)[1..]` is
+/// the same group's route from `path[1]`.
+fn assert_ring_contract(routing: &Routing, oracle: &Materialized, n: usize) {
+    for src in 0..n {
+        for dst in 0..n {
+            let Some(Route::Ring(ring)) = routing.route(src, dst) else {
+                continue;
+            };
+            let path = routing.path(src, dst).expect("a ring route has a path");
+            let mut walk = vec![src];
+            while let Some(next) = ring.next_hop(walk[walk.len() - 1]) {
+                assert!(walk.len() < n, "next hops of ({src},{dst}) run away: {walk:?}");
+                walk.push(next);
+            }
+            assert_eq!(walk, path, "next hops of ({src},{dst})");
+            if path[1] != dst {
+                assert_eq!(
+                    oracle.rings[ring.group()].get(&(path[1], dst)).map(Vec::as_slice),
+                    Some(&path[1..]),
+                    "({src},{dst}) after its first hop"
+                );
+            }
+        }
+    }
 }
 
 /// A `k`-member subset of `0..n` in a random ring order: the servers sorted
@@ -186,6 +224,7 @@ proptest! {
             }
         }
         assert_same_routes(&routing, &oracle, n);
+        assert_ring_contract(&routing, &oracle, n);
 
         // Verdicts on a graph every route fits, then with one edge cut.
         let mut g = covering_graph(&oracle, n);
@@ -237,6 +276,7 @@ fn topology_finder_routes_match_the_materialized_table_on_the_zoo() {
             });
             let oracle = replay_step4(&out, &demands.mp, mp_shortest_path);
             assert_same_routes(&out.routing, &oracle, n);
+            assert_ring_contract(&out.routing, &oracle, n);
             assert_eq!(out.routing.validate_against(&out.graph), Ok(()), "{kind:?}");
             assert_eq!(oracle.validate_against(&out.graph), Ok(()), "{kind:?}");
         }

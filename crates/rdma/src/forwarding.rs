@@ -20,8 +20,9 @@
 
 use crate::npar::{NparNic, NparPartition};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use topoopt_core::Routing;
+use topoopt_core::{RingRoute, Route, Routing};
 use topoopt_graph::paths::bfs_shortest_path;
 use topoopt_graph::Graph;
 
@@ -395,6 +396,60 @@ impl ForwardingPlan {
     }
 }
 
+/// One `(server, final_dst)` slot of the rule table under construction.
+/// Fields are `u32` to keep the dense table small; [`NONE`] marks an unset
+/// field.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Next hop of the installed rule.
+    next_hop: u32,
+    /// Source whose walk installed the rule.
+    installer: u32,
+    /// Hops from this server to the destination along the rule chain, set
+    /// once the installing walk has finished.
+    hops: u32,
+    /// Ring group `g` when the rule chain from here is exactly group `g`'s
+    /// coin-change route.
+    group: u32,
+}
+
+const NONE: u32 = u32::MAX;
+
+const EMPTY: Slot = Slot { next_hop: NONE, installer: NONE, hops: NONE, group: NONE };
+
+/// A server id, group index or hop count, as a slot field.
+fn dense_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("forwarding slot fields fit in u32")
+}
+
+/// The route a pair's walk tracks: a path borrowed from the routing or a
+/// BFS shortest path when the routing has none, or a ring group's
+/// coin-change route, stepped on demand.
+enum Intended<'a> {
+    Path(Cow<'a, [usize]>),
+    Ring(RingRoute<'a>),
+}
+
+impl Intended<'_> {
+    /// The route's node after `cur`, which is its `pos`-th node.
+    fn next(&self, cur: usize, pos: usize) -> usize {
+        match self {
+            Intended::Path(p) => p[pos + 1],
+            Intended::Ring(r) => {
+                r.next_hop(cur).expect("every node of a ring route reaches its destination")
+            }
+        }
+    }
+
+    /// The ring group the route comes from, as a slot tag.
+    fn group(&self) -> u32 {
+        match self {
+            Intended::Path(_) => NONE,
+            Intended::Ring(r) => dense_u32(r.group()),
+        }
+    }
+}
+
 /// Build the forwarding plan for every ordered server pair of the fabric,
 /// using the supplied routing (falling back to shortest paths).
 ///
@@ -404,101 +459,130 @@ impl ForwardingPlan {
 /// rules, which can differ from its own routing path when a
 /// [`RuleConflict`] was recorded.
 ///
-/// Cost: one rule lookup per hop of every pair's walk, O(pairs × hops).
-/// The rules under construction live in a dense array of `num_servers ×
-/// graph.num_nodes()` slots (about 1.5 MB at 256 servers); on a connected
-/// fabric every server ends up holding a rule per destination, so a sparse
-/// map would be no smaller.
+/// Cost: a pair's walk stops as soon as the rest of its hops is known.
+/// Every installed rule's chain is itself installed to the destination, so
+/// each slot also keeps its chain's hop count, and, when the chain is
+/// exactly ring group `g`'s coin-change route, the tag `g`. A walk whose
+/// route comes from group `g` stops at the first slot tagged `g` (the rest
+/// of a group-`g` route after any of its nodes is that group's route from
+/// there, see [`topoopt_core::routing`]), and a walk that left its route at
+/// a conflict stops at the next slot; neither can install a rule or meet a
+/// conflict past that point. On a single `+1` ring over `n` servers the
+/// build reads at most `2·n·(n−1)` slots instead of one per hop of every
+/// route, and no route is materialized. The slots live in a dense array of
+/// `num_servers × graph.num_nodes()` entries of 16 bytes (1 MB at 256
+/// servers); on a connected fabric every server ends up holding a rule per
+/// destination, so a sparse map would be no smaller.
 pub fn build_forwarding_plan(
     graph: &Graph,
     num_servers: usize,
     routing: &Routing,
 ) -> ForwardingPlan {
-    // `slots[final_dst][server]` = (next hop, installing src). A walk reads
-    // one destination's row.
-    let nodes = graph.num_nodes();
-    let mut slots: Vec<Vec<Option<(usize, usize)>>> = vec![vec![None; nodes]; num_servers];
+    build_counting_reads(graph, num_servers, routing).0
+}
+
+/// [`build_forwarding_plan`], also returning how many slots the walks read.
+fn build_counting_reads(
+    graph: &Graph,
+    num_servers: usize,
+    routing: &Routing,
+) -> (ForwardingPlan, usize) {
+    // `slots[final_dst][server]`: a walk reads one destination's row.
+    let mut slots = vec![vec![EMPTY; graph.num_nodes()]; num_servers];
     let mut relays = Vec::new();
     let mut conflicts = Vec::new();
+    let mut reads = 0;
+    // Each slot the current walk installed, with its hop count from `src`.
+    let mut installed: Vec<(usize, u32)> = Vec::new();
     for src in 0..num_servers {
         for (dst, row) in slots.iter_mut().enumerate() {
             if src == dst {
                 continue;
             }
-            let Some(intended) = routing.path_or_shortest(graph, src, dst) else {
-                continue;
+            let intended = match routing.route(src, dst) {
+                Some(Route::Explicit(p)) => Intended::Path(Cow::Borrowed(p)),
+                Some(Route::Ring(r)) => Intended::Ring(r),
+                None => match bfs_shortest_path(graph, src, dst) {
+                    Some(p) => Intended::Path(Cow::Owned(p)),
+                    None => continue,
+                },
             };
+            let group = intended.group();
             // Walk the destination-keyed rules from src, installing this
-            // pair's intended next hop wherever no rule exists yet. Every
-            // installed rule's successor chain is itself fully installed
-            // (its installer walked it to the destination), so the `None`
-            // arm can only be reached while the walk still tracks the
-            // intended path.
-            let mut cur = src;
-            let mut pos = 0; // index of `cur` in `intended` while tracking it
-            let mut on_intended = true;
-            let mut hops = 0usize;
-            while cur != dst {
-                hops += 1;
-                // Hard asserts, not debug: a non-simple explicit routing
-                // path (which `Routing::validate_against` rejects) would
-                // otherwise hang or mis-index the walk in release builds.
+            // pair's intended next hop wherever no rule exists yet, until
+            // the rest of the walk is known: at the destination, at a slot
+            // tagged with the walk's own group, or at the first slot after
+            // the walk left its route.
+            installed.clear();
+            let (mut cur, mut pos, mut hops) = (src, 0, 0);
+            let mut on_route = true;
+            let total = loop {
+                if cur == dst {
+                    break hops;
+                }
+                reads += 1;
+                let slot = row[cur];
+                if slot.next_hop == NONE && on_route {
+                    let nh = intended.next(cur, pos);
+                    row[cur] = Slot { next_hop: dense_u32(nh), installer: dense_u32(src), ..EMPTY };
+                    installed.push((cur, hops));
+                    (cur, pos, hops) = (nh, pos + 1, hops + 1);
+                    continue;
+                }
+                // Off its route a walk only meets finished rules: their
+                // installers walked them to the destination. A rule without
+                // a hop count was installed by this walk, so a non-simple
+                // routing path (which `Routing::validate_against` rejects)
+                // has come back to it and the rules cycle. A hard assert,
+                // not debug: the count must never be read.
                 assert!(
-                    hops <= nodes,
+                    slot.hops != NONE,
                     "forwarding walk for ({src},{dst}) cycled — non-simple routing path?"
                 );
-                let slot = &mut row[cur];
-                let nh = match *slot {
-                    Some((nh, _)) => {
-                        if on_intended && intended[pos + 1] != nh {
-                            conflicts.push(RuleConflict {
-                                on_server: cur,
-                                final_dst: dst,
-                                installed_next_hop: nh,
-                                demanded_next_hop: intended[pos + 1],
-                                demanding_src: src,
-                            });
-                        }
-                        nh
-                    }
-                    None => {
-                        assert!(
-                            on_intended,
-                            "forwarding walk for ({src},{dst}) reached ruleless node {cur} off \
-                             its routing path — non-simple routing path?"
-                        );
-                        let nh = intended[pos + 1];
-                        *slot = Some((nh, src));
-                        nh
-                    }
-                };
-                if on_intended && intended[pos + 1] == nh {
-                    pos += 1;
-                } else {
-                    on_intended = false;
+                if !on_route || (group != NONE && slot.group == group) {
+                    break hops + slot.hops;
                 }
-                cur = nh;
+                let nh = slot.next_hop as usize;
+                let demanded = intended.next(cur, pos);
+                if nh != demanded {
+                    conflicts.push(RuleConflict {
+                        on_server: cur,
+                        final_dst: dst,
+                        installed_next_hop: nh,
+                        demanded_next_hop: demanded,
+                        demanding_src: src,
+                    });
+                    on_route = false;
+                }
+                (cur, pos, hops) = (nh, pos + 1, hops + 1);
+            };
+            let tag = if on_route { group } else { NONE };
+            for &(server, at) in &installed {
+                row[server].hops = total - at;
+                row[server].group = tag;
             }
-            relays.push(((src, dst), hops.saturating_sub(1)));
+            relays.push(((src, dst), total as usize - 1));
         }
     }
     // Materialize the deduplicated rule set, grouped by server, each
     // server's rules in destination order.
     let mut rules = BTreeMap::new();
-    for server in 0..nodes {
+    for server in 0..graph.num_nodes() {
         let installed: Vec<ForwardingRule> = slots
             .iter()
             .enumerate()
-            .filter_map(|(final_dst, row)| {
-                let (nh, installer) = row[server]?;
-                Some(ForwardingRule::new(server, final_dst, installer, nh))
+            .filter(|(_, row)| row[server].next_hop != NONE)
+            .map(|(final_dst, row)| {
+                let Slot { next_hop, installer, .. } = row[server];
+                ForwardingRule::new(server, final_dst, installer as usize, next_hop as usize)
             })
             .collect();
         if !installed.is_empty() {
             rules.insert(server, installed);
         }
     }
-    ForwardingPlan { rules, relays: relays.into_iter().collect(), conflicts }
+    let plan = ForwardingPlan { rules, relays: relays.into_iter().collect(), conflicts };
+    (plan, reads)
 }
 
 /// The NICs of a `num_servers × degree` fabric, split per NPAR.
@@ -589,6 +673,37 @@ mod tests {
         // The installed rule wins, so 1 -> 3 actually relays through 2.
         assert_eq!(plan.rule_towards(1, 3).unwrap().next_hop, 2);
         assert_eq!(plan.relay_count(1, 3), Some(1));
+    }
+
+    #[test]
+    fn a_single_ring_plan_reads_at_most_two_slots_per_pair() {
+        // The DLRM/NCF shape at 256 servers: one AllReduce group, a +1
+        // ring, routes of 128 hops on average. A walk per hop of every
+        // route would read about 8.4 M slots.
+        let n = 256;
+        let g = topologies::from_permutations(n, &[1], 25.0e9);
+        let mut routing = Routing::new();
+        routing.insert_ring(&(0..n).collect::<Vec<_>>(), &[1]);
+        let (plan, reads) = build_counting_reads(&g, n, &routing);
+        assert_eq!(plan.relays.len(), n * (n - 1));
+        assert_eq!(plan.num_rules(), n * (n - 1));
+        assert!(plan.conflicts.is_empty());
+        assert_eq!(plan.relay_count(1, 0), Some(n - 2));
+        assert!(reads <= 2 * n * (n - 1), "{reads} slot reads");
+    }
+
+    #[test]
+    #[should_panic(expected = "cycled")]
+    fn a_route_that_revisits_a_node_panics() {
+        // 0 -> 1 -> 0 -> 1 -> 2 on a line: the walk returns to the rule it
+        // installed on 0, whose hop count is not known yet.
+        let mut g = topoopt_graph::Graph::new(10);
+        for i in 0..9 {
+            g.add_bidi_edge(i, i + 1, 25.0e9);
+        }
+        let mut routing = Routing::new();
+        routing.insert(0, 2, vec![0, 1, 0, 1, 2]);
+        build_forwarding_plan(&g, 10, &routing);
     }
 
     #[test]

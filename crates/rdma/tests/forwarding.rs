@@ -4,7 +4,8 @@
 //! destination's RDMA interface, never loop, and agree with the plan's
 //! per-pair relay accounting. After links die, a repaired plan must keep
 //! that accounting honest for every pair it still delivers. The dense-slot
-//! build is held to a map-keyed walk of the same rules, kept here as an oracle.
+//! build, whose walks stop early, is held to a map-keyed walk of every hop
+//! of the same rules, kept here as an oracle.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -155,13 +156,17 @@ fn map_walk_plan(graph: &Graph, num_servers: usize, routing: &Routing) -> Forwar
     plan
 }
 
-/// Explicit simple routes between servers `0..num_servers`: from each
-/// `(src, dst, choices)` a walk that takes the `choices[i]`-th unvisited
-/// out-neighbour at step `i` (any node, switches included), kept when it
-/// reaches `dst`. Detours through other relays than the shortest path make
-/// destination-keyed rules disagree.
-fn random_routes(g: &Graph, num_servers: usize, walks: &[(usize, usize, Vec<usize>)]) -> Routing {
-    let mut routing = Routing::new();
+/// Insert explicit simple routes between servers `0..num_servers`: from
+/// each `(src, dst, choices)` a walk that takes the `choices[i]`-th
+/// unvisited out-neighbour at step `i` (any node, switches included), kept
+/// when it reaches `dst`. Detours through other relays than the shortest
+/// path make destination-keyed rules disagree.
+fn insert_random_routes(
+    routing: &mut Routing,
+    g: &Graph,
+    num_servers: usize,
+    walks: &[(usize, usize, Vec<usize>)],
+) {
     for (src, dst, choices) in walks {
         let (src, dst) = (src % num_servers, dst % num_servers);
         let mut path = vec![src];
@@ -180,10 +185,32 @@ fn random_routes(g: &Graph, num_servers: usize, walks: &[(usize, usize, Vec<usiz
             routing.insert(src, dst, path);
         }
     }
-    routing
 }
 
-/// Up to 23 `(src, dst, choices)` walks for [`random_routes`].
+/// A ring group over servers `0..n` from `(keys, k, strides)`: its members
+/// are `1 + (k − 1) mod n` servers in the order of their random keys, and
+/// `g` gains every ring edge its strides use.
+fn ring_group(
+    g: &mut Graph,
+    n: usize,
+    (keys, k, strides): &(Vec<usize>, usize, Vec<usize>),
+) -> (Vec<usize>, Vec<usize>) {
+    let k = 1 + (k - 1) % n;
+    let mut members: Vec<usize> = (0..n).collect();
+    members.sort_by_key(|&v| (keys[v], v));
+    members.truncate(k);
+    for &stride in strides {
+        for i in 0..k {
+            let (a, b) = (members[i], members[(i + stride) % k]);
+            if a != b && !g.has_edge(a, b) {
+                g.add_edge(a, b, 25.0e9);
+            }
+        }
+    }
+    (members, strides.clone())
+}
+
+/// Up to 23 `(src, dst, choices)` walks for [`insert_random_routes`].
 fn walks() -> impl Strategy<Value = Vec<(usize, usize, Vec<usize>)>> {
     proptest::collection::vec(
         (0usize..64, 0usize..64, proptest::collection::vec(0usize..64, 1usize..8)),
@@ -191,22 +218,56 @@ fn walks() -> impl Strategy<Value = Vec<(usize, usize, Vec<usize>)>> {
     )
 }
 
+/// A ring group for [`ring_group`]: per-server ring-order keys, a size
+/// (2 included) and up to three strides below 24, which may repeat or be
+/// multiples of the size.
+fn group() -> impl Strategy<Value = (Vec<usize>, usize, Vec<usize>)> {
+    (
+        proptest::collection::vec(0usize..1000, 12usize),
+        1usize..13,
+        proptest::collection::vec(0usize..24, 0usize..4),
+    )
+}
+
 proptest! {
     // The dense-slot build returns exactly the map walk's plan: rules,
-    // relays and conflicts, under shortest-path routing and under explicit
-    // detours that conflict.
+    // relays and conflicts, under shortest-path routing, under explicit
+    // detours that conflict, and under ring groups, whose walks stop at the
+    // first slot tagged with their own group. Each case draws several
+    // ring routings on one fabric: overlapping groups in random member
+    // orders, with explicit detours installed before them (a group drops
+    // those it reaches) and after them (they override the group's routes
+    // and conflict with its rules).
     #[test]
     fn dense_build_matches_the_map_walk(
         n in 3usize..12,
         strides in proptest::collection::vec(2usize..11, 0usize..3),
         chords in proptest::collection::vec((0usize..64, 0usize..64), 0usize..10),
-        walks in walks(),
+        detours in walks(),
+        rings in proptest::collection::vec(
+            (proptest::collection::vec(group(), 1usize..4), walks(), walks()),
+            6usize..10,
+        ),
     ) {
         let g = fabric(n, &strides, &chords);
         let shortest = Routing::new();
         prop_assert_eq!(build_forwarding_plan(&g, n, &shortest), map_walk_plan(&g, n, &shortest));
-        let routing = random_routes(&g, n, &walks);
+        let mut routing = Routing::new();
+        insert_random_routes(&mut routing, &g, n, &detours);
         prop_assert_eq!(build_forwarding_plan(&g, n, &routing), map_walk_plan(&g, n, &routing));
+        for (groups, before, after) in &rings {
+            let mut g = g.clone();
+            let groups: Vec<_> = groups.iter().map(|group| ring_group(&mut g, n, group)).collect();
+            let mut routing = Routing::new();
+            insert_random_routes(&mut routing, &g, n, before);
+            for (members, strides) in &groups {
+                routing.insert_ring(members, strides);
+            }
+            insert_random_routes(&mut routing, &g, n, after);
+            let plan = build_forwarding_plan(&g, n, &routing);
+            prop_assert_eq!(&plan, &map_walk_plan(&g, n, &routing));
+            assert_plan_delivers(&g, n, &plan);
+        }
     }
 
     // Switch nodes (ids >= num_servers) relay too, so each destination's
@@ -228,7 +289,8 @@ proptest! {
         prop_assert!(g.num_nodes() > n);
         let shortest = Routing::new();
         prop_assert_eq!(build_forwarding_plan(&g, n, &shortest), map_walk_plan(&g, n, &shortest));
-        let routing = random_routes(&g, n, &walks);
+        let mut routing = Routing::new();
+        insert_random_routes(&mut routing, &g, n, &walks);
         prop_assert_eq!(build_forwarding_plan(&g, n, &routing), map_walk_plan(&g, n, &routing));
     }
 }
