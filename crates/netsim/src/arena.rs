@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn dead_links_waterfill_to_zero_never_nan() {
-        // Fault injection stalls flows on zero-capacity links instead of
+        // The engine stalls flows on zero-capacity links instead of
         // dropping them, so the fair-share division `0 / count` must come
         // out as rate 0 — never NaN or a negative share — and flows whose
         // relay cap is `factor × 0` must freeze at exactly 0.

@@ -1,8 +1,8 @@
 //! Event-driven incremental fluid engine on flat index-based storage.
 //!
-//! The engine is a max-min simulator over link capacities and per-server
-//! straggler factors that are fixed when it is built. It advances from
-//! event to event over an explicit priority queue of two event kinds:
+//! The engine is a max-min simulator over link capacities that are fixed
+//! when it is built. It advances from event to event over an explicit
+//! priority queue of two event kinds:
 //!
 //! * **flow arrival** — a flow's `start_s` is reached and it joins the
 //!   active set;
@@ -11,11 +11,10 @@
 //!
 //! The fabric changes only between simulated rounds: the OCS-reconfig
 //! baseline builds an engine per window ([`crate::reconfig`]), and the
-//! shared fabric builds one per dirty component from the health state
-//! faults leave behind (`shared_engine`). A flow crossing a zero-capacity
-//! link stalls at rate 0 — it is *not* dropped — and only a run that
-//! drains with it still stalled declares it unroutable (infinite
-//! completion).
+//! shared fabric builds one per dirty component shape (`shared_engine`).
+//! A flow crossing a zero-capacity link stalls at rate 0 — it is *not*
+//! dropped — and only a run that drains with it still stalled declares it
+//! unroutable (infinite completion).
 //!
 //! # Flat storage
 //!
@@ -178,10 +177,6 @@ pub struct FluidEngine {
     next_seq: u64,
     now_s: f64,
     stats: EngineStats,
-    /// Per-server egress scale factors for straggling servers; only
-    /// entries below 1.0 are stored, so an empty map is the healthy fast
-    /// path (and `x * 1.0 == x` bitwise keeps factor composition exact).
-    stragglers: BTreeMap<usize, f64>,
     /// Epoch-stamped BFS scratch (per flow / per link): a mark equal to
     /// `epoch` means "visited in the current traversal", so component
     /// gathering allocates nothing per event.
@@ -216,21 +211,11 @@ impl FluidEngine {
             next_seq: 0,
             now_s: 0.0,
             stats: EngineStats::default(),
-            stragglers: BTreeMap::new(),
             flow_mark: Vec::new(),
             link_mark: vec![0; n],
             epoch: 0,
             wf_scratch: WaterfillScratch::default(),
         }
-    }
-
-    /// The same engine with every flow sourced at a listed server capped at
-    /// that server's egress factor × the flow's path bottleneck capacity
-    /// (composed with its relay factor). The shared fabric passes the
-    /// straggler factors its health state holds, all below 1.0.
-    pub(crate) fn with_straggler_factors(mut self, factors: BTreeMap<usize, f64>) -> Self {
-        self.stragglers = factors;
-        self
     }
 
     /// Current simulation clock.
@@ -599,14 +584,8 @@ impl FluidEngine {
             self.stats.waterfills += 1;
             self.stats.flows_rerated += live.len();
             self.stats.max_component = self.stats.max_component.max(live.len());
-            let rates = waterfill_live(
-                &self.links,
-                &self.flow_links,
-                &self.flows,
-                &self.stragglers,
-                &live,
-                &mut scratch,
-            );
+            let rates =
+                waterfill_live(&self.links, &self.flow_links, &self.flows, &live, &mut scratch);
             for (&f, rate) in live.iter().zip(rates) {
                 let flow = &mut self.flows[f];
                 flow.rate_bps = rate;
@@ -619,19 +598,18 @@ impl FluidEngine {
             }
         }
         self.wf_scratch = scratch;
+        #[cfg(test)]
+        tests::certify_max_min(self);
     }
 }
 
-/// Max-min rates of one component's live flows, aligned with `live`
-/// positions (a pure function of the arena and the flat spans).
-/// Straggler factors compose multiplicatively with each flow's relay
-/// factor; with no stragglers the relay factors are passed through
-/// untouched.
+/// Max-min rates of one component's live flows under their relay caps,
+/// aligned with `live` positions (a pure function of the arena and the
+/// flat spans).
 fn waterfill_live(
     links: &LinkArena,
     flow_links: &[LinkId],
     flows: &[EngineFlow],
-    stragglers: &BTreeMap<usize, f64>,
     live: &[FlowId],
     scratch: &mut WaterfillScratch,
 ) -> Vec<f64> {
@@ -645,25 +623,33 @@ fn waterfill_live(
             &flow_links[flow.links_start..flow.links_start + flow.spec.hops()]
         })
         .collect();
-    let factors: Vec<f64> = if stragglers.is_empty() {
-        live.iter().map(|&f| flows[f].spec.relay_factor).collect()
-    } else {
-        live.iter()
-            .map(|&f| {
-                let spec = &flows[f].spec;
-                match stragglers.get(&spec.src) {
-                    Some(&s) => spec.relay_factor * s,
-                    None => spec.relay_factor,
-                }
-            })
-            .collect()
-    };
+    let factors: Vec<f64> = live.iter().map(|&f| flows[f].spec.relay_factor).collect();
     waterfill_ids_with(links, &spans, &factors, scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topoopt_oracle::check_max_min;
+
+    /// Hold the engine's current rates to the max-min certificate. Called
+    /// after every recompute, so each waterfill of every netsim unit test
+    /// is certified: every active flow, over the arena's capacities, capped
+    /// by its relay factor. Untouched components keep rates that are still
+    /// max-min, since they share no link with a re-rated one.
+    pub(super) fn certify_max_min(engine: &FluidEngine) {
+        let links = &engine.links;
+        let capacity: BTreeMap<LinkKey, f64> =
+            links.ids_by_key().iter().map(|&id| (links.key(id), links.cap(id))).collect();
+        let active: Vec<&EngineFlow> =
+            engine.flows.iter().filter(|f| f.state == FlowState::Active).collect();
+        let paths: Vec<&[usize]> = active.iter().map(|f| &f.spec.path[..]).collect();
+        let factors: Vec<f64> = active.iter().map(|f| f.spec.relay_factor).collect();
+        let rates: Vec<f64> = active.iter().map(|f| f.rate_bps).collect();
+        if let Err(violation) = check_max_min(&capacity, &paths, &factors, &rates) {
+            panic!("engine rates are not max-min fair at t = {}: {violation}", engine.now_s);
+        }
+    }
 
     fn ring(n: usize, cap: f64) -> Graph {
         let mut g = Graph::new(n);
@@ -746,20 +732,6 @@ mod tests {
         assert!((engine.completion_s(a) - 50.0).abs() < 1e-9);
         assert!(!engine.is_done(b));
         assert!((engine.remaining_bytes(b) - 375.0).abs() < 1e-9); // 5000 bits sent
-    }
-
-    #[test]
-    fn straggler_factors_cap_egress_not_ingress() {
-        // Server 0 straggles at half speed for the whole run: its outbound
-        // flow needs 800 bits at 50 bps (16 s); the flow *into* it keeps
-        // the full 100 bps (8 s).
-        let mut engine = FluidEngine::new(&ring(2, 100.0), 0.0)
-            .with_straggler_factors(BTreeMap::from([(0, 0.5)]));
-        let out = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        let inbound = engine.add_flow(FlowSpec::new(vec![1, 0], 100.0));
-        engine.run();
-        assert!((engine.completion_s(out) - 16.0).abs() < 1e-9);
-        assert!((engine.completion_s(inbound) - 8.0).abs() < 1e-9);
     }
 
     #[test]

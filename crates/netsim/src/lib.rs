@@ -14,18 +14,16 @@
 //!
 //! The core is [`engine::FluidEngine`], an event-driven simulator with an
 //! explicit priority queue of two event kinds, *flow arrival* and *flow
-//! completion*, over link capacities and straggler factors fixed when the
-//! engine is built. The fabric changes only between simulated rounds — OCS
-//! reconfiguration windows, and faults (a link, transceiver or OCS port
-//! failing or recovering, or a straggling server) injected between
-//! shared-fabric windows — and each round runs on a fresh engine; flows on
-//! a dead link stall at rate 0. Between events every rate is constant, so
-//! flow progress is settled lazily. The crucial property exploited for
-//! scale is locality of max-min fairness: an event can only change the
-//! rates of flows in the connected component of the flow/link sharing
-//! graph it touches, so the engine re-waterfills exactly that component
-//! and leaves all other flows — and their scheduled completion events —
-//! untouched. On a sharded shared cluster (Figure 16) each job is its own
+//! completion*, over link capacities fixed when the engine is built. The
+//! fabric changes only between simulated rounds (OCS reconfiguration
+//! windows), and each round runs on a fresh engine; flows on a
+//! zero-capacity link stall at rate 0. Between events every rate is
+//! constant, so flow progress is settled lazily. The crucial property
+//! exploited for scale is locality of max-min fairness: an event can only
+//! change the rates of flows in the connected component of the flow/link
+//! sharing graph it touches, so the engine re-waterfills exactly that
+//! component and leaves all other flows — and their scheduled completion
+//! events — untouched. On a sharded shared cluster (Figure 16) each job is its own
 //! component, turning every event from O(all flows) into O(one job). The
 //! pre-engine from-scratch loop survives as `simulate_flows_reference` in
 //! the dev-only `topoopt-oracle` crate: the oracle for the equivalence
@@ -67,8 +65,7 @@
 //! * `shared_engine` — the shared-fabric round simulator the dynamic layer
 //!   keeps across arrival/departure windows: each window re-simulates only
 //!   the job-level components it touched, on one fresh engine per distinct
-//!   component shape, in parallel. It also holds the fabric's health
-//!   state, which [`FaultEvent`]s update between windows.
+//!   component shape, in parallel.
 
 pub(crate) mod arena;
 pub mod engine;
@@ -87,9 +84,8 @@ pub use iteration::{simulate_iteration, IterationParams, IterationResult};
 pub use multijob::{
     simulate_dynamic_cluster, simulate_shared_cluster, simulate_shared_cluster_stats,
     DynamicClusterParams, DynamicClusterResult, DynamicEngineStats, DynamicFabric,
-    DynamicJobOutcome, DynamicJobSpec, FaultInjection, JobSpec, MigrationMode, MigrationPlanFn,
+    DynamicJobOutcome, DynamicJobSpec, JobSpec, MigrationMode, MigrationPlanFn,
     SharedClusterResult, SharedEngineMode,
 };
 pub use network::{RelayOverhead, SimNetwork};
 pub use reconfig::{simulate_reconfigurable_iteration, ReconfigParams, ReconfigResult};
-pub use shared_engine::FaultEvent;

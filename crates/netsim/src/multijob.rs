@@ -10,8 +10,8 @@
 //! Two layers live here:
 //!
 //! * [`simulate_shared_cluster`] — one *round*: a static set of co-resident
-//!   jobs, each contributing one iteration's flows (offset by the job's
-//!   [`JobSpec::arrival_s`]), simulated together on the fluid engine.
+//!   jobs, each contributing one iteration's flows, simulated together on
+//!   the fluid engine.
 //! * [`simulate_dynamic_cluster`] — the dynamic layer: jobs arrive over
 //!   time, queue for servers ([`topoopt_cluster::ClusterShards`]), train for
 //!   a number of iterations, and depart. On a partitioned TopoOpt fabric
@@ -24,7 +24,7 @@ use crate::flows::{allreduce_flows, demand_flows, AllReducePlan};
 use crate::fluid::FlowSpec;
 use crate::iteration::{simulate_iteration, IterationParams};
 use crate::network::SimNetwork;
-use crate::shared_engine::{FaultEvent, SharedFabricEngine};
+use crate::shared_engine::SharedFabricEngine;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
@@ -44,22 +44,12 @@ pub struct JobSpec {
     pub flows: Vec<FlowSpec>,
     /// Compute time of the job's busiest server.
     pub compute_s: f64,
-    /// When the job's round starts relative to the simulation origin; its
-    /// flows are offset by this amount and its communication time is
-    /// measured from here. 0 reproduces the static all-start-together round.
-    pub arrival_s: f64,
 }
 
 impl JobSpec {
-    /// A job whose round starts at time zero.
+    /// A job of a shared round, which every job starts at time zero.
     pub fn new(name: impl Into<String>, flows: Vec<FlowSpec>, compute_s: f64) -> Self {
-        JobSpec { name: name.into(), flows, compute_s, arrival_s: 0.0 }
-    }
-
-    /// Same job, starting its round at `arrival_s`.
-    pub fn with_arrival(mut self, arrival_s: f64) -> Self {
-        self.arrival_s = arrival_s;
-        self
+        JobSpec { name: name.into(), flows, compute_s }
     }
 }
 
@@ -118,7 +108,7 @@ pub fn build_job_flows(
 
 /// Simulate one round of a shared cluster: all jobs' flows coexist on the
 /// fabric; each job's iteration time is its compute time plus the completion
-/// of the last of its own flows (measured from the job's arrival).
+/// of the last of its own flows.
 ///
 /// Each job-level component (jobs linked by shared links) is simulated on
 /// an engine of its own, in parallel — disjoint TopoOpt shards never pay
@@ -136,24 +126,13 @@ pub fn simulate_shared_cluster_stats(
     net: &SimNetwork,
     jobs: &[JobSpec],
 ) -> (SharedClusterResult, EngineStats) {
-    // A one-window shared fabric: every job is admitted with its flows
-    // offset by its arrival, and the whole window simulated exactly as the
-    // dynamic layer's windows are.
+    // A one-window shared fabric: every job is admitted, and the whole
+    // window simulated exactly as the dynamic layer's windows are.
     let mut sim = SharedFabricEngine::new(net);
-    let handles: Vec<usize> = jobs
-        .iter()
-        .map(|job| {
-            let flows = job
-                .flows
-                .iter()
-                .map(|f| FlowSpec { start_s: f.start_s + job.arrival_s, ..f.clone() })
-                .collect();
-            sim.admit(flows, job.compute_s)
-        })
-        .collect();
+    let handles: Vec<usize> =
+        jobs.iter().map(|job| sim.admit(job.flows.clone(), job.compute_s)).collect();
     sim.run_window();
-    let per_job: Vec<f64> =
-        jobs.iter().zip(&handles).map(|(job, &h)| sim.round_total_from(h, job.arrival_s)).collect();
+    let per_job: Vec<f64> = handles.iter().map(|&h| sim.round_total_s(h)).collect();
     (summarize_round(per_job), sim.engine_stats())
 }
 
@@ -205,14 +184,14 @@ pub struct DynamicEngineStats {
     /// Job-windows served from the per-component cache.
     pub jobs_reused: usize,
     /// Re-rated job-windows that took the job's admission probe instead
-    /// of simulating it again: the job was alone in its component, with no
-    /// fault injected since the probe. Counted within `jobs_rerated`.
+    /// of simulating it again: the job was alone in its component.
+    /// Counted within `jobs_rerated`.
     pub probes_reused: usize,
     /// Engine runs served by a run of the same shape (the component's flows
-    /// relabeled by node rank, with the capacities and straggler factors
-    /// they see) instead of a fresh engine: dirty components that took the
-    /// run of an earlier component of their window, and admitted jobs whose
-    /// probe took a probed resident's run.
+    /// relabeled by node rank, with the capacities of the links they cross)
+    /// instead of a fresh engine: dirty components that took the run of an
+    /// earlier component of their window, and admitted jobs whose probe
+    /// took a probed resident's run.
     pub shapes_reused: usize,
     /// Engine events processed across all windows. A run that serves
     /// several components (a probe, or a run of a shared shape) counts once
@@ -336,24 +315,23 @@ pub struct DynamicClusterParams {
     /// Unread: there is one shared-fabric path (see [`SharedEngineMode`];
     /// the next change to the benchmark drops it).
     pub shared_engine: SharedEngineMode,
-    /// Override for the event-loop guard (`4 * jobs + faults + 16` when
-    /// `None`). Only tests cap it; a run cut off by the cap reports
+    /// Override for the event-loop guard (`4 * jobs + 16` when `None`).
+    /// Only tests cap it; a run cut off by the cap reports
     /// [`DynamicClusterResult::truncated`].
     pub window_cap: Option<usize>,
-    /// Fabric fault schedule: each injection fires at its `time_s`,
-    /// between (never splitting) arrival/departure windows. It updates the
-    /// shared fabric's health state (failed links, straggler factors), and
-    /// a window at the same instant re-rates the co-resident jobs it
-    /// touches on the fabric as it now stands. Applies to the shared
-    /// fabric; a partitioned cluster's per-job shards ignore it.
-    pub faults: Vec<FaultInjection>,
+    /// Always empty: the simulator injects no fabric faults, and
+    /// [`Infallible`](std::convert::Infallible) has no values, so nothing
+    /// can be passed here and then ignored. The field remains because the
+    /// repo benchmark (`perfbench/`) writes `faults: vec![]`; the next
+    /// change to the benchmark drops it.
+    pub faults: Vec<std::convert::Infallible>,
 }
 
 impl DynamicClusterParams {
     /// A cluster of `total_servers` on `fabric` with every other parameter
     /// at its default: no patch-panel rewiring time, 1 µs per hop, atomic
-    /// transitions, the default event-loop guard and no faults. Callers set
-    /// the rest with struct-update syntax.
+    /// transitions and the default event-loop guard. Callers set the rest
+    /// with struct-update syntax.
     pub fn new(total_servers: usize, fabric: DynamicFabric) -> Self {
         DynamicClusterParams {
             total_servers,
@@ -366,15 +344,6 @@ impl DynamicClusterParams {
             faults: vec![],
         }
     }
-}
-
-/// One scheduled fabric fault (or recovery) in a dynamic run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultInjection {
-    /// When the fault fires on the cluster clock.
-    pub time_s: f64,
-    /// What fails (or recovers); see [`FaultEvent`].
-    pub event: FaultEvent,
 }
 
 /// Per-job outcome of a dynamic run.
@@ -493,12 +462,6 @@ pub fn simulate_dynamic_cluster(
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| jobs[a].arrival_s.total_cmp(&jobs[b].arrival_s).then_with(|| a.cmp(&b)));
 
-    let mut fault_order: Vec<usize> = (0..params.faults.len()).collect();
-    fault_order.sort_by(|&a, &b| {
-        params.faults[a].time_s.total_cmp(&params.faults[b].time_s).then_with(|| a.cmp(&b))
-    });
-    let mut next_fault = 0usize;
-
     let mut outcomes: Vec<DynamicJobOutcome> = jobs
         .iter()
         .map(|j| DynamicJobOutcome {
@@ -528,10 +491,10 @@ pub fn simulate_dynamic_cluster(
     let mut running: Vec<RunningJob> = Vec::new();
     let mut now = 0.0f64;
     let mut guard = 0usize;
-    // Each loop iteration processes exactly one arrival, one departure, or
-    // one same-instant fault batch, so the default guard can never
-    // legitimately exhaust; see `truncated`.
-    let max_events = params.window_cap.unwrap_or(4 * jobs.len() + params.faults.len() + 16);
+    // Each loop iteration processes exactly one arrival or one departure,
+    // so the default guard can never legitimately exhaust; see
+    // `truncated`.
+    let max_events = params.window_cap.unwrap_or(4 * jobs.len() + 16);
     let mut exhausted = true;
 
     while guard < max_events {
@@ -543,31 +506,6 @@ pub fn simulate_dynamic_cluster(
             .filter(|(_, r)| r.iter_s.is_finite() && r.iter_s > 0.0)
             .map(|(k, r)| (r.settled_s + r.remaining_iters * r.iter_s, k))
             .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-
-        // Faults due no later than the next arrival/departure fire first,
-        // as one batch per instant: co-resident jobs see the degraded
-        // fabric for the remainder of the window they are in.
-        let fault_due =
-            fault_order.get(next_fault).map(|&i| params.faults[i].time_s).filter(|&ft| {
-                arrival_t.is_none_or(|a| ft <= a)
-                    && departure.is_none_or(|(d, _)| ft <= d)
-                    && (arrival_t.is_some() || departure.is_some() || !running.is_empty())
-            });
-        if let Some(ft) = fault_due {
-            now = now.max(ft);
-            settle_running(&mut running, now);
-            while let Some(&i) = fault_order.get(next_fault) {
-                if params.faults[i].time_s.total_cmp(&ft) != std::cmp::Ordering::Equal {
-                    break;
-                }
-                if let Some((_, sim)) = shared.as_mut() {
-                    sim.inject_fault(params.faults[i].event);
-                }
-                next_fault += 1;
-            }
-            refresh_shared_rates(&mut shared, &mut running, now);
-            continue;
-        }
 
         match (arrival_t, departure) {
             (None, None) => {
@@ -651,8 +589,7 @@ pub fn simulate_dynamic_cluster(
     debug_assert!(
         !truncated || params.window_cap.is_some(),
         "default event guard exhausted with work pending: each loop iteration \
-         processes one arrival, one departure or one fault batch, so \
-         4*jobs + faults + 16 cannot run out"
+         processes one arrival or one departure, so 4*jobs + 16 cannot run out"
     );
     let engine_stats = DynamicEngineStats {
         solo_simulations: solo.len(),
@@ -1030,28 +967,6 @@ mod tests {
         assert_eq!(r.per_job_total_s.len(), 2);
         assert!((r.per_job_total_s[1] - 0.25).abs() < 1e-12);
         assert!(r.per_job_total_s[0] > 0.0);
-    }
-
-    #[test]
-    fn staggered_arrivals_measure_comm_from_each_jobs_start() {
-        // Two jobs on disjoint rings started 5 s apart see identical
-        // iteration times: arrival offsets must not leak into them.
-        let mut g = topoopt_graph::Graph::new(8);
-        for base in [0usize, 4] {
-            for i in 0..4 {
-                g.add_edge(base + i, base + (i + 1) % 4, 100.0e9);
-            }
-        }
-        let net = SimNetwork::without_rules(g, 8);
-        let demands = small_demands(4, 1.0e9);
-        let plans = vec![AllReducePlan::natural_ring((0..4).collect(), 1.0e9)];
-        let early =
-            JobSpec::new("early", build_job_flows(&net, &demands, &plans, &[0, 1, 2, 3]), 0.0);
-        let late =
-            JobSpec::new("late", build_job_flows(&net, &demands, &plans, &[4, 5, 6, 7]), 0.0)
-                .with_arrival(5.0);
-        let r = simulate_shared_cluster(&net, &[early, late]);
-        assert!((r.per_job_total_s[0] - r.per_job_total_s[1]).abs() < 1e-9);
     }
 
     #[test]

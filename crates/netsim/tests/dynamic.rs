@@ -1,8 +1,7 @@
-//! Dynamic shared-cluster runs: random Poisson arrival traces (with and
-//! without faults) run to the end under the default event-loop guard,
-//! faults stall and slow jobs as documented, the guard surfaces
-//! truncation instead of silently dropping jobs, and a partitioned run
-//! simulates each distinct job once. Bit-exactness of the persistent
+//! Dynamic shared-cluster runs: random Poisson arrival traces run to the
+//! end under the default event-loop guard, the guard surfaces truncation
+//! instead of silently dropping jobs, and a partitioned run simulates each
+//! distinct job once. Bit-exactness of the persistent
 //! engine's cached round times is checked at its seam, in
 //! `src/shared_engine.rs`.
 
@@ -10,7 +9,7 @@ use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph, TrafficMatrix};
 use topoopt_netsim::{
     simulate_dynamic_cluster, AllReducePlan, DynamicClusterParams, DynamicClusterResult,
-    DynamicFabric, DynamicJobSpec, FaultEvent, FaultInjection,
+    DynamicFabric, DynamicJobSpec,
 };
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
@@ -49,26 +48,18 @@ fn shared_ring(total: usize, cap: f64) -> Graph {
 }
 
 /// One run of `jobs` on a shared `fabric` under the default guard.
-fn run_shared(
-    jobs: &[DynamicJobSpec],
-    fabric: &Graph,
-    total: usize,
-    faults: Vec<FaultInjection>,
-) -> DynamicClusterResult {
+fn run_shared(jobs: &[DynamicJobSpec], fabric: &Graph, total: usize) -> DynamicClusterResult {
     simulate_dynamic_cluster(
         jobs,
-        &DynamicClusterParams {
-            faults,
-            ..DynamicClusterParams::new(total, DynamicFabric::Shared(fabric.clone()))
-        },
+        &DynamicClusterParams::new(total, DynamicFabric::Shared(fabric.clone())),
     )
 }
 
-/// A fault-free trace never exhausts the default guard, and every job,
-/// queued or not, trains to completion.
+/// A trace never exhausts the default guard, and every job, queued or
+/// not, trains to completion.
 fn assert_runs_to_completion(jobs: &[DynamicJobSpec], fabric: &Graph, total: usize) {
-    let r = run_shared(jobs, fabric, total, vec![]);
-    assert!(!r.truncated, "the default guard cut a fault-free trace short");
+    let r = run_shared(jobs, fabric, total);
+    assert!(!r.truncated, "the default guard cut a trace short");
     for o in &r.jobs {
         assert!(o.completed && o.finish_s.is_finite(), "{} did not complete: {o:?}", o.name);
     }
@@ -121,113 +112,6 @@ proptest! {
             .collect();
         assert_runs_to_completion(&jobs, &shared_ring(total, 60.0e9), total);
     }
-
-    // Poisson traces with injected fault/recovery events: link and OCS-port
-    // failures (some never recovered), stragglers, all firing between
-    // arrival/departure windows. Each fault batch costs one loop iteration,
-    // so the default guard still covers the run, and stalled jobs end
-    // incomplete rather than with a NaN.
-    #[test]
-    fn fault_traces_never_exhaust_the_default_guard(
-        total in 6usize..12,
-        trace in proptest::collection::vec(
-            (2usize..5, 1usize..4, 0.0f64..0.95, 0.2f64..3.0, 0.0f64..0.2),
-            1usize..6),
-        fault_seed in proptest::collection::vec(
-            // (time quantile, kind, endpoint pick, straggler factor, recovery gap)
-            (0.0f64..1.0, 0usize..4, 0usize..64, 0.2f64..1.4, 0.01f64..0.5),
-            0usize..6),
-        mean_gap in 0.05f64..1.0,
-    ) {
-        let mut t = 0.0f64;
-        let jobs: Vec<DynamicJobSpec> = trace
-            .into_iter()
-            .enumerate()
-            .map(|(i, (n, iters, u, gb, compute))| {
-                t += -mean_gap * (1.0 - u).ln();
-                ring_job(format!("j{i}"), n, gb * 1.0e9, compute, t, iters)
-            })
-            .collect();
-        let horizon = t + 2.0;
-        let mut faults = Vec::new();
-        for (u, kind, pick, factor, gap) in fault_seed {
-            let at = u * horizon;
-            let s = pick % total;
-            let link = (s, (s + 1) % total);
-            match kind {
-                0 => {
-                    faults.push(FaultInjection { time_s: at, event: FaultEvent::LinkDown(link) });
-                    faults.push(FaultInjection { time_s: at + gap, event: FaultEvent::LinkUp(link) });
-                }
-                1 => {
-                    faults.push(FaultInjection { time_s: at, event: FaultEvent::OcsPortDown(s) });
-                    faults.push(FaultInjection { time_s: at + gap, event: FaultEvent::OcsPortUp(s) });
-                }
-                2 => {
-                    faults.push(FaultInjection {
-                        time_s: at,
-                        event: FaultEvent::Straggler { server: s, egress_factor: factor },
-                    });
-                    faults.push(FaultInjection {
-                        time_s: at + gap,
-                        event: FaultEvent::Straggler { server: s, egress_factor: 1.0 },
-                    });
-                }
-                // A transceiver that never comes back: surviving jobs stall.
-                _ => faults.push(FaultInjection { time_s: at, event: FaultEvent::LinkDown(link) }),
-            }
-        }
-        let r = run_shared(&jobs, &shared_ring(total, 60.0e9), total, faults);
-        assert!(!r.truncated, "fault batches exhausted the default guard");
-        assert!(r.jobs.iter().all(|o| !o.iteration_s.is_nan() && !o.finish_s.is_nan()));
-    }
-}
-
-#[test]
-fn link_failure_stalls_job_until_recovery() {
-    // One ring job on a 4-ring fabric. Killing a directed link its AllReduce
-    // crosses stalls the job (rate 0, not dropped); recovery revives it.
-    let jobs = vec![ring_job("j0".into(), 4, 1.0e9, 0.0, 0.0, 2)];
-    let fabric = shared_ring(4, 100.0e9);
-    let run = |faults| run_shared(&jobs, &fabric, 4, faults);
-    let healthy = run(vec![]);
-    assert!(healthy.jobs[0].completed);
-    let finish = healthy.jobs[0].finish_s;
-    let mid = finish * 0.5;
-
-    // Fault with no recovery: the job stalls forever — reported as never
-    // completed, not silently dropped or priced as finished.
-    let stalled = run(vec![FaultInjection { time_s: mid, event: FaultEvent::LinkDown((0, 1)) }]);
-    assert!(!stalled.jobs[0].completed, "a job stalled on a dead link cannot complete");
-    assert!(stalled.jobs[0].finish_s.is_infinite());
-    assert!(!stalled.truncated, "a permanent stall is not guard truncation");
-
-    // Same fault with recovery: the job finishes, later than healthy.
-    let revived = run(vec![
-        FaultInjection { time_s: mid, event: FaultEvent::LinkDown((0, 1)) },
-        FaultInjection { time_s: mid + finish, event: FaultEvent::LinkUp((0, 1)) },
-    ]);
-    assert!(revived.jobs[0].completed, "recovery must revive a stalled job");
-    assert!(revived.jobs[0].finish_s > finish, "the outage must cost time");
-}
-
-#[test]
-fn straggler_slows_shared_jobs() {
-    let jobs = vec![ring_job("j0".into(), 4, 1.0e9, 0.0, 0.0, 2)];
-    let fabric = topologies::ideal_switch(4, 100.0e9);
-    let run = |faults| run_shared(&jobs, &fabric, 4, faults);
-    let healthy = run(vec![]);
-    let slowed = run(vec![FaultInjection {
-        time_s: 0.0,
-        event: FaultEvent::Straggler { server: 0, egress_factor: 0.25 },
-    }]);
-    assert!(healthy.jobs[0].completed && slowed.jobs[0].completed);
-    assert!(
-        slowed.jobs[0].finish_s > healthy.jobs[0].finish_s,
-        "a straggling server must slow the ring: {} vs {}",
-        slowed.jobs[0].finish_s,
-        healthy.jobs[0].finish_s
-    );
 }
 
 #[test]
@@ -259,7 +143,7 @@ fn persistent_engine_reports_window_reuse() {
     // stats must show cache reuse and a max component of one job's flows.
     let jobs: Vec<DynamicJobSpec> =
         (0..4).map(|i| ring_job(format!("j{i}"), 4, 1.0e9, 0.0, i as f64 * 0.01, 3)).collect();
-    let r = run_shared(&jobs, &topologies::ideal_switch(16, 100.0e9), 16, vec![]);
+    let r = run_shared(&jobs, &topologies::ideal_switch(16, 100.0e9), 16);
     assert!(r.jobs.iter().all(|o| o.completed));
     assert!(r.engine.windows > 0);
     assert!(r.engine.jobs_reused > 0, "disjoint residents must reuse cached rates: {:?}", r.engine);

@@ -362,7 +362,7 @@ fn shared_fabric_fan_out_is_deterministic_across_thread_counts() {
             let members: Vec<usize> = (j * servers..(j + 1) * servers).collect();
             let bytes = 1.0e8 * (1 + j % 5) as f64;
             let flows = allreduce_flows(&net, &AllReducePlan::natural_ring(members, bytes));
-            JobSpec::new(format!("j{j}"), flows, 0.01).with_arrival(0.001 * (j % 3) as f64)
+            JobSpec::new(format!("j{j}"), flows, 0.01)
         })
         .collect();
     // A two-level tree: four leaf switches (nodes 16..20) of four servers
