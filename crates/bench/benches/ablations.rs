@@ -7,18 +7,16 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use topoopt_collectives::ring::{multi_ring_traffic, ring_allreduce_traffic, RingPermutation};
 use topoopt_core::select::select_for_group;
-use topoopt_core::totient::{totient_perms, TotientPermsConfig};
+use topoopt_core::totient::totient_perms;
 use topoopt_graph::matching::{maximum_weight_matching, MatchingAlgo};
 
 fn bench_selection_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_select_permutations");
     let members: Vec<usize> = (0..128).collect();
-    group.bench_function("geometric_selection", |b| {
-        b.iter(|| select_for_group(&members, 4, &TotientPermsConfig::default()))
-    });
+    group.bench_function("geometric_selection", |b| b.iter(|| select_for_group(&members, 4)));
     group.bench_function("naive_lowest_strides", |b| {
         b.iter(|| {
-            let perms = totient_perms(&members, &TotientPermsConfig::default());
+            let perms = totient_perms(&members);
             perms.into_iter().take(4).collect::<Vec<_>>()
         })
     });

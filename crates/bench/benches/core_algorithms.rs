@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use topoopt_bench::{baseline_strategy, build_topoopt_fabric, compute_params};
 use topoopt_core::coinchange::CoinChangeTable;
 use topoopt_core::select::select_for_group;
-use topoopt_core::totient::TotientPermsConfig;
 use topoopt_graph::matching::{maximum_weight_matching, MatchingAlgo, MatchingRounds};
 use topoopt_models::{ModelKind, ModelPreset};
 use topoopt_strategy::{extract_traffic, search_strategy, McmcConfig, TopologyView};
@@ -17,7 +16,7 @@ fn bench_totient_select(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let members: Vec<usize> = (0..n).collect();
-            b.iter(|| select_for_group(&members, 4, &TotientPermsConfig::default()))
+            b.iter(|| select_for_group(&members, 4))
         });
     }
     group.finish();

@@ -2,9 +2,9 @@
 //! engine against the map-keyed from-scratch reference.
 //!
 //! The workload is the Figure-16 dynamic shape at cluster scale: disjoint
-//! 8-server rings covering every server, one flow per ring edge plus a
-//! staggered second wave arriving mid-simulation, so the run exercises
-//! arrivals, completions, and re-rating — not just one waterfill.
+//! 8-server rings covering every server, two flows of distinct sizes per
+//! ring edge, all starting together, so the run exercises a stream of
+//! completions and re-rating — not just one waterfill.
 //!
 //! * At 512 servers both allocators run and the bench *asserts* the flat
 //!   engine is at least 5x faster (the vendored criterion stand-in has no
@@ -33,10 +33,9 @@ use topoopt_netsim::{
 use topoopt_oracle::simulate_flows_reference;
 use topoopt_strategy::{AllReduceGroup, TrafficDemands};
 
-/// Disjoint 8-server rings covering `servers` nodes: one flow per edge with
-/// distinct sizes (completions spread over many events) plus a second wave
-/// of staggered arrivals, so disjoint components keep scheduling
-/// independently while the cluster is already busy.
+/// Disjoint 8-server rings covering `servers` nodes: two flows per edge, one
+/// of distinct size per edge and one of 0.75x that, so completions spread
+/// over many events and disjoint components keep scheduling independently.
 fn dynamic_workload(servers: usize) -> (Graph, Vec<FlowSpec>) {
     let size = 8usize;
     let rings = servers / size;
@@ -48,9 +47,7 @@ fn dynamic_workload(servers: usize) -> (Graph, Vec<FlowSpec>) {
             g.add_edge(base + i, base + (i + 1) % size, 100.0e9);
             let bytes = 1.0e9 * (1.0 + ((r * size + i) % 17) as f64 / 4.0);
             flows.push(FlowSpec::new(vec![base + i, base + (i + 1) % size], bytes));
-            let mut second = FlowSpec::new(vec![base + i, base + (i + 1) % size], bytes * 0.75);
-            second.start_s = 0.05 + (r % 5) as f64 * 0.01;
-            flows.push(second);
+            flows.push(FlowSpec::new(vec![base + i, base + (i + 1) % size], bytes * 0.75));
         }
     }
     (g, flows)

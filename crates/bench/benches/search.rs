@@ -29,7 +29,7 @@ use topoopt_oracle::search_strategy_reference;
 use topoopt_strategy::{search_strategy, McmcConfig, ParallelizationStrategy, TopologyView};
 
 fn mcmc_cfg(iterations: usize, chains: usize) -> McmcConfig {
-    McmcConfig { iterations, temperature: 0.05, seed: 7, chains }
+    McmcConfig { iterations, seed: 7, chains }
 }
 
 fn bench_mcmc_incremental(c: &mut Criterion) {

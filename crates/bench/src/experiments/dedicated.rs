@@ -12,9 +12,7 @@ use topoopt_cost::{
 };
 use topoopt_models::zoo::build_dlrm;
 use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
-use topoopt_netsim::{
-    simulate_iteration, AllReducePlan, IterationParams, IterationResult, SimNetwork,
-};
+use topoopt_netsim::{simulate_iteration, AllReducePlan, IterationResult, SimNetwork};
 use topoopt_report::{row, Cell, Column, ExperimentReport, Table};
 use topoopt_strategy::{extract_traffic, ParallelizationStrategy, TrafficDemands};
 
@@ -240,8 +238,7 @@ pub(super) fn fig15(s: &Scale) -> ExperimentReport {
             let (out, demands) = topoopt_fabric_for(n, degree);
             let plans = AllReducePlan::from_groups(&out.groups);
             let net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
-            let it =
-                simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.0 });
+            let it = simulate_iteration(&net, &demands, &plans, 0.0);
             let cdf = it.link_traffic_cdf;
             if cdf.is_empty() {
                 return None;

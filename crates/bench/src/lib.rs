@@ -9,7 +9,7 @@ use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput, Topolo
 use topoopt_graph::Graph;
 use topoopt_models::{build_model, ModelKind, ModelPreset};
 use topoopt_netsim::iteration::natural_ring_plans;
-use topoopt_netsim::{simulate_iteration, AllReducePlan, IterationParams, SimNetwork};
+use topoopt_netsim::{simulate_iteration, AllReducePlan, SimNetwork};
 use topoopt_rdma::{build_forwarding_plan, ForwardingPlan};
 use topoopt_strategy::{
     estimate_from_demands, extract_traffic, ComputeParams, ParallelizationStrategy, TopologyView,
@@ -92,7 +92,7 @@ pub fn topoopt_iteration(
     let out = build_topoopt_fabric(demands, n, degree, link_bps);
     let plans = AllReducePlan::from_groups(&out.groups);
     let net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
-    simulate_iteration(&net, demands, &plans, &IterationParams { compute_s })
+    simulate_iteration(&net, demands, &plans, compute_s)
 }
 
 /// A §6-testbed-style fabric: the `TopologyFinder` output plus the NPAR
@@ -141,7 +141,7 @@ impl RdmaFabric {
         let net =
             SimNetwork::new(self.out.graph.clone(), self.num_servers, self.out.routing.clone())
                 .with_relay_overhead(self.plan.clone(), relay_efficiency);
-        simulate_iteration(&net, demands, &plans, &IterationParams { compute_s })
+        simulate_iteration(&net, demands, &plans, compute_s)
     }
 }
 
@@ -188,7 +188,7 @@ fn natural_ring_iteration(
     compute_s: f64,
 ) -> topoopt_netsim::IterationResult {
     let net = SimNetwork::without_rules(g, n);
-    simulate_iteration(&net, demands, &natural_ring_plans(demands), &IterationParams { compute_s })
+    simulate_iteration(&net, demands, &natural_ring_plans(demands), compute_s)
 }
 
 #[cfg(test)]

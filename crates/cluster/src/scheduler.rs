@@ -1,33 +1,34 @@
 //! Shared-cluster job mix and load generation (§5.6).
 //!
 //! Following the paper (which follows Themis and Pollux): 40% of jobs are
-//! DLRM, 30% BERT, 20% CANDLE and 10% VGG16; every job requests 16 servers
-//! (64 GPUs); 5 / 10 / 15 / 20 / 27 active jobs represent 20–100% load on a
-//! 432-server cluster.
+//! DLRM, 30% BERT, 20% CANDLE and 10% VGG16, a fixed table; every job
+//! requests 16 servers (64 GPUs) by default; 5 / 10 / 15 / 20 / 27 active
+//! jobs represent 20–100% load on a 432-server cluster.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use topoopt_models::ModelKind;
 
-/// The §5.6 job-mix model.
+/// The §5.6 model shares, in the order the remainder is sampled in.
+const MIX: [(ModelKind, f64); 4] = [
+    (ModelKind::Dlrm, 0.4),
+    (ModelKind::Bert, 0.3),
+    (ModelKind::Candle, 0.2),
+    (ModelKind::Vgg16, 0.1),
+];
+
+/// The §5.6 job-mix model: the fixed 40/30/20/10 model shares, with a
+/// configurable job size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MixModel {
-    /// Fraction of DLRM jobs.
-    pub dlrm: f64,
-    /// Fraction of BERT jobs.
-    pub bert: f64,
-    /// Fraction of CANDLE jobs.
-    pub candle: f64,
-    /// Fraction of VGG jobs.
-    pub vgg: f64,
     /// Servers each job requests.
     pub servers_per_job: usize,
 }
 
 impl Default for MixModel {
     fn default() -> Self {
-        MixModel { dlrm: 0.4, bert: 0.3, candle: 0.2, vgg: 0.1, servers_per_job: 16 }
+        MixModel { servers_per_job: 16 }
     }
 }
 
@@ -61,13 +62,7 @@ pub fn job_mix_for_load(
     // Deterministic rounding: assign the guaranteed integer share of each
     // model first, then fill the remainder by sampling the mix.
     let mut jobs = Vec::with_capacity(count);
-    let base = [
-        (ModelKind::Dlrm, mix.dlrm),
-        (ModelKind::Bert, mix.bert),
-        (ModelKind::Candle, mix.candle),
-        (ModelKind::Vgg16, mix.vgg),
-    ];
-    for &(model, share) in &base {
+    for &(model, share) in &MIX {
         let k = (share * count as f64).floor() as usize;
         for _ in 0..k {
             jobs.push(JobRequest { model, servers: mix.servers_per_job });
@@ -77,7 +72,7 @@ pub fn job_mix_for_load(
         let r: f64 = rng.gen();
         let mut acc = 0.0;
         let mut model = ModelKind::Dlrm;
-        for &(m, share) in &base {
+        for &(m, share) in &MIX {
             acc += share;
             if r <= acc {
                 model = m;

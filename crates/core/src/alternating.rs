@@ -36,7 +36,8 @@ pub struct AlternatingConfig {
     pub degree: usize,
     /// Per-interface bandwidth in bits per second.
     pub link_bps: f64,
-    /// TotientPerms options for the Comm.×Topo. plane.
+    /// Unread: `TotientPerms` has no options. The field stays only because
+    /// `perfbench/` names it.
     pub totient: TotientPermsConfig,
 }
 
@@ -51,7 +52,7 @@ impl AlternatingConfig {
             compute: ComputeParams::default(),
             degree,
             link_bps,
-            totient: TotientPermsConfig::default(),
+            totient: TotientPermsConfig,
         }
     }
 }
@@ -96,10 +97,8 @@ pub fn co_optimize(model: &DnnModel, num_servers: usize, cfg: &AlternatingConfig
         let demands = extract_traffic(model, &strategy, cfg.compute.gpus_per_server);
 
         // --- Comm.×Topo. plane.
-        let network = topology_finder(&TopologyFinderInput {
-            totient: cfg.totient,
-            ..TopologyFinderInput::new(num_servers, cfg.degree, cfg.link_bps, &demands)
-        });
+        let input = TopologyFinderInput::new(num_servers, cfg.degree, cfg.link_bps, &demands);
+        let network = topology_finder(&input);
         let new_view = TopologyView::from_graph(&network.graph, num_servers);
         let estimate = estimate_iteration_time(model, &strategy, &new_view, &cfg.compute);
 

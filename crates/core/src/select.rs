@@ -8,7 +8,7 @@
 //! (Theorem 1 / Appendix E.2) — the Chord-like structure the paper points
 //! out.
 
-use crate::totient::{totient_perms, TotientPermsConfig};
+use crate::totient::totient_perms;
 use topoopt_collectives::ring::RingPermutation;
 
 /// `SelectPermutations(n, d_k, P_k)` — Algorithm 3.
@@ -139,13 +139,8 @@ pub fn select_permutations_available(
 }
 
 /// Convenience: run `TotientPerms` + `SelectPermutations` for a group.
-pub fn select_for_group(
-    members: &[usize],
-    degree: usize,
-    cfg: &TotientPermsConfig,
-) -> Vec<RingPermutation> {
-    let candidates = totient_perms(members, cfg);
-    select_permutations(&candidates, degree)
+pub fn select_for_group(members: &[usize], degree: usize) -> Vec<RingPermutation> {
+    select_permutations(&totient_perms(members), degree)
 }
 
 #[cfg(test)]
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn selects_stride_one_first() {
         let members: Vec<usize> = (0..16).collect();
-        let sel = select_for_group(&members, 3, &TotientPermsConfig::default());
+        let sel = select_for_group(&members, 3);
         assert_eq!(sel.len(), 3);
         assert_eq!(sel[0].stride, 1);
     }
@@ -173,7 +168,7 @@ mod tests {
         // 1, 16^(1/3) ≈ 2.5, 16^(2/3) ≈ 6.3, i.e. small / medium / large —
         // the paper picks +1, +3, +7.
         let members: Vec<usize> = (0..16).collect();
-        let sel = select_for_group(&members, 3, &TotientPermsConfig::default());
+        let sel = select_for_group(&members, 3);
         let s = strides_of(&sel);
         assert_eq!(s[0], 1);
         assert!(s[1] >= 2 && s[1] <= 5, "mid stride = {}", s[1]);
@@ -183,7 +178,7 @@ mod tests {
     #[test]
     fn selection_never_repeats_a_stride() {
         let members: Vec<usize> = (0..30).collect();
-        let sel = select_for_group(&members, 6, &TotientPermsConfig::default());
+        let sel = select_for_group(&members, 6);
         let mut s = strides_of(&sel);
         s.sort_unstable();
         let before = s.len();
@@ -194,14 +189,14 @@ mod tests {
     #[test]
     fn degree_larger_than_candidates_is_capped() {
         let members: Vec<usize> = (0..6).collect(); // φ(6) = 2 candidates
-        let sel = select_for_group(&members, 5, &TotientPermsConfig::default());
+        let sel = select_for_group(&members, 5);
         assert_eq!(sel.len(), 2);
     }
 
     #[test]
     fn zero_degree_or_empty_candidates_yield_nothing() {
         let members: Vec<usize> = (0..8).collect();
-        assert!(select_for_group(&members, 0, &TotientPermsConfig::default()).is_empty());
+        assert!(select_for_group(&members, 0).is_empty());
         assert!(select_permutations(&[], 3).is_empty());
     }
 
@@ -213,7 +208,7 @@ mod tests {
         let n = 64;
         let members: Vec<usize> = (0..n).collect();
         let d = 3;
-        let selected = select_for_group(&members, d, &TotientPermsConfig::default());
+        let selected = select_for_group(&members, d);
         let geo = from_permutations(n, &strides_of(&selected), 1.0);
         let naive = from_permutations(n, &[1, 3, 5], 1.0);
         let dg = diameter(&geo).unwrap();
@@ -237,7 +232,7 @@ mod tests {
     #[test]
     fn availability_selection_matches_geometric_when_already_survivable() {
         let members: Vec<usize> = (0..16).collect();
-        let candidates = totient_perms(&members, &TotientPermsConfig::default());
+        let candidates = totient_perms(&members);
         let geo = select_permutations(&candidates, 3);
         let avail = select_permutations_available(&candidates, 3);
         assert_eq!(strides_of(&geo), strides_of(&avail));
@@ -247,7 +242,7 @@ mod tests {
     #[test]
     fn availability_selection_leaves_single_stride_untouched() {
         let members: Vec<usize> = (0..10).collect();
-        let candidates = totient_perms(&members, &TotientPermsConfig::default());
+        let candidates = totient_perms(&members);
         let avail = select_permutations_available(&candidates, 1);
         assert_eq!(strides_of(&avail), vec![1]);
     }
@@ -258,7 +253,7 @@ mod tests {
         let members: Vec<usize> = (0..n).collect();
         let mut last = usize::MAX;
         for d in [1usize, 2, 4, 8] {
-            let sel = select_for_group(&members, d, &TotientPermsConfig::default());
+            let sel = select_for_group(&members, d);
             let g = from_permutations(n, &strides_of(&sel), 1.0);
             let dia = diameter(&g).unwrap();
             assert!(dia <= last, "degree {d}: diameter {dia} > previous {last}");

@@ -29,7 +29,8 @@ pub struct TopologyFinderInput<'a> {
     pub link_bps: f64,
     /// Traffic demands (`T_AllReduce`, `T_MP`) from the Comp.×Comm. plane.
     pub demands: &'a TrafficDemands,
-    /// TotientPerms enumeration options.
+    /// Unread: `TotientPerms` has no options. The field stays only because
+    /// `perfbench/` names it.
     pub totient: TotientPermsConfig,
     /// Which maximum-weight matching implementation to use for the MP
     /// sub-topology.
@@ -55,10 +56,10 @@ pub struct TopologyFinderInput<'a> {
 }
 
 impl<'a> TopologyFinderInput<'a> {
-    /// Algorithm 1's arguments with the default options: default
-    /// TotientPerms enumeration, [`MatchingAlgo::Auto`], and
-    /// `mp_shortest_path` and `availability_aware` off. Callers change an
-    /// option with struct-update syntax.
+    /// Algorithm 1's arguments with the default options:
+    /// [`MatchingAlgo::Auto`], and `mp_shortest_path` and
+    /// `availability_aware` off. Callers change an option with
+    /// struct-update syntax.
     pub fn new(
         num_servers: usize,
         degree: usize,
@@ -70,7 +71,7 @@ impl<'a> TopologyFinderInput<'a> {
             degree,
             link_bps,
             demands,
-            totient: TotientPermsConfig::default(),
+            totient: TotientPermsConfig,
             matching: MatchingAlgo::Auto,
             mp_shortest_path: false,
             availability_aware: false,
@@ -175,7 +176,7 @@ pub fn topology_finder(input: &TopologyFinderInput<'_>) -> TopologyFinderOutput 
         }
         let dk = dk.min(remaining);
         remaining -= dk;
-        let candidates = totient_perms(&g.members, &input.totient);
+        let candidates = totient_perms(&g.members);
         let selected = if input.availability_aware {
             select_permutations_available(&candidates, dk)
         } else {
@@ -201,7 +202,7 @@ pub fn topology_finder(input: &TopologyFinderInput<'_>) -> TopologyFinderOutput 
     if !covers_all && n > 1 {
         let members: Vec<usize> = (0..n).collect();
         let strides = if input.availability_aware && reserve >= 2 {
-            let candidates = totient_perms(&members, &input.totient);
+            let candidates = totient_perms(&members);
             select_permutations_available(&candidates, reserve).iter().map(|p| p.stride).collect()
         } else {
             vec![1]
@@ -439,7 +440,7 @@ mod tests {
             degree: 4,
             link_bps: 25.0e9,
             demands: &demands,
-            totient: TotientPermsConfig::default(),
+            totient: TotientPermsConfig,
             matching: MatchingAlgo::Auto,
             mp_shortest_path: false,
             availability_aware: false,

@@ -5,21 +5,17 @@
 //! generates a distinct Hamiltonian ring over the group (Theorem 2,
 //! Appendix E.1): repeatedly adding `p` modulo `k` visits every member
 //! exactly once. There are `φ(k)` such strides, where `φ` is Euler's totient
-//! function; at large scale the paper restricts the strides to primes, which
-//! shrinks the candidate set to `O(k / ln k)` by the prime number theorem.
+//! function, and every one of them is enumerated. At large scale the paper
+//! restricts the strides to primes, which shrinks the candidate set to
+//! `O(k / ln k)` by the prime number theorem. No experiment here needs that
+//! restriction: the largest group has 128 servers and so 64 candidates.
 
 use serde::{Deserialize, Serialize};
 use topoopt_collectives::ring::{gcd, RingPermutation};
 
-/// How `TotientPerms` enumerates candidate strides.
+/// `TotientPerms` has no options: it enumerates every co-prime stride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct TotientPermsConfig {
-    /// If true, only prime strides are returned (plus stride 1), matching
-    /// the paper's large-scale restriction.
-    pub primes_only: bool,
-    /// Upper bound on the number of candidates returned (0 = unlimited).
-    pub max_candidates: usize,
-}
+pub struct TotientPermsConfig;
 
 /// Euler's totient function φ(n): the number of integers in `1..n` co-prime
 /// with `n`.
@@ -45,50 +41,18 @@ pub fn euler_totient(n: usize) -> usize {
     result
 }
 
-/// Simple primality test (trial division; group sizes are at most a few
-/// thousand servers).
-pub fn is_prime(n: usize) -> bool {
-    if n < 2 {
-        return false;
-    }
-    if n < 4 {
-        return true;
-    }
-    if n.is_multiple_of(2) {
-        return false;
-    }
-    let mut d = 3;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            return false;
-        }
-        d += 2;
-    }
-    true
-}
-
 /// All valid ring strides for a group of size `k`: integers `p in 1..k` with
-/// `gcd(p, k) == 1`, optionally restricted to `p == 1` or prime `p`.
-pub fn valid_strides(k: usize, cfg: &TotientPermsConfig) -> Vec<usize> {
-    if k <= 1 {
-        return vec![];
-    }
-    let mut out: Vec<usize> = (1..k)
-        .filter(|&p| gcd(p, k) == 1)
-        .filter(|&p| !cfg.primes_only || p == 1 || is_prime(p))
-        .collect();
-    if cfg.max_candidates > 0 && out.len() > cfg.max_candidates {
-        out.truncate(cfg.max_candidates);
-    }
-    out
+/// `gcd(p, k) == 1`, in ascending order.
+pub fn valid_strides(k: usize) -> Vec<usize> {
+    (1..k).filter(|&p| gcd(p, k) == 1).collect()
 }
 
 /// `TotientPerms(n, k)` — Algorithm 2. Given the global node count and the
 /// member list of one AllReduce group, return every regular ring permutation
 /// of the group.
-pub fn totient_perms(members: &[usize], cfg: &TotientPermsConfig) -> Vec<RingPermutation> {
+pub fn totient_perms(members: &[usize]) -> Vec<RingPermutation> {
     let k = members.len();
-    valid_strides(k, cfg).into_iter().map(|p| RingPermutation::new(members.to_vec(), p)).collect()
+    valid_strides(k).into_iter().map(|p| RingPermutation::new(members.to_vec(), p)).collect()
 }
 
 #[cfg(test)]
@@ -111,32 +75,14 @@ mod tests {
         // §4.3: "for n = 12 servers, the ring generation rule for
         // p = 1, 5, 7, 11 will lead into four distinct ring-AllReduce
         // permutations".
-        let s = valid_strides(12, &TotientPermsConfig::default());
+        let s = valid_strides(12);
         assert_eq!(s, vec![1, 5, 7, 11]);
-    }
-
-    #[test]
-    fn primes_only_reduces_candidates() {
-        let all = valid_strides(16, &TotientPermsConfig::default());
-        let primes =
-            valid_strides(16, &TotientPermsConfig { primes_only: true, max_candidates: 0 });
-        assert_eq!(all.len(), 8); // φ(16)
-        assert!(primes.len() < all.len());
-        assert!(primes.contains(&1));
-        assert!(primes.contains(&7));
-        assert!(!primes.contains(&9)); // 9 is coprime with 16 but not prime
-    }
-
-    #[test]
-    fn max_candidates_truncates() {
-        let s = valid_strides(128, &TotientPermsConfig { primes_only: false, max_candidates: 5 });
-        assert_eq!(s.len(), 5);
     }
 
     #[test]
     fn every_returned_permutation_is_a_single_ring() {
         let members: Vec<usize> = (10..26).collect(); // 16 members, offset ids
-        for p in totient_perms(&members, &TotientPermsConfig::default()) {
+        for p in totient_perms(&members) {
             assert!(p.is_single_ring(), "stride {} not a ring", p.stride);
             assert_eq!(p.len(), 16);
         }
@@ -146,33 +92,23 @@ mod tests {
     fn number_of_permutations_is_phi_of_group_size() {
         for k in 2..40 {
             let members: Vec<usize> = (0..k).collect();
-            let perms = totient_perms(&members, &TotientPermsConfig::default());
+            let perms = totient_perms(&members);
             assert_eq!(perms.len(), euler_totient(k), "k = {k}");
         }
     }
 
     #[test]
     fn trivial_groups_have_no_permutations() {
-        assert!(totient_perms(&[], &TotientPermsConfig::default()).is_empty());
-        assert!(totient_perms(&[5], &TotientPermsConfig::default()).is_empty());
+        assert!(totient_perms(&[]).is_empty());
+        assert!(totient_perms(&[5]).is_empty());
     }
 
     proptest! {
         #[test]
         fn strides_are_coprime_and_in_range(k in 2usize..200) {
-            for p in valid_strides(k, &TotientPermsConfig::default()) {
+            for p in valid_strides(k) {
                 prop_assert!(p >= 1 && p < k);
                 prop_assert_eq!(gcd(p, k), 1);
-            }
-        }
-
-        #[test]
-        fn prime_restriction_is_subset(k in 2usize..200) {
-            let all = valid_strides(k, &TotientPermsConfig::default());
-            let primes = valid_strides(
-                k, &TotientPermsConfig { primes_only: true, max_candidates: 0 });
-            for p in &primes {
-                prop_assert!(all.contains(p));
             }
         }
     }

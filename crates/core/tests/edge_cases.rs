@@ -5,11 +5,7 @@
 
 use topoopt_core::coinchange::{coin_change_route, CoinChangeTable};
 use topoopt_core::select::{select_for_group, select_permutations};
-use topoopt_core::totient::{euler_totient, totient_perms, valid_strides, TotientPermsConfig};
-
-fn cfg() -> TotientPermsConfig {
-    TotientPermsConfig::default()
-}
+use topoopt_core::totient::{euler_totient, totient_perms, valid_strides};
 
 // ---------------------------------------------------------------- totient
 
@@ -22,32 +18,20 @@ fn totient_of_degenerate_sizes() {
 
 #[test]
 fn valid_strides_of_degenerate_sizes() {
-    assert!(valid_strides(0, &cfg()).is_empty());
-    assert!(valid_strides(1, &cfg()).is_empty());
-    assert_eq!(valid_strides(2, &cfg()), vec![1]);
+    assert!(valid_strides(0).is_empty());
+    assert!(valid_strides(1).is_empty());
+    assert_eq!(valid_strides(2), vec![1]);
 }
 
 #[test]
 fn two_member_group_has_exactly_the_unit_permutation() {
     // φ(2) = 1: the only ring over two members is +1, regardless of member
     // ids.
-    let perms = totient_perms(&[7, 9], &cfg());
+    let perms = totient_perms(&[7, 9]);
     assert_eq!(perms.len(), 1);
     assert_eq!(perms[0].stride, 1);
     assert!(perms[0].is_single_ring());
     assert_eq!(perms[0].len(), 2);
-}
-
-#[test]
-fn primes_only_and_max_candidates_survive_tiny_groups() {
-    let primes = TotientPermsConfig { primes_only: true, max_candidates: 0 };
-    assert!(valid_strides(0, &primes).is_empty());
-    assert!(valid_strides(1, &primes).is_empty());
-    // Stride 1 is always kept even though 1 is not prime.
-    assert_eq!(valid_strides(2, &primes), vec![1]);
-
-    let capped = TotientPermsConfig { primes_only: false, max_candidates: 1 };
-    assert_eq!(valid_strides(2, &capped), vec![1]);
 }
 
 // ------------------------------------------------------------- coinchange
@@ -98,8 +82,8 @@ fn coins_fold_modulo_group_size() {
 
 #[test]
 fn select_on_degenerate_groups_returns_nothing() {
-    assert!(select_for_group(&[], 4, &cfg()).is_empty());
-    assert!(select_for_group(&[3], 4, &cfg()).is_empty());
+    assert!(select_for_group(&[], 4).is_empty());
+    assert!(select_for_group(&[3], 4).is_empty());
 }
 
 #[test]
@@ -107,7 +91,7 @@ fn select_degree_at_least_group_size_is_capped_to_candidates() {
     // Two members: one candidate. Any degree ≥ n − 1 = 1 must still return
     // exactly that one permutation.
     for degree in [1usize, 2, 5, usize::MAX] {
-        let sel = select_for_group(&[0, 1], degree, &cfg());
+        let sel = select_for_group(&[0, 1], degree);
         assert_eq!(sel.len(), 1, "degree {degree}");
         assert_eq!(sel[0].stride, 1);
     }
@@ -115,7 +99,7 @@ fn select_degree_at_least_group_size_is_capped_to_candidates() {
     // Sixteen members: φ(16) = 8 candidates; degree n − 1 = 15 caps at 8
     // distinct strides.
     let members: Vec<usize> = (0..16).collect();
-    let sel = select_for_group(&members, 15, &cfg());
+    let sel = select_for_group(&members, 15);
     assert_eq!(sel.len(), 8);
     let mut strides: Vec<usize> = sel.iter().map(|p| p.stride).collect();
     strides.sort_unstable();
@@ -131,7 +115,7 @@ fn select_permutations_empty_candidates_with_huge_degree() {
 #[test]
 fn select_three_member_group_degree_two() {
     // n = 3: strides {1, 2}, degree = n − 1 = 2 uses both.
-    let sel = select_for_group(&[0, 1, 2], 2, &cfg());
+    let sel = select_for_group(&[0, 1, 2], 2);
     let mut strides: Vec<usize> = sel.iter().map(|p| p.stride).collect();
     strides.sort_unstable();
     assert_eq!(strides, vec![1, 2]);

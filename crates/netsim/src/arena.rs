@@ -20,7 +20,7 @@
 //!   `LinkKey` order via [`LinkArena::ids_by_key`] (O(links), no
 //!   allocation — the sorted key set is maintained incrementally at intern
 //!   time instead of being rebuilt per call);
-//! * [`waterfill_ids`] scans candidate bottleneck links in ascending
+//! * [`waterfill_ids_with`] scans candidate bottleneck links in ascending
 //!   `LinkKey` order (the order the map-keyed `waterfill_slices` of the
 //!   dev-only `topoopt-oracle` crate iterates its `BTreeMap`s in) and
 //!   freezes flows in the same position order, so the flat and map-keyed
@@ -145,17 +145,6 @@ pub(crate) struct WaterfillScratch {
     unfixed: Vec<usize>,
     fixed: Vec<bool>,
     frozen: Vec<u32>,
-}
-
-/// [`waterfill_ids_with`] over a throwaway scratch — convenience for tests
-/// and one-shot callers.
-#[cfg(test)]
-pub(crate) fn waterfill_ids(
-    links: &LinkArena,
-    spans: &[&[LinkId]],
-    relay_factors: &[f64],
-) -> Vec<f64> {
-    waterfill_ids_with(links, spans, relay_factors, &mut WaterfillScratch::default())
 }
 
 /// Progressive-filling max-min fair allocation over interned link ids — the
@@ -324,6 +313,11 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
     use topoopt_oracle::{check_max_min, waterfill_slices};
+
+    /// [`waterfill_ids_with`] over a throwaway scratch.
+    fn waterfill_ids(links: &LinkArena, spans: &[&[LinkId]], relay_factors: &[f64]) -> Vec<f64> {
+        waterfill_ids_with(links, spans, relay_factors, &mut WaterfillScratch::default())
+    }
 
     /// Run the flat water-filler over `paths` and assert the max-min
     /// certificate on its allocation.

@@ -2,12 +2,12 @@
 //!
 //! The engine is a max-min simulator over link capacities that are fixed
 //! when it is built. It advances from event to event over an explicit
-//! priority queue of two event kinds:
-//!
-//! * **flow arrival** — a flow's `start_s` is reached and it joins the
-//!   active set;
-//! * **flow completion** — a flow's predicted finish time fires (stale
-//!   predictions are lazily invalidated by a per-flow version counter).
+//! priority queue of one event kind, a flow's predicted completion (stale
+//! predictions are lazily invalidated by a per-flow version counter).
+//! Every flow starts at the engine clock: the flows added since the last
+//! batch join as the first batch of the next [`FluidEngine::run_until`],
+//! one event each, in insertion order. The queue therefore holds only
+//! completion predictions.
 //!
 //! The fabric changes only between simulated rounds: the OCS-reconfig
 //! baseline builds an engine per window ([`crate::reconfig`]), and the
@@ -72,9 +72,7 @@ pub type FlowId = usize;
 /// Lifecycle of one engine flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FlowState {
-    /// Not yet started (waiting for its arrival event).
-    Pending,
-    /// Transferring bytes.
+    /// Transferring bytes, or added and waiting for the next batch.
     Active,
     /// Finished (or declared unroutable at the end of the run).
     Done,
@@ -97,18 +95,15 @@ struct EngineFlow {
     links_start: usize,
 }
 
-#[derive(Debug, Clone)]
-enum EventKind {
-    Arrival(FlowId),
-    Completion { flow: FlowId, version: u64 },
-}
-
+/// A completion prediction: `flow` drains at `time_s` if its rate is still
+/// the one of `version`.
 #[derive(Debug, Clone)]
 struct Event {
     time_s: f64,
     /// Insertion order, breaking time ties deterministically.
     seq: u64,
-    kind: EventKind,
+    flow: FlowId,
+    version: u64,
 }
 
 impl PartialEq for Event {
@@ -173,6 +168,9 @@ pub struct FluidEngine {
     active_on_link: Vec<Vec<FlowId>>,
     /// Bytes carried per link, indexed by `LinkId`.
     link_bytes: Vec<f64>,
+    /// Flows added since the last batch, in insertion order: the first
+    /// batch of the next `run_until`.
+    pending: Vec<FlowId>,
     events: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
     now_s: f64,
@@ -207,6 +205,7 @@ impl FluidEngine {
             flow_links: Vec::new(),
             active_on_link: vec![Vec::new(); n],
             link_bytes: vec![0.0; n],
+            pending: Vec::new(),
             events: BinaryHeap::new(),
             next_seq: 0,
             now_s: 0.0,
@@ -216,11 +215,6 @@ impl FluidEngine {
             epoch: 0,
             wf_scratch: WaterfillScratch::default(),
         }
-    }
-
-    /// Current simulation clock.
-    pub fn now_s(&self) -> f64 {
-        self.now_s
     }
 
     /// Work counters for this run so far.
@@ -242,9 +236,9 @@ impl FluidEngine {
         id
     }
 
-    /// Add a flow; its arrival event fires at `spec.start_s` (clamped to the
-    /// current clock if that instant already passed). Flows with zero hops
-    /// or zero bytes complete immediately, matching the reference loop.
+    /// Add a flow. It starts at the engine clock, as one event of the first
+    /// batch of the next [`Self::run_until`]. Flows with zero hops or zero
+    /// bytes complete immediately, at time 0, matching the reference loop.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         let id = self.flows.len();
         let links_start = self.flow_links.len();
@@ -254,24 +248,19 @@ impl FluidEngine {
         }
         let remaining = spec.bytes.max(0.0);
         let mut flow = EngineFlow {
-            state: FlowState::Pending,
+            state: FlowState::Active,
             remaining_bytes: remaining,
             rate_bps: 0.0,
-            settled_s: spec.start_s,
+            settled_s: self.now_s,
             version: 0,
             completion_s: 0.0,
             links_start,
             spec,
         };
-        if flow.spec.hops() == 0 {
+        if flow.spec.hops() == 0 || remaining <= 0.0 {
             flow.state = FlowState::Done;
-            flow.completion_s = flow.spec.start_s;
-        } else if remaining <= 0.0 {
-            flow.state = FlowState::Done;
-            flow.completion_s = 0.0;
         } else {
-            let t = flow.spec.start_s.max(self.now_s);
-            self.push_event(t, EventKind::Arrival(id));
+            self.pending.push(id);
         }
         self.flows.push(flow);
         self.flow_mark.push(0);
@@ -298,11 +287,25 @@ impl FluidEngine {
     /// The engine can continue afterwards (add flows, call `run_until`
     /// again with a later deadline).
     ///
-    /// Events scheduled for the *same instant* are drained as one batch and
-    /// followed by a single recomputation pass, so a wave of simultaneous
-    /// arrivals (every job starting a round at t = 0) or completions costs
-    /// one waterfill per touched component instead of one per event.
+    /// The flows added since the last batch join first, as one batch at the
+    /// current clock. After that, completions predicted for the *same
+    /// instant* are drained as one batch. Each batch is followed by a single
+    /// recomputation pass, so a round's flows starting together, or a wave
+    /// of simultaneous completions, cost one waterfill per touched
+    /// component instead of one per event.
     pub fn run_until(&mut self, t_end: f64) {
+        if self.now_s <= t_end && !self.pending.is_empty() {
+            // Ids ascend in insertion order, so the seeds come sorted.
+            let seeds = std::mem::take(&mut self.pending);
+            for &id in &seeds {
+                self.stats.events += 1;
+                let start = self.flows[id].links_start;
+                for &link in &self.flow_links[start..start + self.flows[id].spec.hops()] {
+                    self.active_on_link[link as usize].push(id);
+                }
+            }
+            self.recompute_components(&seeds);
+        }
         while let Some(Reverse(head)) = self.events.peek() {
             if head.time_s > t_end {
                 break;
@@ -317,24 +320,13 @@ impl FluidEngine {
                 // lint:allow(panic-in-engine): the heap is non-empty — the
                 // surrounding `while let` just peeked this event.
                 let Reverse(ev) = self.events.pop().expect("peeked event vanished");
-                match ev.kind {
-                    EventKind::Arrival(id) => {
-                        debug_assert_eq!(self.flows[id].state, FlowState::Pending);
-                        self.stats.events += 1;
-                        self.activate(id);
-                        seeds.push(id);
-                    }
-                    EventKind::Completion { flow, version } => {
-                        if self.flows[flow].state != FlowState::Active
-                            || self.flows[flow].version != version
-                        {
-                            continue; // stale prediction
-                        }
-                        self.stats.events += 1;
-                        self.settle(flow);
-                        seeds.extend(self.finish_now(flow));
-                    }
+                let flow = &self.flows[ev.flow];
+                if flow.state != FlowState::Active || flow.version != ev.version {
+                    continue; // stale prediction
                 }
+                self.stats.events += 1;
+                self.settle(ev.flow);
+                seeds.extend(self.finish_now(ev.flow));
             }
             seeds.sort_unstable();
             seeds.dedup();
@@ -353,11 +345,11 @@ impl FluidEngine {
         }
     }
 
-    /// True when no flow is still making progress: everything is done,
-    /// pending after `now`, or stuck at rate zero.
+    /// True when no flow is still making progress or waiting to join:
+    /// everything is done or stuck at rate zero.
     pub fn drained(&self) -> bool {
-        self.flows.iter().all(|f| f.state != FlowState::Active || f.rate_bps <= 0.0)
-            && self.flows.iter().all(|f| f.state != FlowState::Pending)
+        self.pending.is_empty()
+            && self.flows.iter().all(|f| f.state != FlowState::Active || f.rate_bps <= 0.0)
     }
 
     /// Whether a flow has finished (routable flows only; see
@@ -367,7 +359,7 @@ impl FluidEngine {
     }
 
     /// Completion time of a finished flow (infinite if declared
-    /// unroutable); meaningless while the flow is still pending/active.
+    /// unroutable); meaningless while the flow is still active.
     pub fn completion_s(&self, id: FlowId) -> f64 {
         self.flows[id].completion_s
     }
@@ -393,7 +385,7 @@ impl FluidEngine {
     /// last ulp, so the order is part of the determinism contract — see
     /// `crate::arena`). Links that carried nothing contribute exact
     /// zeros, which leave every partial sum bit-unchanged.
-    pub fn carried_bytes(&self) -> f64 {
+    fn carried_bytes(&self) -> f64 {
         self.links.ids_by_key().iter().map(|&id| self.link_bytes[id as usize]).sum()
     }
 
@@ -429,12 +421,6 @@ impl FluidEngine {
         }
     }
 
-    fn push_event(&mut self, time_s: f64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Reverse(Event { time_s, seq, kind }));
-    }
-
     /// Reconcile a flow's remaining bytes (and the per-link byte counters)
     /// up to the current clock at its constant rate.
     fn settle(&mut self, id: FlowId) {
@@ -457,19 +443,6 @@ impl FluidEngine {
         flow.settled_s = self.now_s;
     }
 
-    /// Make a pending flow active and register it on its links; the caller
-    /// re-rates its component at the end of the event batch.
-    fn activate(&mut self, id: FlowId) {
-        let flow = &mut self.flows[id];
-        flow.state = FlowState::Active;
-        flow.settled_s = self.now_s;
-        let start = flow.links_start;
-        let end = start + flow.spec.hops();
-        for k in start..end {
-            self.active_on_link[self.flow_links[k] as usize].push(id);
-        }
-    }
-
     /// Mark a settled flow finished at the current clock: drain any float
     /// residue into the byte counters, deregister it from its links, and
     /// return the smallest still-active sharer of each of its links (the
@@ -481,8 +454,9 @@ impl FluidEngine {
     /// the same batch, its own `finish_now` seeds the link again with the
     /// next-smallest sharer. Each re-rated component's smallest seed is
     /// then its smallest flow that shared a link with a finished flow (or
-    /// its smallest arrival), which fixes the order components re-rate in
-    /// and so every float sum. The caller sorts and dedups a batch's seeds.
+    /// its smallest newly added flow), which fixes the order components
+    /// re-rate in and so every float sum. The caller sorts and dedups a
+    /// batch's seeds.
     fn finish_now(&mut self, id: FlowId) -> Vec<FlowId> {
         let start = self.flows[id].links_start;
         let end = start + self.flows[id].spec.hops();
@@ -510,9 +484,9 @@ impl FluidEngine {
 
     /// Re-waterfill every connected component (over link sharing) that
     /// contains a seed flow. Disjoint components — e.g. two jobs whose
-    /// rounds end at the same instant on separate shards, or a wave of
-    /// t = 0 arrivals across all shards — are re-rated independently, one
-    /// after another in gather order.
+    /// rounds end at the same instant on separate shards, or a batch of
+    /// newly added flows across all shards — are re-rated independently,
+    /// one after another in gather order.
     fn recompute_components(&mut self, seeds: &[FlowId]) {
         // Phase 1: gather the touched components by BFS over the flow/link
         // sharing graph (components are disjoint by construction), using
@@ -591,9 +565,11 @@ impl FluidEngine {
                 flow.rate_bps = rate;
                 flow.version += 1;
                 if rate > 0.0 {
-                    let t = self.now_s + flow.remaining_bytes * 8.0 / rate;
-                    let version = flow.version;
-                    self.push_event(t, EventKind::Completion { flow: f, version });
+                    let time_s = self.now_s + flow.remaining_bytes * 8.0 / rate;
+                    let event =
+                        Event { time_s, seq: self.next_seq, flow: f, version: flow.version };
+                    self.next_seq += 1;
+                    self.events.push(Reverse(event));
                 }
             }
         }
@@ -771,21 +747,21 @@ mod tests {
         assert_eq!(engine.completion_s(b), 8.0);
         // 100 bytes by t = 8, then 300 bytes at 300 bps: 8 s more.
         assert!((engine.completion_s(c) - 16.0).abs() < 1e-9, "{}", engine.completion_s(c));
-        // One waterfill for the arrivals and one for C after the batch.
+        // One waterfill for the added flows and one for C after the batch.
         assert_eq!(engine.stats().waterfills, 2);
     }
 
     #[test]
     fn mid_simulation_arrival_splits_bandwidth() {
-        // Flow A alone for 4 s (50 bytes left), then shares with B: A
-        // finishes at 4 + 50*8/50 = 12 s; B needs 100*8 bits at 50 bps from
-        // t=4 until A leaves at 12 (50 bytes sent), then 100 bps -> 16 s.
+        // Flow A alone for 4 s (50 bytes left), then B is added at the
+        // clock and shares the link: A finishes at 4 + 50*8/50 = 12 s; B
+        // needs 100*8 bits at 50 bps from t=4 until A leaves at 12 (50
+        // bytes sent), then 100 bps -> 16 s.
         let g = ring(2, 100.0);
         let mut engine = FluidEngine::new(&g, 0.0);
         let a = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
-        let mut late = FlowSpec::new(vec![0, 1], 100.0);
-        late.start_s = 4.0;
-        let b = engine.add_flow(late);
+        engine.run_until(4.0);
+        let b = engine.add_flow(FlowSpec::new(vec![0, 1], 100.0));
         engine.run();
         assert!((engine.completion_s(a) - 12.0).abs() < 1e-9);
         assert!((engine.completion_s(b) - 16.0).abs() < 1e-9);

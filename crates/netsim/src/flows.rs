@@ -42,7 +42,7 @@ impl AllReducePlan {
 fn routed_flow(net: &SimNetwork, src: usize, dst: usize, bytes: f64) -> FlowSpec {
     match net.path(src, dst) {
         Some(path) => FlowSpec::new(path, bytes).with_relay_factor(net.relay_factor(src, dst)),
-        None => FlowSpec { src, dst, bytes, path: vec![src, dst], start_s: 0.0, relay_factor: 1.0 },
+        None => FlowSpec { src, dst, bytes, path: vec![src, dst], relay_factor: 1.0 },
     }
 }
 

@@ -5,14 +5,14 @@
 //! freeze those flows at that rate, subtract their consumption, and repeat.
 //!
 //! [`simulate_flows`] is a thin wrapper over [`crate::engine::FluidEngine`],
-//! which advances from event to event (flow arrival, flow completion) and
-//! re-waterfills only the connected component of links/flows an event
-//! touches, with the flat allocator `arena::waterfill_ids_with`. The
-//! original from-scratch event loop and its map-keyed allocator live in the
-//! dev-only `topoopt-oracle` crate (`simulate_flows_reference`,
-//! `waterfill_slices`): they are the oracles of the engine's equivalence
-//! proptests and the allocator's bit-identity tests, and the baseline of
-//! the `fluid` and `scale` benches.
+//! which starts every flow at time zero, advances from completion to
+//! completion, and re-waterfills only the connected component of
+//! links/flows an event touches, with the flat allocator
+//! `arena::waterfill_ids_with`. The original from-scratch event loop and
+//! its map-keyed allocator live in the dev-only `topoopt-oracle` crate
+//! (`simulate_flows_reference`, `waterfill_slices`): they are the oracles
+//! of the engine's equivalence proptests and the allocator's bit-identity
+//! tests, and the baseline of the `fluid` and `scale` benches.
 
 use crate::engine::FluidEngine;
 use serde::{Deserialize, Serialize};
@@ -27,7 +27,9 @@ pub type LinkKey = (usize, usize);
 /// matches the legacy loop's completion threshold).
 pub(crate) const COMPLETION_EPS_BYTES: f64 = 1e-9;
 
-/// One flow to simulate: `bytes` moving along the fixed node `path`.
+/// One flow to simulate: `bytes` moving along the fixed node `path`,
+/// starting with the rest of its round (§5: an iteration's transfers all
+/// start together).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
     /// Source node (first element of `path`).
@@ -39,8 +41,6 @@ pub struct FlowSpec {
     /// Node path, including both endpoints. Must contain at least two nodes
     /// for a non-empty flow.
     pub path: Vec<usize>,
-    /// Earliest start time in seconds (0 for flows active from the start).
-    pub start_s: f64,
     /// Kernel-relay throughput multiplier of the flow's logical connection
     /// (§6 / Appendix I): when `< 1.0`, the flow's rate is capped at
     /// `relay_factor ×` the minimum link capacity along its path, modelling
@@ -51,7 +51,8 @@ pub struct FlowSpec {
 }
 
 impl FlowSpec {
-    /// Convenience constructor for a flow starting at time zero.
+    /// A flow along `path` with no relay penalty. It starts when it is
+    /// added to an engine, at the engine's clock.
     pub fn new(path: Vec<usize>, bytes: f64) -> Self {
         // lint:allow(panic-in-engine): API-boundary validation of the
         // caller's path — not reachable from the event loop.
@@ -59,7 +60,7 @@ impl FlowSpec {
         // lint:allow(panic-in-engine): API-boundary validation of the
         // caller's path — not reachable from the event loop.
         let dst = *path.last().expect("path must not be empty");
-        FlowSpec { src, dst, bytes, path, start_s: 0.0, relay_factor: 1.0 }
+        FlowSpec { src, dst, bytes, path, relay_factor: 1.0 }
     }
 
     /// Builder: attach a relay throughput factor (see
@@ -204,15 +205,6 @@ mod tests {
         let no_lat = simulate_flows(&g, &f, 0.0);
         let with_lat = simulate_flows(&g, &f, 0.5);
         assert!((with_lat.completion_s[0] - no_lat.completion_s[0] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delayed_start_is_respected() {
-        let g = line(&[100.0]);
-        let mut f1 = FlowSpec::new(vec![0, 1], 100.0);
-        f1.start_s = 5.0;
-        let r = simulate_flows(&g, &[f1], 0.0);
-        assert!((r.completion_s[0] - 13.0).abs() < 1e-6);
     }
 
     #[test]

@@ -13,14 +13,6 @@ use crate::network::SimNetwork;
 use serde::{Deserialize, Serialize};
 use topoopt_strategy::TrafficDemands;
 
-/// Simulation parameters of one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IterationParams {
-    /// Compute time of the busiest server (seconds), typically taken from
-    /// the strategy cost model.
-    pub compute_s: f64,
-}
-
 /// Result of simulating one iteration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IterationResult {
@@ -42,12 +34,13 @@ pub struct IterationResult {
 
 /// Simulate one training iteration of a job whose demands are `demands`,
 /// with the AllReduce traffic laid out according to `plans` (one entry per
-/// AllReduce group).
+/// AllReduce group). `compute_s` is the busiest server's compute time,
+/// typically taken from the strategy cost model.
 pub fn simulate_iteration(
     net: &SimNetwork,
     demands: &TrafficDemands,
     plans: &[AllReducePlan],
-    params: &IterationParams,
+    compute_s: f64,
 ) -> IterationResult {
     let mut flows = Vec::new();
     for plan in plans {
@@ -59,9 +52,9 @@ pub fn simulate_iteration(
     let unroutable = result.completion_s.iter().any(|c| c.is_infinite());
     let comm_s = if unroutable { f64::INFINITY } else { result.makespan_s };
     IterationResult {
-        compute_s: params.compute_s,
+        compute_s,
         comm_s,
-        total_s: params.compute_s + comm_s,
+        total_s: compute_s + comm_s,
         bandwidth_tax: result.bandwidth_tax(),
         link_traffic_cdf: result.link_traffic_cdf(),
         unroutable,
@@ -112,7 +105,7 @@ mod tests {
         let g = topologies::ideal_switch(n, 400.0e9);
         let net = SimNetwork::without_rules(g, n);
         let plans = natural_ring_plans(&demands);
-        let r = simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.05 });
+        let r = simulate_iteration(&net, &demands, &plans, 0.05);
         assert!(r.comm_s > 0.0 && r.comm_s.is_finite());
         assert!((r.total_s - (0.05 + r.comm_s)).abs() < 1e-12);
         assert!(!r.unroutable);
@@ -125,7 +118,7 @@ mod tests {
         let g = topologies::ideal_switch(n, 400.0e9);
         let net = SimNetwork::without_rules(g, n);
         let plans = natural_ring_plans(&demands);
-        let r = simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.0 });
+        let r = simulate_iteration(&net, &demands, &plans, 0.0);
         // Every path is server -> hub -> server: 2 physical hops, but the
         // hub is a switch, so hosts never relay. The conventional bandwidth
         // tax counts host-relayed bytes; in our accounting the switched path
@@ -145,14 +138,12 @@ mod tests {
         let n = 16;
         let demands = dlrm_demands(n);
         let (topo_net, plans) = topoopt_network(&demands, n, 4, 25.0e9);
-        let topo =
-            simulate_iteration(&topo_net, &demands, &plans, &IterationParams { compute_s: 0.0 });
+        let topo = simulate_iteration(&topo_net, &demands, &plans, 0.0);
 
         let ft = topologies::ideal_switch(n, 25.0e9);
         let ft_net = SimNetwork::without_rules(ft, n);
         let ft_plans = natural_ring_plans(&demands);
-        let fat =
-            simulate_iteration(&ft_net, &demands, &ft_plans, &IterationParams { compute_s: 0.0 });
+        let fat = simulate_iteration(&ft_net, &demands, &ft_plans, 0.0);
         assert!(
             topo.comm_s < fat.comm_s,
             "TopoOpt {} should beat single-link fabric {}",
@@ -170,17 +161,11 @@ mod tests {
         let s = ParallelizationStrategy::pure_data_parallel(&m, n);
         let demands = extract_traffic(&m, &s, 4);
         let (topo_net, plans) = topoopt_network(&demands, n, 4, 25.0e9);
-        let topo =
-            simulate_iteration(&topo_net, &demands, &plans, &IterationParams { compute_s: 0.0 });
+        let topo = simulate_iteration(&topo_net, &demands, &plans, 0.0);
         let ideal = {
             let g = topologies::ideal_switch(n, 100.0e9);
             let net = SimNetwork::without_rules(g, n);
-            simulate_iteration(
-                &net,
-                &demands,
-                &natural_ring_plans(&demands),
-                &IterationParams { compute_s: 0.0 },
-            )
+            simulate_iteration(&net, &demands, &natural_ring_plans(&demands), 0.0)
         };
         assert!(topo.comm_s < ideal.comm_s * 2.0);
         assert!(ideal.comm_s < topo.comm_s * 2.0);
@@ -192,7 +177,7 @@ mod tests {
         let demands = dlrm_demands(n);
         let (net, plans) = topoopt_network(&demands, n, 2, 25.0e9);
         let no_fw = net.clone().with_host_forwarding(false);
-        let r = simulate_iteration(&no_fw, &demands, &plans, &IterationParams { compute_s: 0.0 });
+        let r = simulate_iteration(&no_fw, &demands, &plans, 0.0);
         // With degree 2 the MP all-to-all needs relays; disabling forwarding
         // leaves some transfers unroutable.
         assert!(r.unroutable);
@@ -208,21 +193,17 @@ mod tests {
         let (net, plans) = topoopt_network(&demands, n, 2, 25.0e9);
         let plan = topoopt_rdma::build_forwarding_plan(&net.graph, n, &net.routing);
         assert!(plan.relayed_fraction() > 0.0, "fabric should have relayed pairs");
-        let base = simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.0 });
+        let base = simulate_iteration(&net, &demands, &plans, 0.0);
         let free = simulate_iteration(
             &net.clone().with_relay_overhead(plan.clone(), 1.0),
             &demands,
             &plans,
-            &IterationParams { compute_s: 0.0 },
+            0.0,
         );
         // relay_efficiency = 1.0 is bit-identical to the plan-less fabric.
         assert_eq!(base, free);
-        let taxed = simulate_iteration(
-            &net.clone().with_relay_overhead(plan, 0.3),
-            &demands,
-            &plans,
-            &IterationParams { compute_s: 0.0 },
-        );
+        let taxed =
+            simulate_iteration(&net.clone().with_relay_overhead(plan, 0.3), &demands, &plans, 0.0);
         assert!(
             taxed.comm_s > base.comm_s,
             "kernel relays at 30% efficiency must slow the iteration: {} vs {}",
@@ -240,8 +221,7 @@ mod tests {
             let s = ParallelizationStrategy::hybrid_embeddings_round_robin(m, n);
             let demands = extract_traffic(m, &s, 4);
             let (net, plans) = topoopt_network(&demands, n, 4, 25.0e9);
-            simulate_iteration(&net, &demands, &plans, &IterationParams { compute_s: 0.0 })
-                .bandwidth_tax
+            simulate_iteration(&net, &demands, &plans, 0.0).bandwidth_tax
         };
         assert!(tax(&m_large) >= tax(&m_small));
     }

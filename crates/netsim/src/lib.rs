@@ -13,8 +13,10 @@
 //! # Engine design
 //!
 //! The core is [`engine::FluidEngine`], an event-driven simulator with an
-//! explicit priority queue of two event kinds, *flow arrival* and *flow
-//! completion*, over link capacities fixed when the engine is built. The
+//! explicit priority queue of one event kind, *flow completion*, over link
+//! capacities fixed when the engine is built. Every flow starts at the
+//! engine clock, with the rest of its round (§5: an iteration's transfers
+//! start together), so the queue holds only completion predictions. The
 //! fabric changes only between simulated rounds (OCS reconfiguration
 //! windows), and each round runs on a fresh engine; flows on a
 //! zero-capacity link stall at rate 0. Between events every rate is
@@ -80,7 +82,7 @@ pub(crate) mod shared_engine;
 pub use engine::{EngineStats, FluidEngine};
 pub use flows::{allreduce_flows, mp_flows, AllReducePlan};
 pub use fluid::{simulate_flows, FlowSpec, FluidResult};
-pub use iteration::{simulate_iteration, IterationParams, IterationResult};
+pub use iteration::{simulate_iteration, IterationResult};
 pub use multijob::{
     simulate_dynamic_cluster, simulate_shared_cluster, simulate_shared_cluster_stats,
     DynamicClusterParams, DynamicClusterResult, DynamicEngineStats, DynamicFabric,

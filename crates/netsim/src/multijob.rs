@@ -22,7 +22,7 @@
 use crate::engine::EngineStats;
 use crate::flows::{allreduce_flows, demand_flows, AllReducePlan};
 use crate::fluid::FlowSpec;
-use crate::iteration::{simulate_iteration, IterationParams};
+use crate::iteration::simulate_iteration;
 use crate::network::SimNetwork;
 use crate::shared_engine::SharedFabricEngine;
 use serde::{Deserialize, Serialize};
@@ -795,8 +795,7 @@ pub fn solo_iteration_s(job: &DynamicJobSpec, per_hop_latency_s: f64) -> f64 {
     };
     let mut net = SimNetwork::without_rules(topo.clone(), job.servers);
     net.per_hop_latency_s = per_hop_latency_s;
-    let params = IterationParams { compute_s: job.compute_s };
-    simulate_iteration(&net, &job.demands, &job.plans, &params).total_s
+    simulate_iteration(&net, &job.demands, &job.plans, job.compute_s).total_s
 }
 
 /// A job as [`solo_iteration_s`] sees it: the key of the dynamic loop's

@@ -22,10 +22,10 @@ use std::sync::Arc;
 
 /// Everything a fresh engine over a component reads, with each node id
 /// replaced by its rank among the component's path nodes: per job its flow
-/// count, then per flow (in admission order) its path, bytes, start offset
-/// and relay factor, then the capacity of each link the flows cross, in
-/// ascending link order. Components of equal shape get equal completion
-/// times and engine counters, to the bit (see "Why the cache is exact").
+/// count, then per flow (in admission order) its path, bytes and relay
+/// factor, then the capacity of each link the flows cross, in ascending
+/// link order. Components of equal shape get equal completion times and
+/// engine counters, to the bit (see "Why the cache is exact").
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Shape(Vec<u64>);
 
@@ -109,13 +109,13 @@ struct SharedSlot {
 ///
 /// # Why the cache is exact
 ///
-/// Each window simulates one round with every resident's flows starting at
-/// their intra-round offsets from time zero. Disjoint components share no
-/// links, hence no float operations: a component's completion times are a
-/// pure function of its own flows (in admission order) and their links'
-/// capacities. Re-simulating an untouched component would reproduce its
-/// cached values bit for bit, and simulating a dirty one on an engine of
-/// its own gives what a whole-fabric engine would. Job-level components
+/// Each window simulates one round with every resident's flows starting
+/// together at time zero. Disjoint components share no links, hence no
+/// float operations: a component's completion times are a pure function of
+/// its own flows (in admission order) and their links' capacities.
+/// Re-simulating an untouched component would reproduce its cached values
+/// bit for bit, and simulating a dirty one on an engine of its own gives
+/// what a whole-fabric engine would. Job-level components
 /// (over each job's distinct link set) are coarser than flow-level ones,
 /// which keeps the dirty-propagation sound: any job sharing a link —
 /// transitively — with a dirty job is re-rated too.
@@ -453,7 +453,7 @@ impl SharedFabricEngine {
         for f in flows() {
             words.push(f.path.len() as u64);
             words.extend(f.path.iter().map(|&v| rank(v)));
-            words.extend([f.bytes.to_bits(), f.start_s.to_bits(), f.relay_factor.to_bits()]);
+            words.extend([f.bytes.to_bits(), f.relay_factor.to_bits()]);
         }
         words.extend(links.iter().map(|&key| self.capacity(key).to_bits()));
         Shape(words)

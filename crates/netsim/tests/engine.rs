@@ -53,14 +53,14 @@ fn assert_equivalent(g: &Graph, flows: &[FlowSpec], per_hop_latency_s: f64) {
 
 proptest! {
     // Random ring-walk flows (some wrapping all the way around, revisiting
-    // links) with random sizes, arrival times, and extra chords.
+    // links) with random sizes and relay caps, and extra chords.
     #[test]
     fn engine_matches_reference_on_random_ring_walks(
         n in 3usize..10,
         extra_edges in proptest::collection::vec(
             (0usize..64, 0usize..64, 1.0f64..200.0), 0usize..12),
         flows in proptest::collection::vec(
-            (0usize..64, 1usize..7, 1.0f64..2000.0, 0.0f64..3.0, 0.2f64..1.3), 1usize..14),
+            (0usize..64, 1usize..7, 1.0f64..2000.0, 0.2f64..1.3), 1usize..14),
     ) {
         let mut g = Graph::new(n);
         for i in 0..n {
@@ -74,11 +74,9 @@ proptest! {
         }
         let specs: Vec<FlowSpec> = flows
             .into_iter()
-            .map(|(start, len, bytes, start_s, relay_factor)| {
+            .map(|(start, len, bytes, relay_factor)| {
                 let path: Vec<usize> = (0..=len).map(|k| (start + k) % n).collect();
-                let mut f = FlowSpec::new(path, bytes).with_relay_factor(relay_factor);
-                f.start_s = start_s;
-                f
+                FlowSpec::new(path, bytes).with_relay_factor(relay_factor)
             })
             .collect();
         assert_equivalent(&g, &specs, 1.0e-3);
@@ -90,8 +88,7 @@ proptest! {
     fn engine_matches_reference_on_arbitrary_paths(
         n in 3usize..9,
         flows in proptest::collection::vec(
-            (proptest::collection::vec(0usize..64, 2usize..6), 0.5f64..500.0, 0.0f64..2.0),
-            1usize..10),
+            (proptest::collection::vec(0usize..64, 2usize..6), 0.5f64..500.0), 1usize..10),
     ) {
         let mut g = Graph::new(n);
         for i in 0..n {
@@ -100,15 +97,13 @@ proptest! {
         }
         let specs: Vec<FlowSpec> = flows
             .into_iter()
-            .map(|(raw, bytes, start_s)| {
+            .map(|(raw, bytes)| {
                 let mut path: Vec<usize> = raw.into_iter().map(|v| v % n).collect();
                 path.dedup();
                 if path.len() < 2 {
                     path = vec![0, 1];
                 }
-                let mut f = FlowSpec::new(path, bytes);
-                f.start_s = start_s;
-                f
+                FlowSpec::new(path, bytes)
             })
             .collect();
         assert_equivalent(&g, &specs, 0.0);
@@ -117,14 +112,14 @@ proptest! {
 
 proptest! {
     // Random *sharded* workloads: several disjoint rings, each with its own
-    // random flow mix (neighbour flows, chords, staggered arrivals), so
+    // random flow mix (neighbour flows and chords of distinct sizes), so
     // event batches touch several disjoint components at once.
     #[test]
     fn flat_engine_matches_reference_on_random_sharded_workloads(
         rings in 2usize..6,
         size in 3usize..7,
         flows in proptest::collection::vec(
-            (0usize..64, 0usize..64, 1usize..4, 1.0f64..900.0, 0.0f64..2.0), 4usize..28),
+            (0usize..64, 0usize..64, 1usize..4, 1.0f64..900.0), 4usize..28),
     ) {
         let mut g = Graph::new(rings * size);
         for r in 0..rings {
@@ -135,13 +130,11 @@ proptest! {
         }
         let specs: Vec<FlowSpec> = flows
             .into_iter()
-            .map(|(ring, start, len, bytes, start_s)| {
+            .map(|(ring, start, len, bytes)| {
                 let base = (ring % rings) * size;
                 let path: Vec<usize> =
                     (0..=len.min(size - 1)).map(|k| base + (start + k) % size).collect();
-                let mut f = FlowSpec::new(path, bytes);
-                f.start_s = start_s;
-                f
+                FlowSpec::new(path, bytes)
             })
             .collect();
         assert_equivalent(&g, &specs, 1.0e-4);
@@ -155,7 +148,7 @@ proptest! {
     fn flat_engine_matches_reference_on_fully_coupled_workloads(
         n in 3usize..8,
         flows in proptest::collection::vec(
-            (0usize..64, 1.0f64..700.0, 0.0f64..2.0, 0.3f64..1.2), 2usize..16),
+            (0usize..64, 1.0f64..700.0, 0.3f64..1.2), 2usize..16),
     ) {
         // Star: spokes feed hub 0, plus one shared uplink 0 -> 1 that every
         // flow traverses.
@@ -166,11 +159,9 @@ proptest! {
         }
         let specs: Vec<FlowSpec> = flows
             .into_iter()
-            .map(|(spoke, bytes, start_s, relay)| {
+            .map(|(spoke, bytes, relay)| {
                 let s = 2 + spoke % (n - 1);
-                let mut f = FlowSpec::new(vec![s, 0, 1], bytes).with_relay_factor(relay);
-                f.start_s = start_s;
-                f
+                FlowSpec::new(vec![s, 0, 1], bytes).with_relay_factor(relay)
             })
             .collect();
         assert_equivalent(&g, &specs, 1.0e-4);
@@ -179,7 +170,7 @@ proptest! {
 
 #[test]
 fn sharded_event_loops_are_deterministic_across_thread_counts() {
-    // Disjoint rings with staggered arrivals inside each ring, so every
+    // Disjoint rings with distinct flow sizes inside each ring, so every
     // component sees a real multi-event sequence inside the one loop.
     let rings = 12usize;
     let size = 6usize;
@@ -189,12 +180,10 @@ fn sharded_event_loops_are_deterministic_across_thread_counts() {
         let base = r * size;
         for i in 0..size {
             g.add_edge(base + i, base + (i + 1) % size, 100.0);
-            let mut f = FlowSpec::new(
+            flows.push(FlowSpec::new(
                 vec![base + i, base + (i + 1) % size, base + (i + 2) % size],
                 30.0 * (1.0 + ((r * 13 + i) % 9) as f64),
-            );
-            f.start_s = 0.25 * ((r + i) % 3) as f64;
-            flows.push(f);
+            ));
         }
     }
     assert_equivalent(&g, &flows, 1.0e-4);
@@ -211,11 +200,10 @@ fn line(capacities: &[f64]) -> Graph {
 
 #[test]
 fn reference_loop_matches_engine_on_contended_and_capped_cases() {
-    // Contended: a mid-run arrival shares the 100 bps first hop with a
-    // flow held to 10 bps by the second.
-    let mut late = FlowSpec::new(vec![0, 1], 90.0);
-    late.start_s = 2.0;
-    assert_equivalent(&line(&[100.0, 10.0]), &[FlowSpec::new(vec![0, 1, 2], 10.0), late], 0.0);
+    // Contended: a flow shares the 100 bps first hop with a flow held to
+    // 10 bps by the second.
+    let contended = [FlowSpec::new(vec![0, 1, 2], 10.0), FlowSpec::new(vec![0, 1], 90.0)];
+    assert_equivalent(&line(&[100.0, 10.0]), &contended, 0.0);
     // A lone flow relay-capped at 50% of its 100 bps path takes 16 s.
     let g = line(&[100.0, 100.0]);
     let capped = [FlowSpec::new(vec![0, 1, 2], 100.0).with_relay_factor(0.5)];
@@ -228,21 +216,6 @@ fn reference_loop_matches_engine_on_contended_and_capped_cases() {
         FlowSpec::new(vec![0, 1], 150.0),
     ];
     assert_equivalent(&line(&[100.0]), &sharers, 0.0);
-}
-
-#[test]
-fn mid_simulation_arrival_matches_reference() {
-    let mut g = Graph::new(2);
-    g.add_edge(0, 1, 100.0);
-    let flows: Vec<FlowSpec> = [0.0, 1.5, 1.5, 4.0]
-        .iter()
-        .map(|&t| {
-            let mut f = FlowSpec::new(vec![0, 1], 100.0);
-            f.start_s = t;
-            f
-        })
-        .collect();
-    assert_equivalent(&g, &flows, 0.0);
 }
 
 #[test]
@@ -260,7 +233,7 @@ fn zero_byte_zero_hop_and_unroutable_mix_matches_reference() {
 
 #[test]
 fn parallel_component_waterfilling_is_deterministic_across_thread_counts() {
-    // A t = 0 arrival wave across 24 disjoint rings (each with all
+    // A first batch of flows across 24 disjoint rings (each with all
     // intra-ring neighbour+chord flows): one event batch re-rates 24
     // components, which must still agree with the from-scratch oracle.
     let rings = 24usize;

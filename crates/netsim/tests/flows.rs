@@ -39,8 +39,8 @@ fn reference_job_flows(
 }
 
 /// Bit-exact view of a flow.
-fn bits(f: &FlowSpec) -> (usize, usize, u64, Vec<usize>, u64, u64) {
-    (f.src, f.dst, f.bytes.to_bits(), f.path.clone(), f.start_s.to_bits(), f.relay_factor.to_bits())
+fn bits(f: &FlowSpec) -> (usize, usize, u64, Vec<usize>, u64) {
+    (f.src, f.dst, f.bytes.to_bits(), f.path.clone(), f.relay_factor.to_bits())
 }
 
 /// A `k`-server job: MP demands from a few levels (so demands tie), a

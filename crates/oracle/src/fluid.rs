@@ -185,45 +185,23 @@ pub fn simulate_flows_reference(
     let n_flows = flows.len();
     let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes.max(0.0)).collect();
     let mut completion = vec![0.0f64; n_flows];
-    let mut done: Vec<bool> = remaining.iter().map(|&b| b <= 0.0).collect();
+    // Flows with zero bytes or zero hops (local transfers) complete
+    // immediately; every other flow is active from time zero.
+    let mut done: Vec<bool> =
+        flows.iter().zip(&remaining).map(|(f, &b)| b <= 0.0 || f.hops() == 0).collect();
     let mut link_bytes: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-
-    // Flows with zero hops complete immediately (local transfers).
-    for (i, f) in flows.iter().enumerate() {
-        if f.hops() == 0 {
-            done[i] = true;
-            completion[i] = f.start_s;
-        }
-    }
 
     let mut now = 0.0f64;
     let mut guard = 0usize;
     let max_events = 4 * n_flows + 16;
     while done.iter().any(|&d| !d) && guard < max_events {
         guard += 1;
-        // Active = started and not done. Advance `now` to the next start if
-        // nothing is active yet.
-        let mut active: Vec<usize> =
-            (0..n_flows).filter(|&i| !done[i] && flows[i].start_s <= now + 1e-15).collect();
-        if active.is_empty() {
-            let next_start = (0..n_flows)
-                .filter(|&i| !done[i])
-                .map(|i| flows[i].start_s)
-                .fold(f64::INFINITY, f64::min);
-            if !next_start.is_finite() {
-                break;
-            }
-            now = next_start;
-            active =
-                (0..n_flows).filter(|&i| !done[i] && flows[i].start_s <= now + 1e-15).collect();
-        }
-
+        let active: Vec<usize> = (0..n_flows).filter(|&i| !done[i]).collect();
         let paths: Vec<&[usize]> = active.iter().map(|&i| flows[i].path.as_slice()).collect();
         let factors: Vec<f64> = active.iter().map(|&i| flows[i].relay_factor).collect();
         let rates = waterfill_slices(&capacity, &active, &paths, &factors);
 
-        // Time to the earliest of: an active flow finishing, or a pending
-        // flow starting.
+        // Time to the earliest active flow finishing.
         let mut dt = f64::INFINITY;
         for &i in &active {
             let r = rates[&i];
@@ -231,11 +209,6 @@ pub fn simulate_flows_reference(
                 dt = dt.min(remaining[i] * 8.0 / r);
             }
         }
-        let next_start = (0..n_flows)
-            .filter(|&i| !done[i] && flows[i].start_s > now + 1e-15)
-            .map(|i| flows[i].start_s - now)
-            .fold(f64::INFINITY, f64::min);
-        dt = dt.min(next_start);
         if !dt.is_finite() || dt <= 0.0 {
             // No progress possible (e.g. a flow with zero-rate on a
             // zero-capacity path). Mark stuck flows done with infinite time.

@@ -1,10 +1,11 @@
 //! The clone-per-proposal MCMC search loop — the pre-evaluator search
 //! `topoopt_strategy::search_strategy` was built from.
 //!
-//! The candidate filter and the proposal kernel are private in
-//! `topoopt-strategy`, so this module restates both. The trajectory-equality
-//! test (`crates/strategy/tests/search.rs`) fails on any drift between the
-//! two copies: same seed, same proposals, same accept decisions.
+//! The candidate filter, the proposal kernel and the Metropolis temperature
+//! are private in `topoopt-strategy`, so this module restates them. The
+//! trajectory-equality test (`crates/strategy/tests/search.rs`) fails on
+//! any drift between the two copies: same seed, same proposals, same accept
+//! decisions.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,6 +14,9 @@ use topoopt_strategy::{
     estimate_iteration_time, ComputeParams, McmcConfig, McmcResult, ParallelizationStrategy,
     PlacementKind, TopologyView,
 };
+
+/// Metropolis temperature as a fraction of the current cost.
+const TEMPERATURE: f64 = 0.05;
 
 /// Operators eligible for model-parallel placement: embedding tables, plus
 /// parameterised layers whose parameter footprint exceeds 64 MB.
@@ -62,7 +66,7 @@ pub fn search_strategy_reference(
             true
         } else {
             let delta = est.total_s - current_est.total_s;
-            let scale = (cfg.temperature * current_est.total_s).max(1e-12);
+            let scale = (TEMPERATURE * current_est.total_s).max(1e-12);
             rng.gen::<f64>() < (-delta / scale).exp()
         };
         if accept {

@@ -31,14 +31,16 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use topoopt_models::DnnModel;
 
+/// Metropolis temperature expressed as a fraction of the current cost
+/// (higher accepts more uphill moves). `topoopt-oracle` restates it, like
+/// [`mp_candidates`]; `tests/search.rs` fails if the copies drift.
+const TEMPERATURE: f64 = 0.05;
+
 /// Search hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct McmcConfig {
     /// Number of proposal steps per chain.
     pub iterations: usize,
-    /// Metropolis temperature expressed as a fraction of the current cost
-    /// (higher accepts more uphill moves).
-    pub temperature: f64,
     /// RNG seed (searches are deterministic given the seed, regardless of
     /// thread count).
     pub seed: u64,
@@ -50,7 +52,7 @@ pub struct McmcConfig {
 
 impl Default for McmcConfig {
     fn default() -> Self {
-        McmcConfig { iterations: 400, temperature: 0.05, seed: 1, chains: 4 }
+        McmcConfig { iterations: 400, seed: 1, chains: 4 }
     }
 }
 
@@ -158,7 +160,7 @@ fn search_one_chain(
         } else {
             // Metropolis: accept uphill with probability exp(-Δ / (T·cost)).
             let delta = est.total_s - current_est.total_s;
-            let scale = (cfg.temperature * current_est.total_s).max(1e-12);
+            let scale = (TEMPERATURE * current_est.total_s).max(1e-12);
             rng.gen::<f64>() < (-delta / scale).exp()
         };
         if accept {
@@ -220,7 +222,7 @@ mod tests {
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
 
     fn quick_cfg(seed: u64) -> McmcConfig {
-        McmcConfig { iterations: 120, temperature: 0.05, seed, chains: 1 }
+        McmcConfig { iterations: 120, seed, chains: 1 }
     }
 
     #[test]

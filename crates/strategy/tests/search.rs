@@ -9,7 +9,7 @@ use topoopt_strategy::{
 };
 
 fn quick_cfg(seed: u64) -> McmcConfig {
-    McmcConfig { iterations: 120, temperature: 0.05, seed, chains: 1 }
+    McmcConfig { iterations: 120, seed, chains: 1 }
 }
 
 /// Run both search loops from `init` and require the same trajectory:

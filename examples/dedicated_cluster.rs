@@ -64,36 +64,22 @@ fn main() {
     let plans = AllReducePlan::from_groups(&co.network.groups);
     let topo_net =
         SimNetwork::new(co.network.graph.clone(), num_servers, co.network.routing.clone());
-    let topo = simulate_iteration(
-        &topo_net,
-        &co.demands,
-        &plans,
-        &IterationParams { compute_s: co.estimate.compute_s },
-    );
+    let topo = simulate_iteration(&topo_net, &co.demands, &plans, co.estimate.compute_s);
     print_row("TopoOpt", &topo);
 
     // Ideal Switch: d*B per server through a non-blocking hub.
     let ideal_graph =
         topoopt::graph::topologies::ideal_switch(num_servers, degree as f64 * link_bps);
     let ideal_net = SimNetwork::without_rules(ideal_graph, num_servers);
-    let ideal = simulate_iteration(
-        &ideal_net,
-        &demands,
-        &natural_ring_plans(&demands),
-        &IterationParams { compute_s: est.compute_s },
-    );
+    let ideal =
+        simulate_iteration(&ideal_net, &demands, &natural_ring_plans(&demands), est.compute_s);
     print_row("Ideal Switch", &ideal);
 
     // Cost-equivalent Fat-tree: one NIC of reduced bandwidth per server.
     let ft_bw = equivalent_fat_tree_bandwidth(num_servers, degree, link_bps);
     let ft_graph = topoopt::graph::topologies::ideal_switch(num_servers, ft_bw);
     let ft_net = SimNetwork::without_rules(ft_graph, num_servers);
-    let ft = simulate_iteration(
-        &ft_net,
-        &demands,
-        &natural_ring_plans(&demands),
-        &IterationParams { compute_s: est.compute_s },
-    );
+    let ft = simulate_iteration(&ft_net, &demands, &natural_ring_plans(&demands), est.compute_s);
     print_row(&format!("Fat-tree ({:.0}G)", ft_bw / 1.0e9), &ft);
 
     // Oversubscribed Fat-tree at full host bandwidth.
@@ -101,23 +87,14 @@ fn main() {
     let over_graph =
         topoopt::graph::topologies::oversubscribed_fat_tree(k, degree as f64 * link_bps).graph;
     let over_net = SimNetwork::without_rules(over_graph, num_servers);
-    let over = simulate_iteration(
-        &over_net,
-        &demands,
-        &natural_ring_plans(&demands),
-        &IterationParams { compute_s: est.compute_s },
-    );
+    let over =
+        simulate_iteration(&over_net, &demands, &natural_ring_plans(&demands), est.compute_s);
     print_row("Oversub Fat-tree", &over);
 
     // Expander: random regular direct-connect graph, demand-oblivious.
     let exp_graph = topoopt::graph::topologies::expander(num_servers, degree, link_bps, 7);
     let exp_net = SimNetwork::without_rules(exp_graph, num_servers);
-    let exp = simulate_iteration(
-        &exp_net,
-        &demands,
-        &natural_ring_plans(&demands),
-        &IterationParams { compute_s: est.compute_s },
-    );
+    let exp = simulate_iteration(&exp_net, &demands, &natural_ring_plans(&demands), est.compute_s);
     print_row("Expander", &exp);
 }
 

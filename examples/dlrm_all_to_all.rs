@@ -47,22 +47,13 @@ fn main() {
             topology_finder(&TopologyFinderInput::new(num_servers, degree, link_bps, &demands));
         let plans = AllReducePlan::from_groups(&out.groups);
         let topo_net = SimNetwork::new(out.graph.clone(), num_servers, out.routing.clone());
-        let topo = simulate_iteration(
-            &topo_net,
-            &demands,
-            &plans,
-            &IterationParams { compute_s: est.compute_s },
-        );
+        let topo = simulate_iteration(&topo_net, &demands, &plans, est.compute_s);
 
         let ideal_graph =
             topoopt::graph::topologies::ideal_switch(num_servers, degree as f64 * link_bps);
         let ideal_net = SimNetwork::without_rules(ideal_graph, num_servers);
-        let ideal = simulate_iteration(
-            &ideal_net,
-            &demands,
-            &natural_ring_plans(&demands),
-            &IterationParams { compute_s: est.compute_s },
-        );
+        let ideal =
+            simulate_iteration(&ideal_net, &demands, &natural_ring_plans(&demands), est.compute_s);
 
         println!(
             "{:>6} {:>13.1}% {:>16.4} {:>11.2}x {:>16.4}",

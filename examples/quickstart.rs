@@ -111,12 +111,7 @@ fn main() -> ExitCode {
     let net =
         SimNetwork::new(result.network.graph.clone(), num_servers, result.network.routing.clone())
             .with_relay_overhead(plan.clone(), 1.0);
-    let iteration = simulate_iteration(
-        &net,
-        &result.demands,
-        &plans,
-        &IterationParams { compute_s: result.estimate.compute_s },
-    );
+    let iteration = simulate_iteration(&net, &result.demands, &plans, result.estimate.compute_s);
 
     println!("\n--- simulated training iteration ---");
     println!("compute:        {:.4} s", iteration.compute_s);

@@ -19,7 +19,7 @@ fn main() {
     let degree = 4;
     let link_bps = 25.0e9;
     let compute = ComputeParams::default();
-    let mix = MixModel { servers_per_job: 8, ..MixModel::default() };
+    let mix = MixModel { servers_per_job: 8 };
 
     println!(
         "shared cluster of {} servers (d = {}, B = {} Gbps), job mix 40/30/20/10 DLRM/BERT/CANDLE/VGG",

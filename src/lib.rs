@@ -26,7 +26,7 @@
 //!     &net,
 //!     &result.demands,
 //!     &plans,
-//!     &IterationParams { compute_s: result.estimate.compute_s },
+//!     result.estimate.compute_s,
 //! );
 //! assert!(iteration.total_s.is_finite());
 //! ```
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use topoopt_netsim::{
         simulate_dynamic_cluster, simulate_iteration, simulate_reconfigurable_iteration,
         simulate_shared_cluster, AllReducePlan, DynamicClusterParams, DynamicEngineStats,
-        DynamicFabric, DynamicJobSpec, FluidEngine, IterationParams, MigrationMode, ReconfigParams,
+        DynamicFabric, DynamicJobSpec, FluidEngine, MigrationMode, ReconfigParams,
         SharedEngineMode, SimNetwork,
     };
     pub use topoopt_rdma::RepairMode;

@@ -27,12 +27,7 @@ fn full_pipeline_produces_valid_fabric_and_finite_iteration_time() {
 
         let plans = AllReducePlan::from_groups(&r.network.groups);
         let net = SimNetwork::new(r.network.graph.clone(), n, r.network.routing.clone());
-        let it = simulate_iteration(
-            &net,
-            &r.demands,
-            &plans,
-            &IterationParams { compute_s: r.estimate.compute_s },
-        );
+        let it = simulate_iteration(&net, &r.demands, &plans, r.estimate.compute_s);
         assert!(it.total_s.is_finite() && it.total_s > 0.0, "{kind:?} iteration broken");
         assert!(!it.unroutable);
     }
@@ -65,24 +60,14 @@ fn topoopt_beats_cost_equivalent_fat_tree_for_communication_heavy_candle() {
     let out = topology_finder(&TopologyFinderInput::new(n, degree, link_bps, &demands));
     let plans = AllReducePlan::from_groups(&out.groups);
     let topo_net = SimNetwork::new(out.graph.clone(), n, out.routing.clone());
-    let topo = simulate_iteration(
-        &topo_net,
-        &demands,
-        &plans,
-        &IterationParams { compute_s: est.compute_s },
-    );
+    let topo = simulate_iteration(&topo_net, &demands, &plans, est.compute_s);
 
     // Cost-equivalent Fat-tree (modelled as a non-blocking switch at the
     // reduced per-server bandwidth B').
     let ft_bw = equivalent_fat_tree_bandwidth(n, degree, link_bps);
     assert!(ft_bw < degree as f64 * link_bps);
     let ft_net = SimNetwork::without_rules(topologies::ideal_switch(n, ft_bw), n);
-    let ft = simulate_iteration(
-        &ft_net,
-        &demands,
-        &natural_ring_plans(&demands),
-        &IterationParams { compute_s: est.compute_s },
-    );
+    let ft = simulate_iteration(&ft_net, &demands, &natural_ring_plans(&demands), est.compute_s);
 
     assert!(
         topo.comm_s < ft.comm_s,
@@ -141,20 +126,20 @@ fn relay_overhead_pipeline_prices_kernel_forwarding_and_exports_round_trip() {
 
     let plans = AllReducePlan::from_groups(&r.network.groups);
     let base_net = SimNetwork::new(r.network.graph.clone(), n, r.network.routing.clone());
-    let params = IterationParams { compute_s: r.estimate.compute_s };
-    let base = simulate_iteration(&base_net, &r.demands, &plans, &params);
+    let compute_s = r.estimate.compute_s;
+    let base = simulate_iteration(&base_net, &r.demands, &plans, compute_s);
     let free = simulate_iteration(
         &base_net.clone().with_relay_overhead(plan.clone(), 1.0),
         &r.demands,
         &plans,
-        &params,
+        compute_s,
     );
     assert_eq!(base, free, "relay efficiency 1.0 must be free");
     let taxed = simulate_iteration(
         &base_net.clone().with_relay_overhead(plan.clone(), 0.3),
         &r.demands,
         &plans,
-        &params,
+        compute_s,
     );
     assert!(taxed.total_s >= base.total_s);
 
