@@ -9,10 +9,14 @@
 //!   the bench *asserts* it on the median of runs (the vendored criterion
 //!   stand-in has no baseline comparison), so the binary fails loudly if
 //!   the speedup regresses.
-//!   A 256-server pure-data-parallel CANDLE search is reported, not
-//!   asserted: it prints the microseconds per proposal of both loops. Both
-//!   loops enumerate transfers through the same routine, so a ratio cannot
-//!   catch a slow enumeration; the per-proposal time can.
+//!   Two 256-server searches are reported, not asserted: they print the
+//!   microseconds per proposal of both loops. Both loops describe an edge's
+//!   transfers through the same routine, so a ratio cannot catch a slow
+//!   enumeration; the per-proposal time can. A pure-data-parallel CANDLE
+//!   search runs on the full mesh, the view of `co_optimize`'s first round.
+//!   A hybrid-start DLRM search runs on `from_graph` of the fabric
+//!   `TopologyFinder` builds for its demands, the view of the other three
+//!   rounds, with long ring hops.
 //! * `mcmc_chains` — one chain versus four parallel chains of the same
 //!   per-chain length: with ≥ 4 cores the 4x search effort should cost
 //!   roughly one chain's wall time.
@@ -23,10 +27,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use topoopt_bench::{compute_params, median_time};
+use topoopt_core::topology_finder::{topology_finder, TopologyFinderInput};
 use topoopt_models::zoo::{build_dlrm, build_model};
 use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
 use topoopt_oracle::search_strategy_reference;
-use topoopt_strategy::{search_strategy, McmcConfig, ParallelizationStrategy, TopologyView};
+use topoopt_strategy::{
+    extract_traffic, search_strategy, McmcConfig, ParallelizationStrategy, TopologyView,
+};
 
 fn mcmc_cfg(iterations: usize, chains: usize) -> McmcConfig {
     McmcConfig { iterations, seed: 7, chains }
@@ -71,7 +78,8 @@ fn bench_mcmc_incremental(c: &mut Criterion) {
     let view = TopologyView::FullMesh { n, per_server_bps: 400.0e9 };
     let initial = ParallelizationStrategy::pure_data_parallel(&model, n);
     let cfg = mcmc_cfg(200, 1);
-    let per_proposal = |total: Duration| total.as_secs_f64() * 1e6 / cfg.iterations as f64;
+    let per_proposal =
+        |total: Duration, cfg: &McmcConfig| total.as_secs_f64() * 1e6 / cfg.iterations as f64;
     let incremental = median_time(3, || {
         search_strategy(&model, initial.clone(), &view, &params, &cfg);
     });
@@ -80,8 +88,31 @@ fn bench_mcmc_incremental(c: &mut Criterion) {
     });
     println!(
         "  search/candle-256 per proposal: incremental {:.1} us, reference {:.1} us",
-        per_proposal(incremental),
-        per_proposal(reference)
+        per_proposal(incremental, &cfg),
+        per_proposal(reference, &cfg)
+    );
+
+    // 256-server hybrid DLRM on its TopologyFinder fabric (degree 8, 100 G):
+    // most proposals move an embedding table, so most changed edges are
+    // stars of one holder with every other server. A proposal costs under
+    // 2 us here, so the chain runs 2,000 of them to amortize the evaluator's
+    // per-search tables (about 0.8 ms at 256 servers).
+    let model = build_dlrm(&DlrmConfig::shared());
+    let initial = ParallelizationStrategy::hybrid_embeddings_round_robin(&model, n);
+    let demands = extract_traffic(&model, &initial, params.gpus_per_server);
+    let fabric = topology_finder(&TopologyFinderInput::new(n, 8, 100.0e9, &demands));
+    let view = TopologyView::from_graph(&fabric.graph, n);
+    let cfg = mcmc_cfg(2_000, 1);
+    let incremental = median_time(3, || {
+        search_strategy(&model, initial.clone(), &view, &params, &cfg);
+    });
+    let reference = median_time(1, || {
+        search_strategy_reference(&model, initial.clone(), &view, &params, &cfg);
+    });
+    println!(
+        "  search/dlrm-256-fabric per proposal: incremental {:.1} us, reference {:.1} us",
+        per_proposal(incremental, &cfg),
+        per_proposal(reference, &cfg)
     );
     group.finish();
 }

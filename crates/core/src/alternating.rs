@@ -17,7 +17,7 @@ use crate::totient::TotientPermsConfig;
 use serde::{Deserialize, Serialize};
 use topoopt_models::DnnModel;
 use topoopt_strategy::{
-    estimate_iteration_time, extract_traffic, search_strategy, ComputeParams, IterationEstimate,
+    estimate_from_demands, extract_traffic, search_strategy, ComputeParams, IterationEstimate,
     McmcConfig, ParallelizationStrategy, TopologyView, TrafficDemands,
 };
 
@@ -100,7 +100,7 @@ pub fn co_optimize(model: &DnnModel, num_servers: usize, cfg: &AlternatingConfig
         let input = TopologyFinderInput::new(num_servers, cfg.degree, cfg.link_bps, &demands);
         let network = topology_finder(&input);
         let new_view = TopologyView::from_graph(&network.graph, num_servers);
-        let estimate = estimate_iteration_time(model, &strategy, &new_view, &cfg.compute);
+        let estimate = estimate_from_demands(model, &strategy, &demands, &new_view, &cfg.compute);
 
         let improved = match &best {
             None => true,

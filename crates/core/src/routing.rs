@@ -224,27 +224,29 @@ impl Routing {
     /// destination-keyed forwarding walk cycle). A coin-change route never
     /// revisits a ring position: the stretch between two visits would sum
     /// to 0 mod `k` and a shorter decomposition would drop it.
+    ///
+    /// Costs O(ring edges + explicit hops) when the routes hold. Every step
+    /// of a ring route is one coin of its group, `members[i] →
+    /// members[(i + c) mod k]`, so if every such edge of every group exists
+    /// and every explicit path passes, every route does. Only when one of
+    /// those checks fails does the pair scan run, to name the first failing
+    /// pair in `(src, dst)` order (a failing coin edge may belong to routes
+    /// that later installs override, so the scan also decides the verdict).
     pub fn validate_against(&self, g: &Graph) -> Result<(), String> {
+        let rings_hold = self.groups.iter().all(|group| {
+            let k = group.members.len();
+            group.members.iter().enumerate().all(|(i, &from)| {
+                group.table.coins.iter().all(|&c| g.has_edge(from, group.members[(i + c) % k]))
+            })
+        });
+        let explicit_hold =
+            || self.explicit.iter().all(|(&(s, d), path)| check_path(g, s, d, path, true).is_ok());
+        if rings_hold && explicit_hold() {
+            return Ok(());
+        }
         for (src, dst) in self.pairs() {
             let path = self.path(src, dst).expect("every listed pair is routed");
-            if path.first() != Some(&src) || path.last() != Some(&dst) {
-                return Err(format!("path for ({src},{dst}) has wrong endpoints"));
-            }
-            if self.explicit.contains_key(&(src, dst)) {
-                let mut nodes = path.clone();
-                nodes.sort_unstable();
-                if let Some(w) = nodes.windows(2).find(|w| w[0] == w[1]) {
-                    return Err(format!("path for ({src},{dst}) revisits node {}", w[0]));
-                }
-            }
-            for w in path.windows(2) {
-                if !g.has_edge(w[0], w[1]) {
-                    return Err(format!(
-                        "path for ({src},{dst}) uses missing edge {} -> {}",
-                        w[0], w[1]
-                    ));
-                }
-            }
+            check_path(g, src, dst, &path, self.explicit.contains_key(&(src, dst)))?;
         }
         Ok(())
     }
@@ -258,6 +260,31 @@ impl Routing {
         let total: usize =
             pairs.iter().map(|&(s, d)| self.hops(s, d).expect("every listed pair is routed")).sum();
         total as f64 / pairs.len() as f64
+    }
+}
+
+/// Check one route of `(src, dst)` on `g`: its endpoints, then, for an
+/// `explicit` path, that it visits no node twice, then its edges.
+fn check_path(
+    g: &Graph,
+    src: usize,
+    dst: usize,
+    path: &[usize],
+    explicit: bool,
+) -> Result<(), String> {
+    if path.first() != Some(&src) || path.last() != Some(&dst) {
+        return Err(format!("path for ({src},{dst}) has wrong endpoints"));
+    }
+    if explicit {
+        let mut nodes = path.to_vec();
+        nodes.sort_unstable();
+        if let Some(w) = nodes.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("path for ({src},{dst}) revisits node {}", w[0]));
+        }
+    }
+    match path.windows(2).find(|w| !g.has_edge(w[0], w[1])) {
+        Some(w) => Err(format!("path for ({src},{dst}) uses missing edge {} -> {}", w[0], w[1])),
+        None => Ok(()),
     }
 }
 

@@ -209,6 +209,7 @@ proptest! {
             routing.insert(*src, *dst, path.clone());
             oracle.insert(*src, *dst, path.clone());
         }
+        let mut coin_edges = Vec::new();
         for (keys, k, strides) in &groups {
             let k = 1 + (k - 1) % n;
             let members = members(&keys[..n], k);
@@ -216,6 +217,9 @@ proptest! {
                 if degenerate { strides.iter().map(|s| s * k).collect() } else { strides.clone() };
             routing.insert_ring(&members, &strides);
             oracle.insert_ring(&members, &strides);
+            for c in CoinChangeTable::new(k, &strides).coins {
+                coin_edges.extend((0..k).map(|i| (members[i], members[(i + c) % k])));
+            }
         }
         if !degenerate {
             for (src, dst, path) in &after {
@@ -232,6 +236,22 @@ proptest! {
         let ids: Vec<_> = g.edges().map(|(id, _)| id).collect();
         if !ids.is_empty() {
             g.remove_edge(ids[cut % ids.len()]);
+            prop_assert_eq!(routing.validate_against(&g), oracle.validate_against(&g));
+        }
+
+        // Verdicts with every ring edge of every group present, then with
+        // one of them cut, whether or not a route still walks it.
+        let mut g = covering_graph(&oracle, n);
+        for &(a, b) in &coin_edges {
+            if !g.has_edge(a, b) {
+                g.add_edge(a, b, 1.0);
+            }
+        }
+        prop_assert_eq!(routing.validate_against(&g), oracle.validate_against(&g));
+        if !coin_edges.is_empty() {
+            let (a, b) = coin_edges[cut % coin_edges.len()];
+            let id = g.out_edges(a).find(|(_, e)| e.dst == b).map(|(id, _)| id);
+            g.remove_edge(id.expect("every ring edge was added"));
             prop_assert_eq!(routing.validate_against(&g), oracle.validate_against(&g));
         }
     }

@@ -18,13 +18,19 @@
 //!   incremental search must retrace its trajectory
 //!   (`crates/strategy/tests/search.rs`) and beat it by at least 5x in the
 //!   `search` bench.
+//! * [`PairCostEvaluator`] — the per-pair incremental evaluator: one slot
+//!   per server pair, updated per transfer. The shipped `CostEvaluator`,
+//!   which tallies reach per edge, must match its every estimate to the bit
+//!   (`crates/strategy/tests/evaluator.rs`).
 //! * [`check_max_min`] — the max-min fairness certificate: feasibility on
 //!   every link, and a relay cap or a bottleneck link for every flow.
 
+mod evaluator;
 mod fluid;
 mod maxmin;
 mod search;
 
+pub use evaluator::PairCostEvaluator;
 pub use fluid::{simulate_flows_reference, waterfill_slices};
 pub use maxmin::check_max_min;
 pub use search::search_strategy_reference;

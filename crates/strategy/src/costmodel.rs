@@ -78,15 +78,30 @@ impl TopologyView {
     /// Build a view of a concrete topology graph whose first `num_servers`
     /// nodes are the servers.
     ///
-    /// One BFS per source settles hops and bottlenecks in queue order:
+    /// Each node's neighbour list is built once per graph: its distinct
+    /// out-neighbours, each with the capacity of its parallel live edges
+    /// summed in id order, as [`Graph::capacity_between`] sums them. Then
+    /// one BFS per source settles hops and bottlenecks in queue order:
     /// `bottleneck[v]` is the max over BFS parents `u` (one hop closer to the
-    /// source) of `min(bottleneck[u], capacity(u, v))`, where the capacity
-    /// sums the parallel live edges `u → v` as
-    /// [`Graph::capacity_between`] does. Every node at distance `d` is
-    /// popped, with its bottleneck final, before any node at `d + 1`, and
-    /// `min`/`max` are exact, so the visiting order does not change the
-    /// result. The scratch buffers are reused across sources.
+    /// source) of `min(bottleneck[u], capacity(u, v))`. Every node at
+    /// distance `d` is popped, with its bottleneck final, before any node at
+    /// `d + 1`, and `min`/`max` are exact, so the visiting order does not
+    /// change the result. The scratch buffers are reused across sources.
     pub fn from_graph(g: &Graph, num_servers: usize) -> Self {
+        // Out-edges come sorted by destination, then id: each run of
+        // parallel edges is one neighbour, summed in id order.
+        let neighbours: Vec<Vec<(usize, f64)>> = (0..g.num_nodes())
+            .map(|u| {
+                let mut out = g.out_edges(u).map(|(_, e)| (e.dst, e.capacity_bps)).peekable();
+                let mut list = Vec::new();
+                while let Some(&(v, _)) = out.peek() {
+                    let cap: f64 =
+                        std::iter::from_fn(|| out.next_if(|&(d, _)| d == v)).map(|(_, c)| c).sum();
+                    list.push((v, cap));
+                }
+                list
+            })
+            .collect();
         let mut hops = Vec::with_capacity(num_servers);
         let mut bottleneck = Vec::with_capacity(num_servers);
         let mut dist = vec![usize::MAX; g.num_nodes()];
@@ -106,12 +121,7 @@ impl TopologyView {
                 let u = queue[head];
                 head += 1;
                 let next = dist[u] + 1;
-                // Out-edges come sorted by destination, then id: each run of
-                // parallel edges is one neighbour, summed in id order.
-                let mut out = g.out_edges(u).map(|(_, e)| (e.dst, e.capacity_bps)).peekable();
-                while let Some(&(v, _)) = out.peek() {
-                    let cap: f64 =
-                        std::iter::from_fn(|| out.next_if(|&(d, _)| d == v)).map(|(_, c)| c).sum();
+                for &(v, cap) in &neighbours[u] {
                     if dist[v] == usize::MAX {
                         dist[v] = next;
                         queue.push(v);
@@ -174,14 +184,6 @@ impl TopologyView {
         }
     }
 
-    /// Number of servers.
-    pub fn num_servers(&self) -> usize {
-        match self {
-            TopologyView::FullMesh { n, .. } => *n,
-            TopologyView::Topology { num_servers, .. } => *num_servers,
-        }
-    }
-
     /// Hop count and path bottleneck (bps) between two servers.
     pub fn path_info(&self, src: usize, dst: usize) -> (usize, f64) {
         match self {
@@ -210,15 +212,6 @@ impl TopologyView {
         match self {
             TopologyView::FullMesh { n, per_server_bps } => *per_server_bps * *n as f64,
             TopologyView::Topology { total_bps, .. } => *total_bps,
-        }
-    }
-
-    /// True if every server pair can communicate.
-    pub fn fully_reachable(&self) -> bool {
-        match self {
-            TopologyView::FullMesh { .. } => true,
-            TopologyView::Topology { hops, num_servers, .. } => (0..*num_servers)
-                .all(|s| (0..*num_servers).all(|d| s == d || hops[s][d] != usize::MAX)),
         }
     }
 }
@@ -429,12 +422,16 @@ mod tests {
         }
     }
 
+    /// True if every pair of the view's first `n` servers has a path.
+    fn fully_reachable(v: &TopologyView, n: usize) -> bool {
+        (0..n).all(|s| (0..n).all(|d| s == d || v.path_info(s, d).0 != usize::MAX))
+    }
+
     #[test]
     fn full_mesh_view_reports_one_hop() {
         let v = TopologyView::FullMesh { n: 16, per_server_bps: 100.0e9 };
         assert_eq!(v.path_info(0, 5), (1, 100.0e9));
-        assert_eq!(v.num_servers(), 16);
-        assert!(v.fully_reachable());
+        assert!(fully_reachable(&v, 16));
     }
 
     #[test]
@@ -448,7 +445,10 @@ mod tests {
         let v = TopologyView::from_graph(&g, 3);
         assert_eq!(v.path_info(0, 2), (2, 10.0));
         assert_eq!(v.path_info(0, 1), (1, 100.0));
-        assert!(v.fully_reachable());
+        assert!(fully_reachable(&v, 3));
+        let mut cut = topoopt_graph::Graph::new(3);
+        cut.add_edge(0, 1, 100.0);
+        assert!(!fully_reachable(&TopologyView::from_graph(&cut, 3), 3));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! model-parallel demand matrix — even though each MCMC proposal mutates
 //! exactly one operator's placement. [`CostEvaluator`] caches the
 //! per-operator contributions to every term of the estimate against a fixed
-//! [`TopologyView`] and re-evaluates only the delta of the mutated operator,
-//! so a proposal costs the transfers it changes:
+//! [`TopologyView`] and re-evaluates only the delta of the mutated operator:
 //!
 //! * **compute** — the per-server FLOP loads; a mutation touches only the
 //!   servers the operator moves off/onto;
@@ -16,33 +15,57 @@
 //! * **model-parallel** — the transfers of the operator's incident DAG
 //!   edges, removed under the old placement and added under the new one.
 //!   An edge between two replicated operators has no transfers and costs
-//!   nothing. Per pair the evaluator keeps an integer count of contributing
-//!   transfers (so "pair has demand" stays exact under removal, with no
-//!   float subtraction involved) next to the pair's hop count, read from a
-//!   flat row-major table built once in [`CostEvaluator::new`]. Per-server
-//!   egress/ingress, the hop-taxed bit total, and a dense `Vec` tally of
-//!   active pairs per hop count plus a count of active pairs with no path
-//!   keep `max_hops` and reachability exact across removals.
+//!   nothing.
+//!
+//! A proposal costs the float additions the estimate needs, and no per-pair
+//! state. Each edge arrives as one block from [`crate::traffic`]: a *star*
+//! (every server exchanging with each holder of the edge's listed end, the
+//! other end being replicated) or the pairs of two listed ends (at most
+//! 8 × 8 for the search's proposals).
+//!
+//! * **Emission order.** `egress`, `ingress` and the hop-taxed bit total
+//!   receive the same additions, in the same order, as expanding the block
+//!   transfer by transfer. Within one edge every addition to a per-server
+//!   accumulator adds the same value, so only their count matters there; a
+//!   star holder's n − 1 additions stay n − 1 additions (x + (n − 1)·b is
+//!   not the same float as n − 1 additions of b). The taxed total is one
+//!   accumulator, so its terms keep emission order. A star reads its
+//!   holder's row of the row-major hop table and the same row of the
+//!   transpose, so its incoming hops stream like its outgoing ones.
+//! * **Per-edge reach.** Max hops and reachability stay exact under removal
+//!   through integer tallies of edges, not pairs. Each server's star
+//!   summary, built once per view, holds the largest reachable hop count
+//!   over its pairs in either direction and whether any of them is blocked.
+//!   An edge's pairs are the union of its holders' stars, or its listed
+//!   pairs. So the largest hop count over active pairs is the largest reach
+//!   over active edges, and some active pair is blocked iff some active
+//!   edge has a blocked pair. That costs O(holders) per edge.
+//!
+//! **Why bits matter.** The search accepts or rejects a proposal on
+//! `total_s`, so one flipped last bit can fork an MCMC trajectory, and the
+//! perfbench digests and the committed artifacts pin every trajectory.
+//! `tests/evaluator.rs` holds this evaluator to the per-pair evaluator of
+//! `topoopt-oracle` bit for bit, and to the full estimator to round-off.
 //!
 //! Pair factors ([`TopologyView::with_pair_factors`]) follow
 //! [`crate::costmodel::estimate_from_demands`]: an active reachable pair
 //! whose factor is ≤ 0 has no logical connection and makes the estimate
 //! infinite, like a pair with no path; a factor in `(0, 1)` bounds the MP
 //! time by the pair's bytes over factor × path bottleneck. Only a view that
-//! carries factors keeps per-pair byte totals for that bound; any other
-//! view applies its transfers through a closure with no relay step.
+//! carries factors keeps per-pair byte totals and transfer counts for that
+//! bound; no shipped search passes one.
 //!
 //! A mutation is applied with [`CostEvaluator::set_placement`] and undone by
 //! calling it again with the returned previous kind — the mutate-and-revert
 //! loop in [`crate::mcmc::search_strategy`] never clones the strategy except
-//! when a new best is recorded. Contribution arithmetic is shared with
-//! [`crate::traffic::extract_traffic`] (one enumeration routine), so the
-//! incremental estimate tracks the full estimator to float round-off; the
-//! equivalence proptest in `tests/evaluator.rs` pins that down.
+//! when a new best is recorded. The model's and the view's tables are built
+//! once in [`CostEvaluator::new`] and shared by clones, so a search builds
+//! one evaluator and each chain clones O(servers + operators) state.
 
 use crate::costmodel::{ComputeParams, IterationEstimate, TopologyView};
 use crate::placement::{ParallelizationStrategy, PlacementKind};
-use crate::traffic::for_each_edge_transfer;
+use crate::traffic::{edge_block, EdgeBlock, Side};
+use std::sync::Arc;
 use topoopt_models::{DnnModel, OpId};
 
 /// Hop count of a pair the estimate treats as unreachable: no path, or a
@@ -53,12 +76,10 @@ const BLOCKED: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct CostEvaluator<'a> {
     model: &'a DnnModel,
-    view: &'a TopologyView,
     params: &'a ComputeParams,
+    /// The model's and the view's read-only tables, shared by clones.
+    tables: Arc<Tables>,
     strategy: ParallelizationStrategy,
-    /// Consumer adjacency (op -> ops listing it as an input), with the same
-    /// multiplicity as the model's `inputs` lists.
-    consumers: Vec<Vec<OpId>>,
     local_batch: f64,
     global_batch: f64,
     /// Per-server FLOP load (the compute term before the max/roofline).
@@ -68,134 +89,326 @@ pub struct CostEvaluator<'a> {
     /// Replicated operators with positive parameter bytes — the exact
     /// "group exists" predicate, immune to float residue.
     replicated_param_ops: usize,
-    /// Slowest member NIC bandwidth over all servers (the group minimum).
-    min_server_bw: f64,
     /// Model-parallel demand aggregates.
     mp: MpTally,
     /// Relay-bound state, present only when the view carries pair factors.
     relays: Option<RelayTally>,
 }
 
-/// One server pair's state, stored together so a transfer touches one slot.
-#[derive(Debug, Clone, Copy)]
-struct PairSlot {
-    /// Contributing DAG-edge transfers; the pair carries demand iff
-    /// non-zero.
-    transfers: u32,
-    /// Hop count of the pair's path, or [`BLOCKED`].
-    hops: u32,
+/// What a set of server pairs reaches.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reach {
+    /// Largest hop count of a reachable pair; `None` if no pair is.
+    hops: Option<u32>,
+    /// Whether some pair is [`BLOCKED`].
+    blocked: bool,
+}
+
+impl Reach {
+    /// This reach with one more pair, of hop count `hops`.
+    fn with_pair(self, hops: u32) -> Self {
+        if hops == BLOCKED {
+            Reach { blocked: true, ..self }
+        } else {
+            Reach { hops: self.hops.max(Some(hops)), ..self }
+        }
+    }
+
+    /// The reach of both sets of pairs.
+    fn union(self, other: Reach) -> Self {
+        Reach { hops: self.hops.max(other.hops), blocked: self.blocked || other.blocked }
+    }
+}
+
+/// Read-only tables of one model on one view's first `n` servers.
+#[derive(Debug)]
+struct Tables {
+    n: usize,
+    /// Consumer adjacency (op -> ops listing it as an input), with the same
+    /// multiplicity as the model's `inputs` lists.
+    consumers: Vec<Vec<OpId>>,
+    /// Hop count per pair, row-major (`src * n + dst`), or [`BLOCKED`].
+    hops: Vec<u32>,
+    /// The transpose (`dst * n + src`): a server's incoming hops as a row.
+    hops_in: Vec<u32>,
+    /// Per server, the reach of its pairs with every other server, in
+    /// either direction (its star summary).
+    stars: Vec<Reach>,
+    /// Servers grouped by NIC bandwidth (floored at 1 bps), in order of
+    /// each class's first server.
+    bandwidth_classes: Vec<(f64, Vec<usize>)>,
+    /// Slowest member NIC bandwidth over all servers (the group minimum).
+    min_server_bw: f64,
+    /// Total network capacity, floored at 1 bps.
+    total_bw: f64,
+    /// With pair factors: the reachable pairs with a factor in `(0, 1)`, as
+    /// the pair's index and its rate cap, factor × path bottleneck (floored
+    /// at 1 bps). `None` for a view without factors.
+    capped: Option<Vec<(usize, f64)>>,
+}
+
+impl Tables {
+    fn new(model: &DnnModel, view: &TopologyView, n: usize) -> Self {
+        let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); model.num_ops()];
+        for (consumer_id, node) in model.ops.iter().enumerate() {
+            for &producer_id in &node.inputs {
+                consumers[producer_id].push(consumer_id);
+            }
+        }
+        // A pair whose factor is ≤ 0 is BLOCKED, like a pair with no path.
+        let (mut hops, mut hops_in) = (vec![BLOCKED; n * n], vec![BLOCKED; n * n]);
+        for src in 0..n {
+            for dst in 0..n {
+                let h = if view.pair_throughput_factor(src, dst) <= 0.0 {
+                    BLOCKED
+                } else {
+                    u32::try_from(view.path_info(src, dst).0).unwrap_or(BLOCKED)
+                };
+                hops[src * n + dst] = h;
+                hops_in[dst * n + src] = h;
+            }
+        }
+        let stars = (0..n)
+            .map(|s| {
+                let (out, inc) = (&hops[s * n..][..n], &hops_in[s * n..][..n]);
+                (0..n)
+                    .filter(|&t| t != s)
+                    .fold(Reach::default(), |r, t| r.with_pair(out[t]).with_pair(inc[t]))
+            })
+            .collect();
+        let mut bandwidth_classes: Vec<(f64, Vec<usize>)> = Vec::new();
+        for s in 0..n {
+            let bw = view.server_bandwidth(s).max(1.0);
+            match bandwidth_classes.iter_mut().find(|(b, _)| b.to_bits() == bw.to_bits()) {
+                Some((_, servers)) => servers.push(s),
+                None => bandwidth_classes.push((bw, vec![s])),
+            }
+        }
+        let capped = match view {
+            TopologyView::Topology { pair_factor: Some(factors), .. } => Some(
+                (0..n * n)
+                    .filter_map(|idx| {
+                        let (src, dst) = (idx / n, idx % n);
+                        let (hops, bneck) = view.path_info(src, dst);
+                        let factor = factors[src][dst];
+                        let relayed = hops != usize::MAX && factor < 1.0 && factor > 0.0;
+                        relayed.then(|| (idx, factor * bneck.max(1.0)))
+                    })
+                    .collect(),
+            ),
+            _ => None,
+        };
+        Tables {
+            n,
+            consumers,
+            hops,
+            hops_in,
+            stars,
+            bandwidth_classes,
+            min_server_bw: (0..n).map(|s| view.server_bandwidth(s)).fold(f64::INFINITY, f64::min),
+            total_bw: view.total_bandwidth().max(1.0),
+            capped,
+        }
+    }
 }
 
 /// The model-parallel terms of the estimate. Pair demand is read only
 /// through the egress/ingress/taxed-bits aggregates, never per pair.
 #[derive(Debug, Clone)]
 struct MpTally {
-    n: usize,
-    /// Per pair, row-major (`src * n + dst`).
-    pairs: Vec<PairSlot>,
     egress: Vec<f64>,
     ingress: Vec<f64>,
-    /// Σ bytes·8·hops over pairs that are not [`BLOCKED`] (the
-    /// bandwidth-tax numerator).
+    /// Σ bytes·8·hops over transfers whose pair is not [`BLOCKED`] (the
+    /// bandwidth-tax numerator), added in emission order.
     taxed_bits: f64,
-    /// Active pairs per hop count (indexed by hops).
-    hop_pairs: Vec<usize>,
-    /// Active pairs whose hop count is [`BLOCKED`].
-    blocked_pairs: usize,
-}
-
-/// Per-pair byte totals for the relay bound of a view with pair factors.
-#[derive(Debug, Clone)]
-struct RelayTally {
-    /// Bytes per pair, row-major (`src * n + dst`).
-    bytes: Vec<f64>,
-    /// Reachable pairs with a factor in `(0, 1)`: the pair's index and its
-    /// rate cap, factor × path bottleneck (floored at 1 bps).
-    capped: Vec<(usize, f64)>,
+    /// Active edges by the largest hop count over their reachable pairs.
+    hop_edges: Vec<usize>,
+    /// Active edges with a [`BLOCKED`] pair.
+    blocked_edges: usize,
 }
 
 impl MpTally {
-    /// Empty aggregates over `view`'s first `n` servers; a pair whose factor
-    /// is ≤ 0 is [`BLOCKED`], like a pair with no path.
-    fn new(view: &TopologyView, n: usize) -> Self {
-        let pairs: Vec<PairSlot> = (0..n * n)
-            .map(|idx| {
-                let (src, dst) = (idx / n, idx % n);
-                let (hops, _) = view.path_info(src, dst);
-                let hops = if view.pair_throughput_factor(src, dst) <= 0.0 {
-                    BLOCKED
-                } else {
-                    u32::try_from(hops).unwrap_or(BLOCKED)
-                };
-                PairSlot { transfers: 0, hops }
-            })
-            .collect();
-        let max_hops = pairs.iter().map(|p| p.hops).filter(|&h| h != BLOCKED).max().unwrap_or(0);
+    fn new(t: &Tables) -> Self {
+        let max_hops = t.stars.iter().filter_map(|r| r.hops).max().unwrap_or(0);
         MpTally {
-            n,
-            pairs,
-            egress: vec![0.0; n],
-            ingress: vec![0.0; n],
+            egress: vec![0.0; t.n],
+            ingress: vec![0.0; t.n],
             taxed_bits: 0.0,
-            hop_pairs: vec![0; max_hops as usize + 1],
-            blocked_pairs: 0,
+            hop_edges: vec![0; max_hops as usize + 1],
+            blocked_edges: 0,
         }
     }
 
-    /// Add/remove one pair transfer.
-    fn apply(&mut self, src: usize, dst: usize, bytes: f64, sign: f64) {
-        let slot = &mut self.pairs[src * self.n + dst];
-        self.egress[src] += sign * bytes;
-        self.ingress[dst] += sign * bytes;
-        if slot.hops != BLOCKED {
-            self.taxed_bits += sign * bytes * 8.0 * slot.hops as f64;
-        }
-        let tally = match slot.hops {
-            BLOCKED => &mut self.blocked_pairs,
-            h => &mut self.hop_pairs[h as usize],
+    /// Add (`sign` = 1) or remove (`sign` = −1) one edge's block.
+    fn apply(&mut self, t: &Tables, block: &EdgeBlock<'_>, sign: f64) {
+        let sb = sign * block.bytes;
+        let reach = match (block.dsts, block.srcs) {
+            // Holders sending to every server: per server, then per holder.
+            (Side::All, Side::Listed(holders)) => {
+                match *holders {
+                    [h] => self.star(t, h, true, sb),
+                    _ => self.sending_stars(t, holders, sb),
+                }
+                holders.iter().fold(Reach::default(), |r, &h| r.union(t.stars[h]))
+            }
+            // Holders receiving from every server: one whole star per holder.
+            (Side::Listed(holders), Side::All) => {
+                for &h in holders {
+                    self.star(t, h, false, sb);
+                }
+                holders.iter().fold(Reach::default(), |r, &h| r.union(t.stars[h]))
+            }
+            (Side::Listed(dsts), Side::Listed(srcs)) => self.listed(t, dsts, srcs, sb),
+            (Side::All, Side::All) => return,
         };
-        if sign > 0.0 {
-            if slot.transfers == 0 {
-                *tally += 1;
+        let step = |count: &mut usize| {
+            if sign > 0.0 {
+                *count += 1;
+            } else {
+                *count -= 1;
             }
-            slot.transfers += 1;
-        } else {
-            slot.transfers -= 1;
-            if slot.transfers == 0 {
-                *tally -= 1;
+        };
+        if let Some(h) = reach.hops {
+            step(&mut self.hop_edges[h as usize]);
+        }
+        if reach.blocked {
+            step(&mut self.blocked_edges);
+        }
+    }
+
+    /// One holder `h` exchanging `sb` bytes with every other server `x`:
+    /// forward `h → x` then backward `x → h` when `h` sends, `x → h` then
+    /// `h → x` when it receives. The holder's own egress and ingress sit in
+    /// registers for their n − 1 additions.
+    fn star(&mut self, t: &Tables, h: usize, sends: bool, sb: f64) {
+        let n = t.n;
+        let (out, inc) = (&t.hops[h * n..][..n], &t.hops_in[h * n..][..n]);
+        let (first, second) = if sends { (out, inc) } else { (inc, out) };
+        let sb8 = sb * 8.0;
+        let (mut taxed, mut holder_out, mut holder_in) =
+            (self.taxed_bits, self.egress[h], self.ingress[h]);
+        for (lo, hi) in [(0, h), (h + 1, n)] {
+            let others = self.egress[lo..hi].iter_mut().zip(&mut self.ingress[lo..hi]);
+            for ((x_out, x_in), (&fwd, &bwd)) in
+                others.zip(first[lo..hi].iter().zip(&second[lo..hi]))
+            {
+                *x_out += sb;
+                *x_in += sb;
+                holder_out += sb;
+                holder_in += sb;
+                tax(&mut taxed, sb8, fwd);
+                tax(&mut taxed, sb8, bwd);
             }
         }
+        self.taxed_bits = taxed;
+        self.egress[h] = holder_out;
+        self.ingress[h] = holder_in;
+    }
+
+    /// Several holders each sending `sb` bytes to every other server,
+    /// emitted per server, then per holder.
+    fn sending_stars(&mut self, t: &Tables, holders: &[usize], sb: f64) {
+        let (n, sb8) = (t.n, sb * 8.0);
+        for x in 0..n {
+            for &h in holders {
+                if h != x {
+                    self.exchange(h, x, sb);
+                    tax(&mut self.taxed_bits, sb8, t.hops[h * n + x]);
+                    tax(&mut self.taxed_bits, sb8, t.hops_in[h * n + x]);
+                }
+            }
+        }
+    }
+
+    /// Listed consumer-side `dsts` and producer-side `srcs` exchanging `sb`
+    /// bytes, per destination, then per source; returns their reach.
+    fn listed(&mut self, t: &Tables, dsts: &[usize], srcs: &[usize], sb: f64) -> Reach {
+        let (n, sb8) = (t.n, sb * 8.0);
+        let mut reach = Reach::default();
+        for &dst in dsts {
+            for &src in srcs {
+                if src != dst {
+                    let (fwd, bwd) = (t.hops[src * n + dst], t.hops[dst * n + src]);
+                    self.exchange(src, dst, sb);
+                    tax(&mut self.taxed_bits, sb8, fwd);
+                    tax(&mut self.taxed_bits, sb8, bwd);
+                    reach = reach.with_pair(fwd).with_pair(bwd);
+                }
+            }
+        }
+        reach
+    }
+
+    /// The egress and ingress of a transfer `src → dst` of `sb` bytes and of
+    /// its gradient back.
+    fn exchange(&mut self, src: usize, dst: usize, sb: f64) {
+        self.egress[src] += sb;
+        self.ingress[dst] += sb;
+        self.egress[dst] += sb;
+        self.ingress[src] += sb;
     }
 
     /// Largest hop count over active reachable pairs, if any is active.
     fn max_hops(&self) -> Option<usize> {
-        self.hop_pairs.iter().rposition(|&c| c > 0)
+        self.hop_edges.iter().rposition(|&c| c > 0)
     }
 }
 
+/// Add one transfer's hop tax, `sb8` signed bits times its hop count, unless
+/// its pair is [`BLOCKED`].
+fn tax(taxed: &mut f64, sb8: f64, hops: u32) {
+    if hops != BLOCKED {
+        *taxed += sb8 * hops as f64;
+    }
+}
+
+/// The largest of 0 and `value(item)` over `items`, folded in four
+/// independent lanes: `f64::max` gives the same result in any order.
+fn peak<T: Copy>(items: &[T], value: impl Fn(T) -> f64) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = items.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &item) in lanes.iter_mut().zip(chunk) {
+            *lane = lane.max(value(item));
+        }
+    }
+    chunks.remainder().iter().map(|&item| value(item)).chain(lanes).fold(0.0, f64::max)
+}
+
+/// Per-pair byte totals and transfer counts for the relay bound of a view
+/// with pair factors.
+#[derive(Debug, Clone)]
+struct RelayTally {
+    /// Bytes per pair, row-major (`src * n + dst`).
+    bytes: Vec<f64>,
+    /// Contributing transfers per pair; the pair carries demand iff
+    /// non-zero.
+    transfers: Vec<u32>,
+}
+
 impl RelayTally {
-    /// Relay state for a view with pair factors, `None` for any other view.
-    fn new(view: &TopologyView, n: usize) -> Option<Self> {
-        let TopologyView::Topology { pair_factor: Some(factors), .. } = view else {
-            return None;
-        };
-        let capped = (0..n * n)
-            .filter_map(|idx| {
-                let (src, dst) = (idx / n, idx % n);
-                let (hops, bneck) = view.path_info(src, dst);
-                let factor = factors[src][dst];
-                let relayed = hops != usize::MAX && factor < 1.0 && factor > 0.0;
-                relayed.then(|| (idx, factor * bneck.max(1.0)))
-            })
-            .collect();
-        Some(RelayTally { bytes: vec![0.0; n * n], capped })
+    fn new(n: usize) -> Self {
+        RelayTally { bytes: vec![0.0; n * n], transfers: vec![0; n * n] }
+    }
+
+    /// Add or remove one edge's block, transfer by transfer.
+    fn apply(&mut self, block: &EdgeBlock<'_>, sign: f64) {
+        block.for_each_transfer(|s, d, b| {
+            let idx = s * block.n + d;
+            self.bytes[idx] += sign * b;
+            if sign > 0.0 {
+                self.transfers[idx] += 1;
+            } else {
+                self.transfers[idx] -= 1;
+            }
+        });
     }
 
     /// The slowest active relayed pair's time at its rate cap (0 if none).
-    fn bound_s(&self, pairs: &[PairSlot]) -> f64 {
-        self.capped
+    fn bound_s(&self, capped: &[(usize, f64)]) -> f64 {
+        capped
             .iter()
-            .filter(|&&(idx, _)| pairs[idx].transfers > 0)
+            .filter(|&&(idx, _)| self.transfers[idx] > 0)
             .map(|&(idx, cap)| self.bytes[idx] * 8.0 / cap)
             .fold(0.0, f64::max)
     }
@@ -204,36 +417,29 @@ impl RelayTally {
 impl<'a> CostEvaluator<'a> {
     /// Build the cached contributions of `strategy` with one full pass over
     /// the model (the same work as one call to the full estimator), plus the
-    /// view's per-pair hop table.
+    /// view's hop tables and star summaries. Clones share those tables.
     pub fn new(
         model: &'a DnnModel,
         strategy: ParallelizationStrategy,
-        view: &'a TopologyView,
+        view: &TopologyView,
         params: &'a ComputeParams,
     ) -> Self {
         let n = strategy.num_servers;
         let local_batch = (model.batch_per_gpu * params.gpus_per_server) as f64;
         let global_batch = local_batch * n as f64;
-        let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); model.num_ops()];
-        for (consumer_id, node) in model.ops.iter().enumerate() {
-            for &producer_id in &node.inputs {
-                consumers[producer_id].push(consumer_id);
-            }
-        }
+        let tables = Tables::new(model, view, n);
         let mut ev = CostEvaluator {
             model,
-            view,
             params,
             strategy,
-            consumers,
             local_batch,
             global_batch,
             load: vec![0.0; n],
             replicated_param_bytes: 0.0,
             replicated_param_ops: 0,
-            min_server_bw: (0..n).map(|s| view.server_bandwidth(s)).fold(f64::INFINITY, f64::min),
-            mp: MpTally::new(view, n),
-            relays: RelayTally::new(view, n),
+            mp: MpTally::new(&tables),
+            relays: tables.capped.is_some().then(|| RelayTally::new(n)),
+            tables: Arc::new(tables),
         };
         for op in 0..model.num_ops() {
             let kind = ev.strategy.placements[op].kind.clone();
@@ -281,31 +487,34 @@ impl<'a> CostEvaluator<'a> {
     /// the cached contributions in O(servers) time (plus one pass over the
     /// relayed pairs when the view carries pair factors).
     pub fn estimate(&self) -> IterationEstimate {
-        let n = self.strategy.num_servers;
-        let compute_s = self.load.iter().cloned().fold(0.0, f64::max) / self.params.server_flops();
+        let (t, mp) = (&*self.tables, &self.mp);
+        let n = t.n;
+        let compute_s = peak(&self.load, |load| load) / self.params.server_flops();
 
         let mut allreduce_s = 0.0;
         if n > 1 && self.replicated_param_ops > 0 {
             let k = n as f64;
             let bits = self.replicated_param_bytes * 8.0;
             allreduce_s =
-                2.0 * (k - 1.0) * (self.params.alpha_s + bits / k / self.min_server_bw.max(1.0));
+                2.0 * (k - 1.0) * (self.params.alpha_s + bits / k / t.min_server_bw.max(1.0));
         }
 
-        let mp = &self.mp;
+        // The busiest NIC. x·8/bw is monotone in x, so the max commutes with
+        // it: one division per bandwidth class, of its largest egress or
+        // ingress, gives the bits of one division per server and direction.
         let mut mp_s = 0.0f64;
-        for s in 0..n {
-            let bw = self.view.server_bandwidth(s).max(1.0);
-            mp_s = mp_s.max(mp.egress[s] * 8.0 / bw).max(mp.ingress[s] * 8.0 / bw);
+        for (bw, servers) in &t.bandwidth_classes {
+            let busiest = peak(servers, |s| mp.egress[s].max(mp.ingress[s]));
+            mp_s = mp_s.max(busiest * 8.0 / bw);
         }
-        mp_s = mp_s.max(mp.taxed_bits / self.view.total_bandwidth().max(1.0));
-        if let Some(relays) = &self.relays {
-            mp_s = mp_s.max(relays.bound_s(&mp.pairs));
+        mp_s = mp_s.max(mp.taxed_bits / t.total_bw);
+        if let (Some(relays), Some(capped)) = (&self.relays, &t.capped) {
+            mp_s = mp_s.max(relays.bound_s(capped));
         }
         if let Some(max_hops) = mp.max_hops() {
             mp_s += self.params.alpha_s * max_hops as f64;
         }
-        if mp.blocked_pairs > 0 {
+        if mp.blocked_edges > 0 {
             mp_s = f64::INFINITY;
         }
 
@@ -364,16 +573,15 @@ impl<'a> CostEvaluator<'a> {
             let producer = self.model.ops[op].inputs[i];
             self.apply_edge(producer, op, Some((op, kind)), sign);
         }
-        for i in 0..self.consumers[op].len() {
-            let consumer = self.consumers[op][i];
+        for i in 0..self.tables.consumers[op].len() {
+            let consumer = self.tables.consumers[op][i];
             self.apply_edge(op, consumer, Some((op, kind)), sign);
         }
     }
 
-    /// Apply one producer→consumer edge's transfers, signed, in emission
-    /// order. `override_kind` substitutes the placement of the named
-    /// operator (the one being mutated); the other endpoint reads the
-    /// current strategy.
+    /// Apply one producer→consumer edge's block, signed. `override_kind`
+    /// substitutes the placement of the named operator (the one being
+    /// mutated); the other endpoint reads the current strategy.
     fn apply_edge(
         &mut self,
         producer: OpId,
@@ -381,11 +589,6 @@ impl<'a> CostEvaluator<'a> {
         override_kind: Option<(OpId, &PlacementKind)>,
         sign: f64,
     ) {
-        let act_bytes = self.model.ops[producer].op.activation_bytes();
-        if act_bytes <= 0.0 {
-            return;
-        }
-        let n = self.strategy.num_servers;
         let placements = &self.strategy.placements;
         let kind_of = |id: OpId| -> &PlacementKind {
             match override_kind {
@@ -393,23 +596,20 @@ impl<'a> CostEvaluator<'a> {
                 _ => &placements[id].kind,
             }
         };
-        let (p_kind, c_kind) = (kind_of(producer), kind_of(consumer));
+        let act_bytes = self.model.ops[producer].op.activation_bytes();
         let (local, global) = (self.local_batch, self.global_batch);
-        let mp = &mut self.mp;
-        // One closure per case: testing `relays` inside one shared closure
-        // on every transfer made the `plan_jobs` benchmark, whose views
-        // carry no factors, about a quarter slower (2-vCPU host).
-        match &mut self.relays {
-            None => {
-                for_each_edge_transfer(p_kind, c_kind, act_bytes, local, global, n, |s, d, b| {
-                    mp.apply(s, d, b, sign)
-                })
-            }
-            Some(relays) => {
-                for_each_edge_transfer(p_kind, c_kind, act_bytes, local, global, n, |s, d, b| {
-                    mp.apply(s, d, b, sign);
-                    relays.bytes[s * n + d] += sign * b;
-                })
+        let block = edge_block(
+            kind_of(producer),
+            kind_of(consumer),
+            act_bytes,
+            local,
+            global,
+            self.tables.n,
+        );
+        if let Some(block) = block {
+            self.mp.apply(&self.tables, &block, sign);
+            if let Some(relays) = &mut self.relays {
+                relays.apply(&block, sign);
             }
         }
     }

@@ -12,15 +12,18 @@
 //! * **Incremental cost evaluation** — each proposal mutates exactly one
 //!   operator, so the chain drives a [`CostEvaluator`] with a
 //!   mutate-and-revert loop instead of cloning the strategy and re-running
-//!   the full estimator per step. The original clone-per-proposal loop is
-//!   `search_strategy_reference` in the dev-only `topoopt-oracle` crate:
-//!   the equivalence oracle (`tests/search.rs`) and the `search` bench
-//!   baseline.
+//!   the full estimator per step. A proposal costs the float additions of
+//!   the edges it changes ([`crate::evaluator`]). The original
+//!   clone-per-proposal loop is `search_strategy_reference` in the dev-only
+//!   `topoopt-oracle` crate: the equivalence oracle (`tests/search.rs`) and
+//!   the `search` bench baseline.
 //! * **Parallel multi-chain search** — [`McmcConfig::chains`] independent
 //!   chains run on rayon threads from seeds derived deterministically from
 //!   [`McmcConfig::seed`]; results are collected in chain order and the
 //!   best is returned, so a fixed seed yields the same result regardless of
-//!   thread count (`RAYON_NUM_THREADS=1` included).
+//!   thread count (`RAYON_NUM_THREADS=1` included). A search builds one
+//!   evaluator, with the view's hop tables, and each chain starts from a
+//!   clone of it that shares those tables.
 
 use crate::costmodel::{ComputeParams, IterationEstimate, TopologyView};
 use crate::evaluator::CostEvaluator;
@@ -103,16 +106,16 @@ pub fn search_strategy(
     params: &ComputeParams,
     cfg: &McmcConfig,
 ) -> McmcResult {
+    let start = CostEvaluator::new(model, initial, view, params);
+    let candidates = mp_candidates(model);
     let chains = cfg.chains.max(1);
     if chains == 1 {
-        return search_one_chain(model, initial, view, params, cfg, cfg.seed);
+        return search_one_chain(start, &candidates, cfg, cfg.seed);
     }
     let results: Vec<McmcResult> = (0..chains as u64)
         .collect::<Vec<_>>()
         .into_par_iter()
-        .map(|k| {
-            search_one_chain(model, initial.clone(), view, params, cfg, chain_seed(cfg.seed, k))
-        })
+        .map(|k| search_one_chain(start.clone(), &candidates, cfg, chain_seed(cfg.seed, k)))
         .collect();
     let accepted = results.iter().map(|r| r.accepted).sum();
     let evaluated = results.iter().map(|r| r.evaluated).sum();
@@ -123,22 +126,18 @@ pub fn search_strategy(
     McmcResult { accepted, evaluated, ..best }
 }
 
-/// One Metropolis chain over an incremental [`CostEvaluator`]: proposals
-/// are applied in place and reverted on rejection; the strategy is cloned
-/// only when a new best is recorded.
+/// One Metropolis chain over an incremental [`CostEvaluator`] loaded with
+/// the initial strategy: proposals are applied in place and reverted on
+/// rejection; the strategy is cloned only when a new best is recorded.
 fn search_one_chain(
-    model: &DnnModel,
-    initial: ParallelizationStrategy,
-    view: &TopologyView,
-    params: &ComputeParams,
+    mut eval: CostEvaluator<'_>,
+    candidates: &[usize],
     cfg: &McmcConfig,
     seed: u64,
 ) -> McmcResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = initial.num_servers;
-    let candidates = mp_candidates(model);
+    let n = eval.strategy().num_servers;
 
-    let mut eval = CostEvaluator::new(model, initial, view, params);
     let mut current_est = eval.estimate();
     let mut best = eval.strategy().clone();
     let mut best_est = current_est;

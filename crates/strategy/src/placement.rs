@@ -82,24 +82,10 @@ impl ParallelizationStrategy {
         &self.placements[op].kind
     }
 
-    /// Servers that hold (a replica or shard of) operator `op`.
-    pub fn servers_of(&self, op: OpId) -> Vec<usize> {
-        match &self.placements[op].kind {
-            PlacementKind::Replicated => (0..self.num_servers).collect(),
-            PlacementKind::Single(s) => vec![*s],
-            PlacementKind::Sharded(v) => v.clone(),
-        }
-    }
-
     /// Number of operators that are not replicated (i.e. use some form of
     /// model parallelism).
     pub fn num_model_parallel_ops(&self) -> usize {
         self.placements.iter().filter(|p| p.kind != PlacementKind::Replicated).count()
-    }
-
-    /// True when every operator is replicated.
-    pub fn is_pure_data_parallel(&self) -> bool {
-        self.num_model_parallel_ops() == 0
     }
 
     /// Validate the strategy against a model: one placement per op, all
@@ -139,13 +125,22 @@ mod tests {
     use super::*;
     use topoopt_models::{build_model, ModelKind, ModelPreset};
 
+    /// Servers that hold (a replica or shard of) operator `op`.
+    fn servers_of(s: &ParallelizationStrategy, op: OpId) -> Vec<usize> {
+        match s.placement(op) {
+            PlacementKind::Replicated => (0..s.num_servers).collect(),
+            PlacementKind::Single(server) => vec![*server],
+            PlacementKind::Sharded(v) => v.clone(),
+        }
+    }
+
     #[test]
     fn pure_data_parallel_replicates_everything() {
         let m = build_model(ModelKind::Vgg16, ModelPreset::Dedicated);
         let s = ParallelizationStrategy::pure_data_parallel(&m, 16);
         s.validate(&m).unwrap();
-        assert!(s.is_pure_data_parallel());
-        assert_eq!(s.servers_of(0).len(), 16);
+        assert_eq!(s.num_model_parallel_ops(), 0);
+        assert_eq!(servers_of(&s, 0).len(), 16);
     }
 
     #[test]
@@ -155,7 +150,7 @@ mod tests {
         s.validate(&m).unwrap();
         assert_eq!(s.num_model_parallel_ops(), 64);
         for op in m.embedding_ops() {
-            assert_eq!(s.servers_of(op).len(), 1);
+            assert_eq!(servers_of(&s, op).len(), 1);
         }
     }
 
@@ -165,10 +160,10 @@ mod tests {
         let s = ParallelizationStrategy::meta_dlrm_example(&m, 16);
         s.validate(&m).unwrap();
         let emb = m.embedding_ops();
-        assert_eq!(s.servers_of(emb[0]), vec![0]);
-        assert_eq!(s.servers_of(emb[1]), vec![3]);
-        assert_eq!(s.servers_of(emb[2]), vec![8]);
-        assert_eq!(s.servers_of(emb[3]), vec![13]);
+        assert_eq!(servers_of(&s, emb[0]), vec![0]);
+        assert_eq!(servers_of(&s, emb[1]), vec![3]);
+        assert_eq!(servers_of(&s, emb[2]), vec![8]);
+        assert_eq!(servers_of(&s, emb[3]), vec![13]);
     }
 
     #[test]
@@ -193,7 +188,7 @@ mod tests {
         let mut s = ParallelizationStrategy::pure_data_parallel(&m, 8);
         s.placements[2].kind = PlacementKind::Sharded(vec![0, 1, 2, 3]);
         s.validate(&m).unwrap();
-        assert_eq!(s.servers_of(2), vec![0, 1, 2, 3]);
+        assert_eq!(servers_of(&s, 2), vec![0, 1, 2, 3]);
         assert_eq!(s.num_model_parallel_ops(), 1);
     }
 }

@@ -5,6 +5,13 @@
 //! `Comm.×Topo.` plane (Figure 6): the strategy search produces a placement,
 //! this module turns it into the `T_AllReduce` (per-group volumes) and
 //! `T_MP` (point-to-point demand matrix) inputs of `TopologyFinder`.
+//!
+//! One routine, `edge_block`, describes the model-parallel transfers of a
+//! DAG edge as a block: its consumer-side and producer-side servers (each
+//! every server or a placement's holder list) and the bytes per transfer.
+//! [`extract_traffic`] expands each block pair by pair; the incremental
+//! [`crate::evaluator::CostEvaluator`] reads the block directly, so a star
+//! of one holder with every other server costs it no per-pair state.
 
 use crate::placement::{ParallelizationStrategy, PlacementKind};
 use serde::{Deserialize, Serialize};
@@ -97,26 +104,21 @@ pub fn extract_traffic(
 
     // --- Model-parallel traffic: activations (forward) and their gradients
     // (backward) crossing placement boundaries along every producer→consumer
-    // edge of the model DAG.
+    // edge of the model DAG, expanded pair by pair.
     let mut mp = TrafficMatrix::new(n);
     for (consumer_id, node) in model.ops.iter().enumerate() {
         for &producer_id in &node.inputs {
-            let producer = &model.ops[producer_id].op;
-            let act_bytes = producer.activation_bytes();
-            if act_bytes <= 0.0 {
-                continue;
-            }
-            let (p_kind, c_kind) =
-                (strategy.placement(producer_id), strategy.placement(consumer_id));
-            for_each_edge_transfer(
-                p_kind,
-                c_kind,
-                act_bytes,
+            let block = edge_block(
+                strategy.placement(producer_id),
+                strategy.placement(consumer_id),
+                model.ops[producer_id].op.activation_bytes(),
                 local_batch,
                 global_batch,
                 n,
-                |s, d, b| mp.add(s, d, b),
             );
+            if let Some(block) = block {
+                block.for_each_transfer(|s, d, b| mp.add(s, d, b));
+            }
         }
     }
 
@@ -135,9 +137,9 @@ fn samples_per_holder(kind: &PlacementKind, local_batch: f64, global_batch: f64)
     }
 }
 
-/// The holders of a single-server or sharded operator, in placement order.
-/// A replicated operator is held by every server, `0..n`, which callers
-/// iterate as a range instead.
+/// The holders of a single-server or sharded operator, in placement order
+/// ([`Side::Listed`]). A replicated operator is held by every server, which
+/// a block names as [`Side::All`] instead.
 fn listed_holders(kind: &PlacementKind) -> &[usize] {
     match kind {
         PlacementKind::Replicated => &[],
@@ -146,61 +148,93 @@ fn listed_holders(kind: &PlacementKind) -> &[usize] {
     }
 }
 
-/// Enumerate the `(src, dst, bytes)` transfers of one producer→consumer
-/// edge — both the forward activations and the backward gradients. Each
+/// The servers on one side of an [`EdgeBlock`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Side<'a> {
+    /// Every server, `0..n`: the side of a replicated operator.
+    All,
+    /// A single-server or sharded operator's holders, in placement order.
+    Listed(&'a [usize]),
+}
+
+/// The transfers of one producer→consumer edge, described as a block:
+/// `bytes` from every server of `srcs` to every server of `dsts` other than
+/// itself, each followed by the same bytes back (the gradients). Each
 /// sample's activation is produced where the producer processes that sample
 /// and consumed where the consumer processes it; when these servers differ
-/// the activation (and its gradient) crosses the network. Shared by
-/// [`extract_traffic`] and the incremental
-/// [`crate::evaluator::CostEvaluator`], so both see byte-identical per-edge
-/// contributions; every emitted `bytes` is strictly positive.
+/// the activation (and its gradient) crosses the network.
 ///
-/// The cost is the number of transfers emitted: an edge between two
-/// replicated operators returns before any loop (each sample's activation
-/// stays on its home server), and each side's holders are read once per
-/// edge as a range (`0..n` for a replicated operator) or a slice of the
-/// placement. Transfers come out per consumer-side server in holder order,
-/// then per producer-side server, forward before backward.
-pub(crate) fn for_each_edge_transfer(
-    producer: &PlacementKind,
-    consumer: &PlacementKind,
+/// [`edge_block`] is the one routine that describes an edge. Both
+/// [`extract_traffic`] and the incremental
+/// [`crate::evaluator::CostEvaluator`] read its blocks, so both see
+/// byte-identical per-edge contributions. The extractor expands a block
+/// pair by pair through [`EdgeBlock::for_each_transfer`]; the evaluator
+/// reads the two sides directly. At most one side is [`Side::All`]: the
+/// edge between two replicated operators has no transfers and no block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EdgeBlock<'a> {
+    /// Consumer-side servers.
+    pub(crate) dsts: Side<'a>,
+    /// Producer-side servers.
+    pub(crate) srcs: Side<'a>,
+    /// Bytes per transfer, strictly positive.
+    pub(crate) bytes: f64,
+    /// Number of servers (the extent of [`Side::All`]).
+    pub(crate) n: usize,
+}
+
+/// The block of one producer→consumer edge whose producer emits
+/// `act_bytes_per_sample` per sample, or `None` when the edge moves nothing:
+/// no activation bytes, no samples on the consumer side, or two replicated
+/// ends (each sample's activation stays on its home server).
+pub(crate) fn edge_block<'a>(
+    producer: &'a PlacementKind,
+    consumer: &'a PlacementKind,
     act_bytes_per_sample: f64,
     local_batch: f64,
     global_batch: f64,
     n: usize,
-    mut emit: impl FnMut(usize, usize, f64),
-) {
+) -> Option<EdgeBlock<'a>> {
     // Each consumer-side server must receive the activations of the samples
     // it processes from wherever those samples' activations were produced.
     let consumed = samples_per_holder(consumer, local_batch, global_batch);
-    if consumed <= 0.0 {
-        return;
+    if act_bytes_per_sample <= 0.0 || consumed <= 0.0 {
+        return None;
     }
-    match (producer, consumer) {
+    let side = |kind: &'a PlacementKind| match kind {
+        PlacementKind::Replicated => Side::All,
+        _ => Side::Listed(listed_holders(kind)),
+    };
+    let bytes = match (producer, consumer) {
         // The producing home is the consuming home: no traffic.
-        (PlacementKind::Replicated, PlacementKind::Replicated) => {}
+        (PlacementKind::Replicated, PlacementKind::Replicated) => return None,
         // Under data parallelism each sample's "home" is its replica server,
         // so a replicated producer contributes from every server
         // proportionally.
-        (PlacementKind::Replicated, _) => {
-            let bytes = act_bytes_per_sample * (consumed / n as f64);
-            cross_transfers(listed_holders(consumer).iter().copied(), 0..n, bytes, &mut emit);
-        }
+        (PlacementKind::Replicated, _) => act_bytes_per_sample * (consumed / n as f64),
         // A single/sharded producer contributes from its holders.
         (_, _) => {
-            let srcs = listed_holders(producer);
-            let share = 1.0 / srcs.len() as f64;
-            let bytes = act_bytes_per_sample * consumed * share;
-            let srcs = srcs.iter().copied();
-            match consumer {
-                PlacementKind::Replicated => cross_transfers(0..n, srcs, bytes, &mut emit),
-                _ => cross_transfers(
-                    listed_holders(consumer).iter().copied(),
-                    srcs,
-                    bytes,
-                    &mut emit,
-                ),
+            let share = 1.0 / listed_holders(producer).len() as f64;
+            act_bytes_per_sample * consumed * share
+        }
+    };
+    Some(EdgeBlock { dsts: side(consumer), srcs: side(producer), bytes, n })
+}
+
+impl EdgeBlock<'_> {
+    /// Emit every `(src, dst, bytes)` transfer of the block: per
+    /// consumer-side server in holder order, then per producer-side server,
+    /// forward before backward.
+    pub(crate) fn for_each_transfer(&self, mut emit: impl FnMut(usize, usize, f64)) {
+        let (b, emit) = (self.bytes, &mut emit);
+        let all = 0..self.n;
+        match (self.dsts, self.srcs) {
+            (Side::Listed(d), Side::All) => cross_transfers(d.iter().copied(), all, b, emit),
+            (Side::All, Side::Listed(s)) => cross_transfers(all, s.iter().copied(), b, emit),
+            (Side::Listed(d), Side::Listed(s)) => {
+                cross_transfers(d.iter().copied(), s.iter().copied(), b, emit)
             }
+            (Side::All, Side::All) => {}
         }
     }
 }
@@ -261,7 +295,7 @@ mod tests {
         }
     }
 
-    /// The per-destination enumeration `for_each_edge_transfer` replaced:
+    /// The per-destination enumeration the edge blocks replaced:
     /// every consumer-side server rebuilds the producer's holder list and
     /// scans it, even when both ends are replicated and nothing is emitted.
     fn per_destination_transfers(
@@ -322,9 +356,9 @@ mod tests {
         for producer in producers {
             for consumer in consumers {
                 let mut fast = Vec::new();
-                for_each_edge_transfer(producer, consumer, act, local, global, n, |s, d, b| {
-                    fast.push((s, d, b.to_bits()))
-                });
+                if let Some(block) = edge_block(producer, consumer, act, local, global, n) {
+                    block.for_each_transfer(|s, d, b| fast.push((s, d, b.to_bits())));
+                }
                 let slow = per_destination_transfers(producer, consumer, act, local, global, n);
                 assert_eq!(fast, slow, "{producer:?} -> {consumer:?} on {n} servers");
             }
@@ -424,7 +458,9 @@ mod tests {
         let s = ParallelizationStrategy::meta_dlrm_example(&m, 16);
         let t = extract_traffic(&m, &s, 1);
         let emb = m.embedding_ops()[0];
-        let host = s.servers_of(emb)[0];
+        let PlacementKind::Single(host) = *s.placement(emb) else {
+            panic!("the motivating placement puts each table on one server");
+        };
         let one_way = t.mp.get(host, 1);
         let mb = one_way / 1.0e6;
         assert!(mb > 10.0 && mb < 70.0, "per-pair MP = {mb} MB");

@@ -22,9 +22,9 @@ fn assert_retraces_reference(
 ) {
     let p = ComputeParams::default();
     let cfg = quick_cfg(seed);
+    let case = format!("{} on {} servers, seed {seed}", m.name, init.num_servers);
     let fast = search_strategy(m, init.clone(), view, &p, &cfg);
     let slow = search_strategy_reference(m, init, view, &p, &cfg);
-    let case = format!("{} on {} servers, seed {seed}", m.name, view.num_servers());
     assert_eq!(fast.strategy, slow.strategy, "{case}");
     assert_eq!(fast.accepted, slow.accepted, "{case}");
     assert_eq!(fast.evaluated, slow.evaluated, "{case}");
