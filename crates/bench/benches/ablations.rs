@@ -6,14 +6,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use topoopt_collectives::ring::{multi_ring_traffic, ring_allreduce_traffic, RingPermutation};
-use topoopt_core::select::select_for_group;
+use topoopt_core::select::select_permutations;
 use topoopt_core::totient::totient_perms;
-use topoopt_graph::matching::{maximum_weight_matching, MatchingAlgo};
+use topoopt_graph::matching::{MatchingAlgo, MatchingRounds};
 
 fn bench_selection_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_select_permutations");
     let members: Vec<usize> = (0..128).collect();
-    group.bench_function("geometric_selection", |b| b.iter(|| select_for_group(&members, 4)));
+    group.bench_function("geometric_selection", |b| {
+        b.iter(|| select_permutations(&totient_perms(&members), 4))
+    });
     group.bench_function("naive_lowest_strides", |b| {
         b.iter(|| {
             let perms = totient_perms(&members);
@@ -30,10 +32,10 @@ fn bench_matching_variants(c: &mut Criterion) {
     let weights: Vec<Vec<f64>> =
         (0..n).map(|i| (0..n).map(|j| ((i * 31 + j * 17) % 97) as f64).collect()).collect();
     group.bench_function("exact_blossom_substitute", |b| {
-        b.iter(|| maximum_weight_matching(&weights, MatchingAlgo::Exact))
+        b.iter(|| MatchingRounds::new(&weights, MatchingAlgo::Exact).round())
     });
     group.bench_function("greedy_improve", |b| {
-        b.iter(|| maximum_weight_matching(&weights, MatchingAlgo::GreedyImprove))
+        b.iter(|| MatchingRounds::new(&weights, MatchingAlgo::GreedyImprove).round())
     });
     group.finish();
 }

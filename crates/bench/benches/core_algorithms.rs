@@ -6,8 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use topoopt_bench::{baseline_strategy, build_topoopt_fabric, compute_params};
 use topoopt_core::coinchange::CoinChangeTable;
-use topoopt_core::select::select_for_group;
-use topoopt_graph::matching::{maximum_weight_matching, MatchingAlgo, MatchingRounds};
+use topoopt_core::select::select_permutations;
+use topoopt_core::totient::totient_perms;
+use topoopt_graph::matching::{MatchingAlgo, MatchingRounds};
 use topoopt_models::{ModelKind, ModelPreset};
 use topoopt_strategy::{extract_traffic, search_strategy, McmcConfig, TopologyView};
 
@@ -16,7 +17,7 @@ fn bench_totient_select(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let members: Vec<usize> = (0..n).collect();
-            b.iter(|| select_for_group(&members, 4))
+            b.iter(|| select_permutations(&totient_perms(&members), 4))
         });
     }
     group.finish();
@@ -46,9 +47,9 @@ fn bench_topology_finder(c: &mut Criterion) {
 }
 
 /// A d_MP-style loop: 4 matching rounds with served-pair halving between
-/// rounds, once through the buffer-reusing [`MatchingRounds`] API and once
-/// through per-round `maximum_weight_matching` calls (which re-symmetrize
-/// the matrix and re-allocate the exact solver's 2^n DP tables each round).
+/// rounds, once through one buffer-reusing [`MatchingRounds`] and once
+/// through a fresh `MatchingRounds` per round (which re-symmetrizes the
+/// matrix and re-allocates the exact solver's 2^n DP tables each round).
 fn bench_matching_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching_rounds");
     group.sample_size(10);
@@ -76,7 +77,7 @@ fn bench_matching_rounds(c: &mut Criterion) {
             b.iter(|| {
                 let mut w = weights.clone();
                 for _ in 0..4 {
-                    let m = maximum_weight_matching(&w, MatchingAlgo::Auto);
+                    let m = MatchingRounds::new(&w, MatchingAlgo::Auto).round();
                     for &(a, bb) in &m {
                         w[a][bb] /= 2.0;
                         w[bb][a] /= 2.0;

@@ -42,11 +42,6 @@ impl TransitionSchedule {
     pub fn total_s(&self) -> f64 {
         self.step_offsets_s.last().copied().unwrap_or(0.0)
     }
-
-    /// Number of rewiring steps.
-    pub fn steps(&self) -> usize {
-        self.step_offsets_s.len()
-    }
 }
 
 /// The realized account of one patch-panel transition: the schedule that
@@ -61,13 +56,6 @@ pub struct TransitionRecord {
     /// Switch-over delay the job paid at flip time: the portion of the
     /// schedule not hidden behind the job's queue wait.
     pub residual_s: f64,
-}
-
-impl TransitionRecord {
-    /// Absolute completion timestamps of each rewiring step.
-    pub fn step_times_s(&self) -> Vec<f64> {
-        self.schedule.step_offsets_s.iter().map(|o| self.wiring_started_s + o).collect()
-    }
 }
 
 /// State of the dual-sided provisioning for one cluster: how much wiring
@@ -224,21 +212,19 @@ mod tests {
         // A planned migration that only needs 40s of rewiring instead of
         // the full 300s rewire.
         let schedule = TransitionSchedule::planned(vec![10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(schedule.steps(), 4);
+        assert_eq!(schedule.step_offsets_s.len(), 4);
         assert!((schedule.total_s() - 40.0).abs() < 1e-12);
         p.start_provisioning_for(schedule.total_s());
         p.advance(25.0);
         assert!((p.switch_over_delay() - 15.0).abs() < 1e-9);
         let delay = p.flip();
         assert!((delay - 15.0).abs() < 1e-9);
-        let record = TransitionRecord { wiring_started_s: 100.0, schedule, residual_s: delay };
-        assert_eq!(record.step_times_s(), vec![110.0, 120.0, 130.0, 140.0]);
     }
 
     #[test]
     fn atomic_schedule_is_one_opaque_step() {
         let s = TransitionSchedule::atomic(300.0);
-        assert_eq!(s.steps(), 1);
+        assert_eq!(s.step_offsets_s.len(), 1);
         assert!((s.total_s() - 300.0).abs() < 1e-12);
         assert!(!s.planned);
         assert!(s.fallback.is_none());

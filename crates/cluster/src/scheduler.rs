@@ -43,10 +43,10 @@ pub struct JobRequest {
 
 /// Number of concurrently active jobs for a given load level on a cluster of
 /// `total_servers` servers (§5.6 uses 5/10/15/20/27 jobs for 20–100% on 432
-/// servers).
+/// servers): at least one, unless not even one job fits.
 pub fn jobs_for_load(total_servers: usize, servers_per_job: usize, load: f64) -> usize {
     let max_jobs = total_servers / servers_per_job.max(1);
-    ((max_jobs as f64 * load).round() as usize).clamp(1, max_jobs)
+    ((max_jobs as f64 * load).round() as usize).clamp(max_jobs.min(1), max_jobs)
 }
 
 /// Generate the job list for one load level, deterministically from `seed`,
@@ -148,5 +148,12 @@ mod tests {
     #[test]
     fn minimum_one_job_even_at_tiny_load() {
         assert_eq!(jobs_for_load(432, 16, 0.0), 1);
+    }
+
+    #[test]
+    fn a_cluster_smaller_than_one_job_gets_no_jobs() {
+        assert_eq!(jobs_for_load(8, 16, 1.0), 0);
+        assert_eq!(jobs_for_load(0, 16, 0.5), 0);
+        assert!(job_mix_for_load(&MixModel::default(), 8, 1.0, 7).is_empty());
     }
 }

@@ -28,11 +28,6 @@ impl ClusterShards {
         self.total_servers
     }
 
-    /// Number of currently free servers.
-    pub fn free_servers(&self) -> usize {
-        self.free.len()
-    }
-
     /// Allocate a shard of `size` servers; returns the shard id and the
     /// allocated server ids, or `None` if not enough servers are free.
     pub fn allocate(&mut self, size: usize) -> Option<(usize, Vec<usize>)> {
@@ -64,30 +59,6 @@ impl ClusterShards {
         }
     }
 
-    /// Number of active shards.
-    pub fn active_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Verify no server belongs to two shards and every allocated server is
-    /// not in the free pool.
-    pub fn validate(&self) -> Result<(), String> {
-        let mut seen = BTreeSet::new();
-        for (id, shard) in self.shards.iter().enumerate() {
-            if let Some(servers) = shard {
-                for &s in servers {
-                    if !seen.insert(s) {
-                        return Err(format!("server {s} appears in two shards"));
-                    }
-                    if self.free.contains(&s) {
-                        return Err(format!("server {s} of shard {id} is also free"));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Current load: fraction of servers allocated to jobs.
     pub fn load(&self) -> f64 {
         1.0 - self.free.len() as f64 / self.total_servers.max(1) as f64
@@ -99,17 +70,34 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Verify no server belongs to two shards and every allocated server is
+    /// not in the free pool.
+    fn validate(c: &ClusterShards) -> Result<(), String> {
+        let mut seen = BTreeSet::new();
+        for (id, shard) in c.shards.iter().enumerate() {
+            if let Some(servers) = shard {
+                for &s in servers {
+                    if !seen.insert(s) {
+                        return Err(format!("server {s} appears in two shards"));
+                    }
+                    if c.free.contains(&s) {
+                        return Err(format!("server {s} of shard {id} is also free"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn allocate_and_release_roundtrip() {
         let mut c = ClusterShards::new(32);
         let (id, servers) = c.allocate(16).unwrap();
         assert_eq!(servers.len(), 16);
-        assert_eq!(c.free_servers(), 16);
-        assert_eq!(c.active_shards(), 1);
         assert!((c.load() - 0.5).abs() < 1e-12);
-        c.validate().unwrap();
+        validate(&c).unwrap();
         assert!(c.release(id));
-        assert_eq!(c.free_servers(), 32);
+        assert_eq!(c.load(), 0.0);
         assert!(!c.release(id), "double release must fail");
     }
 
@@ -131,7 +119,7 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 48);
-        c.validate().unwrap();
+        validate(&c).unwrap();
     }
 
     proptest! {
@@ -149,7 +137,7 @@ mod tests {
                 if let Some((id, _)) = c.allocate(size) {
                     live.push(id);
                 }
-                c.validate().unwrap();
+                validate(&c).unwrap();
                 prop_assert!(c.load() >= 0.0 && c.load() <= 1.0);
             }
         }

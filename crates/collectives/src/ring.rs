@@ -37,37 +37,10 @@ impl RingPermutation {
         self.members.is_empty()
     }
 
-    /// True if `stride` is co-prime with the group size, i.e. the permutation
-    /// forms a single Hamiltonian ring over the group.
-    pub fn is_single_ring(&self) -> bool {
-        !self.is_empty() && gcd(self.stride % self.len().max(1), self.len()) == 1
-    }
-
-    /// The successor of global node `node` under this permutation, or `None`
-    /// if the node is not a member.
-    pub fn successor(&self, node: usize) -> Option<usize> {
-        let k = self.len();
-        let idx = self.members.iter().position(|&m| m == node)?;
-        Some(self.members[(idx + self.stride) % k])
-    }
-
     /// The ordered list of `(sender, receiver)` pairs this ring uses.
     pub fn edges(&self) -> Vec<(usize, usize)> {
         let k = self.len();
         (0..k).map(|i| (self.members[i], self.members[(i + self.stride) % k])).collect()
-    }
-
-    /// Walk the ring starting at member 0 and return the visit order.
-    /// Only a full traversal if [`is_single_ring`](Self::is_single_ring).
-    pub fn ring_order(&self) -> Vec<usize> {
-        let k = self.len();
-        let mut order = Vec::with_capacity(k);
-        let mut idx = 0;
-        for _ in 0..k {
-            order.push(self.members[idx]);
-            idx = (idx + self.stride) % k;
-        }
-        order
     }
 }
 
@@ -130,28 +103,40 @@ mod tests {
         (0..n).collect()
     }
 
+    /// The members visited by following the ring's edges from member 0
+    /// until the walk returns to it: every member once iff the permutation
+    /// is a single Hamiltonian ring.
+    fn ring_order(p: &RingPermutation) -> Vec<usize> {
+        let next: std::collections::BTreeMap<usize, usize> = p.edges().into_iter().collect();
+        let mut order = vec![p.members[0]];
+        while next[order.last().unwrap()] != order[0] {
+            order.push(next[order.last().unwrap()]);
+        }
+        order
+    }
+
     #[test]
     fn plus_one_ring_sends_to_next() {
         let p = RingPermutation::new(identity_group(8), 1);
-        assert!(p.is_single_ring());
-        assert_eq!(p.successor(3), Some(4));
-        assert_eq!(p.successor(7), Some(0));
-        assert_eq!(p.successor(100), None);
+        assert_eq!(ring_order(&p).len(), 8);
+        assert!(p.edges().contains(&(3, 4)));
+        assert!(p.edges().contains(&(7, 0)));
+        assert_eq!(p.edges().len(), 8);
     }
 
     #[test]
     fn stride_coprime_check_matches_figure7() {
         // n = 16: +1, +3, +7 are all valid single rings (Figure 7); +4 is not.
         for s in [1, 3, 7] {
-            assert!(RingPermutation::new(identity_group(16), s).is_single_ring());
+            assert_eq!(ring_order(&RingPermutation::new(identity_group(16), s)).len(), 16);
         }
-        assert!(!RingPermutation::new(identity_group(16), 4).is_single_ring());
+        assert_eq!(ring_order(&RingPermutation::new(identity_group(16), 4)).len(), 4);
     }
 
     #[test]
     fn ring_order_visits_every_member_once_for_coprime_stride() {
         let p = RingPermutation::new(identity_group(12), 5);
-        let mut order = p.ring_order();
+        let mut order = ring_order(&p);
         assert_eq!(order.len(), 12);
         order.sort_unstable();
         order.dedup();
@@ -228,13 +213,10 @@ mod tests {
         fn coprime_strides_always_single_ring(k in 2usize..128) {
             for s in 1..k {
                 let p = RingPermutation::new((0..k).collect(), s);
-                prop_assert_eq!(p.is_single_ring(), gcd(s, k) == 1);
-                if gcd(s, k) == 1 {
-                    let mut order = p.ring_order();
-                    order.sort_unstable();
-                    order.dedup();
-                    prop_assert_eq!(order.len(), k);
-                }
+                let mut order = ring_order(&p);
+                order.sort_unstable();
+                order.dedup();
+                prop_assert_eq!(order.len() == k, gcd(s, k) == 1);
             }
         }
     }

@@ -88,33 +88,6 @@ impl DoubleBinaryTree {
             .filter_map(|(i, p)| p.map(|p| (self.members[i], self.members[p])))
             .collect()
     }
-
-    /// Verify both trees are connected trees (k-1 edges each, single root).
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, parents) in [("A", &self.parent_a), ("B", &self.parent_b)] {
-            let roots = parents.iter().filter(|p| p.is_none()).count();
-            if !self.is_empty() && roots != 1 {
-                return Err(format!("tree {name} has {roots} roots"));
-            }
-            // Walking up from every node must terminate at the root.
-            for start in 0..self.len() {
-                let mut cur = start;
-                let mut steps = 0;
-                while let Some(p) = self.select(parents, cur) {
-                    cur = p;
-                    steps += 1;
-                    if steps > self.len() {
-                        return Err(format!("tree {name} has a cycle through node {start}"));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn select(&self, parents: &[Option<usize>], i: usize) -> Option<usize> {
-        parents[i]
-    }
 }
 
 /// Traffic matrix of a double-binary-tree AllReduce of `total_bytes` over
@@ -135,11 +108,34 @@ pub fn tree_allreduce_traffic(n: usize, total_bytes: f64, dbt: &DoubleBinaryTree
 mod tests {
     use super::*;
 
+    /// Verify both trees are connected trees (k-1 edges each, single root).
+    fn validate(dbt: &DoubleBinaryTree) -> Result<(), String> {
+        for (name, parents) in [("A", &dbt.parent_a), ("B", &dbt.parent_b)] {
+            let roots = parents.iter().filter(|p| p.is_none()).count();
+            if !dbt.is_empty() && roots != 1 {
+                return Err(format!("tree {name} has {roots} roots"));
+            }
+            // Walking up from every node must terminate at the root.
+            for start in 0..dbt.len() {
+                let mut cur = start;
+                let mut steps = 0;
+                while let Some(p) = parents[cur] {
+                    cur = p;
+                    steps += 1;
+                    if steps > dbt.len() {
+                        return Err(format!("tree {name} has a cycle through node {start}"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn dbt_over_16_nodes_is_two_valid_trees() {
         let members: Vec<usize> = (0..16).collect();
         let dbt = double_binary_tree(&members);
-        dbt.validate().unwrap();
+        validate(&dbt).unwrap();
         assert_eq!(dbt.edges_a().len(), 15);
         assert_eq!(dbt.edges_b().len(), 15);
     }
@@ -165,7 +161,7 @@ mod tests {
     fn subgroup_dbt_touches_only_members() {
         let members = vec![1, 4, 6, 9, 12];
         let dbt = double_binary_tree(&members);
-        dbt.validate().unwrap();
+        validate(&dbt).unwrap();
         let tm = tree_allreduce_traffic(16, 1.0e6, &dbt);
         for (s, d, _) in tm.entries_desc() {
             assert!(members.contains(&s) && members.contains(&d));
@@ -175,7 +171,7 @@ mod tests {
     #[test]
     fn single_node_tree_has_no_traffic() {
         let dbt = double_binary_tree(&[3]);
-        dbt.validate().unwrap();
+        validate(&dbt).unwrap();
         let tm = tree_allreduce_traffic(4, 5.0e6, &dbt);
         assert_eq!(tm.total(), 0.0);
     }
@@ -184,6 +180,6 @@ mod tests {
     fn empty_tree_is_valid() {
         let dbt = double_binary_tree(&[]);
         assert!(dbt.is_empty());
-        dbt.validate().unwrap();
+        validate(&dbt).unwrap();
     }
 }

@@ -93,13 +93,6 @@ impl CoinChangeTable {
         (coin != usize::MAX).then(|| (from + coin) % self.n)
     }
 
-    /// The coin sequence covering modular distance `dist`, or `None` if
-    /// unreachable.
-    pub fn decompose(&self, dist: usize) -> Option<Vec<usize>> {
-        let path = self.route(0, dist.checked_rem(self.n)?)?;
-        Some(path.windows(2).map(|w| (w[1] + self.n - w[0]) % self.n).collect())
-    }
-
     /// Ring positions from `src` to `dst`, both included, one backtrace
     /// step at a time, or `None` if unreachable. The rest of a route after
     /// any of its positions is the route from that position.
@@ -129,20 +122,6 @@ impl CoinChangeTable {
     }
 }
 
-/// Route from node `src` to node `dst` over the ring strides `coins` in an
-/// `n`-node group (node ids are ring positions `0..n`). Returns the node
-/// path including both endpoints, or `None` if the coin set cannot reach the
-/// required distance.
-pub fn coin_change_route(n: usize, coins: &[usize], src: usize, dst: usize) -> Option<Vec<usize>> {
-    if n == 0 {
-        return None;
-    }
-    if src == dst {
-        return Some(vec![src]);
-    }
-    CoinChangeTable::new(n, coins).route(src, dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +132,7 @@ mod tests {
         let t = CoinChangeTable::new(8, &[1]);
         assert_eq!(t.hops_for_distance(5), 5);
         assert_eq!(t.max_hops(), 7);
-        let p = coin_change_route(8, &[1], 2, 6).unwrap();
+        let p = t.route(2, 6).unwrap();
         assert_eq!(p, vec![2, 3, 4, 5, 6]);
     }
 
@@ -170,7 +149,7 @@ mod tests {
 
     #[test]
     fn route_endpoints_and_steps_are_consistent() {
-        let p = coin_change_route(16, &[1, 3, 7], 5, 1).unwrap();
+        let p = CoinChangeTable::new(16, &[1, 3, 7]).route(5, 1).unwrap();
         assert_eq!(*p.first().unwrap(), 5);
         assert_eq!(*p.last().unwrap(), 1);
         // Every step is one of the coins (mod 16).
@@ -182,14 +161,14 @@ mod tests {
 
     #[test]
     fn self_route_is_trivial() {
-        assert_eq!(coin_change_route(10, &[1, 3], 4, 4).unwrap(), vec![4]);
+        assert_eq!(CoinChangeTable::new(10, &[1, 3]).route(4, 4).unwrap(), vec![4]);
     }
 
     #[test]
     fn empty_coin_set_is_unreachable() {
         let t = CoinChangeTable::new(8, &[]);
         assert_eq!(t.hops_for_distance(3), usize::MAX);
-        assert!(coin_change_route(8, &[], 0, 3).is_none());
+        assert!(t.route(0, 3).is_none());
     }
 
     #[test]
@@ -209,7 +188,7 @@ mod tests {
             let src = src % n;
             let dst = dst % n;
             let coins = vec![1usize, extra % n.max(2)];
-            let p = coin_change_route(n, &coins, src, dst).unwrap();
+            let p = CoinChangeTable::new(n, &coins).route(src, dst).unwrap();
             prop_assert_eq!(*p.first().unwrap(), src);
             prop_assert_eq!(*p.last().unwrap(), dst);
             prop_assert!(p.len() <= n);

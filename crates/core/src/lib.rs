@@ -30,9 +30,9 @@ pub mod topology_finder;
 pub mod totient;
 
 pub use alternating::{co_optimize, AlternatingConfig, CoOptResult};
-pub use coinchange::{coin_change_route, CoinChangeTable};
+pub use coinchange::CoinChangeTable;
 pub use ocs_reconfig::ocs_reconfig_topology;
 pub use routing::{RingRoute, Route, Routing};
 pub use select::{critical_links, select_permutations, select_permutations_available};
 pub use topology_finder::{topology_finder, TopologyFinderInput, TopologyFinderOutput};
-pub use totient::{euler_totient, totient_perms, TotientPermsConfig};
+pub use totient::{totient_perms, TotientPermsConfig};

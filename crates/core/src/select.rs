@@ -8,7 +8,6 @@
 //! (Theorem 1 / Appendix E.2) — the Chord-like structure the paper points
 //! out.
 
-use crate::totient::totient_perms;
 use topoopt_collectives::ring::RingPermutation;
 
 /// `SelectPermutations(n, d_k, P_k)` — Algorithm 3.
@@ -138,16 +137,12 @@ pub fn select_permutations_available(
         .collect()
 }
 
-/// Convenience: run `TotientPerms` + `SelectPermutations` for a group.
-pub fn select_for_group(members: &[usize], degree: usize) -> Vec<RingPermutation> {
-    select_permutations(&totient_perms(members), degree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topoopt_graph::paths::diameter;
+    use crate::totient::totient_perms;
     use topoopt_graph::topologies::from_permutations;
+    use topoopt_oracle::diameter;
 
     fn strides_of(perms: &[RingPermutation]) -> Vec<usize> {
         perms.iter().map(|p| p.stride).collect()
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn selects_stride_one_first() {
         let members: Vec<usize> = (0..16).collect();
-        let sel = select_for_group(&members, 3);
+        let sel = select_permutations(&totient_perms(&members), 3);
         assert_eq!(sel.len(), 3);
         assert_eq!(sel[0].stride, 1);
     }
@@ -168,7 +163,7 @@ mod tests {
         // 1, 16^(1/3) ≈ 2.5, 16^(2/3) ≈ 6.3, i.e. small / medium / large —
         // the paper picks +1, +3, +7.
         let members: Vec<usize> = (0..16).collect();
-        let sel = select_for_group(&members, 3);
+        let sel = select_permutations(&totient_perms(&members), 3);
         let s = strides_of(&sel);
         assert_eq!(s[0], 1);
         assert!(s[1] >= 2 && s[1] <= 5, "mid stride = {}", s[1]);
@@ -178,7 +173,7 @@ mod tests {
     #[test]
     fn selection_never_repeats_a_stride() {
         let members: Vec<usize> = (0..30).collect();
-        let sel = select_for_group(&members, 6);
+        let sel = select_permutations(&totient_perms(&members), 6);
         let mut s = strides_of(&sel);
         s.sort_unstable();
         let before = s.len();
@@ -189,14 +184,14 @@ mod tests {
     #[test]
     fn degree_larger_than_candidates_is_capped() {
         let members: Vec<usize> = (0..6).collect(); // φ(6) = 2 candidates
-        let sel = select_for_group(&members, 5);
+        let sel = select_permutations(&totient_perms(&members), 5);
         assert_eq!(sel.len(), 2);
     }
 
     #[test]
     fn zero_degree_or_empty_candidates_yield_nothing() {
         let members: Vec<usize> = (0..8).collect();
-        assert!(select_for_group(&members, 0).is_empty());
+        assert!(select_permutations(&totient_perms(&members), 0).is_empty());
         assert!(select_permutations(&[], 3).is_empty());
     }
 
@@ -208,7 +203,7 @@ mod tests {
         let n = 64;
         let members: Vec<usize> = (0..n).collect();
         let d = 3;
-        let selected = select_for_group(&members, d);
+        let selected = select_permutations(&totient_perms(&members), d);
         let geo = from_permutations(n, &strides_of(&selected), 1.0);
         let naive = from_permutations(n, &[1, 3, 5], 1.0);
         let dg = diameter(&geo).unwrap();
@@ -253,7 +248,7 @@ mod tests {
         let members: Vec<usize> = (0..n).collect();
         let mut last = usize::MAX;
         for d in [1usize, 2, 4, 8] {
-            let sel = select_for_group(&members, d);
+            let sel = select_permutations(&totient_perms(&members), d);
             let g = from_permutations(n, &strides_of(&sel), 1.0);
             let dia = diameter(&g).unwrap();
             assert!(dia <= last, "degree {d}: diameter {dia} > previous {last}");

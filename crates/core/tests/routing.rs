@@ -41,14 +41,8 @@ impl Materialized {
                 if i == j {
                     continue;
                 }
-                let dist = (j + k - i) % k;
-                if let Some(seq) = table.decompose(dist) {
-                    let mut path = vec![members[i]];
-                    let mut cur = i;
-                    for c in seq {
-                        cur = (cur + c) % k;
-                        path.push(members[cur]);
-                    }
+                if let Some(positions) = table.route(i, j) {
+                    let path: Vec<usize> = positions.iter().map(|&p| members[p]).collect();
                     ring.insert((members[i], members[j]), path);
                 }
             }

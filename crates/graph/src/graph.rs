@@ -99,11 +99,6 @@ impl Graph {
         self.edges[id].removed = true;
     }
 
-    /// Access an edge by id (including removed edges).
-    pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id]
-    }
-
     /// Mutable access to an edge by id. Its endpoints must not change: the
     /// adjacency lists are sorted by them.
     pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
@@ -141,11 +136,6 @@ impl Graph {
         distinct(self.out_edges(node).map(|(_, e)| e.dst))
     }
 
-    /// Distinct in-neighbours of `node`, ascending.
-    pub fn in_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        distinct(self.in_edges(node).map(|(_, e)| e.src))
-    }
-
     /// Live parallel edges from `src` to `dst`, in id order: a binary search
     /// of `src`'s sorted adjacency instead of a scan.
     fn edges_between(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = &Edge> + '_ {
@@ -163,12 +153,6 @@ impl Graph {
         self.edges_between(src, dst).count()
     }
 
-    /// Total capacity (bps) of all parallel live edges from `src` to `dst`,
-    /// summed in edge id order.
-    pub fn capacity_between(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.edges_between(src, dst).map(|e| e.capacity_bps).sum()
-    }
-
     /// True if there is at least one live edge from `src` to `dst`.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
         self.edges_between(src, dst).next().is_some()
@@ -178,11 +162,6 @@ impl Graph {
     /// [`out_edges`](Self::out_edges) order.
     pub fn total_out_capacity(&self, node: NodeId) -> f64 {
         self.out_edges(node).map(|(_, e)| e.capacity_bps).sum()
-    }
-
-    /// Total network capacity (sum over all live edges), in bps.
-    pub fn total_capacity(&self) -> f64 {
-        self.edges().map(|(_, e)| e.capacity_bps).sum()
     }
 
     /// True if every node can reach every other node over live edges
@@ -220,24 +199,10 @@ impl Graph {
         g
     }
 
-    /// Maximum out-degree over all nodes.
-    pub fn max_out_degree(&self) -> usize {
-        (0..self.n).map(|v| self.out_degree(v)).max().unwrap_or(0)
-    }
-
     /// Check the degree constraint of a TopoOpt direct-connect fabric:
     /// every node has out-degree ≤ `d` and in-degree ≤ `d`.
     pub fn respects_degree(&self, d: usize) -> bool {
         (0..self.n).all(|v| self.out_degree(v) <= d && self.in_degree(v) <= d)
-    }
-
-    /// Adjacency matrix of total capacities (bps), `n x n`, row = src.
-    pub fn capacity_matrix(&self) -> Vec<Vec<f64>> {
-        let mut m = vec![vec![0.0; self.n]; self.n];
-        for (_, e) in self.edges() {
-            m[e.src][e.dst] += e.capacity_bps;
-        }
-        m
     }
 }
 
@@ -271,7 +236,7 @@ mod tests {
         g.add_edge(0, 1, 25.0e9);
         g.add_edge(0, 1, 25.0e9);
         assert_eq!(g.multiplicity(0, 1), 2);
-        assert!((g.capacity_between(0, 1) - 50.0e9).abs() < 1e-3);
+        assert!((g.total_out_capacity(0) - 50.0e9).abs() < 1e-3);
     }
 
     #[test]
@@ -325,16 +290,6 @@ mod tests {
         }
         assert!(g.respects_degree(3));
         assert!(!g.respects_degree(2));
-    }
-
-    #[test]
-    fn capacity_matrix_sums_parallel_links() {
-        let mut g = Graph::new(2);
-        g.add_edge(0, 1, 10.0);
-        g.add_edge(0, 1, 15.0);
-        let m = g.capacity_matrix();
-        assert!((m[0][1] - 25.0).abs() < 1e-9);
-        assert_eq!(m[1][0], 0.0);
     }
 
     #[test]

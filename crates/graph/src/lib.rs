@@ -8,8 +8,8 @@
 //! * [`matching`] — maximum-weight matching on general graphs, used by
 //!   `TopologyFinder` (Algorithm 1, step 3) to build the model-parallel
 //!   sub-topology.
-//! * [`paths`] — BFS and k-shortest paths, diameter, and average path
-//!   length.
+//! * [`paths`] — BFS shortest paths and hop distances, k-shortest paths,
+//!   and the server pairs a damaged fabric still connects.
 //! * [`topologies`] — canonical interconnect builders: Fat-tree,
 //!   oversubscribed Fat-tree, Expander (Jellyfish-style random regular graph),
 //!   circulant, star (Ideal Switch), and direct-connect graphs assembled from
@@ -24,6 +24,6 @@ pub mod topologies;
 pub mod traffic;
 
 pub use graph::{EdgeId, Graph, NodeId};
-pub use matching::{maximum_weight_matching, MatchingAlgo};
-pub use paths::{all_pairs_shortest_path_lengths, bfs_shortest_path, diameter, k_shortest_paths};
+pub use matching::MatchingAlgo;
+pub use paths::{bfs_shortest_path, k_shortest_paths};
 pub use traffic::TrafficMatrix;

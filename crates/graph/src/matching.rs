@@ -12,9 +12,10 @@
 //!   heavy-tailed demand matrices produced by DNN parallelization strategies.
 //!
 //! [`MatchingAlgo::Auto`] picks the exact solver whenever it is affordable.
-//! Property tests verify that the greedy+improve solver is never better than
-//! (and usually close to) the exact one, and that all solvers return valid
-//! matchings.
+//! [`MatchingRounds`] runs the solver, one matching per
+//! [`round`](MatchingRounds::round). Property tests verify that the
+//! greedy+improve solver is never better than (and usually close to) the
+//! exact one, and that all solvers return valid matchings.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,39 +38,21 @@ pub enum MatchingAlgo {
 /// A matching as a list of unordered node pairs `(a, b)` with `a < b`.
 pub type Matching = Vec<(usize, usize)>;
 
-/// Compute a maximum-weight matching on the complete undirected graph over
-/// `n` nodes whose edge weights are `weight(i, j) + weight(j, i)` of the
-/// symmetric closure of `weights` (an `n x n` matrix). Zero / negative weight
-/// pairs are never matched.
-///
-/// One-shot convenience over [`MatchingRounds`]; callers that rematch the
-/// same (evolving) matrix repeatedly — `TopologyFinder`'s `d_MP` rounds —
-/// should hold a `MatchingRounds` instead, which symmetrizes once and
-/// reuses its solver buffers across rounds.
-pub fn maximum_weight_matching(weights: &[Vec<f64>], algo: MatchingAlgo) -> Matching {
-    MatchingRounds::new(weights, algo).round()
-}
-
-/// Total weight of a matching: Σ over pairs of the undirected weight
-/// `max(w(a,b), 0) + max(w(b,a), 0)`, computed directly from the listed
-/// pairs (no O(n²) symmetrized matrix is materialised).
-pub fn matching_weight(weights: &[Vec<f64>], matching: &Matching) -> f64 {
-    matching.iter().map(|&(a, b)| weights[a][b].max(0.0) + weights[b][a].max(0.0)).sum()
-}
-
 /// Sentinel in the exact solver's choice table: "leave the low bit
 /// unmatched" (node indices are < [`EXACT_LIMIT`], so `u8::MAX` is free).
 const NO_PARTNER: u8 = u8::MAX;
 
 /// Repeated maximum-weight matching over an evolving weight matrix.
 ///
-/// `TopologyFinder` (Algorithm 1, lines 12–17) runs one matching per MP
-/// degree, halving the demand of served pairs between rounds. The one-shot
-/// [`maximum_weight_matching`] re-symmetrizes the full n×n matrix and — for
-/// the exact solver — re-allocates two `2^n`-entry DP tables every round;
-/// this type symmetrizes once at construction, mutates pair weights in
-/// place through [`MatchingRounds::halve_pair`], and reuses the solver
-/// buffers for every [`MatchingRounds::round`] call.
+/// Each [`round`](MatchingRounds::round) returns a maximum-weight matching
+/// on the complete undirected graph over the `n` nodes, weighing pair
+/// `{i, j}` by `max(w(i,j), 0) + max(w(j,i), 0)` of the `n x n` matrix
+/// given to [`new`](MatchingRounds::new); pairs of zero weight are never
+/// matched. `TopologyFinder` (Algorithm 1, lines 12–17) runs one round per
+/// MP degree, halving the demand of served pairs between rounds. This type
+/// symmetrizes once at construction, mutates pair weights in place through
+/// [`MatchingRounds::halve_pair`], and reuses the solver buffers (for the
+/// exact solver, two `2^n`-entry DP tables) for every round.
 #[derive(Debug, Clone)]
 pub struct MatchingRounds {
     algo: MatchingAlgo,
@@ -131,24 +114,6 @@ impl MatchingRounds {
         self.sym[a][b] /= 2.0;
         self.sym[b][a] /= 2.0;
     }
-
-    /// Current undirected weight of pair `{a, b}`.
-    pub fn pair_weight(&self, a: usize, b: usize) -> f64 {
-        self.sym[a][b]
-    }
-}
-
-/// True if no node appears twice and every pair is distinct nodes.
-pub fn is_valid_matching(n: usize, matching: &Matching) -> bool {
-    let mut used = vec![false; n];
-    for &(a, b) in matching {
-        if a >= n || b >= n || a == b || used[a] || used[b] {
-            return false;
-        }
-        used[a] = true;
-        used[b] = true;
-    }
-    true
 }
 
 /// Undirected weight of pair {i, j} = max(w(i,j), 0) + max(w(j,i), 0).
@@ -343,11 +308,30 @@ mod tests {
         m
     }
 
+    /// Total weight of a matching: Σ over pairs of the undirected weight
+    /// `max(w(a,b), 0) + max(w(b,a), 0)`.
+    fn matching_weight(weights: &[Vec<f64>], matching: &Matching) -> f64 {
+        matching.iter().map(|&(a, b)| weights[a][b].max(0.0) + weights[b][a].max(0.0)).sum()
+    }
+
+    /// True if no node appears twice and every pair is distinct nodes.
+    fn is_valid_matching(n: usize, matching: &Matching) -> bool {
+        let mut used = vec![false; n];
+        for &(a, b) in matching {
+            if a >= n || b >= n || a == b || used[a] || used[b] {
+                return false;
+            }
+            used[a] = true;
+            used[b] = true;
+        }
+        true
+    }
+
     #[test]
     fn exact_picks_two_light_edges_over_one_heavy() {
         // Heavy edge 0-1 of weight 10, but 0-2 (7) + 1-3 (7) = 14 is better.
         let m = w(4, &[(0, 1, 10.0), (0, 2, 7.0), (1, 3, 7.0)]);
-        let matching = maximum_weight_matching(&m, MatchingAlgo::Exact);
+        let matching = MatchingRounds::new(&m, MatchingAlgo::Exact).round();
         assert!(is_valid_matching(4, &matching));
         assert!((matching_weight(&m, &matching) - 14.0).abs() < 1e-9);
         assert!(matching.contains(&(0, 2)));
@@ -357,17 +341,17 @@ mod tests {
     #[test]
     fn greedy_is_valid_and_auto_matches_exact_for_small_n() {
         let m = w(6, &[(0, 1, 5.0), (2, 3, 4.0), (4, 5, 3.0), (0, 5, 6.0)]);
-        let auto = maximum_weight_matching(&m, MatchingAlgo::Auto);
-        let exact = maximum_weight_matching(&m, MatchingAlgo::Exact);
+        let auto = MatchingRounds::new(&m, MatchingAlgo::Auto).round();
+        let exact = MatchingRounds::new(&m, MatchingAlgo::Exact).round();
         assert!(is_valid_matching(6, &auto));
         assert_eq!(matching_weight(&m, &auto), matching_weight(&m, &exact));
     }
 
     #[test]
     fn empty_and_zero_weight_graphs_yield_empty_matching() {
-        let matching = maximum_weight_matching(&vec![vec![0.0; 5]; 5], MatchingAlgo::Auto);
+        let matching = MatchingRounds::new(&vec![vec![0.0; 5]; 5], MatchingAlgo::Auto).round();
         assert!(matching.is_empty());
-        let matching = maximum_weight_matching(&Vec::new(), MatchingAlgo::Exact);
+        let matching = MatchingRounds::new(&Vec::new(), MatchingAlgo::Exact).round();
         assert!(matching.is_empty());
     }
 
@@ -375,7 +359,7 @@ mod tests {
     fn asymmetric_demands_are_summed() {
         // 3 -> 0 demand only, should still produce the (0,3) pair.
         let m = w(4, &[(3, 0, 9.0)]);
-        let matching = maximum_weight_matching(&m, MatchingAlgo::Exact);
+        let matching = MatchingRounds::new(&m, MatchingAlgo::Exact).round();
         assert_eq!(matching, vec![(0, 3)]);
         assert!((matching_weight(&m, &matching) - 9.0).abs() < 1e-9);
     }
@@ -388,7 +372,7 @@ mod tests {
         for i in 0..n {
             m[i][(i + 1) % n] = 1.0 + (i % 5) as f64;
         }
-        let matching = maximum_weight_matching(&m, MatchingAlgo::GreedyImprove);
+        let matching = MatchingRounds::new(&m, MatchingAlgo::GreedyImprove).round();
         assert!(is_valid_matching(n, &matching));
         assert!(matching.len() <= n / 2);
         assert!(matching_weight(&m, &matching) > 0.0);
@@ -396,8 +380,8 @@ mod tests {
 
     #[test]
     fn rounds_with_halving_match_per_round_resymmetrization() {
-        // The buffer-reusing rounds API must reproduce the legacy loop that
-        // halved the raw demand matrix and re-ran maximum_weight_matching.
+        // Halving pairs in place between rounds must reproduce a loop that
+        // halves the raw demand matrix and matches it with a fresh solver.
         for n in [10usize, 30] {
             let mut raw = vec![vec![0.0; n]; n];
             for (i, row) in raw.iter_mut().enumerate() {
@@ -410,7 +394,7 @@ mod tests {
             let mut legacy_weights = raw.clone();
             let mut rounds = MatchingRounds::new(&raw, MatchingAlgo::Auto);
             for round in 0..4 {
-                let legacy = maximum_weight_matching(&legacy_weights, MatchingAlgo::Auto);
+                let legacy = MatchingRounds::new(&legacy_weights, MatchingAlgo::Auto).round();
                 let fast = rounds.round();
                 assert_eq!(legacy, fast, "n = {n}, round {round}");
                 for &(a, b) in &legacy {
@@ -426,10 +410,10 @@ mod tests {
     fn rounds_pair_weight_tracks_halving() {
         let m = w(4, &[(0, 1, 8.0), (1, 0, 4.0)]);
         let mut rounds = MatchingRounds::new(&m, MatchingAlgo::Exact);
-        assert_eq!(rounds.pair_weight(0, 1), 12.0);
+        assert_eq!(rounds.sym[0][1], 12.0);
         rounds.halve_pair(0, 1);
-        assert_eq!(rounds.pair_weight(0, 1), 6.0);
-        assert_eq!(rounds.pair_weight(1, 0), 6.0);
+        assert_eq!(rounds.sym[0][1], 6.0);
+        assert_eq!(rounds.sym[1][0], 6.0);
     }
 
     #[test]
@@ -456,8 +440,8 @@ mod tests {
             weights in proptest::collection::vec(
                 proptest::collection::vec(0.0f64..100.0, 8), 8)
         ) {
-            let exact = maximum_weight_matching(&weights, MatchingAlgo::Exact);
-            let greedy = maximum_weight_matching(&weights, MatchingAlgo::GreedyImprove);
+            let exact = MatchingRounds::new(&weights, MatchingAlgo::Exact).round();
+            let greedy = MatchingRounds::new(&weights, MatchingAlgo::GreedyImprove).round();
             prop_assert!(is_valid_matching(8, &exact));
             prop_assert!(is_valid_matching(8, &greedy));
             let we = matching_weight(&weights, &exact);
@@ -472,7 +456,7 @@ mod tests {
             weights in proptest::collection::vec(
                 proptest::collection::vec(0.0f64..50.0, 6), 6)
         ) {
-            let exact = maximum_weight_matching(&weights, MatchingAlgo::Exact);
+            let exact = MatchingRounds::new(&weights, MatchingAlgo::Exact).round();
             let mut best_edge = 0.0f64;
             for (i, row) in weights.iter().enumerate() {
                 for (j, &w) in row.iter().enumerate() {

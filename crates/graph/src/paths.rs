@@ -1,5 +1,5 @@
-//! Shortest paths, k-shortest paths, the pairs a damaged fabric still
-//! connects, diameter, and average path length.
+//! Shortest paths, hop distances, k-shortest paths, and the pairs a
+//! damaged fabric still connects.
 //!
 //! TopoOpt routes model-parallel transfers over (k-)shortest paths on the
 //! combined topology (Algorithm 1, line 20).
@@ -191,54 +191,35 @@ pub fn k_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<No
     result
 }
 
-/// All-pairs shortest-path hop counts. `usize::MAX` marks unreachable pairs.
-pub fn all_pairs_shortest_path_lengths(g: &Graph) -> Vec<Vec<usize>> {
-    (0..g.num_nodes()).map(|s| bfs_distances(g, s)).collect()
-}
-
-/// Diameter in hops (maximum finite shortest-path length over all ordered
-/// pairs). Returns `None` if the graph is disconnected.
-pub fn diameter(g: &Graph) -> Option<usize> {
-    let d = all_pairs_shortest_path_lengths(g);
-    let mut max = 0;
-    for (i, row) in d.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            if v == usize::MAX {
-                return None;
-            }
-            max = max.max(v);
-        }
-    }
-    Some(max)
-}
-
-/// Average shortest-path hop count over all ordered pairs (excluding
-/// self-pairs). Unreachable pairs are skipped.
-pub fn average_path_length(g: &Graph) -> f64 {
-    let d = all_pairs_shortest_path_lengths(g);
-    let mut sum = 0usize;
-    let mut count = 0usize;
-    for (i, row) in d.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            if i != j && v != usize::MAX {
-                sum += v;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum as f64 / count as f64
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Diameter in hops (maximum shortest-path length over all ordered
+    /// pairs), or `None` if some pair is unreachable.
+    pub(crate) fn diameter(g: &Graph) -> Option<usize> {
+        let mut hops = (0..g.num_nodes()).flat_map(|s| bfs_distances(g, s));
+        hops.try_fold(0, |max, h| (h != usize::MAX).then(|| max.max(h)))
+    }
+
+    /// Average shortest-path hop count over all ordered pairs of distinct
+    /// nodes; unreachable pairs are skipped.
+    pub(crate) fn average_path_length(g: &Graph) -> f64 {
+        let (mut sum, mut count) = (0, 0);
+        for s in 0..g.num_nodes() {
+            for (t, h) in bfs_distances(g, s).into_iter().enumerate() {
+                if t != s && h != usize::MAX {
+                    sum += h;
+                    count += 1;
+                }
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        }
+    }
 
     fn ring(n: usize) -> Graph {
         let mut g = Graph::new(n);

@@ -9,8 +9,11 @@
 //! * [`fat_tree`] / [`oversubscribed_fat_tree`] — k-ary fat-trees; the
 //!   evaluation's "Fat-tree" baseline uses a full-bisection tree whose link
 //!   bandwidth is chosen so the total cost matches TopoOpt (§5.2).
-//! * [`expander`] — a Jellyfish-style random regular graph baseline, with
-//!   the deterministic [`circulant`] graph as its fallback.
+//! * [`expander`] — a Jellyfish-style random regular graph baseline at
+//!   degree 4 and below. At d ≥ 6 it almost always returns exactly
+//!   [`circulant`]`(n, d)`, the ring lattice `i±1 … ±d/2`, so fig27's
+//!   d = 8 "Expander" column measures that lattice (ROADMAP *Baselines*
+//!   replaces the fallback).
 //! * [`from_permutations`] — assemble a direct-connect TopoOpt topology from
 //!   a set of +p regular ring permutations (Figure 7).
 
@@ -136,6 +139,12 @@ pub fn oversubscribed_fat_tree(k: usize, link_bps: f64) -> FatTree {
 /// Jellyfish-style random regular graph: every server gets `d` bidirectional
 /// links of `link_bps` to distinct random peers. Uses a stub-matching
 /// construction with retry, seeded for reproducibility.
+///
+/// A draw is rejected whole on any self-loop or duplicate edge, and after
+/// 200 rejected draws the function returns exactly [`circulant`]`(n, d)`.
+/// A draw is simple with probability about `e^−(d²−1)/4` (about 2% at
+/// d = 4, 1.5e-7 at d = 8), so at seeds 7 and 11 and n ∈ {12, 32, 64, 128}
+/// every d ∈ {6, 8, 10} gets the circulant and no d ≤ 4 does.
 pub fn expander(n: usize, d: usize, link_bps: f64, seed: u64) -> Graph {
     assert!(d < n, "degree must be smaller than node count");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -144,8 +153,10 @@ pub fn expander(n: usize, d: usize, link_bps: f64, seed: u64) -> Graph {
             return g;
         }
     }
-    // Fall back to a deterministic circulant graph, which is also a good
-    // expander for small degree.
+    // Not an expander: the ring lattice i±1 … ±d/2, with a diameter of
+    // about n/d. From d = 6 up a draw is almost never simple, so fig27's
+    // d = 8 cells land here; ROADMAP *Baselines* replaces this fallback with
+    // a sampler that repairs a draw instead of restarting it.
     circulant(n, d, link_bps)
 }
 
@@ -218,7 +229,7 @@ pub fn from_permutations(n: usize, ps: &[usize], link_bps: f64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{average_path_length, diameter};
+    use crate::paths::tests::{average_path_length, diameter};
 
     #[test]
     fn ideal_switch_is_two_hops_between_servers() {
@@ -253,10 +264,11 @@ mod tests {
         let full = fat_tree(4, 1.0);
         let over = oversubscribed_fat_tree(4, 1.0);
         assert_eq!(over.graph.num_edges(), full.graph.num_edges());
-        assert!(over.graph.total_capacity() < full.graph.total_capacity());
+        let total = |g: &Graph| g.edges().map(|(_, e)| e.capacity_bps).sum::<f64>();
+        assert!(total(&over.graph) < total(&full.graph));
         assert!(over.graph.is_strongly_connected());
-        // Host-facing links keep full capacity.
-        assert!((over.graph.capacity_between(0, over.num_hosts) - 1.0).abs() < 1e-12);
+        // Host-facing links keep full capacity: host 0 has one uplink.
+        assert!((over.graph.total_out_capacity(0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -299,7 +311,7 @@ mod tests {
     fn from_permutations_unions_rings_and_cuts_diameter() {
         let single = from_permutations(16, &[1], 1.0);
         let multi = from_permutations(16, &[1, 3, 7], 1.0);
-        assert_eq!(multi.max_out_degree(), 3);
+        assert!((0..16).all(|v| multi.out_degree(v) == 3));
         assert!(diameter(&multi).unwrap() < diameter(&single).unwrap());
     }
 
@@ -307,6 +319,6 @@ mod tests {
     fn expander_deterministic_for_same_seed() {
         let a = expander(20, 3, 1.0, 42);
         let b = expander(20, 3, 1.0, 42);
-        assert_eq!(a.capacity_matrix(), b.capacity_matrix());
+        assert!(a.edges().eq(b.edges()));
     }
 }

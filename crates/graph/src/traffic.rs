@@ -61,19 +61,6 @@ impl TrafficMatrix {
         self.data.iter().filter(|&&d| d > 0.0).count()
     }
 
-    /// Communication degree of a node: number of distinct destinations it
-    /// sends to plus distinct sources it receives from is *not* what the
-    /// paper means; the paper's "communication degree" is the number of
-    /// distinct peers a node exchanges traffic with. That is what this
-    /// returns.
-    pub fn communication_degree(&self, node: usize) -> usize {
-        (0..self.n)
-            .filter(|&peer| {
-                peer != node && (self.get(node, peer) > 0.0 || self.get(peer, node) > 0.0)
-            })
-            .count()
-    }
-
     /// Element-wise sum of two matrices over the same node set.
     pub fn merged(&self, other: &TrafficMatrix) -> TrafficMatrix {
         assert_eq!(self.n, other.n);
@@ -166,16 +153,6 @@ mod tests {
         assert_eq!(m.get(0, 1), 15.0);
         assert_eq!(m.get(1, 0), 0.0);
         assert_eq!(m.total(), 15.0);
-    }
-
-    #[test]
-    fn communication_degree_counts_distinct_peers() {
-        let mut m = TrafficMatrix::new(4);
-        m.set(0, 1, 1.0);
-        m.set(2, 0, 1.0);
-        m.set(0, 1, 2.0); // same peer again
-        assert_eq!(m.communication_degree(0), 2);
-        assert_eq!(m.communication_degree(3), 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! * `bfs_shortest_path` (sorted adjacency, pooled scratch, goal test
 //!   on expansion) against an allocate-and-sort BFS;
-//! * the allocation-free neighbour iterators and binary-search pair lookups
-//!   against collect-sort-dedup and filtered scans of the out/in-edges;
+//! * the allocation-free out-neighbour iterator and binary-search pair
+//!   lookups against collect-sort-dedup and filtered scans of the out-edges,
+//!   and the (neighbour, id) order of both adjacency lists;
 //! * `TrafficMatrix::remapped_entries_desc` against a dense remap onto the
 //!   larger node set.
 //!
@@ -106,16 +107,10 @@ fn assert_lookups_match(g: &Graph) {
         outs.sort_unstable();
         outs.dedup();
         assert_eq!(g.out_neighbors(u).collect::<Vec<_>>(), outs, "out-neighbours of {u}");
-        let mut ins: Vec<usize> = g.in_edges(u).map(|(_, e)| e.src).collect();
-        ins.sort_unstable();
-        ins.dedup();
-        assert_eq!(g.in_neighbors(u).collect::<Vec<_>>(), ins, "in-neighbours of {u}");
         for v in 0..g.num_nodes() {
             let parallel = || g.out_edges(u).filter(move |(_, e)| e.dst == v);
             assert_eq!(g.has_edge(u, v), parallel().next().is_some());
             assert_eq!(g.multiplicity(u, v), parallel().count());
-            let scanned: f64 = parallel().map(|(_, e)| e.capacity_bps).sum();
-            assert_eq!(g.capacity_between(u, v).to_bits(), scanned.to_bits(), "{u} -> {v}");
         }
     }
 }

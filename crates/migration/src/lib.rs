@@ -48,8 +48,7 @@ pub mod state;
 pub mod strategies;
 
 pub use planner::{
-    evaluate_order, replay, MigrationFallback, MigrationPlan, MigrationProblem, MigrationStep,
-    StepOp,
+    evaluate_order, MigrationFallback, MigrationPlan, MigrationProblem, MigrationStep, StepOp,
 };
 pub use policies::{
     HardPolicy, LoopFreedom, MinimizeSteps, PairReachability, PolicyViolation, SoftPolicy,
@@ -126,10 +125,16 @@ mod tests {
         assert_eq!(plan.link_ops(), p.ops().len());
         assert!(matches!(plan.steps.last().unwrap().op, StepOp::InstallTargetRules));
         // Independent replay: every emitted state passes the hard policies.
-        for (i, state) in replay(&p, &plan).iter().enumerate() {
+        let mut state = FabricState::new(&p.source);
+        for (i, step) in plan.steps.iter().enumerate() {
+            match step.op {
+                StepOp::RemoveLink(l) => state.apply(LinkOp::Remove(l)),
+                StepOp::AddLink(l) => state.apply(LinkOp::Add(l)),
+                StepOp::InstallTargetRules => state.sync(),
+            }
             for policy in &planner.hard {
                 policy
-                    .check(state)
+                    .check(&state)
                     .unwrap_or_else(|v| panic!("step {i} violates {}: {}", v.policy, v.detail));
             }
         }

@@ -166,20 +166,3 @@ pub fn evaluate_order(
         states_checked: checked,
     })
 }
-
-/// Re-execute a plan's steps and return the fabric state after each one —
-/// the independent verification hook the property tests use (the states
-/// come from [`FabricState`] semantics, not from the search).
-pub fn replay(problem: &MigrationProblem, plan: &MigrationPlan) -> Vec<FabricState> {
-    let mut state = FabricState::new(&problem.source);
-    let mut states = Vec::with_capacity(plan.steps.len());
-    for step in &plan.steps {
-        match &step.op {
-            StepOp::RemoveLink(l) => state.apply(LinkOp::Remove(*l)),
-            StepOp::AddLink(l) => state.apply(LinkOp::Add(*l)),
-            StepOp::InstallTargetRules => state.sync(),
-        }
-        states.push(state.clone());
-    }
-    states
-}

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use topoopt_graph::{topologies, Graph};
 use topoopt_migration::{
-    replay, LoopFreedom, MigrationPlanner, MigrationProblem, PairReachability, RandomPermutation,
-    StepOp, TreeSearch,
+    FabricState, LinkOp, LoopFreedom, MigrationPlan, MigrationPlanner, MigrationProblem,
+    PairReachability, RandomPermutation, StepOp, TreeSearch,
 };
 use topoopt_rdma::WalkOutcome;
 
@@ -36,9 +36,25 @@ fn all_pairs(n: usize) -> Vec<(usize, usize)> {
     (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).filter(|&(s, d)| s != d).collect()
 }
 
+/// Re-execute a plan's steps and return the fabric state after each one:
+/// the states come from [`FabricState`] semantics, not from the search.
+fn replay(problem: &MigrationProblem, plan: &MigrationPlan) -> Vec<FabricState> {
+    let mut state = FabricState::new(&problem.source);
+    let mut states = Vec::with_capacity(plan.steps.len());
+    for step in &plan.steps {
+        match step.op {
+            StepOp::RemoveLink(l) => state.apply(LinkOp::Remove(l)),
+            StepOp::AddLink(l) => state.apply(LinkOp::Add(l)),
+            StepOp::InstallTargetRules => state.sync(),
+        }
+        states.push(state.clone());
+    }
+    states
+}
+
 /// Replay the plan and assert every emitted state passes loop-freedom and
 /// reachability of `pairs`, with every delivered walk crossing live links.
-fn assert_states_safe(problem: &MigrationProblem, plan: &topoopt_migration::MigrationPlan) {
+fn assert_states_safe(problem: &MigrationProblem, plan: &MigrationPlan) {
     let pairs = all_pairs(problem.source.num_nodes());
     let states = replay(problem, plan);
     assert_eq!(states.len(), plan.steps.len());

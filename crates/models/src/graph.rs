@@ -59,16 +59,6 @@ impl DnnModel {
         self.ops.iter().map(|n| n.op.param_bytes()).sum()
     }
 
-    /// Total forward+backward FLOPs for one sample.
-    pub fn flops_per_sample(&self) -> f64 {
-        self.ops.iter().map(|n| n.op.total_flops()).sum()
-    }
-
-    /// Total forward+backward FLOPs for a batch of `batch` samples.
-    pub fn flops_per_batch(&self, batch: usize) -> f64 {
-        self.flops_per_sample() * batch as f64
-    }
-
     /// Sum of parameter bytes over embedding-table operators only.
     pub fn embedding_param_bytes(&self) -> f64 {
         self.ops.iter().filter(|n| n.op.is_embedding()).map(|n| n.op.param_bytes()).sum()
@@ -83,21 +73,22 @@ impl DnnModel {
     pub fn embedding_ops(&self) -> Vec<OpId> {
         self.ops.iter().enumerate().filter(|(_, n)| n.op.is_embedding()).map(|(i, _)| i).collect()
     }
+}
 
-    /// Direct consumers of an operator's output.
-    pub fn consumers(&self, id: OpId) -> Vec<OpId> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.inputs.contains(&id))
-            .map(|(i, _)| i)
-            .collect()
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::op::OpKind;
+
+    /// Total forward+backward FLOPs for one sample.
+    pub(crate) fn flops_per_sample(m: &DnnModel) -> f64 {
+        m.ops.iter().map(|n| n.op.total_flops()).sum()
     }
 
-    /// Verify the stored order is a valid topological order and every
-    /// dependency exists.
-    pub fn validate(&self) -> Result<(), String> {
-        for (i, n) in self.ops.iter().enumerate() {
+    /// Verify the stored order is a valid topological order and operator
+    /// names are unique.
+    pub(crate) fn validate(m: &DnnModel) -> Result<(), String> {
+        for (i, n) in m.ops.iter().enumerate() {
             for &dep in &n.inputs {
                 if dep >= i {
                     return Err(format!(
@@ -107,7 +98,7 @@ impl DnnModel {
                 }
             }
         }
-        let mut names: Vec<&str> = self.ops.iter().map(|n| n.op.name.as_str()).collect();
+        let mut names: Vec<&str> = m.ops.iter().map(|n| n.op.name.as_str()).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();
@@ -116,12 +107,6 @@ impl DnnModel {
         }
         Ok(())
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::op::OpKind;
 
     fn dense(name: &str, inf: usize, outf: usize) -> Operator {
         Operator::new(name, OpKind::Dense { in_features: inf, out_features: outf })
@@ -133,10 +118,10 @@ mod tests {
         let a = m.add_op(dense("fc1", 10, 20), vec![]);
         let b = m.add_op(dense("fc2", 20, 5), vec![a]);
         assert_eq!(m.num_ops(), 2);
-        assert_eq!(m.consumers(a), vec![b]);
+        assert_eq!(m.ops[b].inputs, vec![a]);
         assert!(m.total_param_bytes() > 0.0);
-        assert!(m.flops_per_batch(64) > m.flops_per_sample());
-        m.validate().unwrap();
+        assert!(flops_per_sample(&m) > 0.0);
+        validate(&m).unwrap();
     }
 
     #[test]
@@ -168,6 +153,6 @@ mod tests {
         let mut m = DnnModel::new("dup", 1);
         m.add_op(dense("fc", 4, 4), vec![]);
         m.add_op(dense("fc", 4, 4), vec![0]);
-        assert!(m.validate().is_err());
+        assert!(validate(&m).is_err());
     }
 }

@@ -436,6 +436,7 @@ pub fn build_vgg16(cfg: &VggConfig) -> DnnModel {
 mod tests {
     use super::*;
     use crate::config::ModelPreset;
+    use crate::graph::tests::{flops_per_sample, validate};
 
     const GB: f64 = 1.0e9;
 
@@ -444,10 +445,10 @@ mod tests {
         for kind in ModelKind::all() {
             for preset in [ModelPreset::Dedicated, ModelPreset::Shared, ModelPreset::Testbed] {
                 let m = build_model(kind, preset);
-                m.validate().unwrap();
+                validate(&m).unwrap();
                 assert!(m.num_ops() > 3, "{} has too few ops", m.name);
                 assert!(m.total_param_bytes() > 0.0);
-                assert!(m.flops_per_sample() > 0.0);
+                assert!(flops_per_sample(&m) > 0.0);
             }
         }
     }
@@ -510,7 +511,7 @@ mod tests {
     fn compute_ranking_resnet_lighter_than_vgg() {
         let vgg = build_vgg16(&VggConfig::dedicated());
         let resnet = build_resnet50(&ResNetConfig::dedicated());
-        assert!(vgg.flops_per_sample() > resnet.flops_per_sample());
+        assert!(flops_per_sample(&vgg) > flops_per_sample(&resnet));
         // VGG also has far more parameters (communication heavy vs ResNet).
         assert!(vgg.total_param_bytes() > 3.0 * resnet.total_param_bytes());
     }

@@ -196,7 +196,7 @@ fn partitioned_runs_simulate_each_distinct_job_once() {
         ("-0.0 compute time", |j| j.compute_s = -0.0),
         ("one ULP of one link", |j| {
             let topo = j.topology.as_mut().expect("templates carry a topology");
-            let cap = topo.edge(0).capacity_bps;
+            let cap = topo.edge_mut(0).capacity_bps;
             topo.edge_mut(0).capacity_bps = f64::from_bits(cap.to_bits() + 1);
         }),
         ("one MP entry", |j| j.demands.mp.set(0, 1, 1.0e6)),

@@ -1,10 +1,12 @@
-//! Test oracles for the shipped fluid engine and strategy search.
+//! Test oracles for the shipped fluid engine and strategy search, and the
+//! checkers several crates' tests share.
 //!
-//! This crate is a dev-dependency of `topoopt-netsim`, `topoopt-strategy`
-//! and `topoopt-bench` and of nothing else, so no binary links it and the
-//! shipped crates carry one implementation of each algorithm. It holds the
-//! second implementations those crates are tested and benched against,
-//! plus a checker that needs no second implementation:
+//! This crate is a dev-dependency of `topoopt-core`, `topoopt-netsim`,
+//! `topoopt-strategy`, `topoopt-workloads` and `topoopt-bench` and of
+//! nothing else, so no binary links it and the shipped crates carry one
+//! implementation of each algorithm. It holds the second implementations
+//! those crates are tested and benched against, plus checkers that need no
+//! second implementation:
 //!
 //! * [`waterfill_slices`] — the map-keyed progressive-filling allocator.
 //!   netsim's arena unit tests require its flat `waterfill_ids` to match
@@ -24,13 +26,25 @@
 //!   (`crates/strategy/tests/evaluator.rs`).
 //! * [`check_max_min`] — the max-min fairness certificate: feasibility on
 //!   every link, and a relay cap or a bottleneck link for every flow.
+//! * [`diameter`] — a fabric's diameter in hops; core's tests hold
+//!   `SelectPermutations` and `TopologyFinder` to it.
+//! * [`communication_degree`] — how many distinct peers a server exchanges
+//!   traffic with; the strategy and workloads tests read it off their
+//!   traffic matrices.
+//!
+//! A crate's own unit tests cannot call a function here that takes that
+//! crate's types: this crate links a second copy of it.
 
 mod evaluator;
 mod fluid;
 mod maxmin;
+mod paths;
 mod search;
+mod traffic;
 
 pub use evaluator::PairCostEvaluator;
 pub use fluid::{simulate_flows_reference, waterfill_slices};
 pub use maxmin::check_max_min;
+pub use paths::diameter;
 pub use search::search_strategy_reference;
+pub use traffic::communication_degree;

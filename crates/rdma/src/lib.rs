@@ -21,4 +21,4 @@ pub use forwarding::{
     build_forwarding_plan, DegradedPair, ForwardingPlan, ForwardingRule, RepairMode, RepairReport,
     RuleConflict, WalkOutcome,
 };
-pub use npar::{LogicalInterface, NparNic, NparPartition};
+pub use npar::NparPartition;

@@ -1,4 +1,4 @@
-//! NPAR (network partitioning) model: one physical interface, two logical
+//! NPAR (network partitioning): one physical interface, two logical
 //! interfaces.
 
 use serde::{Deserialize, Serialize};
@@ -12,96 +12,4 @@ pub enum NparPartition {
     /// `if2`: the forwarding interface without an IP; traffic to its MAC is
     /// delivered to the host kernel for relaying.
     Forwarding,
-}
-
-/// One logical interface of a server's NIC port.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct LogicalInterface {
-    /// Owning server id.
-    pub server: usize,
-    /// Physical port index on the server (`0..degree`).
-    pub port: usize,
-    /// Which partition.
-    pub partition: NparPartition,
-}
-
-impl LogicalInterface {
-    /// Synthetic MAC address, unique per logical interface.
-    pub fn mac(&self) -> String {
-        let p = match self.partition {
-            NparPartition::Rdma => 1,
-            NparPartition::Forwarding => 2,
-        };
-        format!(
-            "02:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            p,
-            (self.server >> 8) & 0xff,
-            self.server & 0xff,
-            (self.port >> 8) & 0xff,
-            self.port & 0xff
-        )
-    }
-
-    /// Synthetic IP address; only the RDMA partition has one.
-    pub fn ip(&self) -> Option<String> {
-        match self.partition {
-            NparPartition::Rdma => Some(format!(
-                "10.{}.{}.{}",
-                (self.server >> 8) & 0xff,
-                self.server & 0xff,
-                self.port + 1
-            )),
-            NparPartition::Forwarding => None,
-        }
-    }
-}
-
-/// A server NIC port split into its two logical interfaces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NparNic {
-    /// RDMA partition.
-    pub rdma: LogicalInterface,
-    /// Forwarding partition.
-    pub forwarding: LogicalInterface,
-}
-
-impl NparNic {
-    /// Split port `port` of `server`.
-    pub fn new(server: usize, port: usize) -> Self {
-        NparNic {
-            rdma: LogicalInterface { server, port, partition: NparPartition::Rdma },
-            forwarding: LogicalInterface { server, port, partition: NparPartition::Forwarding },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rdma_partition_has_ip_forwarding_does_not() {
-        let nic = NparNic::new(3, 1);
-        assert!(nic.rdma.ip().is_some());
-        assert!(nic.forwarding.ip().is_none());
-    }
-
-    #[test]
-    fn macs_are_unique_across_servers_ports_and_partitions() {
-        let mut macs = std::collections::BTreeSet::new();
-        for server in 0..12 {
-            for port in 0..4 {
-                let nic = NparNic::new(server, port);
-                assert!(macs.insert(nic.rdma.mac()));
-                assert!(macs.insert(nic.forwarding.mac()));
-            }
-        }
-        assert_eq!(macs.len(), 12 * 4 * 2);
-    }
-
-    #[test]
-    fn ip_encodes_server_and_port() {
-        let nic = NparNic::new(260, 2);
-        assert_eq!(nic.rdma.ip().unwrap(), "10.1.4.3");
-    }
 }

@@ -80,8 +80,8 @@ impl TopologyView {
     ///
     /// Each node's neighbour list is built once per graph: its distinct
     /// out-neighbours, each with the capacity of its parallel live edges
-    /// summed in id order, as [`Graph::capacity_between`] sums them. Then
-    /// one BFS per source settles hops and bottlenecks in queue order:
+    /// summed in id order. Then one BFS per source settles hops and
+    /// bottlenecks in queue order:
     /// `bottleneck[v]` is the max over BFS parents `u` (one hop closer to the
     /// source) of `min(bottleneck[u], capacity(u, v))`. Every node at
     /// distance `d` is popped, with its bottleneck final, before any node at
@@ -351,8 +351,8 @@ mod tests {
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
 
     /// The two-pass build `from_graph` replaced: per source a BFS, a sort of
-    /// the reached nodes by distance, then a pass over each node's in-edges
-    /// with a `capacity_between` lookup per parent.
+    /// the reached nodes by distance, then a pass over each node's distinct
+    /// in-neighbours with a parallel-edge capacity lookup per parent.
     fn two_pass_tables(g: &Graph, num_servers: usize) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
         let mut hops = Vec::with_capacity(num_servers);
         let mut bottleneck = Vec::with_capacity(num_servers);
@@ -367,9 +367,16 @@ mod tests {
                 if v == s {
                     continue;
                 }
-                for u in g.in_neighbors(v) {
+                let mut parents: Vec<usize> = g.in_edges(v).map(|(_, e)| e.src).collect();
+                parents.dedup();
+                for u in parents {
                     if dist[u] != usize::MAX && dist[u] + 1 == dist[v] {
-                        let cand = bn[u].min(g.capacity_between(u, v));
+                        let capacity: f64 = g
+                            .out_edges(u)
+                            .filter(|(_, e)| e.dst == v)
+                            .map(|(_, e)| e.capacity_bps)
+                            .sum();
+                        let cand = bn[u].min(capacity);
                         if cand > bn[v] {
                             bn[v] = cand;
                         }

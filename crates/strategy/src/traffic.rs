@@ -264,6 +264,7 @@ mod tests {
     use proptest::prelude::*;
     use topoopt_models::zoo::{build_dlrm, build_model};
     use topoopt_models::{DlrmConfig, ModelKind, ModelPreset};
+    use topoopt_oracle::communication_degree;
 
     const GB: f64 = 1.0e9;
 
@@ -445,9 +446,9 @@ mod tests {
         assert!(t.total_allreduce_bytes() < 1.0 * GB);
         assert!(t.total_mp_bytes() > 0.0);
         // Table host (server 0) exchanges traffic with every other server.
-        assert_eq!(t.mp.communication_degree(0), 15);
+        assert_eq!(communication_degree(&t.mp, 0), 15);
         // A server with no table only talks to the four table hosts.
-        assert_eq!(t.mp.communication_degree(1), 4);
+        assert_eq!(communication_degree(&t.mp, 1), 4);
     }
 
     #[test]

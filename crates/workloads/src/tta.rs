@@ -24,11 +24,6 @@ impl AccuracyCurve {
         AccuracyCurve { max_accuracy: 0.93, tau_epochs: 12.0 }
     }
 
-    /// Accuracy after `epochs` epochs.
-    pub fn accuracy_at(&self, epochs: f64) -> f64 {
-        self.max_accuracy * (1.0 - (-epochs / self.tau_epochs).exp())
-    }
-
     /// Epochs needed to reach `target` accuracy (`None` if unreachable).
     pub fn epochs_to_accuracy(&self, target: f64) -> Option<f64> {
         if target >= self.max_accuracy {
@@ -55,20 +50,26 @@ pub fn time_to_accuracy(
 mod tests {
     use super::*;
 
+    /// Accuracy after `epochs` epochs: the curve `epochs_to_accuracy`
+    /// inverts.
+    fn accuracy_at(c: &AccuracyCurve, epochs: f64) -> f64 {
+        c.max_accuracy * (1.0 - (-epochs / c.tau_epochs).exp())
+    }
+
     #[test]
     fn accuracy_curve_saturates() {
         let c = AccuracyCurve::vgg19_imagenet();
-        assert!(c.accuracy_at(0.0) < 1e-12);
-        assert!(c.accuracy_at(5.0) < c.accuracy_at(20.0));
-        assert!(c.accuracy_at(200.0) < c.max_accuracy + 1e-9);
-        assert!(c.accuracy_at(200.0) > 0.92);
+        assert!(accuracy_at(&c, 0.0) < 1e-12);
+        assert!(accuracy_at(&c, 5.0) < accuracy_at(&c, 20.0));
+        assert!(accuracy_at(&c, 200.0) < c.max_accuracy + 1e-9);
+        assert!(accuracy_at(&c, 200.0) > 0.92);
     }
 
     #[test]
     fn epochs_to_target_inverts_the_curve() {
         let c = AccuracyCurve::vgg19_imagenet();
         let e = c.epochs_to_accuracy(0.90).unwrap();
-        assert!((c.accuracy_at(e) - 0.90).abs() < 1e-9);
+        assert!((accuracy_at(&c, e) - 0.90).abs() < 1e-9);
         assert!(c.epochs_to_accuracy(0.99).is_none());
     }
 

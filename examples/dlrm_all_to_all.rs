@@ -13,7 +13,6 @@ use topoopt::models::DlrmConfig;
 use topoopt::netsim::iteration::natural_ring_plans;
 use topoopt::prelude::*;
 use topoopt::rdma::build_forwarding_plan;
-use topoopt::rdma::forwarding::split_all_nics;
 
 fn main() {
     let num_servers = 16;
@@ -74,7 +73,6 @@ fn main() {
     let out =
         topology_finder(&TopologyFinderInput::new(testbed_servers, degree, link_bps, &demands));
     let plan = build_forwarding_plan(&out.graph, testbed_servers, &out.routing);
-    let nics = split_all_nics(testbed_servers, degree);
     let max_relays = (0..testbed_servers)
         .flat_map(|s| (0..testbed_servers).map(move |d| (s, d)))
         .filter(|(s, d)| s != d)
@@ -82,7 +80,9 @@ fn main() {
         .max()
         .unwrap_or(0);
     println!("\n--- 12-node testbed RDMA forwarding plan ---");
-    println!("logical interfaces (NPAR): {}", nics.len() * 2);
+    // NPAR splits each of a server's `degree` ports into two logical
+    // interfaces.
+    println!("logical interfaces (NPAR): {}", testbed_servers * degree * 2);
     println!("forwarding rules installed: {}", plan.num_rules());
     println!("maximum relays on any logical RDMA connection: {}", max_relays);
     println!(
